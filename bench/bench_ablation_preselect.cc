@@ -38,7 +38,7 @@ int main(int argc, char** argv) {
     } else {
       int64_t diff = static_cast<int64_t>(stats.cover_entries) -
                      static_cast<int64_t>(base_entries);
-      delta = (diff <= 0 ? "" : "+") + std::to_string(diff);
+      delta = std::string(diff <= 0 ? "" : "+").append(std::to_string(diff));
     }
     table.AddRow({preselect ? "on" : "off",
                   TablePrinter::Fmt(watch.ElapsedSeconds(), 2) + "s",

@@ -59,7 +59,8 @@ int main(int argc, char** argv) {
                   TablePrinter::Fmt(dist_time, 2) + "s",
                   TablePrinter::FmtCount(dist->CoverSize()),
                   TablePrinter::FmtCount(dist_store.StorageIntegers()),
-                  "+" + TablePrinter::Fmt(overhead, 1) + "%"});
+                  std::string("+").append(TablePrinter::Fmt(overhead, 1)) +
+                      "%"});
   }
   table.Print(std::cout);
   std::cout << "\nShape check: the distance-aware cover may carry more "

@@ -1,7 +1,7 @@
 // EnginePool serving-throughput sweep: {1,2,4,8} workers × batch sizes
 // × backend kind, reporting queries/sec (probes, not batches) and the
-// per-batch label route mix (cache hit rate for the copy-route linlout
-// backend; borrow share for the zero-copy hopi / mapped backends).
+// per-batch label route mix (cache hit rate for the block-route v4
+// store; borrow share for the zero-copy hopi / mapped v3 backends).
 //
 // The submission side runs `clients` threads each firing synchronous
 // Batch() calls, so the measured number is end-to-end: queue, dispatch,
@@ -79,15 +79,18 @@ RunResult RunWorkload(engine::EnginePool* pool, size_t clients,
 
 std::string RouteMix(const engine::PoolStats& s) {
   uint64_t cached = s.cache_hits + s.cache_misses;
-  if (cached == 0 && s.labels_borrowed == 0) return "-";
-  if (s.labels_borrowed > 0) {
-    return TablePrinter::Fmt(100.0, 0) + "% borrow";
+  uint64_t fetches = cached + s.labels_borrowed;
+  if (fetches == 0) return "-";
+  auto pct = [](uint64_t part, uint64_t whole) {
+    return 100.0 * static_cast<double>(part) / static_cast<double>(whole);
+  };
+  // A v4 store borrows its empty rows and serves the rest from blocks.
+  std::string mix =
+      TablePrinter::Fmt(pct(s.labels_borrowed, fetches), 0) + "% borrow";
+  if (cached > 0) {
+    mix += ", " + TablePrinter::Fmt(pct(s.cache_hits, cached), 1) + "% hit";
   }
-  return TablePrinter::Fmt(
-             100.0 * static_cast<double>(s.cache_hits) /
-                 static_cast<double>(cached),
-             1) +
-         "% hit";
+  return mix;
 }
 
 }  // namespace
@@ -117,22 +120,32 @@ int main(int argc, char** argv) {
             << " client threads (hardware_concurrency="
             << std::thread::hardware_concurrency() << ")\n";
 
-  // The three label-carrying serving snapshots.
+  // The three label-carrying serving snapshots: the in-memory cover,
+  // the v4 file (block route) and the v3 file (borrow route).
   auto hopi_snapshot = engine::BackendSnapshot::Freeze(*index);
-  auto store = std::make_shared<storage::LinLoutStore>(
-      storage::LinLoutStore::FromCover(index->cover(), false));
+  storage::LinLoutStore store =
+      storage::LinLoutStore::FromCover(index->cover(), false);
+  auto write_and_open = [&store](const std::string& path, uint32_t version)
+      -> std::shared_ptr<const storage::MappedLinLoutStore> {
+    storage::StoreWriteOptions write_options;
+    write_options.format_version = version;
+    if (Status s = store.WriteToFile(path, write_options); !s.ok()) {
+      std::cerr << s << "\n";
+      return nullptr;
+    }
+    auto opened = storage::MappedLinLoutStore::Open(path);
+    if (!opened.ok()) {
+      std::cerr << opened.status() << "\n";
+      return nullptr;
+    }
+    return std::make_shared<const storage::MappedLinLoutStore>(
+        std::move(opened).value());
+  };
   const std::string path = "bench_engine_pool.bin";
-  if (Status s = store->WriteToFile(path); !s.ok()) {
-    std::cerr << s << "\n";
-    return 1;
-  }
-  auto mapped_result = storage::MappedLinLoutStore::Open(path);
-  if (!mapped_result.ok()) {
-    std::cerr << mapped_result.status() << "\n";
-    return 1;
-  }
-  auto mapped = std::make_shared<storage::MappedLinLoutStore>(
-      std::move(mapped_result).value());
+  const std::string v4_path = "bench_engine_pool_v4.bin";
+  auto mapped = write_and_open(path, storage::kFormatVersion);
+  auto mapped_v4 = write_and_open(v4_path, storage::kFormatVersionV4);
+  if (!mapped || !mapped_v4) return 1;
   auto collection = std::shared_ptr<const collection::Collection>(
       hopi_snapshot, &hopi_snapshot->collection());
   struct NamedSnapshot {
@@ -141,8 +154,8 @@ int main(int argc, char** argv) {
   };
   NamedSnapshot snapshots[] = {
       {"hopi", hopi_snapshot},
-      {"linlout", engine::BackendSnapshot::OfStore(collection, store,
-                                                   hopi_snapshot->tags())},
+      {"mapped-v4", engine::BackendSnapshot::OfMappedStore(
+                        collection, mapped_v4, hopi_snapshot->tags())},
       {"mapped", engine::BackendSnapshot::OfMappedStore(
                      collection, mapped, hopi_snapshot->tags())},
   };
@@ -288,5 +301,6 @@ int main(int argc, char** argv) {
   overlay_report.Write();
 
   std::remove(path.c_str());
+  std::remove(v4_path.c_str());
   return 0;
 }

@@ -9,8 +9,10 @@
 //                  the previous response lands (the classic closed
 //                  loop; concurrency == N).
 //   --mode=open    each client paces requests at rate/clients per
-//                  second regardless of response latency (approximated
-//                  open loop: late responses eat into the pacing gap).
+//                  second regardless of response latency, and times
+//                  each one from when it was due (approximated open
+//                  loop: a late response delays the next send, and
+//                  that delay counts in the next request's latency).
 //   --mode=burst   shedding demo: a deliberately tiny pool (1 worker,
 //                  lane capacity from --queue_capacity) under a
 //                  many-client closed loop — the 429 column is the
@@ -26,6 +28,7 @@
 #include <chrono>
 #include <iostream>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -99,13 +102,18 @@ LoadResult RunLoad(uint16_t port, size_t clients, double seconds,
                             : std::chrono::steady_clock::duration::zero();
       auto next_send = std::chrono::steady_clock::now();
       while (!stop.load(std::memory_order_relaxed)) {
+        // The open loop times each request from when it was due, not
+        // from when it went out: a stall that delays later sends then
+        // shows up as their queueing delay.
+        std::optional<std::chrono::steady_clock::time_point> due;
         if (pace.count() > 0) {
+          due = next_send;
           std::this_thread::sleep_until(next_send);
           next_send += pace;
         }
         std::string body =
             MakeBatchBody(&rng, num_elements, batch_size, zipf_s);
-        auto started = std::chrono::steady_clock::now();
+        auto started = due.value_or(std::chrono::steady_clock::now());
         auto response = client.Request("POST", "/v1/batch", body);
         auto elapsed = std::chrono::duration_cast<std::chrono::microseconds>(
                            std::chrono::steady_clock::now() - started)

@@ -193,7 +193,7 @@ int main(int argc, char** argv) {
       std::cerr << "root chain failed to force cross-shard links\n";
       return 1;
     }
-    std::string prefix = "s" + std::to_string(num_shards);
+    std::string prefix = std::string("s").append(std::to_string(num_shards));
     report.Add(prefix + "_cross_shard_links", plan->stats.cross_shard_links);
     report.Add(prefix + "_cross_shard_routes",
                plan->stats.cross_shard_routes);

@@ -1,11 +1,12 @@
 // Storage-layer I/O bench: raw (v3) vs block-compressed (v4) LIN/LOUT
 // files — size on disk, open cost, and batched probe throughput.
 //
-//   cold open  LinLoutStore::ReadFromFile copies every row to the heap
-//              and re-sorts the backward runs; MappedLinLoutStore::Open
-//              validates checksums but copies nothing. The v4 lazy
-//              open ("mapped-v4 lazy") verifies only the metadata CRC:
-//              the open cost that stays flat as covers outgrow RAM.
+//   cold open  MappedLinLoutStore::Open validates checksums but copies
+//              nothing when it maps the file; its buffered mode
+//              ("buffered_v3") reads the whole file into the heap
+//              first. The v4 lazy open ("mapped_v4_lazy") verifies
+//              only the metadata CRC: the open cost that stays flat as
+//              covers outgrow RAM.
 //   cold batch a fresh engine's first 256-probe batch: v3 mapped
 //              borrows spans off the file image; v4 decodes every
 //              touched block once into the byte-budgeted cache.
@@ -57,7 +58,9 @@ int main(int argc, char** argv) {
 
   const std::string v3_path = "bench_storage_io_v3.bin";
   const std::string v4_path = "bench_storage_io_v4.bin";
-  if (Status s = store.WriteToFile(v3_path); !s.ok()) {
+  storage::StoreWriteOptions v3_options;
+  v3_options.format_version = storage::kFormatVersion;
+  if (Status s = store.WriteToFile(v3_path, v3_options); !s.ok()) {
     std::cerr << s << "\n";
     return 1;
   }
@@ -109,13 +112,11 @@ int main(int argc, char** argv) {
   TablePrinter table({"mode", "cold open", "cold batch", "warm batch",
                       "warm probes/s", "borrowed", "decoded", "evicted"});
   auto run_mode = [&](const std::string& mode,
-                      const storage::MappedLinLoutStore* mapped,
-                      const storage::LinLoutStore* buffered, double open_s) {
+                      const storage::MappedLinLoutStore& store, double open_s) {
     engine::QueryEngineOptions eng_options;
     eng_options.label_cache_bytes = cache_bytes;
     engine::QueryEngine eng =
-        mapped ? engine::QueryEngine::ForMappedStore(c, *mapped, eng_options)
-               : engine::QueryEngine::ForStore(c, *buffered, eng_options);
+        engine::QueryEngine::ForMappedStore(c, store, eng_options);
     Stopwatch cold_sw;
     engine::BatchResponse cold =
         eng.Batch({.pairs = pairs, .want_distances = true});
@@ -139,28 +140,15 @@ int main(int argc, char** argv) {
     report.Add(mode + "_blocks_decoded", cold.stats.blocks_decoded);
   };
 
-  {  // buffered v3: full heap load, copy route through the cache
-    double open_s = 0;
-    for (size_t rep = 0; rep < reps; ++rep) {
-      Stopwatch sw;
-      auto loaded = storage::LinLoutStore::ReadFromFile(v3_path);
-      open_s += sw.ElapsedSeconds() / static_cast<double>(reps);
-      if (!loaded.ok()) {
-        std::cerr << loaded.status() << "\n";
-        return 1;
-      }
-    }
-    auto loaded = storage::LinLoutStore::ReadFromFile(v3_path);
-    run_mode("buffered_v3", nullptr, &*loaded, open_s);
-  }
-
-  // Mapped modes: v3 (borrow route), v4 verified, v4 lazy (block route).
+  // Open modes: v3 buffered and mapped (borrow route), v4 verified and
+  // lazy (block route).
   struct MappedMode {
     std::string name;
     std::string path;
     storage::MappedOpenOptions open;
   };
   const MappedMode modes[] = {
+      {"buffered_v3", v3_path, {.prefer_mmap = false}},
       {"mapped_v3", v3_path, {}},
       {"mapped_v4", v4_path, {}},
       {"mapped_v4_lazy", v4_path, {.prefer_mmap = true,
@@ -178,7 +166,7 @@ int main(int argc, char** argv) {
       }
     }
     auto mapped = storage::MappedLinLoutStore::Open(mode.path, mode.open);
-    run_mode(mode.name, &*mapped, nullptr, open_s);
+    run_mode(mode.name, *mapped, open_s);
   }
   table.Print(std::cout);
   std::cout << "\nShape check: v3 mapped batches borrow spans (no decodes); "

@@ -96,7 +96,8 @@ int main(int argc, char** argv) {
     options.partition.max_nodes = px_cap(x);
     options.partition.seed = seed;
     options.join = JoinAlgorithm::kRecursive;
-    rows.push_back(RunBuild("P" + std::to_string(static_cast<int>(x)), &c,
+    rows.push_back(RunBuild(
+        std::string("P").append(std::to_string(static_cast<int>(x))), &c,
                             options));
   }
   {  // single: document-per-partition ("naive") + new join.
@@ -114,7 +115,8 @@ int main(int argc, char** argv) {
     options.partition.edge_weight = partition::EdgeWeightPolicy::kAtimesD;
     options.partition.seed = seed;
     options.join = JoinAlgorithm::kRecursive;
-    rows.push_back(RunBuild("N" + std::to_string(static_cast<int>(x)), &c,
+    rows.push_back(RunBuild(
+        std::string("N").append(std::to_string(static_cast<int>(x))), &c,
                             options));
   }
 

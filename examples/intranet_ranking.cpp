@@ -10,6 +10,7 @@
 #include "engine/engine.h"
 #include "hopi/build.h"
 #include "storage/linlout.h"
+#include "storage/mapped_linlout.h"
 
 int main() {
   using namespace hopi;
@@ -64,7 +65,7 @@ int main() {
       storage::LinLoutStore::FromCover(index->cover(), true);
   std::string path = "/tmp/hopi_intranet.idx";
   if (!store.WriteToFile(path).ok()) return 1;
-  auto loaded = storage::LinLoutStore::ReadFromFile(path);
+  auto loaded = storage::MappedLinLoutStore::Open(path);
   if (!loaded.ok()) {
     std::cerr << loaded.status() << "\n";
     return 1;
@@ -75,7 +76,8 @@ int main() {
 
   // Serve the same query from the reloaded store: only the backend
   // changes, the facade and the results stay identical.
-  engine::QueryEngine restarted = engine::QueryEngine::ForStore(c, *loaded);
+  engine::QueryEngine restarted =
+      engine::QueryEngine::ForMappedStore(c, *loaded);
   auto rematches =
       restarted.Query({.expression = query_text, .max_matches = 10});
   if (!rematches.ok()) return 1;

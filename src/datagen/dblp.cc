@@ -26,7 +26,7 @@ xml::Document GenerateDblpDocument(const DblpConfig& config, size_t index,
   size_t num_authors = 1 + rng->NextBounded(4);
   for (size_t a = 0; a < num_authors; ++a) {
     auto* author = root->AddChild(std::make_unique<xml::Element>("author"));
-    author->AddAttribute("id", "a" + std::to_string(a));
+    author->AddAttribute("id", std::string("a").append(std::to_string(a)));
     author->AppendText(RandomAuthorName(rng));
   }
   auto* title = root->AddChild(std::make_unique<xml::Element>("title"));
@@ -76,7 +76,8 @@ xml::Document GenerateDblpDocument(const DblpConfig& config, size_t index,
     targets.push_back(target);
     auto* cite = root->AddChild(std::make_unique<xml::Element>("cite"));
     cite->AddAttribute("xlink:href", PubName(target));
-    cite->AppendText("[" + std::to_string(targets.size()) + "]");
+    cite->AppendText(
+        std::string("[").append(std::to_string(targets.size())) + "]");
   }
 
   // Occasional intra-document cross reference: a footnote pointing at an
@@ -84,7 +85,8 @@ xml::Document GenerateDblpDocument(const DblpConfig& config, size_t index,
   if (rng->NextBernoulli(config.intra_link_prob)) {
     auto* footnote = root->AddChild(std::make_unique<xml::Element>("footnote"));
     footnote->AddAttribute(
-        "idref", "a" + std::to_string(rng->NextBounded(num_authors)));
+        "idref",
+        std::string("a").append(std::to_string(rng->NextBounded(num_authors))));
     footnote->AppendText(RandomWords(rng, 3));
   }
 

@@ -35,7 +35,7 @@ xml::Document GenerateInexDocument(const InexConfig& config, size_t index,
   std::vector<std::string> anchor_ids;
   while (made < budget) {
     auto* sec = body->AddChild(std::make_unique<xml::Element>("sec"));
-    std::string sec_id = "s" + std::to_string(sec_count++);
+    std::string sec_id = std::string("s").append(std::to_string(sec_count++));
     sec->AddAttribute("id", sec_id);
     anchor_ids.push_back(sec_id);
     sec->AddChild(std::make_unique<xml::Element>("st"))
@@ -52,7 +52,8 @@ xml::Document GenerateInexDocument(const InexConfig& config, size_t index,
         ++made;
         if (rng->NextBernoulli(0.1)) {
           auto* fig = para->AddChild(std::make_unique<xml::Element>("fig"));
-          std::string fig_id = "f" + std::to_string(fig_count++);
+          std::string fig_id =
+              std::string("f").append(std::to_string(fig_count++));
           fig->AddAttribute("id", fig_id);
           anchor_ids.push_back(fig_id);
           ++made;

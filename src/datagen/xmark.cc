@@ -55,7 +55,8 @@ std::vector<xml::Document> GenerateXmarkDocuments(const XmarkConfig& config) {
       person->AddChild(std::make_unique<xml::Element>("name"))
           ->AppendText(RandomAuthorName(&rng));
       person->AddChild(std::make_unique<xml::Element>("emailaddress"))
-          ->AppendText("u" + std::to_string(p) + "@example.org");
+          ->AppendText(std::string("u").append(std::to_string(p)) +
+                      "@example.org");
       size_t watches = rng.NextBounded(4);
       for (size_t w = 0; w < watches; ++w) {
         size_t item = rng.NextBounded(config.num_items);

@@ -30,50 +30,16 @@
 
 namespace hopi::engine {
 
-/// One owned LIN or LOUT label set: (center, dist) rows sorted by
-/// center id. The distance is 0 for backends built without the DIST
-/// column.
-using Label = std::vector<twohop::LabelEntry>;
-
-/// A borrowed, read-only view of one label set — same rows and sort
-/// order as Label, but the storage belongs to whoever produced the
-/// view (an in-memory cover, the engine's LRU cache, or an mmapped
-/// file image). See BorrowOutLabel() for the lifetime contract.
-using LabelView = std::span<const twohop::LabelEntry>;
-
 /// A decoded block of compressed label rows (storage/compress.h),
 /// shared between the engine's byte-budgeted cache and every in-flight
 /// view into it. Immutable once decoded.
 using LabelBlock = std::shared_ptr<const storage::DecodedBlock>;
 
-/// A label view plus whatever keeps it alive. Three flavors:
-///
-///   borrow  — `block` is null, the view aliases backend-owned storage
-///             (valid for the backend's lifetime, as BorrowOutLabel
-///             promises);
-///   block   — `block` pins the DecodedBlock the view aliases: cache
-///             eviction only drops the cache's reference, so the view
-///             stays valid for as long as this PinnedLabel (or a copy
-///             of its block pointer) lives;
-///   copy    — same as block; the engine wraps backend-materialized
-///             labels in single-row blocks so the cache has one
-///             currency.
-///
-/// THE pinning rule: hold the PinnedLabel, not just the LabelView.
-/// A bare view extracted from a PinnedLabel must not outlive it.
-struct PinnedLabel {
-  LabelView view;
-  LabelBlock block;
-};
-
-/// The kernel-ready twin of PinnedLabel: a twohop::JoinView (SoA or
-/// strided columns + the label's summary word) plus whatever keeps the
-/// underlying arrays alive. Same pinning rule — hold the PinnedJoin,
-/// not just the view.
-struct PinnedJoin {
-  twohop::JoinView view;
-  LabelBlock block;
-};
+/// A kernel view plus whatever keeps its arrays alive
+/// (storage::PinnedJoin): null for borrowed backend storage, the
+/// DecodedBlock for cached rows. Hold the PinnedJoin, not just the
+/// view.
+using storage::PinnedJoin;
 
 /// A single (source, target) reachability probe.
 using NodePair = std::pair<NodeId, NodeId>;
@@ -82,7 +48,7 @@ class ReachabilityBackend {
  public:
   virtual ~ReachabilityBackend() = default;
 
-  /// Short identifier for stats and bench tables ("hopi", "linlout",
+  /// Short identifier for stats and bench tables ("hopi", "mapped",
   /// "closure", ...).
   virtual std::string_view Name() const = 0;
 
@@ -119,94 +85,55 @@ class ReachabilityBackend {
     return out;
   }
 
-  // ---- label export (the hot-label cache hook) ----
+  // ---- label export ----
   //
   // The QueryEngine batch path obtains each probe's LOUT(u)/LIN(v)
-  // label set through exactly one of two routes:
+  // label as a twohop::JoinView through exactly one of two routes:
   //
-  //   borrow — BorrowOutLabel/BorrowInLabel return a LabelView into
-  //            storage the backend already owns (an in-memory cover's
-  //            vectors, an mmapped file image). Zero copies; the LRU
-  //            cache is bypassed entirely.
-  //   copy   — OutLabel/InLabel materialize an owned Label (e.g.
-  //            LinLoutStore converts table rows). The engine pays the
-  //            copy once, stores it in its LRU cache, and serves
-  //            repeats from the cache.
-  //
-  // A backend opts into the borrow route by returning an engaged
-  // optional; the engine never mixes routes for one backend call.
+  //   block  — compressed storage names the block holding a node's row
+  //            (Out/InLabelBlock below); the engine decodes it once and
+  //            keeps it in its byte-budgeted cache.
+  //   borrow — BorrowOutJoin/BorrowInJoin lend a view into storage the
+  //            backend already owns (an in-memory cover's packed
+  //            columns, a v3 file image's rows). Zero copies; the cache
+  //            is bypassed entirely.
 
-  /// @brief True when the backend stores 2-hop labels and can export
-  /// them via OutLabel/InLabel (and possibly lend them via the borrow
-  /// hooks). Label-less backends (materialized closure, BFS) return
-  /// false and the batch path falls back to TestConnections.
+  /// @brief True when the backend stores 2-hop labels and lends them
+  /// through the hooks below. Label-less backends (materialized
+  /// closure, BFS) return false and the batch path falls back to
+  /// TestConnections.
   virtual bool HasLabels() const { return false; }
 
-  /// @brief LOUT(u) rows as an owned copy, sorted by center.
-  /// @return Empty label for out-of-range nodes.
-  virtual Label OutLabel(NodeId /*u*/) const { return {}; }
-
-  /// @brief LIN(v) rows as an owned copy, sorted by center.
-  /// @return Empty label for out-of-range nodes.
-  virtual Label InLabel(NodeId /*v*/) const { return {}; }
-
-  /// @brief Zero-copy LOUT(u) access (the borrow route).
+  /// @brief LOUT(u) as a borrowed kernel view (the borrow route).
   /// @return A view that MUST stay valid and immutable for the
   /// backend's lifetime — the engine may hold it across an entire
-  /// batch. Backends that would have to materialize rows return
-  /// nullopt (the default) and are served through the copy route and
-  /// the LRU cache instead. An engaged empty view is a valid answer
-  /// ("this node has no label rows").
-  virtual std::optional<LabelView> BorrowOutLabel(NodeId /*u*/) const {
+  /// batch. Backends that would have to decode return nullopt (the
+  /// default) and serve the node through the block route instead. An
+  /// engaged empty view is a valid answer ("this node has no label
+  /// rows"); so is one for an out-of-range node.
+  virtual std::optional<twohop::JoinView> BorrowOutJoin(NodeId /*u*/) const {
     return std::nullopt;
-  }
-
-  /// @brief Zero-copy LIN(v) access; contract as BorrowOutLabel.
-  virtual std::optional<LabelView> BorrowInLabel(NodeId /*v*/) const {
-    return std::nullopt;
-  }
-
-  // ---- join export (the vectorized-kernel route) ----
-  //
-  // The engine's batch path feeds twohop::JoinViews (join_kernel.h)
-  // rather than walking LabelEntry spans itself. These hooks let a
-  // borrow-route backend hand out the kernel-ready shape directly —
-  // packed SoA columns plus a real LabelSummary when it keeps them
-  // (an in-memory cover's mirrors), or a strided adapter over its AoS
-  // storage otherwise. The defaults adapt the Borrow*Label spans, so
-  // backends only override for a better layout. Lifetime contract is
-  // BorrowOutLabel's: valid for the backend's lifetime.
-
-  /// @brief LOUT(u) as a borrowed kernel view, or nullopt when the
-  /// backend is not on the borrow route.
-  virtual std::optional<twohop::JoinView> BorrowOutJoin(NodeId u) const {
-    std::optional<LabelView> l = BorrowOutLabel(u);
-    if (!l) return std::nullopt;
-    return twohop::JoinView::FromEntries(l->data(), l->size());
   }
 
   /// @brief LIN(v) as a borrowed kernel view; contract as
   /// BorrowOutJoin.
-  virtual std::optional<twohop::JoinView> BorrowInJoin(NodeId v) const {
-    std::optional<LabelView> l = BorrowInLabel(v);
-    if (!l) return std::nullopt;
-    return twohop::JoinView::FromEntries(l->data(), l->size());
+  virtual std::optional<twohop::JoinView> BorrowInJoin(NodeId /*v*/) const {
+    return std::nullopt;
   }
 
   // ---- block export (the compressed-label route) ----
   //
   // Backends over block-compressed storage (a v4 MappedLinLoutStore)
-  // cannot borrow raw spans, and copying every row through OutLabel
-  // would decode a whole block per probe. Instead they name the block
-  // that holds a node's row; the engine decodes it once, keeps it in
-  // its byte-budgeted cache, and serves every row of the block from
+  // have no rows to lend. Instead they name the block that holds a
+  // node's row; the engine decodes it once, keeps it in its
+  // byte-budgeted cache, and serves every row of the block from
   // memory. Handles are opaque, dense, and stable for the backend's
   // lifetime (they double as cache keys). A backend that returns a
   // handle from Out/InLabelBlock MUST decode it via DecodeLabelBlock.
 
   /// @brief Handle of the block holding LOUT(u), or nullopt when this
   /// backend has no block-organized labels or u has no rows (the
-  /// borrow/copy routes handle those).
+  /// borrow route handles those).
   virtual std::optional<uint64_t> OutLabelBlock(NodeId /*u*/) const {
     return std::nullopt;
   }

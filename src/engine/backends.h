@@ -1,11 +1,8 @@
 // The concrete ReachabilityBackend adapters (paper Sec 5.1's access
 // paths):
 //
-//   HopiIndexBackend      in-memory 2-hop cover labels
-//                         (engine/hopi_backend.h),
-//   LinLoutBackend        the heap-loaded LIN/LOUT index-organized
-//                         tables (storage/linlout.h),
-//   MappedLinLoutBackend  the mmap-backed zero-copy LIN/LOUT reader
+//   HopiIndexBackend      in-memory 2-hop cover labels (hopi/index.h),
+//   MappedStoreBackend    the LIN/LOUT file reader, mmapped or buffered
 //                         (storage/mapped_linlout.h),
 //   ClosureBackend        the materialized transitive closure baseline
 //                         (hopi/baseline.h).
@@ -27,64 +24,62 @@
 #include <vector>
 
 #include "engine/backend.h"
-#include "engine/hopi_backend.h"
 #include "hopi/baseline.h"
-#include "storage/linlout.h"
+#include "hopi/index.h"
 #include "storage/mapped_linlout.h"
 
 namespace hopi::engine {
 
-/// Adapter over the LIN/LOUT index-organized tables. Labels are
-/// materialized from table rows on demand, so the engine's LRU cache is
-/// what makes repeated probes cheap.
-class LinLoutBackend final : public ReachabilityBackend {
+/// Adapter over the in-memory HopiIndex (2-hop cover labels). Labels
+/// are lent straight from the cover's packed columns — no copies, no
+/// cache needed. Safe to share across serving threads only while no
+/// maintenance operation mutates the index; for live maintenance, serve
+/// a BackendSnapshot::Freeze copy instead (see engine/snapshot.h).
+class HopiIndexBackend final : public ReachabilityBackend {
  public:
-  explicit LinLoutBackend(const storage::LinLoutStore& store)
-      : store_(&store) {}
+  explicit HopiIndexBackend(const HopiIndex& index) : index_(&index) {}
 
-  std::string_view Name() const override { return "linlout"; }
-  bool with_distance() const override { return store_->with_distance(); }
+  std::string_view Name() const override { return "hopi"; }
+  bool with_distance() const override { return index_->with_distance(); }
 
   bool IsReachable(NodeId u, NodeId v) const override {
-    return store_->TestConnection(u, v);
+    return index_->IsReachable(u, v);
   }
   std::optional<uint32_t> Distance(NodeId u, NodeId v) const override {
-    return store_->MinDistance(u, v);
+    return index_->Distance(u, v);
   }
   std::vector<NodeId> Descendants(NodeId u) const override {
-    return store_->Descendants(u);
+    return index_->Descendants(u);
   }
   std::vector<NodeId> Ancestors(NodeId u) const override {
-    return store_->Ancestors(u);
+    return index_->Ancestors(u);
   }
 
   bool HasLabels() const override { return true; }
-  Label OutLabel(NodeId u) const override {
-    Label label;
-    store_->LoutLabel(u, &label);
-    return label;
+  std::optional<twohop::JoinView> BorrowOutJoin(NodeId u) const override {
+    const twohop::TwoHopCover& cover = index_->cover();
+    return u < cover.NumNodes() ? cover.Out(u) : twohop::JoinView{};
   }
-  Label InLabel(NodeId v) const override {
-    Label label;
-    store_->LinLabel(v, &label);
-    return label;
+  std::optional<twohop::JoinView> BorrowInJoin(NodeId v) const override {
+    const twohop::TwoHopCover& cover = index_->cover();
+    return v < cover.NumNodes() ? cover.In(v) : twohop::JoinView{};
   }
 
  private:
-  const storage::LinLoutStore* store_;
+  const HopiIndex* index_;
 };
 
-/// Adapter over the mmap-backed LIN/LOUT reader. For raw (v3) stores,
-/// labels are lent to the engine as spans over the file image (the
+/// Adapter over the LIN/LOUT file reader. For raw (v3) stores, labels
+/// are lent to the engine as strided views over the file image (the
 /// borrow route), so batch queries run zero-copy off disk — no cache
 /// traffic at all. For block-compressed (v4) stores the adapter speaks
 /// the block route instead: it names the block holding a node's row
 /// and decodes it on demand, and the engine's byte-budgeted cache
 /// keeps hot blocks resident (nodes without rows still borrow an
 /// engaged empty view — no decode for them).
-class MappedLinLoutBackend final : public ReachabilityBackend {
+class MappedStoreBackend final : public ReachabilityBackend {
  public:
-  explicit MappedLinLoutBackend(const storage::MappedLinLoutStore& store)
+  explicit MappedStoreBackend(const storage::MappedLinLoutStore& store)
       : store_(&store) {}
 
   std::string_view Name() const override {
@@ -106,35 +101,11 @@ class MappedLinLoutBackend final : public ReachabilityBackend {
   }
 
   bool HasLabels() const override { return true; }
-  Label OutLabel(NodeId u) const override {
-    if (!store_->compressed()) {
-      auto span = store_->LoutSpan(u);
-      return Label(span.begin(), span.end());
-    }
-    auto row = store_->DecodeLoutRow(u);
-    return row.ok() ? Label(row->entries.begin(), row->entries.end())
-                    : Label{};
+  std::optional<twohop::JoinView> BorrowOutJoin(NodeId u) const override {
+    return Borrow(store_->LoutSpan(u), store_->LoutBlockHandle(u));
   }
-  Label InLabel(NodeId v) const override {
-    if (!store_->compressed()) {
-      auto span = store_->LinSpan(v);
-      return Label(span.begin(), span.end());
-    }
-    auto row = store_->DecodeLinRow(v);
-    return row.ok() ? Label(row->entries.begin(), row->entries.end())
-                    : Label{};
-  }
-  std::optional<LabelView> BorrowOutLabel(NodeId u) const override {
-    if (!store_->compressed()) return LabelView(store_->LoutSpan(u));
-    // A compressed store can still borrow the one label it never has
-    // to decode: the empty one.
-    if (!store_->LoutBlockHandle(u)) return LabelView{};
-    return std::nullopt;
-  }
-  std::optional<LabelView> BorrowInLabel(NodeId v) const override {
-    if (!store_->compressed()) return LabelView(store_->LinSpan(v));
-    if (!store_->LinBlockHandle(v)) return LabelView{};
-    return std::nullopt;
+  std::optional<twohop::JoinView> BorrowInJoin(NodeId v) const override {
+    return Borrow(store_->LinSpan(v), store_->LinBlockHandle(v));
   }
   std::optional<uint64_t> OutLabelBlock(NodeId u) const override {
     return store_->LoutBlockHandle(u);
@@ -147,6 +118,15 @@ class MappedLinLoutBackend final : public ReachabilityBackend {
   }
 
  private:
+  /// v3: the raw rows as a strided view. v4: only the one label it
+  /// never has to decode — the empty one of a node without a block.
+  std::optional<twohop::JoinView> Borrow(
+      std::span<const twohop::LabelEntry> rows,
+      std::optional<uint64_t> block) const {
+    if (store_->compressed() && block) return std::nullopt;
+    return twohop::JoinView::FromEntries(rows.data(), rows.size());
+  }
+
   const storage::MappedLinLoutStore* store_;
 };
 

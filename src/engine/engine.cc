@@ -1,5 +1,6 @@
 #include "engine/engine.h"
 
+#include <cassert>
 #include <chrono>
 #include <memory>
 #include <unordered_map>
@@ -36,18 +37,11 @@ QueryEngine QueryEngine::ForIndex(const HopiIndex& index,
                      std::move(options));
 }
 
-QueryEngine QueryEngine::ForStore(const collection::Collection& collection,
-                                  const storage::LinLoutStore& store,
-                                  QueryEngineOptions options) {
-  return QueryEngine(collection, std::make_unique<LinLoutBackend>(store),
-                     std::move(options));
-}
-
 QueryEngine QueryEngine::ForMappedStore(
     const collection::Collection& collection,
     const storage::MappedLinLoutStore& store, QueryEngineOptions options) {
   return QueryEngine(collection,
-                     std::make_unique<MappedLinLoutBackend>(store),
+                     std::make_unique<MappedStoreBackend>(store),
                      std::move(options));
 }
 
@@ -92,8 +86,7 @@ PinnedJoin QueryEngine::FetchJoinLabel(LabelCache::Side side, NodeId node,
   // borrow?" first would pay that search twice per fetch.
   if (std::optional<uint64_t> handle =
           out ? backend_->OutLabelBlock(node) : backend_->InLabelBlock(node)) {
-    uint64_t key = LabelCache::BlockKeyFor(*handle);
-    LabelBlock block = cache_.Get(key);
+    LabelBlock block = cache_.Get(*handle);
     if (block) {
       ++stats->cache_hits;
     } else {
@@ -109,7 +102,7 @@ PinnedJoin QueryEngine::FetchJoinLabel(LabelCache::Side side, NodeId node,
               std::chrono::steady_clock::now() - start)
               .count()));
       ++stats->blocks_decoded;
-      block = cache_.Put(key, std::move(*decoded));
+      block = cache_.Put(*handle, std::move(*decoded));
     }
     int64_t row = block->RowIndexFor(node);
     if (row < 0) return {twohop::JoinView{}, std::move(block)};
@@ -118,31 +111,14 @@ PinnedJoin QueryEngine::FetchJoinLabel(LabelCache::Side side, NodeId node,
     return {view, std::move(block)};
   }
   // Borrow route: label storage the backend already owns (in-memory
-  // covers, raw mmapped file images) is lent as a kernel view — zero
+  // covers, raw v3 file images) is lent as a kernel view — zero
   // copies, no pin needed (backend-lifetime storage). For compressed
   // backends this only serves rows with no block: the empty ones.
-  if (std::optional<twohop::JoinView> borrowed =
-          out ? backend_->BorrowOutJoin(node) : backend_->BorrowInJoin(node)) {
-    ++stats->labels_borrowed;
-    return {*borrowed, nullptr};
-  }
-  // Copy route: the backend materializes one label; the engine wraps
-  // it as a one-row block so the byte-budgeted cache has one currency.
-  uint64_t key = LabelCache::KeyFor(side, node);
-  if (LabelBlock hit = cache_.Get(key)) {
-    ++stats->cache_hits;
-    twohop::JoinView view = hit->JoinRow(0);
-    return {view, std::move(hit)};
-  }
-  ++stats->cache_misses;
-  auto wrapped = std::make_shared<storage::DecodedBlock>();
-  wrapped->entries = out ? backend_->OutLabel(node) : backend_->InLabel(node);
-  wrapped->row_keys = {node};
-  wrapped->row_begin = {0, static_cast<uint32_t>(wrapped->entries.size())};
-  wrapped->BuildJoinMirrors();
-  LabelBlock block = cache_.Put(key, std::move(wrapped));
-  twohop::JoinView view = block->JoinRow(0);
-  return {view, std::move(block)};
+  std::optional<twohop::JoinView> borrowed =
+      out ? backend_->BorrowOutJoin(node) : backend_->BorrowInJoin(node);
+  assert(borrowed && "a HasLabels() backend lends every unblocked label");
+  ++stats->labels_borrowed;
+  return {borrowed.value_or(twohop::JoinView{}), nullptr};
 }
 
 BatchResponse QueryEngine::Batch(const BatchRequest& request) const {

@@ -2,15 +2,15 @@
 //
 // Owns the glue a search engine needs around one ReachabilityBackend —
 // the collection, the tag inverted index, an optional tag-similarity
-// ontology, and a bounded LRU cache of hot LIN/LOUT label sets — and
+// ontology, and a byte-budgeted LRU cache of decoded label blocks — and
 // exposes typed request/response structs so raw reachability, batched
 // reachability joins, and wildcard path queries all flow through one
 // entry point (paper Sec 5.1; ROADMAP items "batch reachability joins"
 // and "cache hot LIN/LOUT sets").
 //
 // The batch path dedupes repeated (u, v) probes across a request and
-// intersects label sets served from the LRU cache; per-call hit/miss
-// counters are surfaced in the response stats.
+// joins label views lent by the backend or served from the block
+// cache; per-call route counters are surfaced in the response stats.
 //
 // Threading model: a QueryEngine is single-threaded — the label cache
 // mutates on reads, so exactly one thread may call Batch/Query/
@@ -38,16 +38,15 @@
 #include "query/path_query.h"
 #include "query/similarity.h"
 #include "query/tag_index.h"
-#include "storage/linlout.h"
 #include "storage/mapped_linlout.h"
 #include "util/result.h"
 
 namespace hopi::engine {
 
 struct QueryEngineOptions {
-  /// Byte budget of the hot-label cache (decoded v4 blocks and copied
-  /// label sets share it; see engine/label_cache.h for the accounting
-  /// and the pinning rule). 0 disables caching — correct, just cold.
+  /// Byte budget of the decoded-block cache (v4 stores; see
+  /// engine/label_cache.h for the accounting and the pinning rule). 0
+  /// disables caching — correct, just cold.
   size_t label_cache_bytes = 4 * 1024 * 1024;
   /// Ontology for ~tag path steps; approximate steps behave like exact
   /// ones when unset.
@@ -89,21 +88,20 @@ struct BatchRequest {
 };
 
 /// Per-call accounting of one Batch() evaluation. Label fetches take
-/// exactly one of three routes — borrow, block, or copy — and the
-/// latter two go through the cache, so for label-carrying backends
-/// `cache_hits + cache_misses + labels_borrowed == 2 * (unique probes
-/// with u != v)`, and `backend_probes` is non-zero only for label-less
-/// backends.
+/// exactly one of two routes — block (through the cache) or borrow —
+/// so for label-carrying backends `cache_hits + cache_misses +
+/// labels_borrowed == 2 * (unique probes with u != v)`, and
+/// `backend_probes` is non-zero only for label-less backends.
 struct BatchStats {
   /// Pairs in the request, including duplicates.
   size_t probes = 0;
   /// Distinct (u, v) pairs actually evaluated after in-batch dedup.
   size_t unique_probes = 0;
-  /// Label sets served from the engine's cache (copy or block route,
-  /// warm).
+  /// Label sets served from the engine's cache (block route, warm —
+  /// through the row memo or a resident block).
   size_t cache_hits = 0;
-  /// Label sets the cache could not serve (copy or block route, cold —
-  /// the backend materialized a label or the engine decoded a block).
+  /// Label sets whose block the cache did not hold (block route, cold:
+  /// the engine decoded the block, or failed to).
   size_t cache_misses = 0;
   /// Label sets lent by the backend as views over its own storage —
   /// in-memory covers, raw mmapped file images (borrow route; the
@@ -168,16 +166,14 @@ class QueryEngine {
               std::unique_ptr<ReachabilityBackend> backend,
               QueryEngineOptions options = {});
 
-  // Convenience factories over the four standard access paths. The
+  // Convenience factories over the three standard access paths. The
   // wrapped index/store/closure is NOT owned and must outlive the
   // engine.
   static QueryEngine ForIndex(const HopiIndex& index,
                               QueryEngineOptions options = {});
-  static QueryEngine ForStore(const collection::Collection& collection,
-                              const storage::LinLoutStore& store,
-                              QueryEngineOptions options = {});
-  /// Serves batch queries zero-copy off the mmapped file image (the
-  /// borrow route; the label cache stays cold).
+  /// Serves batch queries off the LIN/LOUT file: v3 rows zero-copy
+  /// (the borrow route; the label cache stays cold), v4 blocks through
+  /// the decoded-block cache.
   static QueryEngine ForMappedStore(const collection::Collection& collection,
                                     const storage::MappedLinLoutStore& store,
                                     QueryEngineOptions options = {});
@@ -194,9 +190,9 @@ class QueryEngine {
   /// Dedup guarantee: repeated (u, v) pairs are evaluated once per
   /// batch and the answers scattered back, so the response is
   /// position-for-position what per-pair evaluation would return.
-  /// Label sets are obtained via the backend's borrow hooks when
-  /// offered (zero-copy) and through the LRU cache otherwise; see
-  /// BatchStats for the per-call route accounting.
+  /// Label sets come from the decoded-block cache for block-organized
+  /// backends and are borrowed zero-copy otherwise; see BatchStats for
+  /// the per-call route accounting.
   BatchResponse Batch(const BatchRequest& request) const;
 
   /// Wildcard path query ("//a//~b//c") evaluated against the backend.
@@ -213,7 +209,7 @@ class QueryEngine {
   const ReachabilityBackend& backend() const { return *backend_; }
   const collection::Collection& collection() const { return *collection_; }
   const query::TagIndex& tags() const { return *tags_; }
-  /// Lifetime counters of the hot-label cache (across all batches).
+  /// Lifetime counters of the decoded-block cache (across all batches).
   /// Backends on the borrow route never touch it — expect zeros there.
   /// The cache's stats accessors are safe from any thread; everything
   /// else on it belongs to the engine's serving thread (label_cache.h
@@ -225,14 +221,13 @@ class QueryEngine {
   LabelCache::Stats CacheStats() const { return cache_.StatsSnapshot(); }
 
  private:
-  /// One label fetch, as the join kernels want it: borrow from the
-  /// backend when offered (kernel views straight off a cover's SoA
-  /// mirrors, strided walks over mmapped images), else serve a pinned
-  /// block through the byte-budgeted cache (decoding it on a
-  /// block-route miss, materializing a one-row block on a copy-route
-  /// miss) and hand out its packed JoinRow. Counts the route taken
-  /// into `stats`; the first decode failure lands in `*error` and
-  /// yields an empty view. The returned PinnedJoin keeps the view
+  /// One label fetch, as the join kernels want it, by one of three
+  /// steps: the row memo (a warm row of a resident block), the block
+  /// route (a pinned block through the byte-budgeted cache, decoded on
+  /// a miss), or the borrow route (the backend lends its own storage —
+  /// a cover's packed columns, a v3 file's rows). Counts the route
+  /// taken into `stats`; the first decode failure lands in `*error`
+  /// and yields an empty view. The returned PinnedJoin keeps the view
   /// valid regardless of later fetches or evictions — exactly as long
   /// as the batch join needs it.
   PinnedJoin FetchJoinLabel(LabelCache::Side side, NodeId node,

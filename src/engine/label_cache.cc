@@ -33,8 +33,8 @@ LabelCache::LabelCache(LabelCache&& other) noexcept
   other.decode_nanos_.store(0, std::memory_order_relaxed);
 }
 
-LabelBlock LabelCache::Get(uint64_t key) {
-  auto it = map_.find(key);
+LabelBlock LabelCache::Get(uint64_t handle) {
+  auto it = map_.find(handle);
   if (it == map_.end()) {
     misses_.fetch_add(1, std::memory_order_relaxed);
     return nullptr;
@@ -73,10 +73,10 @@ void LabelCache::EvictUntilWithinBudget() {
   }
 }
 
-LabelBlock LabelCache::Put(uint64_t key, LabelBlock block) {
+LabelBlock LabelCache::Put(uint64_t handle, LabelBlock block) {
   const size_t bytes =
       block ? block->ApproxBytes() : sizeof(storage::DecodedBlock);
-  auto [it, inserted] = map_.try_emplace(key);
+  auto [it, inserted] = map_.try_emplace(handle);
   if (!inserted) resident_ -= it->second.bytes;
   it->second.block = block;
   it->second.bytes = bytes;

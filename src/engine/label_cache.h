@@ -1,22 +1,19 @@
 // Byte-budgeted LRU cache of decoded label blocks (ROADMAP: "cache hot
-// LIN/LOUT sets behind the storage layer", extended to block-
-// compressed v4 stores).
+// LIN/LOUT sets behind the storage layer", for block-compressed v4
+// stores).
 //
-// The cache's unit is a shared_ptr<const DecodedBlock>. Two kinds of
-// entries share the budget:
-//
-//   block entries — a whole decoded v4 block (many rows), keyed by the
-//     backend's block handle. One cold probe pays one block decode;
-//     every other row in the block is then a hit.
-//   label entries — a single backend-materialized label wrapped as a
-//     one-row block (the classic copy route), keyed by (side, node).
+// The cache's unit is a shared_ptr<const DecodedBlock>: a whole decoded
+// v4 block (many rows), keyed by the backend's block handle. One cold
+// probe pays one block decode; every other row in the block is then a
+// hit. A row memo beside it maps (side, node) to its row inside a
+// resident block, so warm probes skip the directory search.
 //
 // Ownership/pinning rule: Get/Put hand out shared_ptr pins. Eviction
 // removes the CACHE's reference only — any batch still joining rows of
 // an evicted block keeps it alive through its pin, so there is no
 // "view invalidated by eviction" hazard and no minimum-capacity clamp.
-// Callers must hold the pin (engine::PinnedLabel) for as long as they
-// read the view; a raw span must never outlive its pin.
+// Callers must hold the pin (engine::PinnedJoin) for as long as they
+// read the view; a bare view must never outlive its pin.
 //
 // Budgeting is by DecodedBlock::ApproxBytes(), charged at insert.
 // After an insert pushes bytes_resident over the budget, least-
@@ -58,7 +55,7 @@ namespace hopi::engine {
 
 class LabelCache {
  public:
-  /// Which label set of a node a single-label entry caches.
+  /// Which label set of a node a row-memo key names.
   enum class Side : uint8_t { kOut = 0, kIn = 1 };
 
   /// One relaxed read of every counter (see StatsSnapshot).
@@ -97,21 +94,15 @@ class LabelCache {
   LabelCache(const LabelCache&) = delete;
   LabelCache& operator=(const LabelCache&) = delete;
 
-  /// Key of a single-label (copy route) entry. Bit 63 clear.
+  /// Row-memo key of one node's LOUT or LIN row.
   static uint64_t KeyFor(Side side, NodeId node) {
     return (static_cast<uint64_t>(node) << 1) |
            static_cast<uint64_t>(side);
   }
 
-  /// Key of a whole-block entry: the backend's block handle, tagged so
-  /// it can never collide with a KeyFor key.
-  static uint64_t BlockKeyFor(uint64_t handle) {
-    return handle | (uint64_t{1} << 63);
-  }
-
-  /// Returns a pin on the cached block and marks it most-recently-
-  /// used; null on a miss. Owner-thread only.
-  LabelBlock Get(uint64_t key);
+  /// Returns a pin on the block cached under `handle` and marks it
+  /// most-recently-used; null on a miss. Owner-thread only.
+  LabelBlock Get(uint64_t handle);
 
   /// Row-memo fast path for the block route: a hit returns a pin on
   /// the block that holds the row and writes the row's index within it
@@ -128,11 +119,11 @@ class LabelCache {
   /// Owner-thread only.
   void MemoRow(uint64_t row_key, const LabelBlock& block, uint32_t row);
 
-  /// Inserts (or overwrites) an entry, then evicts least-recently-used
-  /// entries until the byte budget holds. Returns a pin on `block`
-  /// (valid even if the entry was immediately evicted).
-  /// Owner-thread only.
-  LabelBlock Put(uint64_t key, LabelBlock block);
+  /// Inserts (or overwrites) the block cached under `handle`, then
+  /// evicts least-recently-used blocks until the byte budget holds.
+  /// Returns a pin on `block` (valid even if it was immediately
+  /// evicted). Owner-thread only.
+  LabelBlock Put(uint64_t handle, LabelBlock block);
 
   /// Accounts one block decode of `nanos` performed by the owning
   /// engine (the cache itself never decodes). Owner-thread only.

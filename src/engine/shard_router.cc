@@ -197,10 +197,10 @@ Result<ShardPlan> BuildShardPlan(collection::Collection* collection,
     twohop::TwoHopCover& unified = shard_unified[shard_of_part[p]];
     for (NodeId local = 0; local < cover->NumNodes(); ++local) {
       NodeId global = sub.Global(local);
-      for (const twohop::LabelEntry& e : cover->In(local)) {
+      for (twohop::LabelEntry e : cover->In(local)) {
         unified.AddIn(global, sub.Global(e.center), e.dist);
       }
-      for (const twohop::LabelEntry& e : cover->Out(local)) {
+      for (twohop::LabelEntry e : cover->Out(local)) {
         unified.AddOut(global, sub.Global(e.center), e.dist);
       }
     }
@@ -259,10 +259,10 @@ Result<ShardPlan> BuildShardPlan(collection::Collection* collection,
     for (size_t s = 0; s < n; ++s) {
       const twohop::TwoHopCover& c = shard_covers[s].cover();
       for (NodeId v = 0; v < c.NumNodes(); ++v) {
-        for (const twohop::LabelEntry& e : c.In(v)) {
+        for (twohop::LabelEntry e : c.In(v)) {
           combined.AddIn(v, e.center, e.dist);
         }
-        for (const twohop::LabelEntry& e : c.Out(v)) {
+        for (twohop::LabelEntry e : c.Out(v)) {
           combined.AddOut(v, e.center, e.dist);
         }
       }

@@ -723,7 +723,13 @@ ShardStats ShardedEngine::Stats() const {
 
 void ShardedEngine::Shutdown() {
   std::call_once(shutdown_once_, [this] {
-    shutdown_.store(true, std::memory_order_release);
+    // Raise the flag under both waiters' mutexes: a thread that has just
+    // read it as false and is about to wait would otherwise miss the
+    // notification and never wake (the join below would then hang).
+    {
+      std::scoped_lock lock(watch_mu_, path_mu_);
+      shutdown_.store(true, std::memory_order_release);
+    }
     watch_cv_.notify_all();
     path_cv_.notify_all();
     if (watchdog_.joinable()) watchdog_.join();

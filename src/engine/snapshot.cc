@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "engine/backends.h"
-#include "engine/hopi_backend.h"
 #include "twohop/cover.h"
 
 namespace hopi::engine {
@@ -57,17 +56,6 @@ std::shared_ptr<const BackendSnapshot> BackendSnapshot::OfIndex(
       std::move(index), std::move(tags)));
 }
 
-std::shared_ptr<const BackendSnapshot> BackendSnapshot::OfStore(
-    std::shared_ptr<const collection::Collection> collection,
-    std::shared_ptr<const storage::LinLoutStore> store,
-    std::shared_ptr<const query::TagIndex> tags) {
-  const storage::LinLoutStore* raw = store.get();
-  return std::shared_ptr<const BackendSnapshot>(new BackendSnapshot(
-      std::move(collection), "linlout",
-      [raw] { return std::make_unique<LinLoutBackend>(*raw); },
-      std::move(store), std::move(tags)));
-}
-
 std::shared_ptr<const BackendSnapshot> BackendSnapshot::OfMappedStore(
     std::shared_ptr<const collection::Collection> collection,
     std::shared_ptr<const storage::MappedLinLoutStore> store,
@@ -75,7 +63,7 @@ std::shared_ptr<const BackendSnapshot> BackendSnapshot::OfMappedStore(
   const storage::MappedLinLoutStore* raw = store.get();
   return std::shared_ptr<const BackendSnapshot>(new BackendSnapshot(
       std::move(collection), "mapped",
-      [raw] { return std::make_unique<MappedLinLoutBackend>(*raw); },
+      [raw] { return std::make_unique<MappedStoreBackend>(*raw); },
       std::move(store), std::move(tags)));
 }
 

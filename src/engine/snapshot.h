@@ -5,7 +5,7 @@
 // mutates a *different*, private copy — HopiIndex's incremental
 // operations rewrite labels in place and are not safe to run under
 // concurrent readers. The snapshot is the hand-off object between the
-// two worlds: it bundles an access path (any of the four
+// two worlds: it bundles an access path (any of the three
 // ReachabilityBackend adapters), the collection it indexes, and a
 // pre-built tag index, all frozen at creation, under one
 // std::shared_ptr<const BackendSnapshot>. Publication is RCU-style:
@@ -37,7 +37,6 @@
 #include "hopi/baseline.h"
 #include "hopi/index.h"
 #include "query/tag_index.h"
-#include "storage/linlout.h"
 #include "storage/mapped_linlout.h"
 
 namespace hopi::engine {
@@ -53,14 +52,14 @@ std::shared_ptr<const T> Unowned(const T& object) {
 
 class BackendSnapshot {
  public:
-  // ---- factories over the four access paths ----
+  // ---- factories over the three access paths ----
   //
   // Each shares ownership of the wrapped object(s) and builds the
   // snapshot's tag index eagerly (O(collection), paid once per
   // snapshot instead of once per serving thread) — or reuses a
   // caller-supplied `tags` built over the SAME collection object, so
-  // rotating several snapshots of one collection (hopi / linlout /
-  // mapped over the same cover, rollback pairs) pays the build once.
+  // rotating several snapshots of one collection (hopi / mapped over
+  // the same cover, rollback pairs) pays the build once.
   // The wrapped objects must never be mutated while any snapshot
   // reference exists.
 
@@ -70,14 +69,8 @@ class BackendSnapshot {
       std::shared_ptr<const HopiIndex> index,
       std::shared_ptr<const query::TagIndex> tags = nullptr);
 
-  /// Heap-loaded LIN/LOUT tables; `collection` is the collection the
-  /// store's cover was built from.
-  static std::shared_ptr<const BackendSnapshot> OfStore(
-      std::shared_ptr<const collection::Collection> collection,
-      std::shared_ptr<const storage::LinLoutStore> store,
-      std::shared_ptr<const query::TagIndex> tags = nullptr);
-
-  /// Mmap-backed LIN/LOUT reader (label spans are lent zero-copy, so N
+  /// The LIN/LOUT file reader; `collection` is the collection the
+  /// store's cover was built from (v3 rows are lent zero-copy, so N
   /// serving threads share one file image).
   static std::shared_ptr<const BackendSnapshot> OfMappedStore(
       std::shared_ptr<const collection::Collection> collection,
@@ -108,8 +101,7 @@ class BackendSnapshot {
   /// across Swaps.
   uint64_t version() const { return version_; }
 
-  /// Name of the wrapped access path ("hopi", "linlout", "mapped",
-  /// "closure").
+  /// Name of the wrapped access path ("hopi", "mapped", "closure").
   std::string_view BackendName() const { return backend_name_; }
 
   const collection::Collection& collection() const { return *collection_; }

@@ -173,10 +173,10 @@ Result<HopiIndex> BuildIndex(collection::Collection* collection,
     const InducedSubgraph& sub = subgraphs[p];
     for (NodeId local = 0; local < cover.NumNodes(); ++local) {
       NodeId global = sub.Global(local);
-      for (const twohop::LabelEntry& e : cover.In(local)) {
+      for (twohop::LabelEntry e : cover.In(local)) {
         unified.AddIn(global, sub.Global(e.center), e.dist);
       }
-      for (const twohop::LabelEntry& e : cover.Out(local)) {
+      for (twohop::LabelEntry e : cover.Out(local)) {
         unified.AddOut(global, sub.Global(e.center), e.dist);
       }
     }

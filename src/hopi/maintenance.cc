@@ -16,12 +16,13 @@ namespace {
 
 using collection::DocId;
 
-/// Filters `entries`, dropping every entry whose center is in `mask`.
-std::vector<twohop::LabelEntry> FilterEntries(
-    const std::vector<twohop::LabelEntry>& entries, const DynamicBitset& mask) {
+/// Copies `label`'s entries, dropping every entry whose center is in
+/// `mask`.
+std::vector<twohop::LabelEntry> FilterEntries(const twohop::JoinView& label,
+                                              const DynamicBitset& mask) {
   std::vector<twohop::LabelEntry> out;
-  out.reserve(entries.size());
-  for (const twohop::LabelEntry& e : entries) {
+  out.reserve(label.n);
+  for (twohop::LabelEntry e : label) {
     if (!mask.Test(e.center)) out.push_back(e);
   }
   return out;
@@ -64,10 +65,10 @@ Status HopiIndex::InsertDocument(DocId doc) {
   if (!cover.ok()) return cover.status();
   for (NodeId local = 0; local < cover->NumNodes(); ++local) {
     NodeId global = sub.Global(local);
-    for (const twohop::LabelEntry& e : cover->In(local)) {
+    for (twohop::LabelEntry e : cover->In(local)) {
       cover_.AddIn(global, sub.Global(e.center), e.dist);
     }
-    for (const twohop::LabelEntry& e : cover->Out(local)) {
+    for (twohop::LabelEntry e : cover->Out(local)) {
       cover_.AddOut(global, sub.Global(e.center), e.dist);
     }
   }
@@ -258,10 +259,10 @@ Status HopiIndex::DeleteDocumentGeneral(DocId doc, DeleteStats* stats) {
   std::vector<std::vector<twohop::LabelEntry>> lhat_out(cover->NumNodes());
   for (NodeId local = 0; local < lhat->NumNodes(); ++local) {
     NodeId global = sub.Global(local);
-    for (const twohop::LabelEntry& e : lhat->In(local)) {
+    for (twohop::LabelEntry e : lhat->In(local)) {
       lhat_in[global].push_back({sub.Global(e.center), e.dist});
     }
-    for (const twohop::LabelEntry& e : lhat->Out(local)) {
+    for (twohop::LabelEntry e : lhat->Out(local)) {
       lhat_out[global].push_back({sub.Global(e.center), e.dist});
     }
     std::sort(lhat_in[global].begin(), lhat_in[global].end(),
@@ -279,7 +280,7 @@ Status HopiIndex::DeleteDocumentGeneral(DocId doc, DeleteStats* stats) {
 
   // Replacement for ancestors: L'out(a) := L-hat_out(a).
   for (NodeId a : adi_outside) {
-    cover->SetOut(a, std::move(lhat_out[a]));
+    cover->SetOut(a, lhat_out[a]);
     lhat_out[a].clear();
   }
   // Descendants: L'in(d) := (Lin(d) \ A_di) ∪ L-hat_in(d).
@@ -341,10 +342,10 @@ Status HopiIndex::DeleteLink(NodeId u, NodeId v) {
   std::vector<std::vector<twohop::LabelEntry>> lhat_out(cover->NumNodes());
   for (NodeId local = 0; local < lhat->NumNodes(); ++local) {
     NodeId global = sub.Global(local);
-    for (const twohop::LabelEntry& e : lhat->In(local)) {
+    for (twohop::LabelEntry e : lhat->In(local)) {
       lhat_in[global].push_back({sub.Global(e.center), e.dist});
     }
-    for (const twohop::LabelEntry& e : lhat->Out(local)) {
+    for (twohop::LabelEntry e : lhat->Out(local)) {
       lhat_out[global].push_back({sub.Global(e.center), e.dist});
     }
     auto by_center = [](const twohop::LabelEntry& a,
@@ -359,7 +360,7 @@ Status HopiIndex::DeleteLink(NodeId u, NodeId v) {
   for (NodeId a : a_set) a_mask.Set(a);
 
   for (NodeId a : a_set) {
-    cover->SetOut(a, std::move(lhat_out[a]));
+    cover->SetOut(a, lhat_out[a]);
     lhat_out[a].clear();
   }
   for (NodeId d : d_set) {

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "engine/hopi_backend.h"
 #include "twohop/join_kernel.h"
 
 namespace hopi::query {
@@ -201,20 +200,6 @@ Result<size_t> CountPathResults(const PathExpression& expr,
     frontier = std::move(survivors);
   }
   return frontier.size();
-}
-
-Result<std::vector<PathMatch>> EvaluatePath(const PathExpression& expr,
-                                            const HopiIndex& index,
-                                            const TagIndex& tags,
-                                            const PathQueryOptions& options) {
-  engine::HopiIndexBackend backend(index);
-  return EvaluatePath(expr, backend, *index.collection(), tags, options);
-}
-
-Result<size_t> CountPathResults(const PathExpression& expr,
-                                const HopiIndex& index, const TagIndex& tags) {
-  engine::HopiIndexBackend backend(index);
-  return CountPathResults(expr, backend, *index.collection(), tags);
 }
 
 }  // namespace hopi::query

@@ -10,7 +10,7 @@
 //
 // Evaluation runs against the engine::ReachabilityBackend interface, so
 // the same query executes over the in-memory HOPI labels, the LIN/LOUT
-// tables, or the materialized-closure baseline (engine/backends.h).
+// file, or the materialized-closure baseline (engine/backends.h).
 // Most callers should go through the engine::QueryEngine facade rather
 // than calling these free functions directly.
 #pragma once
@@ -22,7 +22,6 @@
 
 #include "collection/collection.h"
 #include "engine/backend.h"
-#include "hopi/index.h"
 #include "query/similarity.h"
 #include "query/tag_index.h"
 #include "util/result.h"
@@ -89,18 +88,5 @@ Result<size_t> CountPathResults(const PathExpression& expr,
                                 const engine::ReachabilityBackend& backend,
                                 const collection::Collection& collection,
                                 const TagIndex& tags);
-
-// ---- deprecated shims ----
-//
-// Pre-facade overloads hard-wired to HopiIndex. They wrap the index in a
-// HopiIndexBackend and forward; prefer the backend overloads (or the
-// QueryEngine facade) in new code.
-
-Result<std::vector<PathMatch>> EvaluatePath(
-    const PathExpression& expr, const HopiIndex& index, const TagIndex& tags,
-    const PathQueryOptions& options = {});
-
-Result<size_t> CountPathResults(const PathExpression& expr,
-                                const HopiIndex& index, const TagIndex& tags);
 
 }  // namespace hopi::query

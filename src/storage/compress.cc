@@ -154,8 +154,16 @@ Result<DecodedBlock> DecodeLabelBlock(std::span<const std::byte> blob,
   DecodedBlock decoded;
   decoded.row_keys.reserve(block.num_rows);
   decoded.row_begin.reserve(block.num_rows + 1);
-  decoded.entries.reserve(block.num_entries);
+  decoded.row_summaries.reserve(block.num_rows);
+  decoded.centers.reserve(block.num_entries);
+  decoded.dists.reserve(block.num_entries);
   decoded.row_begin.push_back(0);
+  auto append = [&decoded](uint32_t center, uint32_t dist,
+                           twohop::LabelSummary* summary) {
+    decoded.centers.push_back(center);
+    decoded.dists.push_back(dist);
+    summary->Add(center);
+  };
 
   const std::byte* p = bytes.data();
   const std::byte* end = p + bytes.size();
@@ -170,16 +178,16 @@ Result<DecodedBlock> DecodeLabelBlock(std::span<const std::byte> blob,
     if (prefix > d.count || (r == 0 && prefix != 0)) {
       return corrupt("bad row prefix count");
     }
-    // The dictionary is row 0 of this block, already decoded into
-    // `entries` at [0, row_begin[1]).
+    // The dictionary is row 0 of this block, already decoded at
+    // [0, row_begin[1]).
     size_t dict_len = r == 0 ? 0 : decoded.row_begin[1];
     if (prefix > dict_len) return corrupt("row prefix beyond dictionary");
-    size_t start = decoded.entries.size();
+    twohop::LabelSummary summary = twohop::LabelSummary::Empty();
     for (size_t i = 0; i < prefix; ++i) {
-      decoded.entries.push_back(decoded.entries[i]);
+      append(decoded.centers[i], decoded.dists[i], &summary);
     }
     bool have_prev = prefix > 0;
-    uint64_t prev = have_prev ? decoded.entries[start + prefix - 1].center : 0;
+    uint64_t prev = have_prev ? decoded.centers[prefix - 1] : 0;
     for (uint32_t i = prefix; i < d.count; ++i) {
       uint32_t delta, dist = 0;
       if (!GetVarint32(&p, end, &delta)) {
@@ -190,20 +198,19 @@ Result<DecodedBlock> DecodeLabelBlock(std::span<const std::byte> blob,
       }
       uint64_t center = have_prev ? prev + 1 + delta : delta;
       if (center > UINT32_MAX) return corrupt("center overflows 32 bits");
-      decoded.entries.push_back(
-          {static_cast<NodeId>(center), dist});
+      append(static_cast<uint32_t>(center), dist, &summary);
       prev = center;
       have_prev = true;
     }
     decoded.row_keys.push_back(d.key);
-    decoded.row_begin.push_back(static_cast<uint32_t>(decoded.entries.size()));
+    decoded.row_begin.push_back(static_cast<uint32_t>(decoded.centers.size()));
+    decoded.row_summaries.push_back(summary.word);
     total_entries += d.count;
   }
   if (p != end) return corrupt("trailing bytes after last row");
   if (total_entries != block.num_entries) {
     return corrupt("block entry count mismatch");
   }
-  decoded.BuildJoinMirrors();
   return decoded;
 }
 

@@ -39,6 +39,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -87,42 +88,30 @@ struct CompressOptions {
   size_t cluster_split_bytes = 1024;
 };
 
-/// One fully decoded block: every row materialized as LabelEntry rows,
-/// plus the row directory needed to serve RowFor(key) lookups. This is
-/// the unit the engine's LabelCache holds (shared_ptr-pinned: eviction
-/// drops the cache's reference, in-flight LabelViews keep the block
-/// alive).
+/// One fully decoded block: every row as packed label columns plus a
+/// summary per row, and the row directory needed to find a key's row.
+/// This is the unit the engine's LabelCache holds (shared_ptr-pinned:
+/// eviction drops the cache's reference, in-flight views keep the
+/// block alive).
 struct DecodedBlock {
-  std::vector<twohop::LabelEntry> entries;  // rows back to back
-  std::vector<uint32_t> row_keys;           // strictly ascending
-  std::vector<uint32_t> row_begin;          // row_keys.size() + 1 offsets
-  // Packed SoA mirrors of `entries` for the vectorized join kernels
-  // (twohop/join_kernel.h): the same rows column-wise, plus one
-  // LabelSummary word per row for the O(1) disjointness prefilter.
-  // Built once at decode time by BuildJoinMirrors().
-  std::vector<uint32_t> centers;            // entries[i].center
-  std::vector<uint32_t> dists;              // entries[i].dist
-  std::vector<uint64_t> row_summaries;      // LabelSummary word per row
+  std::vector<uint32_t> row_keys;       // strictly ascending
+  std::vector<uint32_t> row_begin;      // row_keys.size() + 1 offsets
+  std::vector<uint32_t> centers;        // rows back to back
+  std::vector<uint32_t> dists;          // parallel to centers
+  std::vector<uint64_t> row_summaries;  // LabelSummary word per row
 
   size_t NumRows() const { return row_keys.size(); }
 
   /// Heap footprint for the cache's byte budget.
   size_t ApproxBytes() const {
-    return sizeof(DecodedBlock) +
-           entries.size() * sizeof(twohop::LabelEntry) +
-           row_keys.size() * sizeof(uint32_t) +
+    return sizeof(DecodedBlock) + row_keys.size() * sizeof(uint32_t) +
            row_begin.size() * sizeof(uint32_t) +
            centers.size() * sizeof(uint32_t) +
            dists.size() * sizeof(uint32_t) +
            row_summaries.size() * sizeof(uint64_t);
   }
 
-  std::span<const twohop::LabelEntry> Row(size_t r) const {
-    return std::span<const twohop::LabelEntry>(entries)
-        .subspan(row_begin[r], row_begin[r + 1] - row_begin[r]);
-  }
-
-  /// Packed kernel-ready view of row r (SoA columns + summary).
+  /// Packed kernel-ready view of row r (columns + summary).
   twohop::JoinView JoinRow(size_t r) const {
     twohop::JoinView v;
     v.centers = centers.data() + row_begin[r];
@@ -130,25 +119,6 @@ struct DecodedBlock {
     v.n = row_begin[r + 1] - row_begin[r];
     v.summary = twohop::LabelSummary{row_summaries[r]};
     return v;
-  }
-
-  /// Fills the SoA columns and per-row summaries from `entries` /
-  /// `row_begin`. DecodeLabelBlock calls this; hand-built blocks (the
-  /// engine's one-row copy route, tests) must call it after populating
-  /// the AoS members.
-  void BuildJoinMirrors() {
-    centers.resize(entries.size());
-    dists.resize(entries.size());
-    row_summaries.assign(NumRows(), twohop::LabelSummary::kEmptyWord);
-    for (size_t r = 0; r < NumRows(); ++r) {
-      twohop::LabelSummary s = twohop::LabelSummary::Empty();
-      for (uint32_t i = row_begin[r]; i < row_begin[r + 1]; ++i) {
-        centers[i] = entries[i].center;
-        dists[i] = entries[i].dist;
-        s.Add(entries[i].center);
-      }
-      row_summaries[r] = s.word;
-    }
   }
 
   /// Binary search by row key; -1 when the key is not in this block.
@@ -165,14 +135,17 @@ struct DecodedBlock {
     if (lo == row_keys.size() || row_keys[lo] != key) return -1;
     return static_cast<int64_t>(lo);
   }
+};
 
-  /// Binary search by row key; empty span when the key is not in this
-  /// block.
-  std::span<const twohop::LabelEntry> RowFor(uint32_t key) const {
-    int64_t r = RowIndexFor(key);
-    return r < 0 ? std::span<const twohop::LabelEntry>{}
-                 : Row(static_cast<size_t>(r));
-  }
+/// A label view plus whatever keeps it alive — the one pinned label
+/// type. `block` is null when the view borrows storage that lives as
+/// long as its owner anyway (an in-memory cover, a v3 file image);
+/// otherwise it pins the DecodedBlock the view aliases, so a cache
+/// eviction cannot invalidate the view. Hold the PinnedJoin, not just
+/// the view: a bare view must not outlive its pin.
+struct PinnedJoin {
+  twohop::JoinView view;
+  std::shared_ptr<const DecodedBlock> block;
 };
 
 /// One input row for the encoder: a key and its sorted, unique-center

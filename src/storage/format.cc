@@ -639,7 +639,7 @@ Result<FormatInfo> InspectFile(const std::string& path) {
     table_at = 24;
     header_bytes = kHeaderBytesV4;
   } else {
-    return info;  // v2: no section table
+    return info;  // no section table this build knows
   }
   if (got < header_bytes) {
     return Status::Corruption("truncated header in " + path);

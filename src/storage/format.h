@@ -70,9 +70,6 @@ inline constexpr char kTrailerMagic[4] = {'I', 'P', 'O', 'H'};
 inline constexpr uint32_t kFormatVersion = 3;
 /// v4: block-compressed rows (storage/compress.h), decoded lazily.
 inline constexpr uint32_t kFormatVersionV4 = 4;
-/// v2 (PR 2's header + bare row triplets) is still readable by the
-/// buffered reader; the v3 writer is the migration path.
-inline constexpr uint32_t kLegacyFormatVersion = 2;
 inline constexpr uint32_t kFlagDistance = 1u << 0;
 inline constexpr uint32_t kKnownFlags = kFlagDistance;
 
@@ -180,7 +177,7 @@ Result<RawHeader> ReadRawHeader(std::span<const std::byte> image,
 /// Full v3 decode: checksum, section table bounds, directory/row
 /// sortedness and cross-section consistency. The returned view aliases
 /// `image`. Errors: Corruption (torn/bit-flipped/inconsistent file),
-/// Unsupported (not version 3 — v2 callers use their own path).
+/// Unsupported (not version 3).
 Result<FileView> ParseV3(std::span<const std::byte> image,
                          const std::string& path);
 
@@ -236,9 +233,9 @@ std::vector<std::byte> BuildFileImageV4(std::span<const TableRow> lin_fwd,
 Status AtomicWriteFile(const std::string& path,
                        std::span<const std::byte> image);
 
-/// Reads the whole file into memory (the buffered readers' first
-/// step). Missing/unreadable files are IOError; everything after this
-/// point is format validation.
+/// Reads the whole file into memory (the buffered open's first step).
+/// Missing/unreadable files are IOError; everything after this point is
+/// format validation.
 Result<std::vector<std::byte>> ReadFileImage(const std::string& path);
 
 /// Binary search of a directory; returns the row span for `key` (empty
@@ -262,7 +259,7 @@ std::span<const Rows> LookupRows(std::span<const DirEntry> dir,
 /// Header introspection for tools and the torn-write tests: reads just
 /// the header + section table of a v3/v4 file (no checksum pass).
 /// `sections` holds kNumSections entries for v3, kNumSectionsV4 for
-/// v4, and is empty for v2 (which has no section table).
+/// v4, and is empty for any other version.
 struct FormatInfo {
   uint32_t version = 0;
   uint32_t flags = 0;

@@ -1,187 +1,37 @@
 #include "storage/linlout.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstring>
 
 #include "storage/format.h"
-#include "twohop/join_kernel.h"
 
 namespace hopi::storage {
 
-namespace {
-
 // On-disk layout: storage/format.h (constants + codec) and
-// docs/FILE_FORMAT.md (byte-level spec). This file only decides policy:
-// write the current version, read current + v2.
-
-bool ByIdCenter(const TableRow& a, const TableRow& b) {
-  return a.id != b.id ? a.id < b.id : a.center < b.center;
-}
-bool ByCenterId(const TableRow& a, const TableRow& b) {
-  return a.center != b.center ? a.center < b.center : a.id < b.id;
-}
-
-/// Equal-range over a forward run for one id.
-std::pair<size_t, size_t> ForwardRange(const std::vector<TableRow>& run,
-                                       NodeId id) {
-  auto lo = std::lower_bound(run.begin(), run.end(), id,
-                             [](const TableRow& r, NodeId x) {
-                               return r.id < x;
-                             });
-  auto hi = std::upper_bound(run.begin(), run.end(), id,
-                             [](NodeId x, const TableRow& r) {
-                               return x < r.id;
-                             });
-  return {static_cast<size_t>(lo - run.begin()),
-          static_cast<size_t>(hi - run.begin())};
-}
-
-/// Equal-range over a backward run for one center.
-std::pair<size_t, size_t> BackwardRange(const std::vector<TableRow>& run,
-                                        NodeId center) {
-  auto lo = std::lower_bound(run.begin(), run.end(), center,
-                             [](const TableRow& r, NodeId x) {
-                               return r.center < x;
-                             });
-  auto hi = std::upper_bound(run.begin(), run.end(), center,
-                             [](NodeId x, const TableRow& r) {
-                               return x < r.center;
-                             });
-  return {static_cast<size_t>(lo - run.begin()),
-          static_cast<size_t>(hi - run.begin())};
-}
-
-}  // namespace
+// docs/FILE_FORMAT.md (byte-level spec). This file only lays the cover
+// out as sorted runs and picks the version to write.
 
 LinLoutStore LinLoutStore::FromCover(const twohop::TwoHopCover& cover,
                                      bool with_distance) {
   LinLoutStore store;
   store.with_distance_ = with_distance;
+  // Node-major iteration over center-sorted labels already yields the
+  // forward runs in (id, center) order.
   for (NodeId v = 0; v < cover.NumNodes(); ++v) {
-    for (const twohop::LabelEntry& e : cover.In(v)) {
+    for (twohop::LabelEntry e : cover.In(v)) {
       store.lin_fwd_.push_back({v, e.center, with_distance ? e.dist : 0});
     }
-    for (const twohop::LabelEntry& e : cover.Out(v)) {
+    for (twohop::LabelEntry e : cover.Out(v)) {
       store.lout_fwd_.push_back({v, e.center, with_distance ? e.dist : 0});
     }
   }
-  std::sort(store.lin_fwd_.begin(), store.lin_fwd_.end(), ByIdCenter);
-  std::sort(store.lout_fwd_.begin(), store.lout_fwd_.end(), ByIdCenter);
-  store.BuildBackwardRuns();
+  auto by_center_id = [](const TableRow& a, const TableRow& b) {
+    return a.center != b.center ? a.center < b.center : a.id < b.id;
+  };
+  store.lin_bwd_ = store.lin_fwd_;
+  store.lout_bwd_ = store.lout_fwd_;
+  std::sort(store.lin_bwd_.begin(), store.lin_bwd_.end(), by_center_id);
+  std::sort(store.lout_bwd_.begin(), store.lout_bwd_.end(), by_center_id);
   return store;
-}
-
-void LinLoutStore::BuildBackwardRuns() {
-  lin_bwd_ = lin_fwd_;
-  lout_bwd_ = lout_fwd_;
-  std::sort(lin_bwd_.begin(), lin_bwd_.end(), ByCenterId);
-  std::sort(lout_bwd_.begin(), lout_bwd_.end(), ByCenterId);
-}
-
-twohop::TwoHopCover LinLoutStore::ToCover(size_t num_nodes) const {
-  twohop::TwoHopCover cover(num_nodes);
-  for (const TableRow& r : lin_fwd_) cover.AddIn(r.id, r.center, r.dist);
-  for (const TableRow& r : lout_fwd_) cover.AddOut(r.id, r.center, r.dist);
-  return cover;
-}
-
-bool LinLoutStore::TestConnection(NodeId id1, NodeId id2) const {
-  if (id1 == id2) return true;
-  // The main SQL — merge-join LOUT(id1) with LIN(id2) on the center —
-  // plus the "simple additional queries" for the omitted self entries,
-  // both via the shared 2-hop join over the table ranges.
-  auto [ol, oh] = ForwardRange(lout_fwd_, id1);
-  auto [il, ih] = ForwardRange(lin_fwd_, id2);
-  return twohop::JoinViews(
-             id1, id2,
-             twohop::JoinView::FromEntries(lout_fwd_.data() + ol, oh - ol),
-             twohop::JoinView::FromEntries(lin_fwd_.data() + il, ih - il),
-             /*want_distance=*/false)
-      .connected;
-}
-
-std::optional<uint32_t> LinLoutStore::MinDistance(NodeId id1,
-                                                  NodeId id2) const {
-  if (id1 == id2) return 0;
-  auto [ol, oh] = ForwardRange(lout_fwd_, id1);
-  auto [il, ih] = ForwardRange(lin_fwd_, id2);
-  return twohop::JoinViews(
-             id1, id2,
-             twohop::JoinView::FromEntries(lout_fwd_.data() + ol, oh - ol),
-             twohop::JoinView::FromEntries(lin_fwd_.data() + il, ih - il),
-             /*want_distance=*/true)
-      .distance;
-}
-
-std::vector<NodeId> LinLoutStore::Descendants(NodeId id) const {
-  std::vector<NodeId> result;
-  auto probe_center = [this, &result, id](NodeId center) {
-    if (center != id) result.push_back(center);  // the center itself
-    auto [lo, hi] = BackwardRange(lin_bwd_, center);
-    for (size_t k = lo; k < hi; ++k) {
-      if (lin_bwd_[k].id != id) result.push_back(lin_bwd_[k].id);
-    }
-  };
-  auto [ol, oh] = ForwardRange(lout_fwd_, id);
-  for (size_t k = ol; k < oh; ++k) probe_center(lout_fwd_[k].center);
-  // Implicit self center: nodes whose LIN mentions `id`.
-  auto [lo, hi] = BackwardRange(lin_bwd_, id);
-  for (size_t k = lo; k < hi; ++k) result.push_back(lin_bwd_[k].id);
-  std::sort(result.begin(), result.end());
-  result.erase(std::unique(result.begin(), result.end()), result.end());
-  return result;
-}
-
-std::vector<NodeId> LinLoutStore::Ancestors(NodeId id) const {
-  std::vector<NodeId> result;
-  auto probe_center = [this, &result, id](NodeId center) {
-    if (center != id) result.push_back(center);
-    auto [lo, hi] = BackwardRange(lout_bwd_, center);
-    for (size_t k = lo; k < hi; ++k) {
-      if (lout_bwd_[k].id != id) result.push_back(lout_bwd_[k].id);
-    }
-  };
-  auto [il, ih] = ForwardRange(lin_fwd_, id);
-  for (size_t k = il; k < ih; ++k) probe_center(lin_fwd_[k].center);
-  auto [lo, hi] = BackwardRange(lout_bwd_, id);
-  for (size_t k = lo; k < hi; ++k) result.push_back(lout_bwd_[k].id);
-  std::sort(result.begin(), result.end());
-  result.erase(std::unique(result.begin(), result.end()), result.end());
-  return result;
-}
-
-std::vector<TableRow> LinLoutStore::ScanLin(NodeId id) const {
-  auto [lo, hi] = ForwardRange(lin_fwd_, id);
-  return {lin_fwd_.begin() + lo, lin_fwd_.begin() + hi};
-}
-
-std::vector<TableRow> LinLoutStore::ScanLout(NodeId id) const {
-  auto [lo, hi] = ForwardRange(lout_fwd_, id);
-  return {lout_fwd_.begin() + lo, lout_fwd_.begin() + hi};
-}
-
-namespace {
-void RowsToLabel(const std::vector<TableRow>& run, size_t lo, size_t hi,
-                 std::vector<twohop::LabelEntry>* out) {
-  out->clear();
-  out->reserve(hi - lo);
-  for (size_t k = lo; k < hi; ++k) {
-    out->push_back({run[k].center, run[k].dist});
-  }
-}
-}  // namespace
-
-void LinLoutStore::LinLabel(NodeId id,
-                            std::vector<twohop::LabelEntry>* out) const {
-  auto [lo, hi] = ForwardRange(lin_fwd_, id);
-  RowsToLabel(lin_fwd_, lo, hi, out);
-}
-
-void LinLoutStore::LoutLabel(NodeId id,
-                             std::vector<twohop::LabelEntry>* out) const {
-  auto [lo, hi] = ForwardRange(lout_fwd_, id);
-  RowsToLabel(lout_fwd_, lo, hi, out);
 }
 
 uint64_t LinLoutStore::StorageIntegers() const {
@@ -190,16 +40,12 @@ uint64_t LinLoutStore::StorageIntegers() const {
   return NumEntries() * per_row * 2;
 }
 
-Status LinLoutStore::WriteToFile(const std::string& path) const {
-  return AtomicWriteFile(
-      path, BuildFileImage(lin_fwd_, lout_fwd_, lin_bwd_, lout_bwd_,
-                           with_distance_));
-}
-
 Status LinLoutStore::WriteToFile(const std::string& path,
                                  const StoreWriteOptions& options) const {
   if (options.format_version == kFormatVersion) {
-    return WriteToFile(path);
+    return AtomicWriteFile(
+        path, BuildFileImage(lin_fwd_, lout_fwd_, lin_bwd_, lout_bwd_,
+                             with_distance_));
   }
   if (options.format_version != kFormatVersionV4) {
     return Status::InvalidArgument(
@@ -211,136 +57,6 @@ Status LinLoutStore::WriteToFile(const std::string& path,
   return AtomicWriteFile(
       path, BuildFileImageV4(lin_fwd_, lout_fwd_, lin_bwd_, lout_bwd_,
                              with_distance_, options.compress));
-}
-
-namespace {
-
-/// Decodes the payload of the legacy v2 layout: 2 x u64 row counts +
-/// bare (id, center, dist) row triplets, no checksum. Kept read-only
-/// as the migration path for files written before the v3 section-table
-/// format. Returns the two forward runs via out-params.
-Status ReadV2Runs(std::span<const std::byte> image, const std::string& path,
-                  std::vector<TableRow>* lin_fwd,
-                  std::vector<TableRow>* lout_fwd) {
-  constexpr size_t kV2HeaderBytes = 12 + 2 * sizeof(uint64_t);
-  if (image.size() < kV2HeaderBytes) {
-    return Status::Corruption("truncated header in " + path);
-  }
-  // Validate the (untrusted) row counts against the actual file size
-  // before reserving memory for them: a corrupt counts field must fail
-  // with a Status, not a bad_alloc.
-  uint64_t counts[2];
-  std::memcpy(counts, image.data() + 12, sizeof(counts));
-  uint64_t remaining = image.size() - kV2HeaderBytes;
-  constexpr uint64_t kRowBytes = 3 * sizeof(uint32_t);
-  if (counts[0] > remaining / kRowBytes ||
-      counts[1] > remaining / kRowBytes ||
-      (counts[0] + counts[1]) * kRowBytes != remaining) {
-    return Status::Corruption("row counts inconsistent with file size in " +
-                              path);
-  }
-  const std::byte* p = image.data() + kV2HeaderBytes;
-  auto read_run = [&p](std::vector<TableRow>* run, uint64_t count) {
-    run->reserve(count);
-    for (uint64_t i = 0; i < count; ++i) {
-      uint32_t buf[3];
-      std::memcpy(buf, p, sizeof(buf));
-      p += sizeof(buf);
-      run->push_back({buf[0], buf[1], buf[2]});
-    }
-  };
-  read_run(lin_fwd, counts[0]);
-  read_run(lout_fwd, counts[1]);
-  // Strictly sorted, not just sorted: duplicate (id, center) rows are
-  // invalid (the writer never emits them), and accepting them here
-  // would let a migration produce a v3 file whose strict directory
-  // validation then rejects it — bad input must fail at read time.
-  auto out_of_order = [](const TableRow& a, const TableRow& b) {
-    return !ByIdCenter(a, b);
-  };
-  if (std::adjacent_find(lin_fwd->begin(), lin_fwd->end(), out_of_order) !=
-          lin_fwd->end() ||
-      std::adjacent_find(lout_fwd->begin(), lout_fwd->end(), out_of_order) !=
-          lout_fwd->end()) {
-    return Status::Corruption("forward runs not strictly sorted in " + path);
-  }
-  return Status::OK();
-}
-
-}  // namespace
-
-Result<LinLoutStore> LinLoutStore::ReadFromFile(const std::string& path) {
-  HOPI_ASSIGN_OR_RETURN(std::vector<std::byte> image, ReadFileImage(path));
-  HOPI_ASSIGN_OR_RETURN(RawHeader header, ReadRawHeader(image, path));
-  if (header.version == kLegacyFormatVersion) {
-    if ((header.flags & ~kKnownFlags) != 0) {
-      return Status::Corruption("unknown header flags in " + path);
-    }
-    LinLoutStore store;
-    store.with_distance_ = (header.flags & kFlagDistance) != 0;
-    HOPI_RETURN_NOT_OK(
-        ReadV2Runs(image, path, &store.lin_fwd_, &store.lout_fwd_));
-    store.BuildBackwardRuns();
-    return store;
-  }
-  if (header.version == kFormatVersionV4) {
-    // Verified parse, then decode every forward block into the runs.
-    // The backward runs are rebuilt rather than decoded: ParseV4
-    // already proved the stored backward sections consistent, and the
-    // rebuild gives bit-identical results by construction.
-    HOPI_ASSIGN_OR_RETURN(FileViewV4 view, ParseV4(image, path));
-    LinLoutStore store;
-    store.with_distance_ = view.with_distance;
-    auto decode_side = [&](const LabelSectionView& side, bool with_distance,
-                           std::vector<TableRow>* run) -> Status {
-      run->reserve(side.TotalEntries());
-      for (const V4BlockEntry& block : side.blocks) {
-        HOPI_ASSIGN_OR_RETURN(
-            DecodedBlock decoded,
-            DecodeLabelBlock(side.blob, side.dir, block, with_distance,
-                             path));
-        for (size_t r = 0; r < decoded.NumRows(); ++r) {
-          for (const twohop::LabelEntry& e : decoded.Row(r)) {
-            run->push_back({decoded.row_keys[r], e.center, e.dist});
-          }
-        }
-      }
-      return Status::OK();
-    };
-    HOPI_RETURN_NOT_OK(
-        decode_side(view.lin, view.with_distance, &store.lin_fwd_));
-    HOPI_RETURN_NOT_OK(
-        decode_side(view.lout, view.with_distance, &store.lout_fwd_));
-    store.BuildBackwardRuns();
-    return store;
-  }
-  if (header.version != kFormatVersion) {
-    return Status::Unsupported(
-        "LIN/LOUT file " + path + " has format version " +
-        std::to_string(header.version) + "; this build reads versions " +
-        std::to_string(kLegacyFormatVersion) + "-" +
-        std::to_string(kFormatVersionV4) +
-        " — rebuild the store from the cover");
-  }
-  HOPI_ASSIGN_OR_RETURN(FileView view, ParseV3(image, path));
-  LinLoutStore store;
-  store.with_distance_ = view.with_distance;
-  store.lin_fwd_.reserve(view.lin_rows.size());
-  for (const DirEntry& d : view.lin_dir) {
-    for (uint64_t r = d.begin; r < d.begin + d.count; ++r) {
-      store.lin_fwd_.push_back(
-          {d.key, view.lin_rows[r].center, view.lin_rows[r].dist});
-    }
-  }
-  store.lout_fwd_.reserve(view.lout_rows.size());
-  for (const DirEntry& d : view.lout_dir) {
-    for (uint64_t r = d.begin; r < d.begin + d.count; ++r) {
-      store.lout_fwd_.push_back(
-          {d.key, view.lout_rows[r].center, view.lout_rows[r].dist});
-    }
-  }
-  store.BuildBackwardRuns();
-  return store;
 }
 
 }  // namespace hopi::storage

@@ -1,22 +1,21 @@
-// LIN/LOUT index-organized tables (paper Sec 3.4 / Sec 5.1).
+// LIN/LOUT index-organized tables (paper Sec 3.4 / Sec 5.1) — the
+// writer.
 //
 // The paper stores the cover in two Oracle tables,
 //   LIN(ID, INID[, DIST])  and  LOUT(ID, OUTID[, DIST]),
 // each as an index-organized table sorted by the *forward* key (ID, INID)
 // plus a *backward* index on (INID, ID) — doubling the stored integers.
-// This embedded store keeps exactly those four sorted runs and executes
-// the paper's SQL access paths:
-//   connection test:  intersect LOUT rows of ID1 with LIN rows of ID2
-//                     (SELECT COUNT(*) ... WHERE LOUT.OUTID = LIN.INID),
-//   distance lookup:  SELECT MIN(LOUT.DIST + LIN.DIST) ...,
-//   descendants:      backward LIN probes for every center in LOUT(ID),
-// plus the "simple additional queries" that compensate for nodes not being
-// stored in their own labels.
+// LinLoutStore lays a cover out as exactly those four sorted runs and
+// persists them in the versioned file format (storage/format.h). The
+// paper's access paths over the persisted tables — the connection test
+// (SELECT COUNT(*) ... WHERE LOUT.OUTID = LIN.INID), the distance
+// lookup (SELECT MIN(LOUT.DIST + LIN.DIST) ...), and the backward
+// probes for descendants and ancestors — are served by the one reader,
+// MappedLinLoutStore (storage/mapped_linlout.h).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -27,7 +26,7 @@
 
 namespace hopi::storage {
 
-/// Writer knobs for the versioned WriteToFile overload.
+/// Writer knobs for WriteToFile.
 struct StoreWriteOptions {
   /// kFormatVersion (3, raw rows — the zero-copy mmap layout) or
   /// kFormatVersionV4 (4, block-compressed rows — smaller files,
@@ -42,10 +41,6 @@ struct TableRow {
   NodeId id;
   NodeId center;
   uint32_t dist;
-
-  friend bool operator==(const TableRow& a, const TableRow& b) {
-    return a.id == b.id && a.center == b.center && a.dist == b.dist;
-  }
 };
 
 class LinLoutStore {
@@ -55,33 +50,6 @@ class LinLoutStore {
   /// Loads the cover into the four sorted runs.
   static LinLoutStore FromCover(const twohop::TwoHopCover& cover,
                                 bool with_distance);
-
-  /// Reconstructs a TwoHopCover (for rebuilding an index from storage).
-  twohop::TwoHopCover ToCover(size_t num_nodes) const;
-
-  // ---- the paper's query shapes ----
-
-  /// True iff id1 ->* id2 according to the stored cover.
-  bool TestConnection(NodeId id1, NodeId id2) const;
-
-  /// SELECT MIN(LOUT.DIST + LIN.DIST) ... — nullopt when unconnected.
-  std::optional<uint32_t> MinDistance(NodeId id1, NodeId id2) const;
-
-  /// All strict descendants of `id` (sorted), via backward LIN probes.
-  std::vector<NodeId> Descendants(NodeId id) const;
-
-  /// All strict ancestors of `id` (sorted), via backward LOUT probes.
-  std::vector<NodeId> Ancestors(NodeId id) const;
-
-  /// Forward range scans (rows of one node), as the paper's
-  /// index-organized tables would return them.
-  std::vector<TableRow> ScanLin(NodeId id) const;
-  std::vector<TableRow> ScanLout(NodeId id) const;
-
-  /// Forward range scans exported as 2-hop label entries, filling
-  /// `out` in one pass — the QueryEngine label-cache fill path.
-  void LinLabel(NodeId id, std::vector<twohop::LabelEntry>* out) const;
-  void LoutLabel(NodeId id, std::vector<twohop::LabelEntry>* out) const;
 
   // ---- storage accounting (Sec 7.2) ----
 
@@ -98,24 +66,15 @@ class LinLoutStore {
   // ---- persistence ----
   //
   // Files use the versioned on-disk format defined in storage/format.h
-  // and specified byte-by-byte in docs/FILE_FORMAT.md. The parameter-
-  // less WriteToFile emits v3 (raw rows + section table + trailing
-  // CRC-32, the zero-copy mmap layout); the options overload can emit
-  // v4 (block-compressed rows) instead. Both are crash-safe: the image
-  // is staged in a sibling temp file, fsynced, and atomically renamed
-  // into place, so readers see either the old file or the new one —
-  // never a torn mix.
-  //
-  // ReadFromFile accepts v2 through v4 (reading an old file and
-  // writing it back migrates it forward). Stale/future versions fail
-  // with Unsupported; foreign, truncated, or bit-flipped files fail
-  // with Corruption — never garbage rows. For zero-copy (v3) or
-  // lazily decoded (v4) reads see storage/mapped_linlout.h.
-
-  Status WriteToFile(const std::string& path) const;
+  // and specified byte-by-byte in docs/FILE_FORMAT.md: v4
+  // (block-compressed rows) by default, or v3 (raw rows + section
+  // table + trailing CRC-32, the zero-copy mmap layout) on request.
+  // Writes are crash-safe: the image is staged in a sibling temp file,
+  // fsynced, and atomically renamed into place, so readers see either
+  // the old file or the new one — never a torn mix. Errors:
+  // InvalidArgument for a version this build cannot write, IOError.
   Status WriteToFile(const std::string& path,
-                     const StoreWriteOptions& options) const;
-  static Result<LinLoutStore> ReadFromFile(const std::string& path);
+                     const StoreWriteOptions& options = {}) const;
 
  private:
   // Forward runs sorted by (id, center); backward runs by (center, id).
@@ -124,8 +83,6 @@ class LinLoutStore {
   std::vector<TableRow> lout_fwd_;
   std::vector<TableRow> lout_bwd_;
   bool with_distance_ = false;
-
-  void BuildBackwardRuns();
 };
 
 }  // namespace hopi::storage

@@ -19,6 +19,17 @@ uint64_t MakeHandle(uint64_t group, uint64_t block_index) {
   return (group << 32) | block_index;
 }
 
+/// An empty label (the summary rejects every probe outright).
+twohop::JoinView EmptyView() {
+  return twohop::JoinView::FromEntries(nullptr, 0);
+}
+
+/// `key`'s row of a decoded block; empty when the block lacks it.
+twohop::JoinView RowView(const DecodedBlock& block, uint32_t key) {
+  int64_t r = block.RowIndexFor(key);
+  return r < 0 ? EmptyView() : block.JoinRow(static_cast<size_t>(r));
+}
+
 /// Caches block decodes within one scalar query (Descendants probes
 /// many centers whose backward rows often share a block).
 class LocalBlockCache {
@@ -65,11 +76,13 @@ Result<MappedLinLoutStore> MappedLinLoutStore::Open(
   }
   store.file_bytes_ = image.size();
   HOPI_ASSIGN_OR_RETURN(RawHeader header, ReadRawHeader(image, path));
-  if (header.version == kLegacyFormatVersion) {
+  if (header.version != kFormatVersion && header.version != kFormatVersionV4) {
     return Status::Unsupported(
-        "LIN/LOUT file " + path +
-        " uses format v2 (no section table) — read it with "
-        "LinLoutStore::ReadFromFile and WriteToFile to migrate to v3");
+        "LIN/LOUT file " + path + " has format version " +
+        std::to_string(header.version) + "; this build reads versions " +
+        std::to_string(kFormatVersion) + " and " +
+        std::to_string(kFormatVersionV4) +
+        " — rebuild the store from the cover");
   }
   if (header.version == kFormatVersionV4) {
     ParseV4Options parse_options;
@@ -171,27 +184,26 @@ Result<std::shared_ptr<const DecodedBlock>> MappedLinLoutStore::DecodeBlock(
   return std::make_shared<const DecodedBlock>(std::move(decoded));
 }
 
-Result<PinnedRow> MappedLinLoutStore::DecodeForwardRow(uint64_t group,
-                                                       NodeId id) const {
+Result<PinnedJoin> MappedLinLoutStore::DecodeForwardRow(uint64_t group,
+                                                        NodeId id) const {
   if (!compressed()) {
-    return PinnedRow{group == kGroupLin ? LinSpan(id) : LoutSpan(id),
-                     nullptr};
+    auto rows = group == kGroupLin ? LinSpan(id) : LoutSpan(id);
+    return PinnedJoin{twohop::JoinView::FromEntries(rows.data(), rows.size()),
+                      nullptr};
   }
   std::optional<uint64_t> handle = FindRow(group, id);
-  if (!handle) return PinnedRow{};  // no rows: engaged, empty
+  if (!handle) return PinnedJoin{EmptyView(), nullptr};
   HOPI_ASSIGN_OR_RETURN(std::shared_ptr<const DecodedBlock> block,
                         DecodeBlock(*handle));
-  PinnedRow row;
-  row.entries = block->RowFor(id);
-  row.block = std::move(block);
-  return row;
+  twohop::JoinView view = RowView(*block, id);
+  return PinnedJoin{view, std::move(block)};
 }
 
-Result<PinnedRow> MappedLinLoutStore::DecodeLinRow(NodeId id) const {
+Result<PinnedJoin> MappedLinLoutStore::DecodeLinRow(NodeId id) const {
   return DecodeForwardRow(kGroupLin, id);
 }
 
-Result<PinnedRow> MappedLinLoutStore::DecodeLoutRow(NodeId id) const {
+Result<PinnedJoin> MappedLinLoutStore::DecodeLoutRow(NodeId id) const {
   return DecodeForwardRow(kGroupLout, id);
 }
 
@@ -208,144 +220,70 @@ Status MappedLinLoutStore::VerifyBlocks() const {
 
 // ---- the paper's query shapes ----
 
-bool MappedLinLoutStore::TestConnection(NodeId id1, NodeId id2) const {
-  if (id1 == id2) return true;
-  if (!compressed()) {
-    auto lout = LoutSpan(id1);
-    auto lin = LinSpan(id2);
-    return twohop::JoinViews(
-               id1, id2,
-               twohop::JoinView::FromEntries(lout.data(), lout.size()),
-               twohop::JoinView::FromEntries(lin.data(), lin.size()),
-               /*want_distance=*/false)
-        .connected;
-  }
+twohop::LabelJoinResult MappedLinLoutStore::Join(NodeId id1, NodeId id2,
+                                                 bool want_distance) const {
   auto lout = DecodeLoutRow(id1);
   auto lin = DecodeLinRow(id2);
-  if (!lout.ok() || !lin.ok()) return false;  // post-Open corruption only
-  return twohop::JoinViews(
-             id1, id2,
-             twohop::JoinView::FromEntries(lout->entries.data(),
-                                           lout->entries.size()),
-             twohop::JoinView::FromEntries(lin->entries.data(),
-                                           lin->entries.size()),
-             /*want_distance=*/false)
-      .connected;
+  if (!lout.ok() || !lin.ok()) return {};  // post-Open corruption only
+  return twohop::JoinViews(id1, id2, lout->view, lin->view, want_distance);
+}
+
+bool MappedLinLoutStore::TestConnection(NodeId id1, NodeId id2) const {
+  if (id1 == id2) return true;
+  return Join(id1, id2, /*want_distance=*/false).connected;
 }
 
 std::optional<uint32_t> MappedLinLoutStore::MinDistance(NodeId id1,
                                                         NodeId id2) const {
   if (id1 == id2) return 0;
-  if (!compressed()) {
-    auto lout = LoutSpan(id1);
-    auto lin = LinSpan(id2);
-    return twohop::JoinViews(
-               id1, id2,
-               twohop::JoinView::FromEntries(lout.data(), lout.size()),
-               twohop::JoinView::FromEntries(lin.data(), lin.size()),
-               /*want_distance=*/true)
-        .distance;
+  return Join(id1, id2, /*want_distance=*/true).distance;
+}
+
+std::vector<NodeId> MappedLinLoutStore::Expand(NodeId id,
+                                               bool descendants) const {
+  // The backward row of a center lists the nodes whose LIN (for
+  // descendants) or LOUT (for ancestors) mentions it.
+  LocalBlockCache blocks(this);
+  auto backward_row = [&](NodeId center) -> twohop::JoinView {
+    if (!compressed()) {
+      std::span<const uint32_t> ids =
+          descendants
+              ? LookupRows(view_.lin_bwd_dir, view_.lin_bwd_ids, center)
+              : LookupRows(view_.lout_bwd_dir, view_.lout_bwd_ids, center);
+      twohop::JoinView v;
+      v.centers = ids.data();
+      v.n = ids.size();
+      return v;
+    }
+    std::optional<uint64_t> handle =
+        FindRow(descendants ? kGroupLinBwd : kGroupLoutBwd, center);
+    if (!handle) return EmptyView();
+    const DecodedBlock* block = blocks.Get(*handle);
+    return block == nullptr ? EmptyView() : RowView(*block, center);
+  };
+  std::vector<NodeId> result;
+  auto forward = descendants ? DecodeLoutRow(id) : DecodeLinRow(id);
+  if (forward.ok()) {
+    for (twohop::LabelEntry e : forward->view) {
+      if (e.center != id) result.push_back(e.center);  // the center itself
+      for (twohop::LabelEntry x : backward_row(e.center)) {
+        if (x.center != id) result.push_back(x.center);
+      }
+    }
   }
-  auto lout = DecodeLoutRow(id1);
-  auto lin = DecodeLinRow(id2);
-  if (!lout.ok() || !lin.ok()) return std::nullopt;
-  return twohop::JoinViews(
-             id1, id2,
-             twohop::JoinView::FromEntries(lout->entries.data(),
-                                           lout->entries.size()),
-             twohop::JoinView::FromEntries(lin->entries.data(),
-                                           lin->entries.size()),
-             /*want_distance=*/true)
-      .distance;
+  // Implicit self center: nodes whose LIN (LOUT) mentions `id`.
+  for (twohop::LabelEntry x : backward_row(id)) result.push_back(x.center);
+  std::sort(result.begin(), result.end());
+  result.erase(std::unique(result.begin(), result.end()), result.end());
+  return result;
 }
 
 std::vector<NodeId> MappedLinLoutStore::Descendants(NodeId id) const {
-  std::vector<NodeId> result;
-  if (!compressed()) {
-    auto probe_center = [this, &result, id](NodeId center) {
-      if (center != id) result.push_back(center);  // the center itself
-      for (NodeId x :
-           LookupRows(view_.lin_bwd_dir, view_.lin_bwd_ids, center)) {
-        if (x != id) result.push_back(x);
-      }
-    };
-    for (const twohop::LabelEntry& e : LoutSpan(id)) probe_center(e.center);
-    // Implicit self center: nodes whose LIN mentions `id`.
-    for (NodeId x : LookupRows(view_.lin_bwd_dir, view_.lin_bwd_ids, id)) {
-      result.push_back(x);
-    }
-  } else {
-    LocalBlockCache blocks(this);
-    auto backward_row = [this, &blocks](NodeId center) {
-      std::span<const twohop::LabelEntry> none;
-      std::optional<uint64_t> handle = FindRow(kGroupLinBwd, center);
-      if (!handle) return none;
-      const DecodedBlock* block = blocks.Get(*handle);
-      return block == nullptr ? none : block->RowFor(center);
-    };
-    auto probe_center = [&result, &backward_row, id](NodeId center) {
-      if (center != id) result.push_back(center);
-      for (const twohop::LabelEntry& e : backward_row(center)) {
-        if (e.center != id) result.push_back(e.center);
-      }
-    };
-    auto lout = DecodeLoutRow(id);
-    if (lout.ok()) {
-      for (const twohop::LabelEntry& e : lout->entries) {
-        probe_center(e.center);
-      }
-    }
-    for (const twohop::LabelEntry& e : backward_row(id)) {
-      result.push_back(e.center);
-    }
-  }
-  std::sort(result.begin(), result.end());
-  result.erase(std::unique(result.begin(), result.end()), result.end());
-  return result;
+  return Expand(id, /*descendants=*/true);
 }
 
 std::vector<NodeId> MappedLinLoutStore::Ancestors(NodeId id) const {
-  std::vector<NodeId> result;
-  if (!compressed()) {
-    auto probe_center = [this, &result, id](NodeId center) {
-      if (center != id) result.push_back(center);
-      for (NodeId x :
-           LookupRows(view_.lout_bwd_dir, view_.lout_bwd_ids, center)) {
-        if (x != id) result.push_back(x);
-      }
-    };
-    for (const twohop::LabelEntry& e : LinSpan(id)) probe_center(e.center);
-    for (NodeId x : LookupRows(view_.lout_bwd_dir, view_.lout_bwd_ids, id)) {
-      result.push_back(x);
-    }
-  } else {
-    LocalBlockCache blocks(this);
-    auto backward_row = [this, &blocks](NodeId center) {
-      std::span<const twohop::LabelEntry> none;
-      std::optional<uint64_t> handle = FindRow(kGroupLoutBwd, center);
-      if (!handle) return none;
-      const DecodedBlock* block = blocks.Get(*handle);
-      return block == nullptr ? none : block->RowFor(center);
-    };
-    auto probe_center = [&result, &backward_row, id](NodeId center) {
-      if (center != id) result.push_back(center);
-      for (const twohop::LabelEntry& e : backward_row(center)) {
-        if (e.center != id) result.push_back(e.center);
-      }
-    };
-    auto lin = DecodeLinRow(id);
-    if (lin.ok()) {
-      for (const twohop::LabelEntry& e : lin->entries) {
-        probe_center(e.center);
-      }
-    }
-    for (const twohop::LabelEntry& e : backward_row(id)) {
-      result.push_back(e.center);
-    }
-  }
-  std::sort(result.begin(), result.end());
-  result.erase(std::unique(result.begin(), result.end()), result.end());
-  return result;
+  return Expand(id, /*descendants=*/false);
 }
 
 }  // namespace hopi::storage

@@ -1,15 +1,12 @@
-// Zero-copy, mmap-backed reader for LIN/LOUT files (v3 + v4 formats).
-//
-// Where LinLoutStore::ReadFromFile copies every table row onto the heap
-// and re-sorts the backward runs, MappedLinLoutStore maps the file
+// The one reader for LIN/LOUT files (v3 + v4 formats): maps the file
 // read-only and serves queries off the page cache. What that looks
 // like depends on the format version:
 //
 //   v3 (raw rows)  — the forward sections are stored as (center, dist)
 //     pairs bit-identical to twohop::LabelEntry, so LinSpan/LoutSpan
 //     return borrowed spans over the mapping and the QueryEngine batch
-//     path joins them without a single row copy
-//     (engine::MappedLinLoutBackend wires this into the
+//     path joins them as strided views without a single row copy
+//     (engine::MappedStoreBackend wires this into the
 //     ReachabilityBackend borrow hook).
 //
 //   v4 (block-compressed rows) — label rows live in compressed blocks
@@ -32,10 +29,10 @@
 // the infallible conveniences (TestConnection, LinSpan, ...) degrade
 // to "no rows" — never a crash or silently wrong rows.
 //
-// On platforms without mmap (or when the kernel refuses the map) Open
-// falls back to one buffered read of the whole file into a private
-// heap image; every query path is identical, only the backing memory
-// differs.
+// On platforms without mmap (or when the kernel refuses the map, or
+// the caller asks for it) Open falls back to one buffered read of the
+// whole file into a private heap image; every query path and every
+// validation is identical, only the backing memory differs.
 //
 // A MappedLinLoutStore is immutable and therefore safe to share across
 // threads once constructed (block decoding allocates fresh
@@ -71,27 +68,16 @@ struct MappedOpenOptions {
   bool verify_file_checksum = true;
 };
 
-/// One decoded label row pinned by the block that backs it: the span
-/// aliases `block->entries`, so the row stays valid for as long as the
-/// PinnedRow (or any copy of its block pointer) lives — independent of
-/// any cache eviction. For v3 stores `block` is null and the span
-/// borrows from the file image (store-lifetime) instead.
-struct PinnedRow {
-  std::span<const twohop::LabelEntry> entries;
-  std::shared_ptr<const DecodedBlock> block;
-};
-
 class MappedLinLoutStore {
  public:
   /// Opens and validates `path`. Errors: IOError (missing/unreadable
   /// file), Corruption (torn write, checksum mismatch, inconsistent
-  /// sections), Unsupported (v1/v2 or future versions — v2 files are
-  /// readable via LinLoutStore::ReadFromFile and migrate forward on
-  /// the next WriteToFile).
+  /// sections), Unsupported (any version but 3 and 4 — rebuild such a
+  /// store from its cover).
   static Result<MappedLinLoutStore> Open(const std::string& path,
                                          MappedOpenOptions options = {});
 
-  // ---- the paper's query shapes (parity with LinLoutStore) ----
+  // ---- the paper's query shapes (Sec 5.1) ----
 
   /// True iff id1 ->* id2 according to the stored cover (reflexive).
   bool TestConnection(NodeId id1, NodeId id2) const;
@@ -141,18 +127,19 @@ class MappedLinLoutStore {
   Result<std::shared_ptr<const DecodedBlock>> DecodeBlock(
       uint64_t handle) const;
 
-  /// Checked row access: LIN(id) / LOUT(id) decoded and pinned. A node
-  /// without rows yields an engaged PinnedRow with an empty span. Also
-  /// works on v3 stores (span into the image, null pin).
-  Result<PinnedRow> DecodeLinRow(NodeId id) const;
-  Result<PinnedRow> DecodeLoutRow(NodeId id) const;
+  /// Checked row access: LIN(id) / LOUT(id) as a kernel view — for v4
+  /// the decoded row pinned by its block, for v3 a strided view into
+  /// the image (null pin, store lifetime). A node without rows yields
+  /// an engaged, empty view.
+  Result<PinnedJoin> DecodeLinRow(NodeId id) const;
+  Result<PinnedJoin> DecodeLoutRow(NodeId id) const;
 
   /// Decodes every block of every section once (discarding the rows):
   /// the full-integrity sweep a lazy open defers. OK for v3 stores
   /// (Open already verified everything).
   Status VerifyBlocks() const;
 
-  // ---- storage accounting (parity with LinLoutStore) ----
+  // ---- storage accounting (as LinLoutStore counts it) ----
 
   uint64_t NumEntries() const { return num_lin_entries_ + num_lout_entries_; }
   uint64_t StorageIntegers() const {
@@ -181,7 +168,13 @@ class MappedLinLoutStore {
   /// Handle of the block holding `key`'s row in `group`'s section;
   /// nullopt when the key has no row there.
   std::optional<uint64_t> FindRow(uint64_t group, uint32_t key) const;
-  Result<PinnedRow> DecodeForwardRow(uint64_t group, NodeId id) const;
+  Result<PinnedJoin> DecodeForwardRow(uint64_t group, NodeId id) const;
+  /// The 2-hop join of LOUT(id1) and LIN(id2); empty on decode failure.
+  twohop::LabelJoinResult Join(NodeId id1, NodeId id2,
+                               bool want_distance) const;
+  /// Descendants (forward LOUT row, backward LIN rows) or ancestors
+  /// (forward LIN row, backward LOUT rows) of `id`, sorted.
+  std::vector<NodeId> Expand(NodeId id, bool descendants) const;
 
   // Exactly one of map_/buffer_ backs the views; both keep their data
   // pointer stable under move, so the spans survive moves.

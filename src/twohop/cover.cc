@@ -11,12 +11,36 @@ void TwoHopCover::EnsureNodes(size_t n) {
   if (in_.size() < n) {
     in_.resize(n);
     out_.resize(n);
-    in_soa_.resize(n);
-    out_soa_.resize(n);
   }
 }
 
-void TwoHopCover::SoAMirror::Rebuild(const std::vector<LabelEntry>& entries) {
+JoinView TwoHopCover::Label::View() const {
+  JoinView v;
+  v.centers = centers.data();
+  v.dists = dists.data();
+  v.n = centers.size();
+  v.summary = summary;
+  return v;
+}
+
+bool TwoHopCover::Label::Insert(NodeId center, uint32_t dist) {
+  auto it = std::lower_bound(centers.begin(), centers.end(), center);
+  size_t pos = static_cast<size_t>(it - centers.begin());
+  if (it != centers.end() && *it == center) {
+    dists[pos] = std::min(dists[pos], dist);
+    return false;
+  }
+  centers.insert(it, center);
+  dists.insert(dists.begin() + static_cast<std::ptrdiff_t>(pos), dist);
+  summary.Add(center);
+  return true;
+}
+
+void TwoHopCover::Label::Assign(const std::vector<LabelEntry>& entries) {
+  assert(std::is_sorted(entries.begin(), entries.end(),
+                        [](const LabelEntry& a, const LabelEntry& b) {
+                          return a.center < b.center;
+                        }));
   centers.resize(entries.size());
   dists.resize(entries.size());
   summary = LabelSummary::Empty();
@@ -27,115 +51,69 @@ void TwoHopCover::SoAMirror::Rebuild(const std::vector<LabelEntry>& entries) {
   }
 }
 
-bool TwoHopCover::InsertEntry(std::vector<LabelEntry>* label,
-                              SoAMirror* mirror, NodeId center,
-                              uint32_t dist) {
-  auto it = std::lower_bound(label->begin(), label->end(), center,
-                             [](const LabelEntry& e, NodeId c) {
-                               return e.center < c;
-                             });
-  size_t pos = static_cast<size_t>(it - label->begin());
-  if (it != label->end() && it->center == center) {
-    it->dist = std::min(it->dist, dist);
-    mirror->dists[pos] = it->dist;
-    return false;
-  }
-  label->insert(it, {center, dist});
-  mirror->centers.insert(mirror->centers.begin() + pos, center);
-  mirror->dists.insert(mirror->dists.begin() + pos, dist);
-  mirror->summary.Add(center);
-  return true;
+bool TwoHopCover::Label::Contains(NodeId center) const {
+  return std::binary_search(centers.begin(), centers.end(), center);
 }
 
 bool TwoHopCover::AddIn(NodeId v, NodeId center, uint32_t dist) {
   assert(v < in_.size());
   if (v == center) return false;  // implicit self entry
-  if (InsertEntry(&in_[v], &in_soa_[v], center, dist)) {
-    ++size_;
-    return true;
-  }
-  return false;
+  if (!in_[v].Insert(center, dist)) return false;
+  ++size_;
+  return true;
 }
 
 bool TwoHopCover::AddOut(NodeId u, NodeId center, uint32_t dist) {
   assert(u < out_.size());
   if (u == center) return false;
-  if (InsertEntry(&out_[u], &out_soa_[u], center, dist)) {
-    ++size_;
-    return true;
-  }
-  return false;
-}
-
-LabelJoinResult JoinLabels(NodeId u, NodeId v,
-                           const std::vector<LabelEntry>& lout,
-                           const std::vector<LabelEntry>& lin,
-                           bool want_distance) {
-  return JoinLabelRanges(u, v, lout.data(), lout.size(), lin.data(),
-                         lin.size(), want_distance);
+  if (!out_[u].Insert(center, dist)) return false;
+  ++size_;
+  return true;
 }
 
 bool TwoHopCover::IsConnected(NodeId u, NodeId v) const {
   if (u == v) return true;
-  return JoinViews(u, v, OutJoin(u), InJoin(v), /*want_distance=*/false)
-      .connected;
+  return JoinViews(u, v, Out(u), In(v), /*want_distance=*/false).connected;
 }
 
 std::optional<uint32_t> TwoHopCover::Distance(NodeId u, NodeId v) const {
   if (u == v) return 0;
-  return JoinViews(u, v, OutJoin(u), InJoin(v), /*want_distance=*/true)
-      .distance;
+  return JoinViews(u, v, Out(u), In(v), /*want_distance=*/true).distance;
 }
 
 void TwoHopCover::UnionWith(const TwoHopCover& other) {
   EnsureNodes(other.NumNodes());
   for (NodeId v = 0; v < other.NumNodes(); ++v) {
-    for (const LabelEntry& e : other.in_[v]) AddIn(v, e.center, e.dist);
-    for (const LabelEntry& e : other.out_[v]) AddOut(v, e.center, e.dist);
+    for (LabelEntry e : other.In(v)) AddIn(v, e.center, e.dist);
+    for (LabelEntry e : other.Out(v)) AddOut(v, e.center, e.dist);
   }
 }
 
 void TwoHopCover::ClearNode(NodeId v) {
   assert(v < in_.size());
-  size_ -= in_[v].size() + out_[v].size();
-  in_[v].clear();
-  out_[v].clear();
-  in_soa_[v] = SoAMirror{};
-  out_soa_[v] = SoAMirror{};
+  size_ -= in_[v].centers.size() + out_[v].centers.size();
+  in_[v] = Label{};
+  out_[v] = Label{};
 }
 
-void TwoHopCover::SetIn(NodeId v, std::vector<LabelEntry> entries) {
-  assert(std::is_sorted(entries.begin(), entries.end(),
-                        [](const LabelEntry& a, const LabelEntry& b) {
-                          return a.center < b.center;
-                        }));
-  size_ -= in_[v].size();
-  in_[v] = std::move(entries);
-  size_ += in_[v].size();
-  in_soa_[v].Rebuild(in_[v]);
+void TwoHopCover::Replace(Label* label,
+                          const std::vector<LabelEntry>& entries) {
+  size_ -= label->centers.size();
+  label->Assign(entries);
+  size_ += label->centers.size();
 }
 
-void TwoHopCover::SetOut(NodeId u, std::vector<LabelEntry> entries) {
-  assert(std::is_sorted(entries.begin(), entries.end(),
-                        [](const LabelEntry& a, const LabelEntry& b) {
-                          return a.center < b.center;
-                        }));
-  size_ -= out_[u].size();
-  out_[u] = std::move(entries);
-  size_ += out_[u].size();
-  out_soa_[u].Rebuild(out_[u]);
+void TwoHopCover::SetIn(NodeId v, const std::vector<LabelEntry>& entries) {
+  Replace(&in_[v], entries);
+}
+
+void TwoHopCover::SetOut(NodeId u, const std::vector<LabelEntry>& entries) {
+  Replace(&out_[u], entries);
 }
 
 bool TwoHopCover::MentionsCenter(NodeId center) const {
-  auto mentions = [center](const std::vector<LabelEntry>& label) {
-    auto it = std::lower_bound(label.begin(), label.end(), center,
-                               [](const LabelEntry& e, NodeId c) {
-                                 return e.center < c;
-                               });
-    return it != label.end() && it->center == center;
-  };
   for (NodeId v = 0; v < in_.size(); ++v) {
-    if (mentions(in_[v]) || mentions(out_[v])) return true;
+    if (in_[v].Contains(center) || out_[v].Contains(center)) return true;
   }
   return false;
 }

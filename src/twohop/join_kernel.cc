@@ -371,7 +371,7 @@ LabelJoinResult JoinViews(NodeId u, NodeId v, const JoinView& lout,
       !lin.summary.MightContain(u) && !lout.summary.MightContain(v)) {
     return result;
   }
-  // Implicit self entries (the rule JoinLabelRanges documents):
+  // Implicit self entries (the rule join_kernel.h documents):
   // u ∈ Lout(u) connects through u ∈ Lin(v), v ∈ Lin(v) through
   // v ∈ Lout(u). Range screens skip the binary searches outright.
   if (lin.n != 0 && C(lin, 0) <= u && u <= C(lin, lin.n - 1)) {

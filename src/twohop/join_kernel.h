@@ -2,20 +2,24 @@
 // the one function every reachability probe in the tree bottoms out
 // in.
 //
-// Layering (ISSUE 9 / ROADMAP "as fast as the hardware allows"):
+// JoinViews is the one 2-hop join in the tree. Its rule (paper Sec
+// 3.4): (u, v) with u != v is connected when Lout(u) and Lin(v) share
+// a center, u appears as a center in Lin(v), or v appears as a center
+// in Lout(u); the distance is the minimum over those witnesses of the
+// summed entry distances. Callers handle the reflexive u == v case.
 //
-//   kernels    — a scalar two-pointer baseline, SSE2/AVX2 block-compare
+// Layering:
+//
+//   kernels    — a scalar two-pointer merge, SSE2/AVX2 block-compare
 //                intersection over packed uint32 center columns, and a
 //                galloping (exponential-search) kernel for skewed
-//                |Lout|/|Lin| ratios. All kernels preserve
-//                JoinLabelRanges' semantics bit-for-bit: implicit self
-//                entries, min-plus distance accumulation (with the
-//                same uint32 wraparound on dist sums), first-match
-//                early-out when distances are not wanted.
+//                |Lout|/|Lin| ratios. All kernels give bit-identical
+//                results: implicit self entries, min-plus distance
+//                accumulation (with uint32 wraparound on dist sums),
+//                first-match early-out when distances are not wanted.
 //   layout     — kernels run over twohop::JoinView (join_view.h):
-//                packed SoA columns where the producer keeps them
-//                (TwoHopCover mirrors, DecodedBlock packed arrays),
-//                strided AoS walks everywhere else.
+//                packed columns (TwoHopCover labels, DecodedBlock
+//                rows), or stride-2 walks over mmapped v3 file rows.
 //   prefilter  — each view carries an 8-byte LabelSummary; a probe
 //                whose summaries prove disjointness (including the
 //                self-entry memberships) is rejected in O(1) before
@@ -82,10 +86,9 @@ std::vector<JoinKernel> SupportedJoinKernels();
 JoinKernel ResolveJoinKernel(JoinKernel requested, size_t lout_n,
                              size_t lin_n, bool packed);
 
-/// The vectorized twin of JoinLabelRanges (twohop/cover.h): same
-/// implicit-self-entry rule, same min-plus distance semantics, same
-/// results bit-for-bit — over JoinViews, through the prefilter and the
-/// dispatched kernels.
+/// The 2-hop join of Lout(u) and Lin(v) under the implicit-self-entry
+/// rule above, through the summary prefilter and the dispatched
+/// kernels. Both views must be sorted by center.
 LabelJoinResult JoinViews(NodeId u, NodeId v, const JoinView& lout,
                           const JoinView& lin, bool want_distance,
                           JoinKernel kernel = JoinKernel::kAuto);

@@ -8,16 +8,31 @@
 // kernels themselves live in twohop/join_kernel.h.
 //
 // A JoinView is a borrowed, read-only view: whoever produced it owns
-// the arrays (a cover's SoA mirror, a decoded block's packed columns,
-// an mmapped file image) and the view must not outlive them — the same
-// lifetime contract as engine::LabelView.
+// the arrays (a cover's label columns, a decoded block's packed
+// columns, an mmapped file image) and the view must not outlive them.
 #pragma once
 
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <iterator>
 
 namespace hopi::twohop {
+
+/// One label entry as a value: a center node plus the shortest distance
+/// between the labeled node and the center (0 when distances are not
+/// tracked). Labels are stored column-wise and read through JoinView;
+/// this pair is what walking a view yields, the row of a v3 file's
+/// forward sections, the v4 encoder's input, and the scratch shape of
+/// label maintenance.
+struct LabelEntry {
+  uint32_t center;
+  uint32_t dist;
+
+  friend bool operator==(const LabelEntry& a, const LabelEntry& b) {
+    return a.center == b.center && a.dist == b.dist;
+  }
+};
 
 /// An 8-byte summary of one label's center set, built for O(1)
 /// "definitely disjoint" rejection on the probe hot path:
@@ -83,17 +98,16 @@ struct LabelSummary {
 /// unique, their distances, and the label's summary. Two layouts share
 /// the type via `stride` (measured in uint32 words):
 ///
-///   stride 1 — packed structure-of-arrays columns (a cover's SoA
-///              mirror, a DecodedBlock's packed arrays). This is the
-///              layout the SIMD kernels require.
-///   stride k — a strided walk over array-of-structs storage
-///              (LabelEntry spans -> stride 2, storage::TableRow runs
-///              -> stride 3). Scalar and galloping kernels handle any
-///              stride; dispatch never routes these to SIMD.
+///   stride 1 — packed structure-of-arrays columns (a cover's labels,
+///              a DecodedBlock's rows). This is the layout the SIMD
+///              kernels require.
+///   stride 2 — LabelEntry rows read in place from a mmapped v3 file.
+///              Scalar and galloping kernels handle any stride;
+///              dispatch never routes these to SIMD.
 ///
-/// `dists == nullptr` means every distance is 0 (plain covers,
-/// backward runs) — center(i)/dist_at(i) are the only sanctioned
-/// accessors.
+/// `dists == nullptr` means every distance is 0 (backward rows) —
+/// center(i)/dist_at(i), or walking the view as LabelEntry values, are
+/// the only sanctioned accessors.
 struct JoinView {
   const uint32_t* centers = nullptr;
   const uint32_t* dists = nullptr;
@@ -106,25 +120,64 @@ struct JoinView {
     return dists == nullptr ? 0 : dists[i * stride];
   }
 
-  /// Adapts a sorted array-of-structs label (anything with `.center`
-  /// and `.dist` fields laid out as uint32s, e.g. twohop::LabelEntry
-  /// or storage::TableRow) as a strided view. The summary defaults to
-  /// Unknown — pass one when the producer keeps it.
-  template <typename Entry>
-  static JoinView FromEntries(const Entry* e, size_t n,
-                              LabelSummary summary = LabelSummary::Unknown()) {
-    static_assert(sizeof(Entry) % sizeof(uint32_t) == 0,
-                  "Entry must be uint32-granular");
+  /// Adapts sorted LabelEntry rows stored in place (a v3 file image)
+  /// as a strided view. The summary is Unknown: the file keeps none.
+  static JoinView FromEntries(const LabelEntry* e, size_t n) {
     JoinView v;
     v.n = n;
-    v.stride = sizeof(Entry) / sizeof(uint32_t);
-    v.summary = n == 0 ? LabelSummary::Empty() : summary;
-    if (n != 0) {
+    v.stride = sizeof(LabelEntry) / sizeof(uint32_t);
+    if (n == 0) {
+      v.summary = LabelSummary::Empty();
+    } else {
       v.centers = &e->center;
       v.dists = &e->dist;
     }
     return v;
   }
+
+  /// Walks the view as LabelEntry values (input iterator: each step
+  /// reads one center and one distance).
+  class Iterator {
+   public:
+    using iterator_category = std::input_iterator_tag;
+    using value_type = LabelEntry;
+    using difference_type = std::ptrdiff_t;
+    using pointer = void;
+    using reference = LabelEntry;
+
+    Iterator() = default;
+    Iterator(const JoinView& view, size_t i)
+        : centers_(view.centers),
+          dists_(view.dists),
+          stride_(view.stride),
+          i_(i) {}
+
+    LabelEntry operator*() const {
+      return {centers_[i_ * stride_],
+              dists_ == nullptr ? 0 : dists_[i_ * stride_]};
+    }
+    Iterator& operator++() {
+      ++i_;
+      return *this;
+    }
+    Iterator operator++(int) {
+      Iterator before = *this;
+      ++i_;
+      return before;
+    }
+    friend bool operator==(const Iterator& a, const Iterator& b) {
+      return a.i_ == b.i_;
+    }
+
+   private:
+    const uint32_t* centers_ = nullptr;
+    const uint32_t* dists_ = nullptr;
+    size_t stride_ = 1;
+    size_t i_ = 0;
+  };
+
+  Iterator begin() const { return Iterator(*this, 0); }
+  Iterator end() const { return Iterator(*this, n); }
 };
 
 }  // namespace hopi::twohop

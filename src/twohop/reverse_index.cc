@@ -13,8 +13,8 @@ void IndexedCover::RebuildReverseMaps() {
   rin_.assign(n, {});
   rout_.assign(n, {});
   for (NodeId v = 0; v < n; ++v) {
-    for (const LabelEntry& e : cover_.In(v)) rin_[e.center].push_back(v);
-    for (const LabelEntry& e : cover_.Out(v)) rout_[e.center].push_back(v);
+    for (LabelEntry e : cover_.In(v)) rin_[e.center].push_back(v);
+    for (LabelEntry e : cover_.Out(v)) rout_[e.center].push_back(v);
   }
 }
 
@@ -50,7 +50,7 @@ std::vector<NodeId> IndexedCover::Ancestors(NodeId u) const {
   auto consider = [&result, u](NodeId a) {
     if (a != u) result.push_back(a);
   };
-  for (const LabelEntry& e : cover_.In(u)) {
+  for (LabelEntry e : cover_.In(u)) {
     consider(e.center);
     for (NodeId a : rout_[e.center]) consider(a);
   }
@@ -65,7 +65,7 @@ std::vector<NodeId> IndexedCover::Descendants(NodeId u) const {
   auto consider = [&result, u](NodeId d) {
     if (d != u) result.push_back(d);
   };
-  for (const LabelEntry& e : cover_.Out(u)) {
+  for (LabelEntry e : cover_.Out(u)) {
     consider(e.center);
     for (NodeId d : rin_[e.center]) consider(d);
   }

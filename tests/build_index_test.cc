@@ -13,6 +13,8 @@
 namespace hopi {
 namespace {
 
+using hopi::testing::ToEntries;
+
 using collection::Collection;
 
 struct BuildCase {
@@ -309,8 +311,10 @@ TEST(BuildIndexTest, ThreadBudgetNeverChangesTheIndex) {
     ASSERT_EQ(a.NumNodes(), b.NumNodes());
     EXPECT_EQ(a.Size(), b.Size());
     for (NodeId v = 0; v < a.NumNodes(); ++v) {
-      EXPECT_EQ(a.In(v), b.In(v)) << "threads=" << threads << " node=" << v;
-      EXPECT_EQ(a.Out(v), b.Out(v)) << "threads=" << threads << " node=" << v;
+      EXPECT_EQ(ToEntries(a.In(v)), ToEntries(b.In(v)))
+          << "threads=" << threads << " node=" << v;
+      EXPECT_EQ(ToEntries(a.Out(v)), ToEntries(b.Out(v)))
+          << "threads=" << threads << " node=" << v;
     }
   }
 }
@@ -333,8 +337,8 @@ TEST(BuildIndexTest, GlobalBuildUsesInnerThreadsDeterministically) {
   const twohop::TwoHopCover& a = sequential->cover();
   const twohop::TwoHopCover& b = threaded->cover();
   for (NodeId v = 0; v < a.NumNodes(); ++v) {
-    EXPECT_EQ(a.In(v), b.In(v));
-    EXPECT_EQ(a.Out(v), b.Out(v));
+    EXPECT_EQ(ToEntries(a.In(v)), ToEntries(b.In(v)));
+    EXPECT_EQ(ToEntries(a.Out(v)), ToEntries(b.Out(v)));
   }
 }
 

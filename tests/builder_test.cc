@@ -10,6 +10,8 @@
 namespace hopi::twohop {
 namespace {
 
+using hopi::testing::ToEntries;
+
 Digraph Chain(size_t n) {
   Digraph g(n);
   for (NodeId i = 0; i + 1 < n; ++i) g.AddEdge(i, i + 1);
@@ -250,8 +252,10 @@ void ExpectCoversIdentical(const TwoHopCover& a, const TwoHopCover& b) {
   ASSERT_EQ(a.NumNodes(), b.NumNodes());
   EXPECT_EQ(a.Size(), b.Size());
   for (NodeId v = 0; v < a.NumNodes(); ++v) {
-    EXPECT_EQ(a.In(v), b.In(v)) << "Lin mismatch at node " << v;
-    EXPECT_EQ(a.Out(v), b.Out(v)) << "Lout mismatch at node " << v;
+    EXPECT_EQ(ToEntries(a.In(v)), ToEntries(b.In(v)))
+        << "Lin mismatch at node " << v;
+    EXPECT_EQ(ToEntries(a.Out(v)), ToEntries(b.Out(v)))
+        << "Lout mismatch at node " << v;
   }
 }
 

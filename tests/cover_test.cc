@@ -42,8 +42,8 @@ TEST(TwoHopCoverTest, DuplicateKeepsMinDistance) {
   EXPECT_TRUE(cover.AddOut(0, 1, 5));
   EXPECT_FALSE(cover.AddOut(0, 1, 3));  // no size growth
   EXPECT_FALSE(cover.AddOut(0, 1, 9));  // larger ignored
-  EXPECT_EQ(cover.Out(0).size(), 1u);
-  EXPECT_EQ(cover.Out(0)[0].dist, 3u);
+  EXPECT_EQ(cover.Out(0).n, 1u);
+  EXPECT_EQ(cover.Out(0).dist_at(0), 3u);
 }
 
 TEST(TwoHopCoverTest, DistanceViaCenters) {
@@ -76,7 +76,7 @@ TEST(TwoHopCoverTest, UnionWithMergesAndKeepsMin) {
   b.AddIn(2, 1, 1);
   a.UnionWith(b);
   EXPECT_EQ(a.Size(), 2u);
-  EXPECT_EQ(a.Out(0)[0].dist, 2u);
+  EXPECT_EQ(a.Out(0).dist_at(0), 2u);
   EXPECT_TRUE(a.IsConnected(0, 2));
 }
 
@@ -88,8 +88,8 @@ TEST(TwoHopCoverTest, ClearNodeAccountsSize) {
   EXPECT_EQ(cover.Size(), 3u);
   cover.ClearNode(0);
   EXPECT_EQ(cover.Size(), 1u);
-  EXPECT_TRUE(cover.Out(0).empty());
-  EXPECT_TRUE(cover.In(0).empty());
+  EXPECT_EQ(cover.Out(0).n, 0u);
+  EXPECT_EQ(cover.In(0).n, 0u);
 }
 
 TEST(TwoHopCoverTest, SetInOutReplaceAndAccount) {
@@ -97,7 +97,7 @@ TEST(TwoHopCoverTest, SetInOutReplaceAndAccount) {
   cover.AddIn(0, 1, 3);
   cover.SetIn(0, {{2, 1}});
   EXPECT_EQ(cover.Size(), 1u);
-  EXPECT_EQ(cover.In(0)[0].center, 2u);
+  EXPECT_EQ(cover.In(0).center(0), 2u);
   cover.SetOut(0, {{1, 0}, {2, 0}});
   EXPECT_EQ(cover.Size(), 3u);
 }

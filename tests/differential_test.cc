@@ -28,6 +28,7 @@
 #include "engine/sharded_engine.h"
 #include "engine/snapshot.h"
 #include "hopi/build.h"
+#include "storage/linlout.h"
 #include "test_util.h"
 #include "twohop/join_kernel.h"
 
@@ -131,7 +132,9 @@ void ExpectAllAccessPathsMatchOracle(const Collection& c,
       storage::LinLoutStore::FromCover(index.cover(), with_distance);
   std::string path = ::testing::TempDir() + "hopi_differential_" + context +
                      ".bin";
-  ASSERT_TRUE(store.WriteToFile(path).ok());
+  storage::StoreWriteOptions v3_options;
+  v3_options.format_version = storage::kFormatVersion;
+  ASSERT_TRUE(store.WriteToFile(path, v3_options).ok());
   auto mapped = storage::MappedLinLoutStore::Open(path);
   ASSERT_TRUE(mapped.ok()) << mapped.status();
   // The same cover block-compressed: the v4 decode path faces the
@@ -148,13 +151,11 @@ void ExpectAllAccessPathsMatchOracle(const Collection& c,
   ASSERT_TRUE(mapped_v4.ok()) << mapped_v4.status();
 
   engine::HopiIndexBackend hopi_backend(index);
-  engine::LinLoutBackend linlout_backend(store);
-  engine::MappedLinLoutBackend mapped_backend(*mapped);
-  engine::MappedLinLoutBackend mapped_v4_backend(*mapped_v4);
+  engine::MappedStoreBackend mapped_backend(*mapped);
+  engine::MappedStoreBackend mapped_v4_backend(*mapped_v4);
   engine::ClosureBackend closure_backend(closure, with_distance);
   const engine::ReachabilityBackend* backends[] = {
-      &hopi_backend, &linlout_backend, &mapped_backend, &mapped_v4_backend,
-      &closure_backend};
+      &hopi_backend, &mapped_backend, &mapped_v4_backend, &closure_backend};
 
   // Scalar probes: full matrix against every backend. Mismatches are
   // counted manually (EXPECT per probe would drown the log — and the

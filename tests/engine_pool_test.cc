@@ -26,6 +26,8 @@
 #include "engine/snapshot.h"
 #include "hopi/baseline.h"
 #include "hopi/build.h"
+#include "storage/linlout.h"
+#include "storage/mapped_linlout.h"
 #include "test_util.h"
 
 namespace hopi::engine {
@@ -219,10 +221,18 @@ TEST_F(EnginePoolFixture, SwapRebindsWorkersAndReportsNewVersion) {
 }
 
 TEST_F(EnginePoolFixture, WorkerCacheStatsReadableWhileServing) {
-  // The linlout (copy-route) backend exercises the per-worker caches.
-  auto store = std::make_shared<storage::LinLoutStore>(
-      storage::LinLoutStore::FromCover(index_->cover(), true));
-  auto snapshot = BackendSnapshot::OfStore(Unowned(c_), store);
+  // A v4 (block-route) store exercises the per-worker caches.
+  std::string path = ::testing::TempDir() + "hopi_pool_cache_stats.bin";
+  storage::StoreWriteOptions v4_options;
+  v4_options.compress.target_block_bytes = 256;
+  ASSERT_TRUE(storage::LinLoutStore::FromCover(index_->cover(), true)
+                  .WriteToFile(path, v4_options)
+                  .ok());
+  auto mapped = storage::MappedLinLoutStore::Open(path);
+  ASSERT_TRUE(mapped.ok()) << mapped.status();
+  auto snapshot = BackendSnapshot::OfMappedStore(
+      Unowned(c_), std::make_shared<const storage::MappedLinLoutStore>(
+                       std::move(mapped).value()));
   EnginePool pool(snapshot, {.num_threads = 2});
   std::atomic<bool> done{false};
   std::thread reader([&] {
@@ -246,6 +256,8 @@ TEST_F(EnginePoolFixture, WorkerCacheStatsReadableWhileServing) {
     cache_total += s.hits + s.misses;
   }
   EXPECT_EQ(cache_total, stats.cache_hits + stats.cache_misses);
+  pool.Shutdown();
+  std::remove(path.c_str());
 }
 
 // ---- admission control + callback submission (overload path) ----
@@ -749,30 +761,39 @@ TEST(EnginePoolStressTest, ConcurrentBatchesAndSwapsServeConsistentSnapshots) {
   EXPECT_GE(stats.swaps, 1u);
 }
 
-// Swapping between backend *kinds* (hopi cover -> mmapped file) while
-// serving: the label route changes under the clients' feet, answers
+// Swapping between backend *kinds* (hopi cover -> v4 file -> v3 file)
+// while serving: the label route (borrow from the cover, block cache,
+// borrow from the file image) changes under the clients' feet, answers
 // must not.
 TEST(EnginePoolStressTest, SwapAcrossBackendKindsKeepsAnswers) {
   Collection c = hopi::testing::RandomCollection(5, 6, 10, 99);
   HopiIndex index = MustBuild(&c);
   auto hopi_snapshot = BackendSnapshot::Freeze(index);
 
-  auto store = std::make_shared<storage::LinLoutStore>(
-      storage::LinLoutStore::FromCover(index.cover(), false));
+  storage::LinLoutStore store =
+      storage::LinLoutStore::FromCover(index.cover(), false);
   std::string path = ::testing::TempDir() + "hopi_pool_swap_kinds.bin";
-  ASSERT_TRUE(store->WriteToFile(path).ok());
-  auto mapped_result = storage::MappedLinLoutStore::Open(path);
-  ASSERT_TRUE(mapped_result.ok()) << mapped_result.status();
-  auto mapped = std::make_shared<storage::MappedLinLoutStore>(
-      std::move(mapped_result).value());
+  std::string v4_path = ::testing::TempDir() + "hopi_pool_swap_kinds_v4.bin";
+  storage::StoreWriteOptions v3_options;
+  v3_options.format_version = storage::kFormatVersion;
+  ASSERT_TRUE(store.WriteToFile(path, v3_options).ok());
+  storage::StoreWriteOptions v4_options;
+  v4_options.compress.target_block_bytes = 256;
+  ASSERT_TRUE(store.WriteToFile(v4_path, v4_options).ok());
+  auto open = [](const std::string& file) {
+    auto opened = storage::MappedLinLoutStore::Open(file);
+    EXPECT_TRUE(opened.ok()) << opened.status();
+    return std::make_shared<const storage::MappedLinLoutStore>(
+        std::move(opened).value());
+  };
   auto collection = std::shared_ptr<const Collection>(
       hopi_snapshot, &hopi_snapshot->collection());
   // The rotated snapshots share the frozen collection, so they can
   // also share its tag index (built once by Freeze).
-  auto store_snapshot =
-      BackendSnapshot::OfStore(collection, store, hopi_snapshot->tags());
+  auto v4_snapshot = BackendSnapshot::OfMappedStore(collection, open(v4_path),
+                                                    hopi_snapshot->tags());
   auto mapped_snapshot = BackendSnapshot::OfMappedStore(
-      collection, mapped, hopi_snapshot->tags());
+      collection, open(path), hopi_snapshot->tags());
 
   const auto n = static_cast<NodeId>(c.NumElements());
   std::vector<bool> matrix(static_cast<size_t>(n) * n);
@@ -809,7 +830,7 @@ TEST(EnginePoolStressTest, SwapAcrossBackendKindsKeepsAnswers) {
   }
   std::thread swapper([&] {
     const std::shared_ptr<const BackendSnapshot> rotation[] = {
-        store_snapshot, mapped_snapshot, hopi_snapshot};
+        v4_snapshot, mapped_snapshot, hopi_snapshot};
     for (int s = 0; !done.load(); ++s) {
       pool.Swap(rotation[s % 3]);
       std::this_thread::yield();
@@ -821,6 +842,7 @@ TEST(EnginePoolStressTest, SwapAcrossBackendKindsKeepsAnswers) {
   EXPECT_EQ(wrong.load(), 0u);
   pool.Shutdown();
   std::remove(path.c_str());
+  std::remove(v4_path.c_str());
 }
 
 // Serve-during-rebuild under fire: client threads hammer Batch() while

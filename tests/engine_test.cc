@@ -12,6 +12,7 @@
 #include "engine/label_cache.h"
 #include "hopi/build.h"
 #include "query/path_query.h"
+#include "storage/linlout.h"
 #include "test_util.h"
 #include "twohop/join_kernel.h"
 
@@ -21,7 +22,7 @@ namespace {
 using collection::Collection;
 
 /// One distance-aware index over a small DBLP-like collection, exposed
-/// through all five backends (the mapped stores are round-tripped
+/// through all four backends (the mapped stores are round-tripped
 /// through actual v3 and v4 files, so this suite also proves both
 /// on-disk formats preserve every query shape).
 class BackendParityFixture : public ::testing::Test {
@@ -33,12 +34,14 @@ class BackendParityFixture : public ::testing::Test {
     auto index = BuildIndex(&c_, options);
     ASSERT_TRUE(index.ok()) << index.status();
     index_ = std::make_unique<HopiIndex>(std::move(index).value());
-    store_ = std::make_unique<storage::LinLoutStore>(
-        storage::LinLoutStore::FromCover(index_->cover(), true));
+    storage::LinLoutStore store =
+        storage::LinLoutStore::FromCover(index_->cover(), true);
     closure_ = std::make_unique<TransitiveClosureIndex>(
         TransitiveClosureIndex::Build(c_.ElementGraph(), true));
     store_path_ = ::testing::TempDir() + "hopi_engine_parity.bin";
-    ASSERT_TRUE(store_->WriteToFile(store_path_).ok());
+    storage::StoreWriteOptions v3_options;
+    v3_options.format_version = storage::kFormatVersion;
+    ASSERT_TRUE(store.WriteToFile(store_path_, v3_options).ok());
     auto mapped = storage::MappedLinLoutStore::Open(store_path_);
     ASSERT_TRUE(mapped.ok()) << mapped.status();
     mapped_store_ = std::make_unique<storage::MappedLinLoutStore>(
@@ -50,18 +53,17 @@ class BackendParityFixture : public ::testing::Test {
     storage::StoreWriteOptions v4_options;
     v4_options.compress.target_block_bytes = 256;
     v4_options.compress.cluster_split_bytes = 64;
-    ASSERT_TRUE(store_->WriteToFile(v4_path_, v4_options).ok());
+    ASSERT_TRUE(store.WriteToFile(v4_path_, v4_options).ok());
     auto mapped_v4 = storage::MappedLinLoutStore::Open(v4_path_);
     ASSERT_TRUE(mapped_v4.ok()) << mapped_v4.status();
     mapped_v4_store_ = std::make_unique<storage::MappedLinLoutStore>(
         std::move(mapped_v4).value());
     ASSERT_TRUE(mapped_v4_store_->compressed());
     backends_.push_back(std::make_unique<HopiIndexBackend>(*index_));
-    backends_.push_back(std::make_unique<LinLoutBackend>(*store_));
     backends_.push_back(std::make_unique<ClosureBackend>(*closure_, true));
-    backends_.push_back(std::make_unique<MappedLinLoutBackend>(*mapped_store_));
+    backends_.push_back(std::make_unique<MappedStoreBackend>(*mapped_store_));
     backends_.push_back(
-        std::make_unique<MappedLinLoutBackend>(*mapped_v4_store_));
+        std::make_unique<MappedStoreBackend>(*mapped_v4_store_));
   }
 
   void TearDown() override {
@@ -71,7 +73,6 @@ class BackendParityFixture : public ::testing::Test {
 
   Collection c_;
   std::unique_ptr<HopiIndex> index_;
-  std::unique_ptr<storage::LinLoutStore> store_;
   std::unique_ptr<TransitiveClosureIndex> closure_;
   std::unique_ptr<storage::MappedLinLoutStore> mapped_store_;
   std::unique_ptr<storage::MappedLinLoutStore> mapped_v4_store_;
@@ -155,23 +156,6 @@ TEST_F(BackendParityFixture, PathQueryParityAcrossBackends) {
   }
 }
 
-TEST_F(BackendParityFixture, DeprecatedShimMatchesBackendOverload) {
-  query::TagIndex tags(c_);
-  auto expr = query::PathExpression::Parse("//inproceedings//cite");
-  ASSERT_TRUE(expr.ok());
-  auto via_shim = query::EvaluatePath(*expr, *index_, tags);
-  auto via_backend = query::EvaluatePath(*expr, *backends_[0], c_, tags);
-  ASSERT_TRUE(via_shim.ok() && via_backend.ok());
-  ASSERT_EQ(via_shim->size(), via_backend->size());
-  for (size_t i = 0; i < via_shim->size(); ++i) {
-    EXPECT_EQ((*via_shim)[i].bindings, (*via_backend)[i].bindings);
-  }
-  auto count_shim = query::CountPathResults(*expr, *index_, tags);
-  auto count_backend = query::CountPathResults(*expr, *backends_[0], c_, tags);
-  ASSERT_TRUE(count_shim.ok() && count_backend.ok());
-  EXPECT_EQ(*count_shim, *count_backend);
-}
-
 // ---- the facade ----
 
 class QueryEngineFixture : public BackendParityFixture {
@@ -180,8 +164,6 @@ class QueryEngineFixture : public BackendParityFixture {
     BackendParityFixture::SetUp();
     engines_.push_back(
         std::make_unique<QueryEngine>(QueryEngine::ForIndex(*index_)));
-    engines_.push_back(
-        std::make_unique<QueryEngine>(QueryEngine::ForStore(c_, *store_)));
     engines_.push_back(std::make_unique<QueryEngine>(
         QueryEngine::ForClosure(c_, *closure_, true)));
     engines_.push_back(std::make_unique<QueryEngine>(
@@ -249,7 +231,7 @@ class ScopedJoinKernel {
 TEST_F(QueryEngineFixture, AllJoinKernelsAgreeAcrossAllBackends) {
   // The CI matrix forces each kernel via HOPI_JOIN_KERNEL; this is the
   // in-process equivalent: every supported kernel must answer every
-  // probe shape identically through all five backends — scalar and
+  // probe shape identically through all four backends — scalar and
   // batch, reachability and distance — on top of the per-kernel
   // property suite in join_kernel_test.
   std::vector<NodePair> pairs = RandomPairs(400, 23);
@@ -300,7 +282,7 @@ TEST_F(QueryEngineFixture, AllJoinKernelsAgreeAcrossAllBackends) {
 }
 
 TEST_F(QueryEngineFixture, BatchDedupesRepeatedProbes) {
-  QueryEngine& engine = *engines_[1];  // LIN/LOUT store backend
+  QueryEngine& engine = *engines_[3];  // block-compressed v4 store
   std::vector<NodePair> pairs;
   for (int rep = 0; rep < 10; ++rep) {
     for (NodeId v = 0; v < 20; ++v) pairs.push_back({0, v});
@@ -309,10 +291,15 @@ TEST_F(QueryEngineFixture, BatchDedupesRepeatedProbes) {
   EXPECT_EQ(r.stats.probes, 200u);
   EXPECT_EQ(r.stats.unique_probes, 20u);
   // Two label fetches per distinct non-reflexive pair (the (0,0) probe
-  // needs no labels): LOUT(0) misses once and hits 18 times, each of
-  // the 19 LIN(v) sets misses once.
-  EXPECT_EQ(r.stats.cache_hits + r.stats.cache_misses, 2u * 19u);
-  EXPECT_EQ(r.stats.cache_hits, 18u);  // LOUT(0) reused within the batch
+  // needs no labels), each by exactly one route.
+  EXPECT_EQ(r.stats.cache_hits + r.stats.cache_misses +
+                r.stats.labels_borrowed,
+            2u * 19u);
+  // LOUT(0) is fetched once per distinct pair but decoded at most once:
+  // the 18 fetches after the first are row-memo hits.
+  ASSERT_TRUE(mapped_v4_store_->LoutBlockHandle(0).has_value());
+  EXPECT_GE(r.stats.cache_hits, 18u);
+  EXPECT_LE(r.stats.blocks_decoded, r.stats.cache_misses);
   EXPECT_EQ(r.stats.backend_probes, 0u);
 }
 
@@ -332,19 +319,20 @@ TEST_F(QueryEngineFixture, HopiBackendBorrowsLabelsZeroCopy) {
 }
 
 TEST_F(QueryEngineFixture, RepeatedBatchServedFromLabelCache) {
-  QueryEngine& engine = *engines_[1];  // LIN/LOUT store backend
+  QueryEngine& engine = *engines_[3];  // block-compressed v4 store
   std::vector<NodePair> pairs = RandomPairs(100, 23);
   BatchResponse first = engine.Batch({.pairs = pairs});
   EXPECT_GT(first.stats.cache_misses, 0u);
   BatchResponse second = engine.Batch({.pairs = pairs});
-  // Every label set is hot now (cache capacity far exceeds the pool).
+  // Every block is hot now (cache capacity far exceeds the file).
   EXPECT_EQ(second.stats.cache_misses, 0u);
+  EXPECT_EQ(second.stats.blocks_decoded, 0u);
   EXPECT_GT(second.stats.cache_hits, 0u);
   EXPECT_EQ(second.reachable, first.reachable);
 }
 
 TEST_F(QueryEngineFixture, MappedBackendBorrowsSpansZeroCopy) {
-  QueryEngine& engine = *engines_[3];  // mmap-backed store
+  QueryEngine& engine = *engines_[2];  // mmap-backed v3 store
   std::vector<NodePair> pairs;
   for (int rep = 0; rep < 10; ++rep) {
     for (NodeId v = 0; v < 20; ++v) pairs.push_back({0, v});
@@ -365,7 +353,7 @@ TEST_F(QueryEngineFixture, MappedBackendBorrowsSpansZeroCopy) {
 }
 
 TEST_F(QueryEngineFixture, MappedV4BackendDecodesBlocksThroughCache) {
-  QueryEngine& engine = *engines_[4];  // block-compressed mmap store
+  QueryEngine& engine = *engines_[3];  // block-compressed v4 store
   std::vector<NodePair> pairs = RandomPairs(200, 37);
   size_t non_reflexive = 0;
   {
@@ -408,7 +396,7 @@ TEST_F(QueryEngineFixture, MappedV4BackendDecodesBlocksThroughCache) {
 }
 
 TEST_F(QueryEngineFixture, LabelLessBackendFallsBackToDirectProbes) {
-  QueryEngine& engine = *engines_[2];  // closure backend: no labels
+  QueryEngine& engine = *engines_[1];  // closure backend: no labels
   std::vector<NodePair> pairs = RandomPairs(50, 29);
   pairs.push_back(pairs[0]);
   BatchResponse r = engine.Batch({.pairs = pairs});
@@ -464,17 +452,26 @@ TEST_F(QueryEngineFixture, SimilarityOptionExpandsApproximateSteps) {
 // ---- the byte-budgeted block cache ----
 
 /// A one-row block for node `key` whose single entry points at
-/// `center` — the copy-route currency, and the smallest block there is.
+/// `center` — the smallest block there is.
 LabelBlock MakeBlock(NodeId key, NodeId center) {
   auto block = std::make_shared<storage::DecodedBlock>();
-  block->entries = {{center, 1}};
   block->row_keys = {key};
   block->row_begin = {0, 1};
+  block->centers = {center};
+  block->dists = {1};
+  twohop::LabelSummary summary = twohop::LabelSummary::Empty();
+  summary.Add(center);
+  block->row_summaries = {summary.word};
   return block;
 }
 
 /// Byte charge of one MakeBlock() block (they are all the same shape).
 size_t OneBlockBytes() { return MakeBlock(0, 0)->ApproxBytes(); }
+
+/// The single center of a MakeBlock() block.
+uint32_t CenterOf(const LabelBlock& block) {
+  return block->JoinRow(0).center(0);
+}
 
 uint64_t OutKey(NodeId node) {
   return LabelCache::KeyFor(LabelCache::Side::kOut, node);
@@ -485,56 +482,56 @@ uint64_t InKey(NodeId node) {
 
 TEST(LabelCacheTest, HitsAndMisses) {
   LabelCache cache(1 << 20);
-  EXPECT_EQ(cache.Get(OutKey(1)), nullptr);
+  EXPECT_EQ(cache.Get(1), nullptr);
   EXPECT_EQ(cache.misses(), 1u);
-  cache.Put(OutKey(1), MakeBlock(1, 42));
-  LabelBlock hit = cache.Get(OutKey(1));
+  cache.Put(1, MakeBlock(1, 42));
+  LabelBlock hit = cache.Get(1);
   ASSERT_NE(hit, nullptr);
-  EXPECT_EQ(hit->Row(0)[0].center, 42u);
+  EXPECT_EQ(CenterOf(hit), 42u);
   EXPECT_EQ(cache.hits(), 1u);
   EXPECT_EQ(cache.bytes_resident(), OneBlockBytes());
 }
 
-TEST(LabelCacheTest, SidesAndBlockKeysAreDistinct) {
+TEST(LabelCacheTest, RowMemoKeepsSidesApart) {
+  // One block holding node 5's LOUT row and another holding its LIN
+  // row: the memo must never hand one side's row out for the other.
   LabelCache cache(1 << 20);
-  cache.Put(OutKey(5), MakeBlock(5, 1));
-  EXPECT_EQ(cache.Get(InKey(5)), nullptr);
-  cache.Put(InKey(5), MakeBlock(5, 2));
-  EXPECT_EQ(cache.Get(OutKey(5))->Row(0)[0].center, 1u);
-  EXPECT_EQ(cache.Get(InKey(5))->Row(0)[0].center, 2u);
-  // Block keys live in their own namespace: a block handle can never
-  // collide with a copy-route key (bit 63 separates them).
-  EXPECT_EQ(cache.Get(LabelCache::BlockKeyFor(OutKey(5))), nullptr);
-  cache.Put(LabelCache::BlockKeyFor(0), MakeBlock(5, 3));
-  EXPECT_EQ(cache.Get(LabelCache::BlockKeyFor(0))->Row(0)[0].center, 3u);
-  EXPECT_EQ(cache.size(), 3u);
+  LabelBlock out_block = cache.Put(1, MakeBlock(5, 1));
+  LabelBlock in_block = cache.Put(2, MakeBlock(5, 2));
+  cache.MemoRow(OutKey(5), out_block, 0);
+  uint32_t row = 0;
+  EXPECT_EQ(cache.GetRow(InKey(5), &row), nullptr);
+  cache.MemoRow(InKey(5), in_block, 0);
+  EXPECT_EQ(CenterOf(cache.GetRow(OutKey(5), &row)), 1u);
+  EXPECT_EQ(CenterOf(cache.GetRow(InKey(5), &row)), 2u);
+  EXPECT_EQ(cache.size(), 2u);
 }
 
 TEST(LabelCacheTest, EvictsLeastRecentlyUsedWhenOverBudget) {
   LabelCache cache(3 * OneBlockBytes());
-  cache.Put(OutKey(1), MakeBlock(1, 1));
-  cache.Put(OutKey(2), MakeBlock(2, 2));
-  cache.Put(OutKey(3), MakeBlock(3, 3));
+  cache.Put(1, MakeBlock(1, 1));
+  cache.Put(2, MakeBlock(2, 2));
+  cache.Put(3, MakeBlock(3, 3));
   EXPECT_EQ(cache.bytes_resident(), 3 * OneBlockBytes());
   // Touch 1 so 2 becomes the LRU entry.
-  ASSERT_NE(cache.Get(OutKey(1)), nullptr);
-  cache.Put(OutKey(4), MakeBlock(4, 4));
+  ASSERT_NE(cache.Get(1), nullptr);
+  cache.Put(4, MakeBlock(4, 4));
   EXPECT_EQ(cache.evictions(), 1u);
-  EXPECT_EQ(cache.Get(OutKey(2)), nullptr);  // evicted
-  EXPECT_NE(cache.Get(OutKey(1)), nullptr);
-  EXPECT_NE(cache.Get(OutKey(3)), nullptr);
-  EXPECT_NE(cache.Get(OutKey(4)), nullptr);
+  EXPECT_EQ(cache.Get(2), nullptr);  // evicted
+  EXPECT_NE(cache.Get(1), nullptr);
+  EXPECT_NE(cache.Get(3), nullptr);
+  EXPECT_NE(cache.Get(4), nullptr);
   EXPECT_EQ(cache.size(), 3u);
   EXPECT_LE(cache.bytes_resident(), cache.byte_budget());
 }
 
 TEST(LabelCacheTest, PutOverwritesInPlace) {
   LabelCache cache(1 << 20);
-  cache.Put(OutKey(1), MakeBlock(1, 1));
-  cache.Put(OutKey(1), MakeBlock(1, 9));
+  cache.Put(1, MakeBlock(1, 1));
+  cache.Put(1, MakeBlock(1, 9));
   EXPECT_EQ(cache.size(), 1u);
   EXPECT_EQ(cache.bytes_resident(), OneBlockBytes());
-  EXPECT_EQ(cache.Get(OutKey(1))->Row(0)[0].center, 9u);
+  EXPECT_EQ(CenterOf(cache.Get(1)), 9u);
 }
 
 TEST(LabelCacheTest, ZeroBudgetCachesNothingButPinsStillWork) {
@@ -542,36 +539,36 @@ TEST(LabelCacheTest, ZeroBudgetCachesNothingButPinsStillWork) {
   // caller's shared_ptr pin keeps the returned block usable — the
   // engine stays correct, just cold.
   LabelCache cache(0);
-  LabelBlock pinned = cache.Put(OutKey(1), MakeBlock(1, 7));
+  LabelBlock pinned = cache.Put(1, MakeBlock(1, 7));
   ASSERT_NE(pinned, nullptr);
-  EXPECT_EQ(pinned->Row(0)[0].center, 7u);
+  EXPECT_EQ(CenterOf(pinned), 7u);
   EXPECT_EQ(cache.size(), 0u);
   EXPECT_EQ(cache.bytes_resident(), 0u);
   EXPECT_EQ(cache.evictions(), 1u);
-  EXPECT_EQ(cache.Get(OutKey(1)), nullptr);
+  EXPECT_EQ(cache.Get(1), nullptr);
 }
 
 TEST(LabelCacheTest, EvictionDoesNotInvalidatePinnedBlocks) {
   LabelCache cache(OneBlockBytes());  // room for exactly one block
-  LabelBlock pinned = cache.Put(OutKey(1), MakeBlock(1, 11));
-  cache.Put(OutKey(2), MakeBlock(2, 22));  // evicts block 1
-  EXPECT_EQ(cache.Get(OutKey(1)), nullptr);
+  LabelBlock pinned = cache.Put(1, MakeBlock(1, 11));
+  cache.Put(2, MakeBlock(2, 22));  // evicts block 1
+  EXPECT_EQ(cache.Get(1), nullptr);
   // The evicted block is alive for as long as the pin is held: this is
-  // the ownership rule PinnedLabel relies on mid-join.
+  // the ownership rule PinnedJoin relies on mid-join.
   ASSERT_NE(pinned, nullptr);
-  EXPECT_EQ(pinned->Row(0)[0].center, 11u);
+  EXPECT_EQ(CenterOf(pinned), 11u);
   EXPECT_EQ(pinned.use_count(), 1);  // cache reference is gone
 }
 
 TEST(LabelCacheTest, RowMemoServesPinnedRowsWithoutBlockLookups) {
   LabelCache cache(1 << 20);
-  LabelBlock block = cache.Put(LabelCache::BlockKeyFor(7), MakeBlock(3, 99));
+  LabelBlock block = cache.Put(7, MakeBlock(3, 99));
   cache.MemoRow(OutKey(3), block, 0);
   uint32_t row = 123;
   LabelBlock hit = cache.GetRow(OutKey(3), &row);
   ASSERT_NE(hit, nullptr);
   EXPECT_EQ(row, 0u);
-  EXPECT_EQ(hit->Row(row)[0].center, 99u);
+  EXPECT_EQ(hit->JoinRow(row).center(0), 99u);
   EXPECT_EQ(hit.get(), block.get());  // same block, now pinned twice
   EXPECT_EQ(cache.hits(), 1u);        // a memo hit is a cache hit
   // A key never memoized misses without touching the miss counter —
@@ -582,9 +579,9 @@ TEST(LabelCacheTest, RowMemoServesPinnedRowsWithoutBlockLookups) {
 
 TEST(LabelCacheTest, RowMemoHoldsNoStrongReference) {
   LabelCache cache(OneBlockBytes());  // room for exactly one block
-  LabelBlock block = cache.Put(LabelCache::BlockKeyFor(1), MakeBlock(1, 11));
+  LabelBlock block = cache.Put(1, MakeBlock(1, 11));
   cache.MemoRow(OutKey(1), block, 0);
-  cache.Put(LabelCache::BlockKeyFor(2), MakeBlock(2, 22));  // evicts block 1
+  cache.Put(2, MakeBlock(2, 22));  // evicts block 1
   // The memo's weak reference neither kept the evicted block resident
   // nor dangles: once the last pin drops, the memo entry just misses.
   EXPECT_EQ(block.use_count(), 1);
@@ -606,19 +603,25 @@ TEST(LabelCacheTest, DecodeAccountingFlowsIntoStats) {
 
 TEST(LabelCacheTest, ClearResetsEntriesButKeepsCounters) {
   LabelCache cache(1 << 20);
-  cache.Put(OutKey(1), MakeBlock(1, 1));
-  ASSERT_NE(cache.Get(OutKey(1)), nullptr);
+  cache.Put(1, MakeBlock(1, 1));
+  ASSERT_NE(cache.Get(1), nullptr);
   cache.Clear();
   EXPECT_EQ(cache.size(), 0u);
   EXPECT_EQ(cache.bytes_resident(), 0u);
-  EXPECT_EQ(cache.Get(OutKey(1)), nullptr);
+  EXPECT_EQ(cache.Get(1), nullptr);
   EXPECT_EQ(cache.hits(), 1u);
 }
 
 TEST_F(QueryEngineFixture, SmallCacheEvictsUnderPressure) {
+  // Room for about two of the v4 file's decoded blocks.
+  auto handle = mapped_v4_store_->LoutBlockHandle(0);
+  ASSERT_TRUE(handle.has_value());
+  auto block = mapped_v4_store_->DecodeBlock(*handle);
+  ASSERT_TRUE(block.ok()) << block.status();
   QueryEngineOptions options;
-  options.label_cache_bytes = 4 * OneBlockBytes();
-  QueryEngine engine = QueryEngine::ForStore(c_, *store_, std::move(options));
+  options.label_cache_bytes = 2 * (*block)->ApproxBytes();
+  QueryEngine engine =
+      QueryEngine::ForMappedStore(c_, *mapped_v4_store_, std::move(options));
   // Probe far more distinct nodes than the budget holds; answers must
   // stay correct while the cache churns.
   std::vector<NodePair> pairs = RandomPairs(200, 31);

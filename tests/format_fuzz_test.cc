@@ -5,9 +5,10 @@
 // block boundary, and at hundreds of random offsets. The contract
 // under test is two-sided:
 //
-//   * The verified readers (LinLoutStore::ReadFromFile and the default
-//     MappedLinLoutStore::Open) must REJECT every damaged file with
-//     Corruption or Unsupported — never crash, never serve garbage.
+//   * The verified open (MappedLinLoutStore::Open's default, in both
+//     the mmap and the buffered mode) must REJECT every damaged file
+//     with Corruption or Unsupported — never crash, never serve
+//     garbage.
 //   * The lazy v4 open (verify_file_checksum = false) may accept a
 //     file whose blobs are damaged; it must then stay memory-safe
 //     under arbitrary probing, and the damage must surface as
@@ -69,25 +70,22 @@ void WriteBytes(const std::string& path, std::span<const std::byte> bytes) {
   std::fclose(f);
 }
 
-/// Both verified readers must refuse the file at `path` with a
-/// structured error (Corruption, or Unsupported when the damage lands
-/// in the version field) — the one thing they may not do is succeed.
+/// The verified open, mapped and buffered, must refuse the file at
+/// `path` with a structured error (Corruption, or Unsupported when the
+/// damage lands in the version field) — the one thing it may not do is
+/// succeed.
 void ExpectVerifiedReadersReject(const std::string& path,
                                  const std::string& what) {
-  auto buffered = LinLoutStore::ReadFromFile(path);
-  EXPECT_FALSE(buffered.ok()) << what << ": buffered reader accepted";
-  if (!buffered.ok()) {
-    EXPECT_TRUE(buffered.status().IsCorruption() ||
-                buffered.status().IsUnsupported() ||
-                buffered.status().IsIOError())
-        << what << ": " << buffered.status();
-  }
-  auto mapped = MappedLinLoutStore::Open(path);
-  EXPECT_FALSE(mapped.ok()) << what << ": mapped reader accepted";
-  if (!mapped.ok()) {
-    EXPECT_TRUE(mapped.status().IsCorruption() ||
-                mapped.status().IsUnsupported() || mapped.status().IsIOError())
-        << what << ": " << mapped.status();
+  for (bool prefer_mmap : {true, false}) {
+    const char* mode = prefer_mmap ? "mapped" : "buffered";
+    auto store = MappedLinLoutStore::Open(path, {.prefer_mmap = prefer_mmap});
+    EXPECT_FALSE(store.ok()) << what << ": " << mode << " open accepted";
+    if (!store.ok()) {
+      EXPECT_TRUE(store.status().IsCorruption() ||
+                  store.status().IsUnsupported() ||
+                  store.status().IsIOError())
+          << what << " (" << mode << "): " << store.status();
+    }
   }
 }
 
@@ -126,8 +124,8 @@ TEST_F(FormatFuzzTest, RandomBitFlipsAreRejectedByVerifiedReaders) {
       mutant[offset] ^= mask;
       WriteBytes(path_, mutant);
       ExpectVerifiedReadersReject(
-          path_, "v" + std::to_string(version) + " flip at offset " +
-                     std::to_string(offset));
+          path_, std::string("v").append(std::to_string(version)) +
+                     " flip at offset " + std::to_string(offset));
     }
   }
 }
@@ -150,8 +148,8 @@ TEST_F(FormatFuzzTest, RandomTruncationsAreRejectedEverywhere) {
     for (uint64_t cut : cuts) {
       ASSERT_LT(cut, victim.image.size());
       WriteBytes(path_, std::span(victim.image).first(cut));
-      std::string what = "v" + std::to_string(version) + " cut at " +
-                         std::to_string(cut);
+      std::string what = std::string("v").append(std::to_string(version)) +
+                         " cut at " + std::to_string(cut);
       ExpectVerifiedReadersReject(path_, what);
       if (version == kFormatVersionV4) {
         // Truncation always removes trailer or metadata bytes — even

@@ -8,12 +8,15 @@
 #include "collection/builder.h"
 #include "datagen/dblp.h"
 #include "datagen/xmark.h"
+#include "engine/backends.h"
+#include "engine/engine.h"
 #include "graph/traversal.h"
 #include "hopi/baseline.h"
 #include "hopi/build.h"
 #include "query/path_query.h"
 #include "query/tag_index.h"
 #include "storage/linlout.h"
+#include "storage/mapped_linlout.h"
 #include "test_util.h"
 #include "twohop/builder.h"
 #include "xml/parser.h"
@@ -59,18 +62,27 @@ TEST(IntegrationTest, PersistReloadQueryEquivalence) {
   storage::LinLoutStore store =
       storage::LinLoutStore::FromCover(index->cover(), true);
   ASSERT_TRUE(store.WriteToFile(path).ok());
-  auto loaded = storage::LinLoutStore::ReadFromFile(path);
-  ASSERT_TRUE(loaded.ok());
-  std::remove(path.c_str());
+  auto loaded = storage::MappedLinLoutStore::Open(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  std::remove(path.c_str());  // the open store keeps its image
 
-  // Rebuild an index from storage and compare answers with the original.
-  HopiIndex reloaded(&c, loaded->ToCover(c.NumElements()), true);
+  // Serve the reopened file and compare answers with the original.
+  engine::QueryEngine reloaded =
+      engine::QueryEngine::ForMappedStore(c, *loaded);
   Rng rng(1);
+  engine::BatchRequest request;
+  request.want_distances = true;
   for (int i = 0; i < 1000; ++i) {
-    NodeId u = static_cast<NodeId>(rng.NextBounded(c.NumElements()));
-    NodeId v = static_cast<NodeId>(rng.NextBounded(c.NumElements()));
-    EXPECT_EQ(reloaded.IsReachable(u, v), index->IsReachable(u, v));
-    EXPECT_EQ(reloaded.Distance(u, v), index->Distance(u, v));
+    request.pairs.push_back(
+        {static_cast<NodeId>(rng.NextBounded(c.NumElements())),
+         static_cast<NodeId>(rng.NextBounded(c.NumElements()))});
+  }
+  engine::BatchResponse r = reloaded.Batch(request);
+  ASSERT_TRUE(r.error.ok()) << r.error;
+  for (size_t i = 0; i < request.pairs.size(); ++i) {
+    auto [u, v] = request.pairs[i];
+    EXPECT_EQ(r.reachable[i], index->IsReachable(u, v)) << u << "->" << v;
+    EXPECT_EQ(r.distances[i], index->Distance(u, v)) << u << "->" << v;
   }
 }
 
@@ -159,12 +171,13 @@ TEST(IntegrationTest, QueriesAcrossGeneratedXmark) {
 
   auto expr = query::PathExpression::Parse("//open_auction//name");
   ASSERT_TRUE(expr.ok());
-  auto count = query::CountPathResults(*expr, *index, tags);
+  engine::HopiIndexBackend backend(*index);
+  auto count = query::CountPathResults(*expr, backend, c, tags);
   ASSERT_TRUE(count.ok());
   EXPECT_GT(*count, 0u);  // every auction references an item with a name
 
   // Brute-force cross-check on a sample: count via raw BFS reachability.
-  auto matches = query::EvaluatePath(*expr, *index, tags,
+  auto matches = query::EvaluatePath(*expr, backend, c, tags,
                                      {.max_matches = 100000});
   ASSERT_TRUE(matches.ok());
   size_t brute = 0;

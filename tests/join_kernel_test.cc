@@ -1,19 +1,22 @@
 // Property suite for the vectorized join kernels (twohop/join_kernel.h):
 // every kernel, over packed and strided views, must be bit-identical to
-// the scalar reference JoinLabelRanges on randomized and adversarial
-// label shapes — empties, singletons, all-shared sets, interleaved
-// disjoint sets, UINT32_MAX boundary centers, wrapping distance sums,
-// want_distance on and off. Plus the dispatch rules, the forced-kernel
-// degradation ladder, the LabelSummary one-sidedness contract, and the
-// IntersectSorted helper.
+// the scalar reference JoinLabelRanges (kept here as the golden model)
+// on randomized and adversarial label shapes — empties, singletons,
+// all-shared sets, interleaved disjoint sets, UINT32_MAX boundary
+// centers, wrapping distance sums, want_distance on and off. Plus the
+// dispatch rules, the forced-kernel degradation ladder, the
+// LabelSummary one-sidedness contract, the IntersectSorted helper, and
+// the cover's packed labels under mutation.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <map>
 #include <random>
 #include <set>
 #include <vector>
 
+#include "test_util.h"
 #include "twohop/cover.h"
 #include "twohop/join_kernel.h"
 #include "twohop/join_view.h"
@@ -22,7 +25,63 @@
 namespace hopi::twohop {
 namespace {
 
+using hopi::testing::ToEntries;
+
 using Entries = std::vector<LabelEntry>;
+
+/// The golden 2-hop join: a plain two-pointer merge over sorted
+/// array-of-structs ranges, written for obviousness rather than speed.
+/// (u, v) with u != v is connected when Lout(u) and Lin(v) share a
+/// center, u appears as a center in Lin(v), or v appears as a center
+/// in Lout(u); the distance is the minimum witness sum.
+template <typename Entry>
+LabelJoinResult JoinLabelRanges(NodeId u, NodeId v, const Entry* lout,
+                                size_t lout_n, const Entry* lin, size_t lin_n,
+                                bool want_distance) {
+  LabelJoinResult result;
+  auto consider = [&result](uint32_t d) {
+    if (!result.distance || d < *result.distance) result.distance = d;
+  };
+  auto find = [](const Entry* entries, size_t n, NodeId c) -> const Entry* {
+    const Entry* it = std::lower_bound(
+        entries, entries + n, c,
+        [](const Entry& e, NodeId cc) { return e.center < cc; });
+    return it != entries + n && it->center == c ? it : nullptr;
+  };
+  // Implicit self entries: u ∈ Lout(u) at distance 0 (center u requires
+  // u ∈ Lin(v)), v ∈ Lin(v) at distance 0 (center v requires
+  // v ∈ Lout(u)).
+  if (const Entry* e = find(lin, lin_n, u)) {
+    result.connected = true;
+    if (want_distance) consider(e->dist);
+  }
+  if (const Entry* e = find(lout, lout_n, v)) {
+    result.connected = true;
+    if (want_distance) consider(e->dist);
+  }
+  if (result.connected && !want_distance) return result;
+  size_t i = 0, j = 0;
+  while (i < lout_n && j < lin_n) {
+    if (lout[i].center < lin[j].center) {
+      ++i;
+    } else if (lout[i].center > lin[j].center) {
+      ++j;
+    } else {
+      result.connected = true;
+      if (!want_distance) return result;
+      consider(lout[i].dist + lin[j].dist);
+      ++i;
+      ++j;
+    }
+  }
+  return result;
+}
+
+LabelJoinResult ReferenceJoin(NodeId u, NodeId v, const Entries& lout,
+                              const Entries& lin, bool want_distance) {
+  return JoinLabelRanges(u, v, lout.data(), lout.size(), lin.data(),
+                         lin.size(), want_distance);
+}
 
 LabelSummary SummaryOf(const Entries& entries) {
   LabelSummary s = LabelSummary::Empty();
@@ -51,8 +110,8 @@ struct Packed {
   }
 };
 
-/// A 3-word-stride entry shaped like storage::TableRow — exercises the
-/// strided-view path with a stride the real code uses.
+/// A 3-word-stride entry (id, center, dist) — exercises the general
+/// strided-view path beyond the stride 2 of v3 file rows.
 struct WideEntry {
   uint32_t id;
   uint32_t center;
@@ -65,18 +124,28 @@ std::vector<WideEntry> Widen(const Entries& entries) {
   return wide;
 }
 
+JoinView WideView(const std::vector<WideEntry>& wide) {
+  JoinView v = JoinView::FromEntries(nullptr, 0);
+  if (wide.empty()) return v;
+  v.centers = &wide[0].center;
+  v.dists = &wide[0].dist;
+  v.n = wide.size();
+  v.stride = sizeof(WideEntry) / sizeof(uint32_t);
+  v.summary = LabelSummary::Unknown();
+  return v;
+}
+
 /// Asserts every supported kernel, over every layout, matches the
 /// scalar reference for this probe.
 void ExpectAllKernelsMatch(NodeId u, NodeId v, const Entries& lout,
                            const Entries& lin, bool want_distance) {
-  LabelJoinResult golden = JoinLabelRanges(
-      u, v, lout.data(), lout.size(), lin.data(), lin.size(), want_distance);
+  LabelJoinResult golden = ReferenceJoin(u, v, lout, lin, want_distance);
   Packed pout(lout), pin(lin);
   std::vector<WideEntry> wout = Widen(lout), win = Widen(lin);
   JoinView strided_out = JoinView::FromEntries(lout.data(), lout.size());
   JoinView strided_in = JoinView::FromEntries(lin.data(), lin.size());
-  JoinView wide_out = JoinView::FromEntries(wout.data(), wout.size());
-  JoinView wide_in = JoinView::FromEntries(win.data(), win.size());
+  JoinView wide_out = WideView(wout);
+  JoinView wide_in = WideView(win);
   for (JoinKernel k : SupportedJoinKernels()) {
     for (auto [o, i, layout] :
          {std::tuple{pout.View(), pin.View(), "packed"},
@@ -323,24 +392,46 @@ TEST(JoinKernelTest, IntersectSortedMatchesStdSetIntersection) {
   EXPECT_TRUE(IntersectSorted({}, {}).empty());
 }
 
-TEST(JoinKernelTest, CoverMirrorsStayCoherentUnderMutation) {
-  // The cover's SoA mirrors feed the kernels; every mutator must keep
-  // them in lockstep with the AoS labels.
+TEST(JoinKernelTest, CoverLabelsStayCoherentUnderMutation) {
+  // The cover's packed labels feed the kernels directly; every mutator
+  // must leave them equal to a plain reference model (sorted, min
+  // distance, no self entries) with summaries that cover every center.
+  using Model = std::vector<std::map<uint32_t, uint32_t>>;
+  auto entries_of = [](const std::map<uint32_t, uint32_t>& label) {
+    Entries out;
+    for (auto [center, dist] : label) out.push_back({center, dist});
+    return out;
+  };
+  auto add = [](std::map<uint32_t, uint32_t>* label, NodeId node,
+                uint32_t center, uint32_t dist) {
+    if (center == node) return;
+    auto [it, inserted] = label->try_emplace(center, dist);
+    if (!inserted) it->second = std::min(it->second, dist);
+  };
   std::mt19937 rng(4242);
   TwoHopCover cover(64);
+  Model in(64), out(64);
   for (int iter = 0; iter < 2000; ++iter) {
     NodeId node = rng() % 64;
     switch (rng() % 6) {
       case 0:
-      case 1:
-        cover.AddIn(node, rng() % 64, rng() % 10);
+      case 1: {
+        uint32_t center = rng() % 64, dist = rng() % 10;
+        cover.AddIn(node, center, dist);
+        add(&in[node], node, center, dist);
         break;
+      }
       case 2:
-      case 3:
-        cover.AddOut(node, rng() % 64, rng() % 10);
+      case 3: {
+        uint32_t center = rng() % 64, dist = rng() % 10;
+        cover.AddOut(node, center, dist);
+        add(&out[node], node, center, dist);
         break;
+      }
       case 4:
         cover.ClearNode(node);
+        in[node].clear();
+        out[node].clear();
         break;
       default: {
         Entries entries;
@@ -350,35 +441,33 @@ TEST(JoinKernelTest, CoverMirrorsStayCoherentUnderMutation) {
             entries.push_back({c, static_cast<uint32_t>(rng() % 10)});
           }
         }
+        std::map<uint32_t, uint32_t> label;
+        for (const LabelEntry& e : entries) label[e.center] = e.dist;
         if (rng() % 2) {
-          cover.SetIn(node, std::move(entries));
+          cover.SetIn(node, entries);
+          in[node] = std::move(label);
         } else {
-          cover.SetOut(node, std::move(entries));
+          cover.SetOut(node, entries);
+          out[node] = std::move(label);
         }
       }
     }
     NodeId probe = rng() % 64;
-    JoinView in = cover.InJoin(probe), out = cover.OutJoin(probe);
-    const Entries& in_ref = cover.In(probe);
-    const Entries& out_ref = cover.Out(probe);
-    ASSERT_EQ(in_ref.size(), in.n);
-    ASSERT_EQ(out_ref.size(), out.n);
-    for (size_t i = 0; i < in.n; ++i) {
-      ASSERT_EQ(in_ref[i].center, in.center(i));
-      ASSERT_EQ(in_ref[i].dist, in.dist_at(i));
-      ASSERT_TRUE(in.summary.MightContain(in_ref[i].center));
+    for (auto [view, model] : {std::pair{cover.In(probe), &in[probe]},
+                               std::pair{cover.Out(probe), &out[probe]}}) {
+      ASSERT_EQ(ToEntries(view), entries_of(*model));
+      for (LabelEntry e : view) {
+        ASSERT_TRUE(view.summary.MightContain(e.center));
+      }
     }
-    for (size_t i = 0; i < out.n; ++i) {
-      ASSERT_EQ(out_ref[i].center, out.center(i));
-      ASSERT_EQ(out_ref[i].dist, out.dist_at(i));
-      ASSERT_TRUE(out.summary.MightContain(out_ref[i].center));
-    }
-    // And the kernel answers must match the scalar join on the raw
-    // vectors.
+    uint64_t size = 0;
+    for (NodeId v = 0; v < 64; ++v) size += in[v].size() + out[v].size();
+    ASSERT_EQ(cover.Size(), size);
+    // And the kernel answers must match the golden join on the model.
     NodeId u = rng() % 64, v = rng() % 64;
-    LabelJoinResult golden =
-        JoinLabels(u, v, cover.Out(u), cover.In(v), /*want_distance=*/true);
-    LabelJoinResult got = JoinViews(u, v, cover.OutJoin(u), cover.InJoin(v),
+    LabelJoinResult golden = ReferenceJoin(
+        u, v, entries_of(out[u]), entries_of(in[v]), /*want_distance=*/true);
+    LabelJoinResult got = JoinViews(u, v, cover.Out(u), cover.In(v),
                                     /*want_distance=*/true);
     ASSERT_EQ(golden.connected, got.connected);
     ASSERT_EQ(golden.distance, got.distance);

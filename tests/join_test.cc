@@ -65,10 +65,10 @@ struct TwoPartitionFixture {
       auto cover = twohop::BuildCover(sub.graph, options);
       EXPECT_TRUE(cover.ok());
       for (NodeId local = 0; local < cover->NumNodes(); ++local) {
-        for (const auto& e : cover->In(local)) {
+        for (twohop::LabelEntry e : cover->In(local)) {
           unified.AddIn(sub.Global(local), sub.Global(e.center), e.dist);
         }
-        for (const auto& e : cover->Out(local)) {
+        for (twohop::LabelEntry e : cover->Out(local)) {
           unified.AddOut(sub.Global(local), sub.Global(e.center), e.dist);
         }
       }
@@ -221,7 +221,7 @@ TEST(JoinTest, HbarUsesLinkTargetsAsCenters) {
   // e3's Lout must mention the reachable cross-link targets (e4 and,
   // through the PSG, e2).
   bool has_e4 = false;
-  for (const auto& entry : covers.cover().Out(f.e3)) {
+  for (twohop::LabelEntry entry : covers.cover().Out(f.e3)) {
     if (entry.center == f.e4) has_e4 = true;
   }
   EXPECT_TRUE(has_e4);

@@ -139,7 +139,8 @@ TEST(SeparationTest, FigureSixTopology) {
   std::vector<NodeId> roots;
   std::vector<NodeId> cites;
   for (int i = 0; i < 4; ++i) {
-    DocId d = c.AddDocument("m" + std::to_string(i) + ".xml");
+    DocId d =
+        c.AddDocument(std::string("m").append(std::to_string(i)) + ".xml");
     NodeId r = c.AddElement(d, "r");
     roots.push_back(r);
     cites.push_back(c.AddElement(d, "cite", r));

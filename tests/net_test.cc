@@ -151,7 +151,7 @@ TEST(HttpParserTest, TooManyHeadersIs431) {
   HttpParser parser({.max_headers = 4});
   std::string bytes = "GET / HTTP/1.1\r\n";
   for (int i = 0; i < 6; ++i) {
-    bytes += "h" + std::to_string(i) + ": v\r\n";
+    bytes += std::string("h").append(std::to_string(i)) + ": v\r\n";
   }
   bytes += "\r\n";
   HttpRequest request;

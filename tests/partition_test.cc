@@ -56,7 +56,8 @@ TEST(SkeletonGraphTest, EstimatesGrowAlongLinkChains) {
   Collection c;
   std::vector<NodeId> roots, cites;
   for (int i = 0; i < 3; ++i) {
-    DocId d = c.AddDocument("d" + std::to_string(i) + ".xml");
+    DocId d =
+        c.AddDocument(std::string("d").append(std::to_string(i)) + ".xml");
     NodeId r = c.AddElement(d, "r");
     for (int k = 0; k < 3 * (i + 1); ++k) c.AddElement(d, "x", r);
     cites.push_back(c.AddElement(d, "cite", r));

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "collection/builder.h"
+#include "engine/backends.h"
 #include "hopi/build.h"
 #include "query/path_query.h"
 #include "query/tag_index.h"
@@ -33,11 +34,13 @@ class QueryFixture : public ::testing::Test {
     auto index = BuildIndex(&c_, options);
     ASSERT_TRUE(index.ok());
     index_ = std::make_unique<HopiIndex>(std::move(index).value());
+    backend_ = std::make_unique<engine::HopiIndexBackend>(*index_);
     tags_ = std::make_unique<TagIndex>(c_);
   }
 
   Collection c_;
   std::unique_ptr<HopiIndex> index_;
+  std::unique_ptr<engine::HopiIndexBackend> backend_;
   std::unique_ptr<TagIndex> tags_;
 };
 
@@ -97,7 +100,7 @@ TEST_F(QueryFixture, TagIndexLookups) {
 TEST_F(QueryFixture, SingleStepReturnsTagMatches) {
   auto expr = PathExpression::Parse("//author");
   ASSERT_TRUE(expr.ok());
-  auto matches = EvaluatePath(*expr, *index_, *tags_);
+  auto matches = EvaluatePath(*expr, *backend_, c_, *tags_);
   ASSERT_TRUE(matches.ok());
   EXPECT_EQ(matches->size(), 2u);
 }
@@ -106,7 +109,7 @@ TEST_F(QueryFixture, DescendantAxisCrossesLink) {
   // //book//author must find bob via the citation link from a.xml.
   auto expr = PathExpression::Parse("//book//author");
   ASSERT_TRUE(expr.ok());
-  auto matches = EvaluatePath(*expr, *index_, *tags_);
+  auto matches = EvaluatePath(*expr, *backend_, c_, *tags_);
   ASSERT_TRUE(matches.ok());
   // a-book reaches alice (tree) and bob (via link); b-book reaches bob.
   EXPECT_EQ(matches->size(), 3u);
@@ -115,7 +118,7 @@ TEST_F(QueryFixture, DescendantAxisCrossesLink) {
 TEST_F(QueryFixture, WildcardStep) {
   auto expr = PathExpression::Parse("//book//*//author");
   ASSERT_TRUE(expr.ok());
-  auto matches = EvaluatePath(*expr, *index_, *tags_);
+  auto matches = EvaluatePath(*expr, *backend_, c_, *tags_);
   ASSERT_TRUE(matches.ok());
   EXPECT_GT(matches->size(), 0u);
 }
@@ -123,7 +126,7 @@ TEST_F(QueryFixture, WildcardStep) {
 TEST_F(QueryFixture, RankingPrefersShorterConnections) {
   auto expr = PathExpression::Parse("//book//author");
   ASSERT_TRUE(expr.ok());
-  auto matches = EvaluatePath(*expr, *index_, *tags_);
+  auto matches = EvaluatePath(*expr, *backend_, c_, *tags_);
   ASSERT_TRUE(matches.ok());
   ASSERT_GE(matches->size(), 2u);
   // Sorted by descending score; nearer author pairs first.
@@ -140,7 +143,7 @@ TEST_F(QueryFixture, MaxStepDistanceFilters) {
   ASSERT_TRUE(expr.ok());
   PathQueryOptions options;
   options.max_step_distance = 1;
-  auto matches = EvaluatePath(*expr, *index_, *tags_, options);
+  auto matches = EvaluatePath(*expr, *backend_, c_, *tags_, options);
   ASSERT_TRUE(matches.ok());
   for (const PathMatch& m : *matches) {
     EXPECT_LE(m.total_distance, 1u);
@@ -152,7 +155,7 @@ TEST_F(QueryFixture, MaxMatchesShortCircuits) {
   ASSERT_TRUE(expr.ok());
   PathQueryOptions options;
   options.max_matches = 1;
-  auto matches = EvaluatePath(*expr, *index_, *tags_, options);
+  auto matches = EvaluatePath(*expr, *backend_, c_, *tags_, options);
   ASSERT_TRUE(matches.ok());
   EXPECT_EQ(matches->size(), 1u);
 }
@@ -160,7 +163,7 @@ TEST_F(QueryFixture, MaxMatchesShortCircuits) {
 TEST_F(QueryFixture, CountMatchesDistinctFinalBindings) {
   auto expr = PathExpression::Parse("//book//author");
   ASSERT_TRUE(expr.ok());
-  auto count = CountPathResults(*expr, *index_, *tags_);
+  auto count = CountPathResults(*expr, *backend_, c_, *tags_);
   ASSERT_TRUE(count.ok());
   EXPECT_EQ(*count, 2u);  // alice and bob (distinct elements)
 }
@@ -168,7 +171,7 @@ TEST_F(QueryFixture, CountMatchesDistinctFinalBindings) {
 TEST_F(QueryFixture, NoMatchesForDisconnectedChain) {
   auto expr = PathExpression::Parse("//author//book");
   ASSERT_TRUE(expr.ok());
-  auto matches = EvaluatePath(*expr, *index_, *tags_);
+  auto matches = EvaluatePath(*expr, *backend_, c_, *tags_);
   ASSERT_TRUE(matches.ok());
   EXPECT_TRUE(matches->empty());
 }
@@ -176,7 +179,7 @@ TEST_F(QueryFixture, NoMatchesForDisconnectedChain) {
 TEST_F(QueryFixture, UnknownTagShortCircuits) {
   auto expr = PathExpression::Parse("//zzz//author");
   ASSERT_TRUE(expr.ok());
-  auto matches = EvaluatePath(*expr, *index_, *tags_);
+  auto matches = EvaluatePath(*expr, *backend_, c_, *tags_);
   ASSERT_TRUE(matches.ok());
   EXPECT_TRUE(matches->empty());
 }
@@ -189,13 +192,13 @@ TEST_F(QueryFixture, ApproximateStepExpandsSynonyms) {
 
   auto exact = PathExpression::Parse("//section//author");
   ASSERT_TRUE(exact.ok());
-  auto exact_matches = EvaluatePath(*exact, *index_, *tags_, options);
+  auto exact_matches = EvaluatePath(*exact, *backend_, c_, *tags_, options);
   ASSERT_TRUE(exact_matches.ok());
   EXPECT_EQ(exact_matches->size(), 1u);  // only alice sits under a section
 
   auto approx = PathExpression::Parse("//~section//author");
   ASSERT_TRUE(approx.ok());
-  auto approx_matches = EvaluatePath(*approx, *index_, *tags_, options);
+  auto approx_matches = EvaluatePath(*approx, *backend_, c_, *tags_, options);
   ASSERT_TRUE(approx_matches.ok());
   // Synonym expansion adds the chapter-rooted matches.
   EXPECT_GT(approx_matches->size(), exact_matches->size());
@@ -211,7 +214,7 @@ TEST_F(QueryFixture, ApproximateStepExpandsSynonyms) {
 TEST_F(QueryFixture, ApproximateWithoutRegistryBehavesExactly) {
   auto approx = PathExpression::Parse("//~section//author");
   ASSERT_TRUE(approx.ok());
-  auto matches = EvaluatePath(*approx, *index_, *tags_);  // no similarity
+  auto matches = EvaluatePath(*approx, *backend_, c_, *tags_);  // no similarity
   ASSERT_TRUE(matches.ok());
   EXPECT_EQ(matches->size(), 1u);
 }
@@ -232,7 +235,8 @@ TEST(QueryOnDblpTest, CiteChains) {
   TagIndex tags(c);
   auto expr = PathExpression::Parse("//inproceedings//cite//title");
   ASSERT_TRUE(expr.ok());
-  auto count = CountPathResults(*expr, *index, tags);
+  auto count =
+      CountPathResults(*expr, engine::HopiIndexBackend(*index), c, tags);
   ASSERT_TRUE(count.ok());
   // Citations lead to other publications' titles, so matches must exist
   // whenever there are links.
@@ -250,7 +254,8 @@ TEST(QueryOnDblpTest, CountNeverExceedsTagPopulation) {
                         "//inproceedings//cite"}) {
     auto expr = PathExpression::Parse(q);
     ASSERT_TRUE(expr.ok());
-    auto count = CountPathResults(*expr, *index, tags);
+    auto count =
+      CountPathResults(*expr, engine::HopiIndexBackend(*index), c, tags);
     ASSERT_TRUE(count.ok());
     EXPECT_LE(*count, tags.Lookup(expr->steps.back().tag).size());
   }

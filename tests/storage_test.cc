@@ -1,11 +1,14 @@
 #include <gtest/gtest.h>
-#include <unistd.h>
 
+#include <cstddef>
 #include <cstdio>
-#include <string>
-#include <vector>
-
+#include <cstring>
 #include <map>
+#include <optional>
+#include <span>
+#include <string>
+#include <tuple>
+#include <vector>
 
 #include "hopi/build.h"
 #include "storage/compress.h"
@@ -14,9 +17,13 @@
 #include "storage/mapped_linlout.h"
 #include "test_util.h"
 #include "twohop/builder.h"
+#include "twohop/reverse_index.h"
+#include "util/checksum.h"
 
 namespace hopi::storage {
 namespace {
+
+using hopi::testing::ToEntries;
 
 twohop::TwoHopCover SampleCover(bool with_distance, uint64_t seed = 5) {
   Digraph g = hopi::testing::RandomDag(40, 2.0, seed);
@@ -27,38 +34,60 @@ twohop::TwoHopCover SampleCover(bool with_distance, uint64_t seed = 5) {
   return std::move(cover).value();
 }
 
-TEST(LinLoutStoreTest, ConnectionTestMatchesCover) {
-  twohop::TwoHopCover cover = SampleCover(false);
-  LinLoutStore store = LinLoutStore::FromCover(cover, false);
-  for (NodeId u = 0; u < cover.NumNodes(); ++u) {
-    for (NodeId v = 0; v < cover.NumNodes(); ++v) {
-      EXPECT_EQ(store.TestConnection(u, v), cover.IsConnected(u, v))
-          << u << "->" << v;
-    }
-  }
+/// Writer options selecting `version` (default block sizes).
+StoreWriteOptions Format(uint32_t version) {
+  StoreWriteOptions options;
+  options.format_version = version;
+  return options;
 }
 
-TEST(LinLoutStoreTest, MinDistanceMatchesCover) {
-  twohop::TwoHopCover cover = SampleCover(true);
-  LinLoutStore store = LinLoutStore::FromCover(cover, true);
-  for (NodeId u = 0; u < cover.NumNodes(); ++u) {
-    for (NodeId v = 0; v < cover.NumNodes(); ++v) {
-      EXPECT_EQ(store.MinDistance(u, v), cover.Distance(u, v))
-          << u << "->" << v;
-    }
-  }
+/// Writes `store` to `path` in `version` (v4 with tiny blocks, so even
+/// the test covers span several).
+void WriteVersion(const LinLoutStore& store, uint32_t version,
+                  const std::string& path) {
+  StoreWriteOptions options = Format(version);
+  options.compress.target_block_bytes = 256;
+  options.compress.cluster_split_bytes = 64;
+  ASSERT_TRUE(store.WriteToFile(path, options).ok());
 }
 
-TEST(LinLoutStoreTest, DescendantsAncestorsMatchGraph) {
-  Digraph g = hopi::testing::RandomDag(35, 2.0, 9);
-  auto cover = twohop::BuildCover(g);
-  ASSERT_TRUE(cover.ok());
-  LinLoutStore store = LinLoutStore::FromCover(*cover, false);
-  twohop::IndexedCover indexed(*cover);
-  for (NodeId u = 0; u < g.NumNodes(); ++u) {
-    EXPECT_EQ(store.Descendants(u), indexed.Descendants(u));
-    EXPECT_EQ(store.Ancestors(u), indexed.Ancestors(u));
+MappedLinLoutStore OpenOrDie(const std::string& path, bool prefer_mmap) {
+  auto store = MappedLinLoutStore::Open(path, {.prefer_mmap = prefer_mmap});
+  EXPECT_TRUE(store.ok()) << store.status();
+  // POSIX CI: the real mmap path when asked, the buffered one otherwise.
+  EXPECT_EQ(store->mapped(), prefer_mmap);
+  return std::move(store).value();
+}
+
+void WriteBytes(const std::string& path, std::span<const std::byte> bytes) {
+  FILE* f = std::fopen(path.c_str(), "wb");
+  ASSERT_NE(f, nullptr);
+  if (!bytes.empty()) {
+    ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
   }
+  std::fclose(f);
+}
+
+/// Recomputes the checksums of a patched image — the v4 metadata CRC
+/// (bytes [0, first blob) with its own field zeroed) and the trailer —
+/// so the reader's structural checks, not a checksum, must catch the
+/// patch.
+void Reseal(std::vector<std::byte>* image) {
+  uint32_t version = 0;
+  std::memcpy(&version, image->data() + 4, sizeof(version));
+  if (version == kFormatVersionV4) {
+    uint64_t meta_end = 0;
+    std::memcpy(&meta_end, image->data() + 24 + kV4LinBlob * 16,
+                sizeof(meta_end));
+    uint32_t zero = 0;
+    uint32_t crc = Crc32(image->data(), 16);
+    crc = Crc32(&zero, sizeof(zero), crc);
+    crc = Crc32(image->data() + 20, meta_end - 20, crc);
+    std::memcpy(image->data() + 16, &crc, sizeof(crc));
+  }
+  uint32_t crc = Crc32(image->data(), image->size() - kTrailerBytes);
+  std::memcpy(image->data() + image->size() - kTrailerBytes, &crc,
+              sizeof(crc));
 }
 
 TEST(LinLoutStoreTest, EntryAccounting) {
@@ -71,105 +100,185 @@ TEST(LinLoutStoreTest, EntryAccounting) {
   EXPECT_EQ(dstore.StorageIntegers(), cover.Size() * 6);
 }
 
-TEST(LinLoutStoreTest, ScansAreSortedAndComplete) {
-  twohop::TwoHopCover cover = SampleCover(false, 11);
-  LinLoutStore store = LinLoutStore::FromCover(cover, false);
-  for (NodeId u = 0; u < cover.NumNodes(); ++u) {
-    auto lin = store.ScanLin(u);
-    EXPECT_EQ(lin.size(), cover.In(u).size());
-    for (size_t i = 1; i < lin.size(); ++i) {
-      EXPECT_LT(lin[i - 1].center, lin[i].center);
+// ---- the one reader against the source cover ----
+
+/// (format version, prefer_mmap, with_distance).
+using ReaderCase = std::tuple<uint32_t, bool, bool>;
+
+/// A cover written in one format and reopened through one open mode of
+/// MappedLinLoutStore; every answer must match the source cover.
+class MappedReaderParityTest : public ::testing::TestWithParam<ReaderCase> {
+ protected:
+  void SetUp() override {
+    auto [version, prefer_mmap, with_distance] = GetParam();
+    with_distance_ = with_distance;
+    cover_ = SampleCover(with_distance, 59);
+    LinLoutStore store = LinLoutStore::FromCover(cover_, with_distance);
+    num_entries_ = store.NumEntries();
+    storage_integers_ = store.StorageIntegers();
+    WriteVersion(store, version, path_);
+    store_.emplace(OpenOrDie(path_, prefer_mmap));
+  }
+  void TearDown() override { std::remove(path_.c_str()); }
+
+  std::string path_ = ::testing::TempDir() + "hopi_reader_parity.bin";
+  twohop::TwoHopCover cover_;
+  bool with_distance_ = false;
+  uint64_t num_entries_ = 0;
+  uint64_t storage_integers_ = 0;
+  std::optional<MappedLinLoutStore> store_;
+};
+
+TEST_P(MappedReaderParityTest, AccountingMatchesTheWriter) {
+  uint32_t version = std::get<0>(GetParam());
+  EXPECT_EQ(store_->format_version(), version);
+  EXPECT_EQ(store_->compressed(), version == kFormatVersionV4);
+  EXPECT_EQ(store_->with_distance(), with_distance_);
+  EXPECT_EQ(store_->NumEntries(), num_entries_);
+  EXPECT_EQ(store_->StorageIntegers(), storage_integers_);
+  EXPECT_TRUE(store_->VerifyBlocks().ok());
+}
+
+TEST_P(MappedReaderParityTest, EveryRowMatchesTheCover) {
+  for (NodeId u = 0; u < cover_.NumNodes(); ++u) {
+    auto lin = store_->DecodeLinRow(u);
+    ASSERT_TRUE(lin.ok()) << lin.status();
+    EXPECT_EQ(ToEntries(lin->view), ToEntries(cover_.In(u))) << "LIN " << u;
+    auto lout = store_->DecodeLoutRow(u);
+    ASSERT_TRUE(lout.ok()) << lout.status();
+    EXPECT_EQ(ToEntries(lout->view), ToEntries(cover_.Out(u))) << "LOUT " << u;
+    // v3 rows are also lent raw; a compressed store has none to lend.
+    auto span = store_->LinSpan(u);
+    EXPECT_EQ(std::vector<twohop::LabelEntry>(span.begin(), span.end()),
+              store_->compressed() ? std::vector<twohop::LabelEntry>{}
+                                   : ToEntries(cover_.In(u)));
+  }
+  // Out-of-range nodes decode to an engaged empty row.
+  auto absent = store_->DecodeLinRow(1u << 30);
+  ASSERT_TRUE(absent.ok());
+  EXPECT_EQ(absent->view.n, 0u);
+  EXPECT_TRUE(store_->LinSpan(1u << 30).empty());
+}
+
+TEST_P(MappedReaderParityTest, ConnectionAndDistanceMatchTheCover) {
+  for (NodeId u = 0; u < cover_.NumNodes(); ++u) {
+    for (NodeId v = 0; v < cover_.NumNodes(); ++v) {
+      EXPECT_EQ(store_->TestConnection(u, v), cover_.IsConnected(u, v))
+          << u << "->" << v;
+      EXPECT_EQ(store_->MinDistance(u, v), cover_.Distance(u, v))
+          << u << "->" << v;
     }
-    auto lout = store.ScanLout(u);
-    EXPECT_EQ(lout.size(), cover.Out(u).size());
   }
 }
 
-TEST(LinLoutStoreTest, LabelExportMatchesCover) {
-  twohop::TwoHopCover cover = SampleCover(true, 41);
-  LinLoutStore store = LinLoutStore::FromCover(cover, true);
-  std::vector<twohop::LabelEntry> label;
-  for (NodeId u = 0; u < cover.NumNodes(); ++u) {
-    store.LinLabel(u, &label);
-    EXPECT_EQ(label, cover.In(u));
-    store.LoutLabel(u, &label);
-    EXPECT_EQ(label, cover.Out(u));
+TEST_P(MappedReaderParityTest, AxesMatchTheIndexedCover) {
+  twohop::IndexedCover indexed(cover_);
+  for (NodeId u = 0; u < cover_.NumNodes(); ++u) {
+    EXPECT_EQ(store_->Descendants(u), indexed.Descendants(u)) << u;
+    EXPECT_EQ(store_->Ancestors(u), indexed.Ancestors(u)) << u;
   }
 }
 
-TEST(LinLoutStoreTest, RoundTripThroughCover) {
-  twohop::TwoHopCover cover = SampleCover(true, 13);
-  LinLoutStore store = LinLoutStore::FromCover(cover, true);
-  twohop::TwoHopCover back = store.ToCover(cover.NumNodes());
-  EXPECT_EQ(back.Size(), cover.Size());
-  for (NodeId u = 0; u < cover.NumNodes(); ++u) {
-    EXPECT_EQ(back.In(u).size(), cover.In(u).size());
-    EXPECT_EQ(back.Out(u).size(), cover.Out(u).size());
+INSTANTIATE_TEST_SUITE_P(
+    VersionsAndModes, MappedReaderParityTest,
+    ::testing::Combine(::testing::Values(kFormatVersion, kFormatVersionV4),
+                       ::testing::Bool(), ::testing::Bool()),
+    [](const ::testing::TestParamInfo<ReaderCase>& info) {
+      const uint32_t version = std::get<0>(info.param);
+      return std::string("v").append(std::to_string(version)) +
+             (std::get<1>(info.param) ? "_mmap" : "_buffered") +
+             (std::get<2>(info.param) ? "_dist" : "_plain");
+    });
+
+TEST(LinLoutStoreTest, EndToEndWithBuiltIndex) {
+  collection::Collection c = hopi::testing::SmallDblp(30, 21);
+  IndexBuildOptions options;
+  options.with_distance = true;
+  auto index = BuildIndex(&c, options);
+  ASSERT_TRUE(index.ok());
+  LinLoutStore store = LinLoutStore::FromCover(index->cover(), true);
+  const std::string path = ::testing::TempDir() + "hopi_store_e2e.bin";
+  for (uint32_t version : {kFormatVersion, kFormatVersionV4}) {
+    WriteVersion(store, version, path);
+    MappedLinLoutStore mapped = OpenOrDie(path, true);
+    Rng rng(3);
+    for (int i = 0; i < 500; ++i) {
+      NodeId u = static_cast<NodeId>(rng.NextBounded(c.NumElements()));
+      NodeId v = static_cast<NodeId>(rng.NextBounded(c.NumElements()));
+      EXPECT_EQ(mapped.TestConnection(u, v), index->IsReachable(u, v))
+          << "v" << version << " " << u << "->" << v;
+      EXPECT_EQ(mapped.MinDistance(u, v), index->Distance(u, v))
+          << "v" << version << " " << u << "->" << v;
+    }
+    for (NodeId u = 0; u < c.NumElements(); u += 7) {
+      EXPECT_EQ(mapped.Descendants(u), index->Descendants(u)) << u;
+      EXPECT_EQ(mapped.Ancestors(u), index->Ancestors(u)) << u;
+    }
   }
+  std::remove(path.c_str());
 }
 
-class LinLoutPersistenceTest : public ::testing::Test {
+// ---- what the reader refuses, in both open modes ----
+
+/// Parameter: MappedOpenOptions::prefer_mmap. The buffered open must
+/// reject exactly what the mapped one rejects.
+class ReaderRejectionTest : public ::testing::TestWithParam<bool> {
  protected:
   void TearDown() override { std::remove(path_.c_str()); }
+
+  Status OpenStatus() const {
+    return MappedLinLoutStore::Open(path_, {.prefer_mmap = GetParam()})
+        .status();
+  }
+
+  /// path_ holds `cover` written as `version`; returns its bytes.
+  std::vector<std::byte> WriteSample(uint32_t version, uint64_t seed) {
+    twohop::TwoHopCover cover = SampleCover(false, seed);
+    WriteVersion(LinLoutStore::FromCover(cover, false), version, path_);
+    return hopi::testing::ReadFileBytes(path_);
+  }
+
   std::string path_ = ::testing::TempDir() + "hopi_store_test.bin";
 };
 
-TEST_F(LinLoutPersistenceTest, WriteReadRoundTrip) {
-  twohop::TwoHopCover cover = SampleCover(true, 17);
-  LinLoutStore store = LinLoutStore::FromCover(cover, true);
-  ASSERT_TRUE(store.WriteToFile(path_).ok());
-  auto loaded = LinLoutStore::ReadFromFile(path_);
-  ASSERT_TRUE(loaded.ok()) << loaded.status();
-  EXPECT_EQ(loaded->NumEntries(), store.NumEntries());
-  EXPECT_TRUE(loaded->with_distance());
-  for (NodeId u = 0; u < cover.NumNodes(); ++u) {
-    for (NodeId v = 0; v < cover.NumNodes(); v += 3) {
-      EXPECT_EQ(loaded->TestConnection(u, v), store.TestConnection(u, v));
-      EXPECT_EQ(loaded->MinDistance(u, v), store.MinDistance(u, v));
-    }
-  }
+TEST_P(ReaderRejectionTest, MissingFileIsIOError) {
+  auto loaded = MappedLinLoutStore::Open("/nonexistent/dir/f.bin",
+                                         {.prefer_mmap = GetParam()});
+  EXPECT_TRUE(loaded.status().IsIOError()) << loaded.status();
 }
 
-TEST_F(LinLoutPersistenceTest, MissingFileIsIOError) {
-  auto loaded = LinLoutStore::ReadFromFile("/nonexistent/dir/f.bin");
-  EXPECT_TRUE(loaded.status().IsIOError());
-}
-
-TEST_F(LinLoutPersistenceTest, BadMagicIsCorruption) {
+TEST_P(ReaderRejectionTest, BadMagicIsCorruption) {
   FILE* f = std::fopen(path_.c_str(), "wb");
   ASSERT_NE(f, nullptr);
   std::fputs("NOTHOPI!xxxxxxxxxxxxxxxxxxxxxxxxxxx", f);
   std::fclose(f);
-  auto loaded = LinLoutStore::ReadFromFile(path_);
-  EXPECT_TRUE(loaded.status().IsCorruption());
+  Status s = OpenStatus();
+  EXPECT_TRUE(s.IsCorruption()) << s;
 }
 
-TEST_F(LinLoutPersistenceTest, TruncatedHeaderDetected) {
+TEST_P(ReaderRejectionTest, TruncatedHeaderDetected) {
   FILE* f = std::fopen(path_.c_str(), "wb");
   ASSERT_NE(f, nullptr);
-  std::fputs("HOPI", f);  // magic only, no version/flags/counts
+  std::fputs("HOPI", f);  // magic only, no version/flags/section table
   std::fclose(f);
-  auto loaded = LinLoutStore::ReadFromFile(path_);
-  EXPECT_TRUE(loaded.status().IsCorruption()) << loaded.status();
+  Status s = OpenStatus();
+  EXPECT_TRUE(s.IsCorruption()) << s;
 }
 
-TEST_F(LinLoutPersistenceTest, StaleFormatVersionIsUnsupported) {
-  twohop::TwoHopCover cover = SampleCover(false, 23);
-  LinLoutStore store = LinLoutStore::FromCover(cover, false);
-  ASSERT_TRUE(store.WriteToFile(path_).ok());
-  // Patch the version field (bytes 4..8) to a future version.
-  FILE* f = std::fopen(path_.c_str(), "rb+");
-  ASSERT_NE(f, nullptr);
-  uint32_t future_version = 99;
-  std::fseek(f, 4, SEEK_SET);
-  ASSERT_EQ(std::fwrite(&future_version, sizeof(future_version), 1, f), 1u);
-  std::fclose(f);
-  auto loaded = LinLoutStore::ReadFromFile(path_);
-  EXPECT_TRUE(loaded.status().IsUnsupported()) << loaded.status();
-  EXPECT_NE(loaded.status().message().find("99"), std::string::npos);
+TEST_P(ReaderRejectionTest, FutureFormatVersionIsUnsupported) {
+  for (uint32_t version : {kFormatVersion, kFormatVersionV4}) {
+    std::vector<std::byte> image = WriteSample(version, 23);
+    // Patch the version field (bytes 4..8) to a future version.
+    uint32_t future_version = 99;
+    std::memcpy(image.data() + 4, &future_version, sizeof(future_version));
+    WriteBytes(path_, image);
+    Status s = OpenStatus();
+    EXPECT_TRUE(s.IsUnsupported()) << s;
+    EXPECT_NE(s.message().find("99"), std::string::npos) << s;
+  }
 }
 
-TEST_F(LinLoutPersistenceTest, OldV1LayoutReportsVersionError) {
+TEST_P(ReaderRejectionTest, OldV1LayoutIsUnsupported) {
   // A v1 file started with the 8-byte magic "HOPILL01": the first four
   // bytes match the current magic and the next four parse as a bogus
   // version, so stale files fail clearly instead of being misread.
@@ -179,90 +288,91 @@ TEST_F(LinLoutPersistenceTest, OldV1LayoutReportsVersionError) {
   uint64_t v1_header[3] = {0, 0, 0};
   ASSERT_EQ(std::fwrite(v1_header, sizeof(v1_header), 1, f), 1u);
   std::fclose(f);
-  auto loaded = LinLoutStore::ReadFromFile(path_);
-  EXPECT_TRUE(loaded.status().IsUnsupported()) << loaded.status();
+  Status s = OpenStatus();
+  EXPECT_TRUE(s.IsUnsupported()) << s;
 }
 
-TEST_F(LinLoutPersistenceTest, UnknownHeaderFlagsAreCorruption) {
-  twohop::TwoHopCover cover = SampleCover(false, 29);
-  LinLoutStore store = LinLoutStore::FromCover(cover, false);
-  ASSERT_TRUE(store.WriteToFile(path_).ok());
-  // Set a reserved flag bit (bytes 8..12 hold the flags).
-  FILE* f = std::fopen(path_.c_str(), "rb+");
-  ASSERT_NE(f, nullptr);
-  uint32_t bogus_flags = 1u << 7;
-  std::fseek(f, 8, SEEK_SET);
-  ASSERT_EQ(std::fwrite(&bogus_flags, sizeof(bogus_flags), 1, f), 1u);
-  std::fclose(f);
-  auto loaded = LinLoutStore::ReadFromFile(path_);
-  EXPECT_TRUE(loaded.status().IsCorruption()) << loaded.status();
+TEST_P(ReaderRejectionTest, V2FileIsUnsupported) {
+  // The v2 layout: magic, version 2, flags, two u64 row counts, then
+  // bare (id, center, dist) triplets — no section table, no checksum.
+  std::vector<std::byte> image(12 + 2 * sizeof(uint64_t) +
+                               3 * sizeof(uint32_t));
+  std::memcpy(image.data(), kMagic, sizeof(kMagic));
+  uint32_t header[2] = {2, kFlagDistance};
+  std::memcpy(image.data() + 4, header, sizeof(header));
+  uint64_t counts[2] = {1, 0};
+  std::memcpy(image.data() + 12, counts, sizeof(counts));
+  uint32_t row[3] = {1, 0, 1};
+  std::memcpy(image.data() + 28, row, sizeof(row));
+  WriteBytes(path_, image);
+  Status s = OpenStatus();
+  EXPECT_TRUE(s.IsUnsupported()) << s;
+  EXPECT_NE(s.message().find("format version 2"), std::string::npos) << s;
 }
 
-TEST_F(LinLoutPersistenceTest, BogusRowCountsAreCorruption) {
-  twohop::TwoHopCover cover = SampleCover(false, 37);
-  LinLoutStore store = LinLoutStore::FromCover(cover, false);
-  ASSERT_TRUE(store.WriteToFile(path_).ok());
-  // Patch the LIN row count (bytes 12..20) to an absurd value: the
-  // reader must fail with Corruption, not attempt the allocation.
-  FILE* f = std::fopen(path_.c_str(), "rb+");
-  ASSERT_NE(f, nullptr);
-  uint64_t bogus_count = UINT64_MAX / 2;
-  std::fseek(f, 12, SEEK_SET);
-  ASSERT_EQ(std::fwrite(&bogus_count, sizeof(bogus_count), 1, f), 1u);
-  std::fclose(f);
-  auto loaded = LinLoutStore::ReadFromFile(path_);
-  EXPECT_TRUE(loaded.status().IsCorruption()) << loaded.status();
-}
-
-TEST_F(LinLoutPersistenceTest, DistanceFlagRoundTrips) {
-  twohop::TwoHopCover cover = SampleCover(true, 31);
-  for (bool with_distance : {false, true}) {
-    LinLoutStore store = LinLoutStore::FromCover(cover, with_distance);
-    ASSERT_TRUE(store.WriteToFile(path_).ok());
-    auto loaded = LinLoutStore::ReadFromFile(path_);
-    ASSERT_TRUE(loaded.ok()) << loaded.status();
-    EXPECT_EQ(loaded->with_distance(), with_distance);
+TEST_P(ReaderRejectionTest, UnknownHeaderFlagsAreCorruption) {
+  for (uint32_t version : {kFormatVersion, kFormatVersionV4}) {
+    std::vector<std::byte> image = WriteSample(version, 29);
+    // Set a reserved flag bit (bytes 8..12 hold the flags).
+    uint32_t bogus_flags = 1u << 7;
+    std::memcpy(image.data() + 8, &bogus_flags, sizeof(bogus_flags));
+    Reseal(&image);
+    WriteBytes(path_, image);
+    Status s = OpenStatus();
+    EXPECT_TRUE(s.IsCorruption()) << "v" << version << ": " << s;
+    // Caught by the structural check, not by a stale checksum.
+    EXPECT_EQ(s.message().find("checksum"), std::string::npos) << s;
   }
 }
 
-TEST_F(LinLoutPersistenceTest, TruncatedRowsDetected) {
-  twohop::TwoHopCover cover = SampleCover(false, 19);
-  LinLoutStore store = LinLoutStore::FromCover(cover, false);
-  ASSERT_TRUE(store.WriteToFile(path_).ok());
-  // Chop the file.
-  FILE* f = std::fopen(path_.c_str(), "rb");
-  ASSERT_NE(f, nullptr);
-  std::fseek(f, 0, SEEK_END);
-  long size = std::ftell(f);
-  std::fclose(f);
-  ASSERT_TRUE(::truncate(path_.c_str(), size - 8) == 0);
-  auto loaded = LinLoutStore::ReadFromFile(path_);
-  EXPECT_TRUE(loaded.status().IsCorruption());
+TEST_P(ReaderRejectionTest, AbsurdCountsAreCorruption) {
+  // Row-section lengths far beyond the file, behind a valid checksum:
+  // the bounds checks must refuse them before anything is dereferenced
+  // or allocated.
+  for (uint32_t version : {kFormatVersion, kFormatVersionV4}) {
+    std::vector<std::byte> image = WriteSample(version, 37);
+    size_t length_at = version == kFormatVersion ? 16 + kLinRows * 16 + 8
+                                                 : 24 + kV4LinDir * 16 + 8;
+    uint64_t bogus_length = UINT64_MAX / 2;
+    std::memcpy(image.data() + length_at, &bogus_length,
+                sizeof(bogus_length));
+    Reseal(&image);
+    WriteBytes(path_, image);
+    Status s = OpenStatus();
+    EXPECT_TRUE(s.IsCorruption()) << "v" << version << ": " << s;
+    // Caught by the structural check, not by a stale checksum.
+    EXPECT_EQ(s.message().find("checksum"), std::string::npos) << s;
+  }
+  // A v4 block claiming more entries than its section holds, behind a
+  // valid metadata CRC.
+  std::vector<std::byte> image = WriteSample(kFormatVersionV4, 37);
+  uint64_t blocks_at = 0;
+  std::memcpy(&blocks_at, image.data() + 24 + kV4LinBlocks * 16,
+              sizeof(blocks_at));
+  uint32_t bogus_entries = UINT32_MAX;
+  std::memcpy(image.data() + blocks_at + offsetof(V4BlockEntry, num_entries),
+              &bogus_entries, sizeof(bogus_entries));
+  Reseal(&image);
+  WriteBytes(path_, image);
+  Status s = OpenStatus();
+  EXPECT_TRUE(s.IsCorruption()) << s;
+  EXPECT_EQ(s.message().find("checksum"), std::string::npos) << s;
 }
 
-TEST(LinLoutStoreTest, EmptyStoreAnswersNothing) {
-  LinLoutStore store = LinLoutStore::FromCover(twohop::TwoHopCover(5), false);
-  EXPECT_EQ(store.NumEntries(), 0u);
-  EXPECT_FALSE(store.TestConnection(0, 1));
-  EXPECT_TRUE(store.TestConnection(2, 2));  // reflexive
-  EXPECT_TRUE(store.Descendants(3).empty());
-  EXPECT_TRUE(store.Ancestors(3).empty());
-  EXPECT_EQ(store.MinDistance(4, 4), std::optional<uint32_t>(0));
+TEST_P(ReaderRejectionTest, TruncatedRowsDetected) {
+  for (uint32_t version : {kFormatVersion, kFormatVersionV4}) {
+    std::vector<std::byte> image = WriteSample(version, 19);
+    image.resize(image.size() - 8);  // chop the trailer
+    WriteBytes(path_, image);
+    Status s = OpenStatus();
+    EXPECT_TRUE(s.IsCorruption()) << "v" << version << ": " << s;
+  }
 }
 
-TEST(LinLoutStoreTest, PlainStoreDistancesAreZero) {
-  // A plain store (no DIST column) still answers MinDistance: connected
-  // pairs report 0 — the paper's plain index simply cannot rank.
-  Digraph g(3);
-  g.AddEdge(0, 1);
-  g.AddEdge(1, 2);
-  auto cover = twohop::BuildCover(g);
-  ASSERT_TRUE(cover.ok());
-  LinLoutStore store = LinLoutStore::FromCover(*cover, false);
-  auto d = store.MinDistance(0, 2);
-  ASSERT_TRUE(d.has_value());
-  EXPECT_EQ(*d, 0u);
-}
+INSTANTIATE_TEST_SUITE_P(OpenModes, ReaderRejectionTest, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? "mmap" : "buffered";
+                         });
 
 // ---- crash safety and the v3 on-disk format ----
 
@@ -273,16 +383,27 @@ class StorageFormatTest : public ::testing::Test {
     std::remove((path_ + ".tmp").c_str());
   }
 
-  /// Fresh store written to path_; returns the in-memory original.
+  /// Fresh v3 store written to path_; returns the in-memory original.
   LinLoutStore WriteSample(bool with_distance, uint64_t seed) {
     twohop::TwoHopCover cover = SampleCover(with_distance, seed);
     LinLoutStore store = LinLoutStore::FromCover(cover, with_distance);
-    EXPECT_TRUE(store.WriteToFile(path_).ok());
+    EXPECT_TRUE(
+        store.WriteToFile(path_, Format(kFormatVersion)).ok());
     return store;
   }
 
   std::string path_ = ::testing::TempDir() + "hopi_format_test.bin";
 };
+
+TEST_F(StorageFormatTest, DefaultWriteIsV4) {
+  LinLoutStore store = LinLoutStore::FromCover(SampleCover(false, 43), false);
+  ASSERT_TRUE(store.WriteToFile(path_).ok());
+  auto info = InspectFile(path_);
+  ASSERT_TRUE(info.ok()) << info.status();
+  EXPECT_EQ(info->version, kFormatVersionV4);
+  Status s = store.WriteToFile(path_, Format(2));
+  EXPECT_TRUE(s.IsInvalidArgument()) << s;
+}
 
 TEST_F(StorageFormatTest, AtomicWriterLeavesNoTempFile) {
   WriteSample(true, 43);
@@ -294,7 +415,7 @@ TEST_F(StorageFormatTest, AtomicWriterLeavesNoTempFile) {
 TEST_F(StorageFormatTest, RewriteReplacesExistingFileAtomically) {
   WriteSample(false, 43);
   LinLoutStore second = WriteSample(true, 47);  // overwrite in place
-  auto loaded = LinLoutStore::ReadFromFile(path_);
+  auto loaded = MappedLinLoutStore::Open(path_);
   ASSERT_TRUE(loaded.ok()) << loaded.status();
   EXPECT_TRUE(loaded->with_distance());
   EXPECT_EQ(loaded->NumEntries(), second.NumEntries());
@@ -328,34 +449,24 @@ TEST_F(StorageFormatTest, TruncationAtEverySectionBoundaryIsCorruption) {
   ASSERT_TRUE(info.ok()) << info.status();
   // Every boundary of the file: header end, each section's begin and
   // end, and mid-trailer. A torn write stopping at any of them must
-  // read as Corruption from both readers — never a crash or garbage.
+  // read as Corruption in both open modes — never a crash or garbage.
   std::vector<uint64_t> boundaries = {0, 4, kHeaderBytes,
                                       info->file_bytes - 4};
   for (const SectionRange& s : info->sections) {
     boundaries.push_back(s.offset);
     boundaries.push_back(s.offset + s.length);
   }
-  std::vector<std::byte> image(info->file_bytes);
-  {
-    FILE* f = std::fopen(path_.c_str(), "rb");
-    ASSERT_NE(f, nullptr);
-    ASSERT_EQ(std::fread(image.data(), 1, image.size(), f), image.size());
-    std::fclose(f);
-  }
+  std::vector<std::byte> image = hopi::testing::ReadFileBytes(path_);
   for (uint64_t cut : boundaries) {
     ASSERT_LT(cut, info->file_bytes);
-    FILE* f = std::fopen(path_.c_str(), "wb");
-    ASSERT_NE(f, nullptr);
-    if (cut > 0) {
-      ASSERT_EQ(std::fwrite(image.data(), 1, cut, f), cut);
+    WriteBytes(path_, std::span(image).first(cut));
+    for (bool prefer_mmap : {true, false}) {
+      auto loaded =
+          MappedLinLoutStore::Open(path_, {.prefer_mmap = prefer_mmap});
+      EXPECT_TRUE(loaded.status().IsCorruption())
+          << (prefer_mmap ? "mapped" : "buffered") << ", cut at " << cut
+          << ": " << loaded.status();
     }
-    std::fclose(f);
-    auto buffered = LinLoutStore::ReadFromFile(path_);
-    EXPECT_TRUE(buffered.status().IsCorruption())
-        << "buffered, cut at " << cut << ": " << buffered.status();
-    auto mapped = MappedLinLoutStore::Open(path_);
-    EXPECT_TRUE(mapped.status().IsCorruption())
-        << "mapped, cut at " << cut << ": " << mapped.status();
   }
 }
 
@@ -365,199 +476,51 @@ TEST_F(StorageFormatTest, BitFlipAnywhereIsCorruption) {
   ASSERT_TRUE(info.ok());
   // Flip one bit in the middle of the row data: only the trailing
   // checksum can catch this (the sections still parse).
-  uint64_t victim = info->sections[kLinRows].offset + 5;
-  FILE* f = std::fopen(path_.c_str(), "rb+");
-  ASSERT_NE(f, nullptr);
-  std::fseek(f, static_cast<long>(victim), SEEK_SET);
-  int c = std::fgetc(f);
-  ASSERT_NE(c, EOF);
-  std::fseek(f, static_cast<long>(victim), SEEK_SET);
-  std::fputc(c ^ 0x10, f);
-  std::fclose(f);
-  auto buffered = LinLoutStore::ReadFromFile(path_);
-  EXPECT_TRUE(buffered.status().IsCorruption()) << buffered.status();
-  auto mapped = MappedLinLoutStore::Open(path_);
-  EXPECT_TRUE(mapped.status().IsCorruption()) << mapped.status();
-}
-
-// ---- the mmap-backed reader ----
-
-class MappedStoreTest : public StorageFormatTest {};
-
-TEST_F(MappedStoreTest, MappedAndBufferedReadersAgreeEverywhere) {
-  LinLoutStore original = WriteSample(true, 59);
-  auto loaded = LinLoutStore::ReadFromFile(path_);
-  ASSERT_TRUE(loaded.ok()) << loaded.status();
-  auto mapped = MappedLinLoutStore::Open(path_);
-  ASSERT_TRUE(mapped.ok()) << mapped.status();
-  EXPECT_TRUE(mapped->mapped());  // POSIX CI: the real mmap path
-  EXPECT_EQ(mapped->NumEntries(), original.NumEntries());
-  EXPECT_EQ(mapped->StorageIntegers(), original.StorageIntegers());
-  EXPECT_TRUE(mapped->with_distance());
-  twohop::TwoHopCover cover = SampleCover(true, 59);
-  for (NodeId u = 0; u < cover.NumNodes(); ++u) {
-    for (NodeId v = 0; v < cover.NumNodes(); ++v) {
-      EXPECT_EQ(mapped->TestConnection(u, v), loaded->TestConnection(u, v))
-          << u << "->" << v;
-      EXPECT_EQ(mapped->MinDistance(u, v), loaded->MinDistance(u, v))
-          << u << "->" << v;
-    }
-    EXPECT_EQ(mapped->Descendants(u), loaded->Descendants(u)) << u;
-    EXPECT_EQ(mapped->Ancestors(u), loaded->Ancestors(u)) << u;
+  std::vector<std::byte> image = hopi::testing::ReadFileBytes(path_);
+  image[info->sections[kLinRows].offset + 5] ^= std::byte{0x10};
+  WriteBytes(path_, image);
+  for (bool prefer_mmap : {true, false}) {
+    auto loaded = MappedLinLoutStore::Open(path_, {.prefer_mmap = prefer_mmap});
+    EXPECT_TRUE(loaded.status().IsCorruption()) << loaded.status();
   }
 }
 
-TEST_F(MappedStoreTest, SpansMatchMaterializedLabels) {
-  LinLoutStore original = WriteSample(true, 61);
-  auto mapped = MappedLinLoutStore::Open(path_);
-  ASSERT_TRUE(mapped.ok()) << mapped.status();
-  twohop::TwoHopCover cover = SampleCover(true, 61);
-  std::vector<twohop::LabelEntry> label;
-  for (NodeId u = 0; u < cover.NumNodes(); ++u) {
-    original.LinLabel(u, &label);
-    auto lin = mapped->LinSpan(u);
-    EXPECT_EQ(std::vector<twohop::LabelEntry>(lin.begin(), lin.end()), label);
-    original.LoutLabel(u, &label);
-    auto lout = mapped->LoutSpan(u);
-    EXPECT_EQ(std::vector<twohop::LabelEntry>(lout.begin(), lout.end()),
-              label);
-  }
-  EXPECT_TRUE(mapped->LinSpan(1u << 30).empty());  // out-of-range node
-}
-
-TEST_F(MappedStoreTest, BufferedFallbackAnswersIdentically) {
-  WriteSample(true, 67);
-  auto mapped = MappedLinLoutStore::Open(path_);
-  ASSERT_TRUE(mapped.ok()) << mapped.status();
-  auto fallback = MappedLinLoutStore::Open(path_, {.prefer_mmap = false});
-  ASSERT_TRUE(fallback.ok()) << fallback.status();
-  EXPECT_FALSE(fallback->mapped());
-  twohop::TwoHopCover cover = SampleCover(true, 67);
-  for (NodeId u = 0; u < cover.NumNodes(); ++u) {
-    for (NodeId v = 0; v < cover.NumNodes(); v += 2) {
-      EXPECT_EQ(fallback->TestConnection(u, v), mapped->TestConnection(u, v));
-      EXPECT_EQ(fallback->MinDistance(u, v), mapped->MinDistance(u, v));
-    }
-    EXPECT_EQ(fallback->Descendants(u), mapped->Descendants(u));
-  }
-}
-
-TEST_F(MappedStoreTest, MissingFileIsIOError) {
-  auto mapped = MappedLinLoutStore::Open("/nonexistent/dir/f.bin");
-  EXPECT_TRUE(mapped.status().IsIOError()) << mapped.status();
-}
-
-TEST_F(MappedStoreTest, EmptyStoreRoundTrips) {
+TEST_F(StorageFormatTest, EmptyStoreRoundTrips) {
   LinLoutStore store = LinLoutStore::FromCover(twohop::TwoHopCover(5), false);
-  ASSERT_TRUE(store.WriteToFile(path_).ok());
-  auto mapped = MappedLinLoutStore::Open(path_);
-  ASSERT_TRUE(mapped.ok()) << mapped.status();
-  EXPECT_EQ(mapped->NumEntries(), 0u);
-  EXPECT_FALSE(mapped->TestConnection(0, 1));
-  EXPECT_TRUE(mapped->TestConnection(2, 2));  // reflexive
-  EXPECT_TRUE(mapped->Descendants(3).empty());
-}
-
-// ---- v2 migration path ----
-
-namespace v2 {
-
-/// Serializes `store` in the legacy v2 layout (header + bare row
-/// triplets, no section table, no checksum) so the migration tests can
-/// exercise files written by the previous format revision.
-void WriteLegacyFile(const LinLoutStore& store, size_t num_nodes,
-                     const std::string& path) {
-  std::vector<TableRow> lin, lout;
-  for (NodeId u = 0; u < num_nodes; ++u) {
-    for (const TableRow& r : store.ScanLin(u)) lin.push_back(r);
-    for (const TableRow& r : store.ScanLout(u)) lout.push_back(r);
-  }
-  FILE* f = std::fopen(path.c_str(), "wb");
-  ASSERT_NE(f, nullptr);
-  uint32_t version = kLegacyFormatVersion;
-  uint32_t flags = store.with_distance() ? kFlagDistance : 0;
-  uint64_t counts[2] = {lin.size(), lout.size()};
-  ASSERT_EQ(std::fwrite(kMagic, sizeof(kMagic), 1, f), 1u);
-  ASSERT_EQ(std::fwrite(&version, sizeof(version), 1, f), 1u);
-  ASSERT_EQ(std::fwrite(&flags, sizeof(flags), 1, f), 1u);
-  ASSERT_EQ(std::fwrite(counts, sizeof(counts), 1, f), 1u);
-  for (const std::vector<TableRow>* run : {&lin, &lout}) {
-    for (const TableRow& r : *run) {
-      uint32_t buf[3] = {r.id, r.center, r.dist};
-      ASSERT_EQ(std::fwrite(buf, sizeof(buf), 1, f), 1u);
-    }
-  }
-  std::fclose(f);
-}
-
-}  // namespace v2
-
-TEST_F(StorageFormatTest, LegacyV2FileReadsAndMigratesToV3) {
-  twohop::TwoHopCover cover = SampleCover(true, 71);
-  LinLoutStore store = LinLoutStore::FromCover(cover, true);
-  v2::WriteLegacyFile(store, cover.NumNodes(), path_);
-  auto info = InspectFile(path_);
-  ASSERT_TRUE(info.ok());
-  EXPECT_EQ(info->version, kLegacyFormatVersion);
-  // The buffered reader accepts v2...
-  auto loaded = LinLoutStore::ReadFromFile(path_);
-  ASSERT_TRUE(loaded.ok()) << loaded.status();
-  EXPECT_EQ(loaded->NumEntries(), store.NumEntries());
-  EXPECT_TRUE(loaded->with_distance());
-  // ...the mapped reader refuses it with a pointer to the migration...
-  auto mapped = MappedLinLoutStore::Open(path_);
-  EXPECT_TRUE(mapped.status().IsUnsupported()) << mapped.status();
-  EXPECT_NE(mapped.status().message().find("migrate"), std::string::npos);
-  // ...and writing the loaded store back produces a v3 file that the
-  // mapped reader serves with identical answers.
-  ASSERT_TRUE(loaded->WriteToFile(path_).ok());
-  auto migrated_info = InspectFile(path_);
-  ASSERT_TRUE(migrated_info.ok());
-  EXPECT_EQ(migrated_info->version, kFormatVersion);
-  auto migrated = MappedLinLoutStore::Open(path_);
-  ASSERT_TRUE(migrated.ok()) << migrated.status();
-  for (NodeId u = 0; u < cover.NumNodes(); ++u) {
-    for (NodeId v = 0; v < cover.NumNodes(); v += 3) {
-      EXPECT_EQ(migrated->TestConnection(u, v), store.TestConnection(u, v));
-      EXPECT_EQ(migrated->MinDistance(u, v), store.MinDistance(u, v));
-    }
+  for (uint32_t version : {kFormatVersion, kFormatVersionV4}) {
+    ASSERT_TRUE(store.WriteToFile(path_, Format(version)).ok());
+    auto mapped = MappedLinLoutStore::Open(path_);
+    ASSERT_TRUE(mapped.ok()) << mapped.status();
+    EXPECT_EQ(mapped->compressed(), version == kFormatVersionV4);
+    EXPECT_EQ(mapped->NumEntries(), 0u);
+    EXPECT_FALSE(mapped->TestConnection(0, 1));
+    EXPECT_TRUE(mapped->TestConnection(2, 2));  // reflexive
+    EXPECT_EQ(mapped->MinDistance(4, 4), std::optional<uint32_t>(0));
+    EXPECT_TRUE(mapped->Descendants(3).empty());
+    EXPECT_TRUE(mapped->Ancestors(3).empty());
+    auto row = mapped->DecodeLinRow(0);
+    ASSERT_TRUE(row.ok());
+    EXPECT_EQ(row->view.n, 0u);
   }
 }
 
-TEST_F(StorageFormatTest, DuplicateRowsInLegacyV2FileAreCorruption) {
-  // A v2 file with duplicate (id, center) rows must be rejected at
-  // read time: if it loaded, writing it back would produce a v3 file
-  // that the strict directory validation refuses — a migration that
-  // manufactures Corruption out of a "readable" file.
-  FILE* f = std::fopen(path_.c_str(), "wb");
-  ASSERT_NE(f, nullptr);
-  uint32_t version = kLegacyFormatVersion;
-  uint32_t flags = 0;
-  uint64_t counts[2] = {2, 0};
-  ASSERT_EQ(std::fwrite(kMagic, sizeof(kMagic), 1, f), 1u);
-  ASSERT_EQ(std::fwrite(&version, sizeof(version), 1, f), 1u);
-  ASSERT_EQ(std::fwrite(&flags, sizeof(flags), 1, f), 1u);
-  ASSERT_EQ(std::fwrite(counts, sizeof(counts), 1, f), 1u);
-  uint32_t row[3] = {1, 2, 0};
-  ASSERT_EQ(std::fwrite(row, sizeof(row), 1, f), 1u);
-  ASSERT_EQ(std::fwrite(row, sizeof(row), 1, f), 1u);  // exact duplicate
-  std::fclose(f);
-  auto loaded = LinLoutStore::ReadFromFile(path_);
-  EXPECT_TRUE(loaded.status().IsCorruption()) << loaded.status();
-}
-
-TEST_F(StorageFormatTest, TruncatedLegacyV2FileIsCorruption) {
-  twohop::TwoHopCover cover = SampleCover(false, 73);
-  LinLoutStore store = LinLoutStore::FromCover(cover, false);
-  v2::WriteLegacyFile(store, cover.NumNodes(), path_);
-  FILE* f = std::fopen(path_.c_str(), "rb");
-  ASSERT_NE(f, nullptr);
-  std::fseek(f, 0, SEEK_END);
-  long size = std::ftell(f);
-  std::fclose(f);
-  ASSERT_EQ(::truncate(path_.c_str(), size - 8), 0);
-  auto loaded = LinLoutStore::ReadFromFile(path_);
-  EXPECT_TRUE(loaded.status().IsCorruption()) << loaded.status();
+TEST_F(StorageFormatTest, PlainStoreDistancesAreZero) {
+  // A plain store (no DIST column) still answers MinDistance: connected
+  // pairs report 0 — the paper's plain index simply cannot rank.
+  Digraph g(3);
+  g.AddEdge(0, 1);
+  g.AddEdge(1, 2);
+  auto cover = twohop::BuildCover(g);
+  ASSERT_TRUE(cover.ok());
+  LinLoutStore store = LinLoutStore::FromCover(*cover, false);
+  for (uint32_t version : {kFormatVersion, kFormatVersionV4}) {
+    ASSERT_TRUE(store.WriteToFile(path_, Format(version)).ok());
+    auto mapped = MappedLinLoutStore::Open(path_);
+    ASSERT_TRUE(mapped.ok()) << mapped.status();
+    auto d = mapped->MinDistance(0, 2);
+    ASSERT_TRUE(d.has_value());
+    EXPECT_EQ(*d, 0u);
+  }
 }
 
 // ---- the v4 block codec ----
@@ -659,8 +622,7 @@ std::map<uint32_t, std::vector<twohop::LabelEntry>> DecodeAll(
     EXPECT_TRUE(decoded.ok()) << decoded.status();
     if (!decoded.ok()) continue;
     for (size_t r = 0; r < decoded->NumRows(); ++r) {
-      auto row = decoded->Row(r);
-      out[decoded->row_keys[r]] = {row.begin(), row.end()};
+      out[decoded->row_keys[r]] = ToEntries(decoded->JoinRow(r));
     }
   }
   return out;
@@ -809,72 +771,6 @@ TEST_F(StorageFormatV4Test, WriterIsDeterministic) {
   EXPECT_EQ(hopi::testing::ReadFileBytes(path_), first);
 }
 
-TEST_F(StorageFormatV4Test, BufferedReaderRoundTripsV4) {
-  LinLoutStore original = WriteSampleV4(true, 59);
-  auto loaded = LinLoutStore::ReadFromFile(path_);
-  ASSERT_TRUE(loaded.ok()) << loaded.status();
-  EXPECT_EQ(loaded->NumEntries(), original.NumEntries());
-  EXPECT_TRUE(loaded->with_distance());
-  twohop::TwoHopCover cover = SampleCover(true, 59);
-  for (NodeId u = 0; u < cover.NumNodes(); ++u) {
-    for (NodeId v = 0; v < cover.NumNodes(); ++v) {
-      EXPECT_EQ(loaded->TestConnection(u, v), original.TestConnection(u, v));
-      EXPECT_EQ(loaded->MinDistance(u, v), original.MinDistance(u, v));
-    }
-  }
-}
-
-TEST_F(StorageFormatV4Test, MappedV4DecodesBitIdenticalLabels) {
-  LinLoutStore original = WriteSampleV4(true, 61);
-  auto mapped = MappedLinLoutStore::Open(path_);
-  ASSERT_TRUE(mapped.ok()) << mapped.status();
-  EXPECT_TRUE(mapped->compressed());
-  EXPECT_EQ(mapped->format_version(), kFormatVersionV4);
-  EXPECT_EQ(mapped->NumEntries(), original.NumEntries());
-  ASSERT_TRUE(mapped->VerifyBlocks().ok());
-  twohop::TwoHopCover cover = SampleCover(true, 61);
-  std::vector<twohop::LabelEntry> label;
-  for (NodeId u = 0; u < cover.NumNodes(); ++u) {
-    original.LinLabel(u, &label);
-    auto lin = mapped->DecodeLinRow(u);
-    ASSERT_TRUE(lin.ok()) << lin.status();
-    EXPECT_EQ(std::vector<twohop::LabelEntry>(lin->entries.begin(),
-                                              lin->entries.end()),
-              label)
-        << "LIN " << u;
-    original.LoutLabel(u, &label);
-    auto lout = mapped->DecodeLoutRow(u);
-    ASSERT_TRUE(lout.ok()) << lout.status();
-    EXPECT_EQ(std::vector<twohop::LabelEntry>(lout->entries.begin(),
-                                              lout->entries.end()),
-              label)
-        << "LOUT " << u;
-  }
-  // Raw spans are a v3 affordance; a compressed store has none.
-  EXPECT_TRUE(mapped->LinSpan(0).empty());
-  // Out-of-range nodes decode to an engaged empty row.
-  auto absent = mapped->DecodeLinRow(1u << 30);
-  ASSERT_TRUE(absent.ok());
-  EXPECT_TRUE(absent->entries.empty());
-}
-
-TEST_F(StorageFormatV4Test, MappedV4AnswersEveryQueryLikeV3) {
-  LinLoutStore original = WriteSampleV4(true, 67);
-  auto mapped = MappedLinLoutStore::Open(path_);
-  ASSERT_TRUE(mapped.ok()) << mapped.status();
-  twohop::TwoHopCover cover = SampleCover(true, 67);
-  for (NodeId u = 0; u < cover.NumNodes(); ++u) {
-    for (NodeId v = 0; v < cover.NumNodes(); ++v) {
-      EXPECT_EQ(mapped->TestConnection(u, v), original.TestConnection(u, v))
-          << u << "->" << v;
-      EXPECT_EQ(mapped->MinDistance(u, v), original.MinDistance(u, v))
-          << u << "->" << v;
-    }
-    EXPECT_EQ(mapped->Descendants(u), original.Descendants(u)) << u;
-    EXPECT_EQ(mapped->Ancestors(u), original.Ancestors(u)) << u;
-  }
-}
-
 TEST_F(StorageFormatV4Test, CompressionBeatsRawOnRedundantCovers) {
   // The paper-shaped workload: a sizable DAG whose LIN/LOUT rows share
   // long prefixes. v4 must cut bytes/entry by well over the 2x the
@@ -885,7 +781,8 @@ TEST_F(StorageFormatV4Test, CompressionBeatsRawOnRedundantCovers) {
   auto cover = twohop::BuildCover(g, cover_options);
   ASSERT_TRUE(cover.ok());
   LinLoutStore store = LinLoutStore::FromCover(*cover, true);
-  ASSERT_TRUE(store.WriteToFile(path_).ok());  // v3
+  ASSERT_TRUE(store.WriteToFile(path_, Format(kFormatVersion))
+                  .ok());
   uint64_t v3_bytes = hopi::testing::ReadFileBytes(path_).size();
   StoreWriteOptions v4;
   v4.format_version = kFormatVersionV4;
@@ -918,7 +815,7 @@ TEST_F(StorageFormatV4Test, TruncationAtEveryV4BoundaryIsCorruption) {
       ASSERT_EQ(std::fwrite(image.data(), 1, cut, f), cut);
     }
     std::fclose(f);
-    auto buffered = LinLoutStore::ReadFromFile(path_);
+    auto buffered = MappedLinLoutStore::Open(path_, {.prefer_mmap = false});
     EXPECT_TRUE(buffered.status().IsCorruption())
         << "buffered, cut at " << cut << ": " << buffered.status();
     auto mapped = MappedLinLoutStore::Open(path_);
@@ -974,55 +871,6 @@ TEST_F(StorageFormatV4Test, LazyOpenDefersBlobChecksToDecodeTime) {
   std::fclose(w);
   auto lazy2 = MappedLinLoutStore::Open(path_, {.verify_file_checksum = false});
   EXPECT_TRUE(lazy2.status().IsCorruption()) << lazy2.status();
-}
-
-TEST_F(StorageFormatV4Test, EmptyStoreRoundTripsAsV4) {
-  LinLoutStore store = LinLoutStore::FromCover(twohop::TwoHopCover(5), false);
-  StoreWriteOptions options;
-  options.format_version = kFormatVersionV4;
-  ASSERT_TRUE(store.WriteToFile(path_, options).ok());
-  auto mapped = MappedLinLoutStore::Open(path_);
-  ASSERT_TRUE(mapped.ok()) << mapped.status();
-  EXPECT_TRUE(mapped->compressed());
-  EXPECT_EQ(mapped->NumEntries(), 0u);
-  EXPECT_FALSE(mapped->TestConnection(0, 1));
-  EXPECT_TRUE(mapped->TestConnection(2, 2));  // reflexive
-  EXPECT_TRUE(mapped->Descendants(3).empty());
-  auto row = mapped->DecodeLinRow(0);
-  ASSERT_TRUE(row.ok());
-  EXPECT_TRUE(row->entries.empty());
-}
-
-TEST_F(StorageFormatV4Test, LegacyV2FileMigratesStraightToV4) {
-  twohop::TwoHopCover cover = SampleCover(true, 71);
-  LinLoutStore store = LinLoutStore::FromCover(cover, true);
-  v2::WriteLegacyFile(store, cover.NumNodes(), path_);
-  auto loaded = LinLoutStore::ReadFromFile(path_);
-  ASSERT_TRUE(loaded.ok()) << loaded.status();
-  StoreWriteOptions options;
-  options.format_version = kFormatVersionV4;
-  ASSERT_TRUE(loaded->WriteToFile(path_, options).ok());
-  auto mapped = MappedLinLoutStore::Open(path_);
-  ASSERT_TRUE(mapped.ok()) << mapped.status();
-  for (NodeId u = 0; u < cover.NumNodes(); ++u) {
-    for (NodeId v = 0; v < cover.NumNodes(); v += 3) {
-      EXPECT_EQ(mapped->TestConnection(u, v), store.TestConnection(u, v));
-      EXPECT_EQ(mapped->MinDistance(u, v), store.MinDistance(u, v));
-    }
-  }
-}
-
-TEST(LinLoutStoreTest, EndToEndWithBuiltIndex) {
-  collection::Collection c = hopi::testing::SmallDblp(30, 21);
-  auto index = BuildIndex(&c);
-  ASSERT_TRUE(index.ok());
-  LinLoutStore store = LinLoutStore::FromCover(index->cover(), false);
-  Rng rng(3);
-  for (int i = 0; i < 500; ++i) {
-    NodeId u = static_cast<NodeId>(rng.NextBounded(c.NumElements()));
-    NodeId v = static_cast<NodeId>(rng.NextBounded(c.NumElements()));
-    EXPECT_EQ(store.TestConnection(u, v), index->IsReachable(u, v));
-  }
 }
 
 }  // namespace

@@ -13,9 +13,15 @@
 #include "collection/collection.h"
 #include "datagen/dblp.h"
 #include "graph/digraph.h"
+#include "twohop/join_view.h"
 #include "util/rng.h"
 
 namespace hopi::testing {
+
+/// A label view's entries copied out as values, for comparisons.
+inline std::vector<twohop::LabelEntry> ToEntries(const twohop::JoinView& view) {
+  return std::vector<twohop::LabelEntry>(view.begin(), view.end());
+}
 
 /// Random DAG: `n` nodes, each node gets edges to ~`avg_out` later nodes.
 /// Edges only go forward in id order, so the result is acyclic.

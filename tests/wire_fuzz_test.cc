@@ -173,8 +173,8 @@ TEST(HttpParserFuzzTest, OversizedInputsStraddlingEveryLimitAreSafe) {
     // Header block sized around the byte limit (under, at, over).
     size_t header_bytes = 200 + rng.NextBounded(150);
     while (bytes.size() < header_bytes) {
-      bytes += "h" + std::to_string(rng.NextBounded(20)) + ": " +
-               std::string(rng.NextBounded(40), 'v') + "\r\n";
+      bytes += std::string("h").append(std::to_string(rng.NextBounded(20))) +
+               ": " + std::string(rng.NextBounded(40), 'v') + "\r\n";
     }
     bytes += "content-length: " +
              std::to_string(rng.NextBounded(1024)) + "\r\n\r\n";
