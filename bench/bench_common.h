@@ -1,16 +1,18 @@
 // Shared helpers for the benchmark harnesses.
 //
 // Every bench binary prints rows shaped like the paper's tables and
-// accepts --docs / --seed flags to scale the synthetic collections. The
-// paper's absolute numbers are reprinted alongside measured values in
-// EXPERIMENTS.md; here we print the measured table plus the workload
-// parameters so runs are self-describing.
+// accepts --docs / --seed flags to scale the synthetic collections. Each
+// prints the measured table plus the workload parameters, and writes the
+// same numbers with the host they ran on (BenchReport), so runs are
+// self-describing.
 #pragma once
 
 #include <cstdint>
 #include <cstdio>
+#include <fstream>
 #include <iostream>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -21,13 +23,49 @@
 #include "util/cli.h"
 #include "util/table_printer.h"
 
+// Build identity, passed in by bench/CMakeLists.txt.
+#ifndef HOPI_BENCH_GIT_SHA
+#define HOPI_BENCH_GIT_SHA "unknown"
+#endif
+#ifndef HOPI_BENCH_GIT_DIRTY
+#define HOPI_BENCH_GIT_DIRTY -1
+#endif
+#ifndef HOPI_BENCH_BUILD_TYPE
+#define HOPI_BENCH_BUILD_TYPE "unknown"
+#endif
+#if defined(__clang__)
+#define HOPI_BENCH_COMPILER "clang " __clang_version__
+#elif defined(__GNUC__)
+#define HOPI_BENCH_COMPILER "gcc " __VERSION__
+#else
+#define HOPI_BENCH_COMPILER "unknown"
+#endif
+
 namespace hopi::bench {
+
+/// The first "model name" line of /proc/cpuinfo; "unknown" elsewhere.
+inline std::string CpuModel() {
+  std::ifstream cpuinfo("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(cpuinfo, line)) {
+    size_t colon = line.find(':');
+    if (line.rfind("model name", 0) != 0 || colon == std::string::npos) {
+      continue;
+    }
+    size_t value = line.find_first_not_of(" \t", colon + 1);
+    return value == std::string::npos ? "unknown" : line.substr(value);
+  }
+  return "unknown";
+}
 
 /// Machine-readable twin of the printed tables: a flat, ordered
 /// key -> value map written as `BENCH_<name>.json` in the working
 /// directory, so CI and the experiment notes can diff runs without
 /// scraping stdout. Hand-rolled writer — two value kinds (number,
-/// string), no dependencies, deterministic field order.
+/// string), no dependencies, deterministic field order. Every file
+/// opens with a `host` block (cores, CPU model, build type, compiler,
+/// commit and whether the tree had uncommitted changes), so two files
+/// say whether their numbers can be compared.
 ///
 ///   BenchReport report("storage_io");
 ///   report.Add("v4_bytes_per_entry", 3.71);
@@ -66,6 +104,17 @@ class BenchReport {
 
   std::string ToJson() const {
     std::string out = "{\n  \"bench\": \"" + Escaped(name_) + "\"";
+    out += ",\n  \"host\": {";
+    out += "\n    \"nproc\": ";
+    out += std::to_string(std::thread::hardware_concurrency());
+    out += ",\n    \"cpu_model\": \"" + Escaped(CpuModel()) + "\"";
+    out += ",\n    \"build_type\": \"" +
+           Escaped(HOPI_BENCH_BUILD_TYPE) + "\"";
+    out += ",\n    \"compiler\": \"" + Escaped(HOPI_BENCH_COMPILER) + "\"";
+    out += ",\n    \"git_sha\": \"" + Escaped(HOPI_BENCH_GIT_SHA) + "\"";
+    out += ",\n    \"git_dirty\": ";
+    out += std::to_string(HOPI_BENCH_GIT_DIRTY);
+    out += "\n  }";
     for (const auto& [key, value] : fields_) {
       out += ",\n  \"" + Escaped(key) + "\": " + value;
     }

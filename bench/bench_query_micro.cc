@@ -371,8 +371,9 @@ void RunJoinKernelSweep() {
         batch.push_back(MakeSweepProbe(kSmall * ratio, kSmall, positive,
                                        &rng));
       }
-      std::string workload = "r" + std::to_string(ratio) +
-                             (negheavy ? "_negheavy" : "_positive");
+      std::string workload = std::string("r")
+                                 .append(std::to_string(ratio))
+                                 .append(negheavy ? "_negheavy" : "_positive");
       std::vector<std::string> row = {workload};
       double scalar_rate = 0, auto_rate = 0;
       for (twohop::JoinKernel k :

@@ -15,7 +15,7 @@
 //              number the v4 design is accountable to.
 //
 // Writes BENCH_storage_io.json (bytes/entry both formats, compression
-// ratio, cold/warm probes/s) for CI and EXPERIMENTS.md to diff.
+// ratio, cold/warm probes/s) for runs to be diffed.
 #include <cstdio>
 #include <iostream>
 #include <string>

@@ -64,21 +64,9 @@ ReachabilityResponse QueryEngine::Reachability(
   return response;
 }
 
-PinnedJoin QueryEngine::FetchJoinLabel(LabelCache::Side side, NodeId node,
+PinnedJoin QueryEngine::FetchJoinLabel(bool out, NodeId node,
                                        BatchStats* stats,
                                        Status* error) const {
-  bool out = side == LabelCache::Side::kOut;
-  // Row-memo fast path: once a node's row has been located inside a
-  // decoded block, warm probes skip every directory search — one hash
-  // find, one weak-pin upgrade, O(1) row. This is what keeps the v4
-  // warm path competitive with the raw v3 borrow route.
-  uint64_t row_key = LabelCache::KeyFor(side, node);
-  uint32_t memo_row = 0;
-  if (LabelBlock block = cache_.GetRow(row_key, &memo_row)) {
-    ++stats->cache_hits;
-    twohop::JoinView view = block->JoinRow(memo_row);
-    return {view, std::move(block)};
-  }
   // Block route: compressed storage names the block holding the row;
   // the cache serves the decoded block, pinned for the caller. Checked
   // before the borrow route because for compressed backends both
@@ -106,7 +94,6 @@ PinnedJoin QueryEngine::FetchJoinLabel(LabelCache::Side side, NodeId node,
     }
     int64_t row = block->RowIndexFor(node);
     if (row < 0) return {twohop::JoinView{}, std::move(block)};
-    cache_.MemoRow(row_key, block, static_cast<uint32_t>(row));
     twohop::JoinView view = block->JoinRow(static_cast<size_t>(row));
     return {view, std::move(block)};
   }
@@ -151,10 +138,10 @@ BatchResponse QueryEngine::Batch(const BatchRequest& request) const {
         if (request.want_distances) distance[k] = 0;
         continue;
       }
-      PinnedJoin lout = FetchJoinLabel(LabelCache::Side::kOut, u,
-                                       &response.stats, &response.error);
-      PinnedJoin lin = FetchJoinLabel(LabelCache::Side::kIn, v,
-                                      &response.stats, &response.error);
+      PinnedJoin lout = FetchJoinLabel(/*out=*/true, u, &response.stats,
+                                       &response.error);
+      PinnedJoin lin = FetchJoinLabel(/*out=*/false, v, &response.stats,
+                                      &response.error);
       twohop::LabelJoinResult join = twohop::JoinViews(
           u, v, lout.view, lin.view, request.want_distances);
       reachable[k] = join.connected;

@@ -97,8 +97,8 @@ struct BatchStats {
   size_t probes = 0;
   /// Distinct (u, v) pairs actually evaluated after in-batch dedup.
   size_t unique_probes = 0;
-  /// Label sets served from the engine's cache (block route, warm —
-  /// through the row memo or a resident block).
+  /// Label sets served from the engine's cache (block route, warm: a
+  /// resident block).
   size_t cache_hits = 0;
   /// Label sets whose block the cache did not hold (block route, cold:
   /// the engine decoded the block, or failed to).
@@ -221,17 +221,17 @@ class QueryEngine {
   LabelCache::Stats CacheStats() const { return cache_.StatsSnapshot(); }
 
  private:
-  /// One label fetch, as the join kernels want it, by one of three
-  /// steps: the row memo (a warm row of a resident block), the block
-  /// route (a pinned block through the byte-budgeted cache, decoded on
-  /// a miss), or the borrow route (the backend lends its own storage —
-  /// a cover's packed columns, a v3 file's rows). Counts the route
-  /// taken into `stats`; the first decode failure lands in `*error`
-  /// and yields an empty view. The returned PinnedJoin keeps the view
+  /// One label fetch — LOUT(node) when `out`, else LIN(node) — as the
+  /// join kernels want it, by one of two routes: the block route (a
+  /// pinned block through the byte-budgeted cache, decoded on a miss)
+  /// or the borrow route (the backend lends its own storage — a
+  /// cover's packed columns, a v3 file's rows). Counts the route taken
+  /// into `stats`; the first decode failure lands in `*error` and
+  /// yields an empty view. The returned PinnedJoin keeps the view
   /// valid regardless of later fetches or evictions — exactly as long
   /// as the batch join needs it.
-  PinnedJoin FetchJoinLabel(LabelCache::Side side, NodeId node,
-                            BatchStats* stats, Status* error) const;
+  PinnedJoin FetchJoinLabel(bool out, NodeId node, BatchStats* stats,
+                            Status* error) const;
 
   const collection::Collection* collection_;
   std::unique_ptr<ReachabilityBackend> backend_;

@@ -1,6 +1,5 @@
 #include "engine/label_cache.h"
 
-#include <iterator>
 #include <utility>
 
 namespace hopi::engine {
@@ -8,11 +7,10 @@ namespace hopi::engine {
 LabelCache::LabelCache(size_t byte_budget) : byte_budget_(byte_budget) {}
 
 LabelCache::LabelCache(LabelCache&& other) noexcept
-    : map_(std::move(other.map_)),
-      rows_(std::move(other.rows_)),
+    : lru_(std::move(other.lru_)),
+      map_(std::move(other.map_)),
       byte_budget_(other.byte_budget_),
       resident_(other.resident_),
-      clock_(other.clock_),
       size_(other.size_.load(std::memory_order_relaxed)),
       bytes_(other.bytes_.load(std::memory_order_relaxed)),
       hits_(other.hits_.load(std::memory_order_relaxed)),
@@ -22,8 +20,9 @@ LabelCache::LabelCache(LabelCache&& other) noexcept
       decode_nanos_(other.decode_nanos_.load(std::memory_order_relaxed)) {
   // The counters moved with the entries; a moved-from cache is empty
   // and must report like one (no phantom hits from its past life).
+  other.lru_.clear();
+  other.map_.clear();
   other.resident_ = 0;
-  other.clock_ = 0;
   other.size_.store(0, std::memory_order_relaxed);
   other.bytes_.store(0, std::memory_order_relaxed);
   other.hits_.store(0, std::memory_order_relaxed);
@@ -40,35 +39,16 @@ LabelBlock LabelCache::Get(uint64_t handle) {
     return nullptr;
   }
   hits_.fetch_add(1, std::memory_order_relaxed);
-  it->second.used = ++clock_;
-  return it->second.block;
-}
-
-LabelBlock LabelCache::GetRow(uint64_t row_key, uint32_t* row) {
-  auto it = rows_.find(row_key);
-  if (it == rows_.end()) return nullptr;
-  if (LabelBlock block = it->second.block.lock()) {
-    hits_.fetch_add(1, std::memory_order_relaxed);
-    *row = it->second.row;
-    return block;
-  }
-  rows_.erase(it);  // the block died; let the block route rebuild this
-  return nullptr;
-}
-
-void LabelCache::MemoRow(uint64_t row_key, const LabelBlock& block,
-                         uint32_t row) {
-  rows_[row_key] = RowRef{block, row};
+  lru_.splice(lru_.begin(), lru_, it->second);
+  return it->second->block;
 }
 
 void LabelCache::EvictUntilWithinBudget() {
-  while (resident_ > byte_budget_ && !map_.empty()) {
-    auto victim = map_.begin();
-    for (auto it = std::next(victim); it != map_.end(); ++it) {
-      if (it->second.used < victim->second.used) victim = it;
-    }
-    resident_ -= victim->second.bytes;
-    map_.erase(victim);  // may free the block, unless a caller pins it
+  while (resident_ > byte_budget_ && !lru_.empty()) {
+    Entry& victim = lru_.back();
+    resident_ -= victim.bytes;
+    map_.erase(victim.handle);
+    lru_.pop_back();  // may free the block, unless a caller pins it
     evictions_.fetch_add(1, std::memory_order_relaxed);
   }
 }
@@ -77,10 +57,15 @@ LabelBlock LabelCache::Put(uint64_t handle, LabelBlock block) {
   const size_t bytes =
       block ? block->ApproxBytes() : sizeof(storage::DecodedBlock);
   auto [it, inserted] = map_.try_emplace(handle);
-  if (!inserted) resident_ -= it->second.bytes;
-  it->second.block = block;
-  it->second.bytes = bytes;
-  it->second.used = ++clock_;
+  if (inserted) {
+    lru_.push_front(Entry{handle, block, bytes});
+    it->second = lru_.begin();
+  } else {
+    resident_ -= it->second->bytes;
+    it->second->block = block;
+    it->second->bytes = bytes;
+    lru_.splice(lru_.begin(), lru_, it->second);
+  }
   resident_ += bytes;
   // Shed least-recently-used entries until the budget holds. The entry
   // just inserted is fair game too (budget smaller than one block):
@@ -97,8 +82,8 @@ void LabelCache::RecordDecode(uint64_t nanos) {
 }
 
 void LabelCache::Clear() {
+  lru_.clear();
   map_.clear();
-  rows_.clear();
   resident_ = 0;
   size_.store(0, std::memory_order_relaxed);
   bytes_.store(0, std::memory_order_relaxed);

@@ -5,8 +5,7 @@
 // The cache's unit is a shared_ptr<const DecodedBlock>: a whole decoded
 // v4 block (many rows), keyed by the backend's block handle. One cold
 // probe pays one block decode; every other row in the block is then a
-// hit. A row memo beside it maps (side, node) to its row inside a
-// resident block, so warm probes skip the directory search.
+// hit.
 //
 // Ownership/pinning rule: Get/Put hand out shared_ptr pins. Eviction
 // removes the CACHE's reference only — any batch still joining rows of
@@ -22,17 +21,9 @@
 // "cache nothing" configuration; correctness never depends on
 // residency, only speed does).
 //
-// Recency is tracked with a per-entry access generation instead of an
-// intrusive list: a hit is a hash find plus one counter store, and
-// eviction — the rare path, always behind a block decode — scans for
-// the minimum generation. Exact LRU either way; the bookkeeping cost
-// sits on the miss path where it is invisible next to the decode.
-// One deliberate exception: row-memo hits (GetRow) skip the recency
-// bump — touching the block entry would cost a second hash find on
-// the hottest path. Under eviction pressure a block served only
-// through the memo can age out; its memo entries then expire and the
-// next touch re-decodes and re-ranks it. Approximate recency, exact
-// accounting.
+// Recency is exact: entries sit in a list ordered most- to least-
+// recently used, a Get or Put splices its entry to the front, and
+// eviction pops the back — O(1) per lookup, insert and eviction.
 //
 // Threading (one writer, many stats readers): exactly one thread — the
 // engine that owns the cache — may call the structural operations
@@ -46,7 +37,7 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
+#include <list>
 #include <unordered_map>
 
 #include "engine/backend.h"
@@ -55,9 +46,6 @@ namespace hopi::engine {
 
 class LabelCache {
  public:
-  /// Which label set of a node a row-memo key names.
-  enum class Side : uint8_t { kOut = 0, kIn = 1 };
-
   /// One relaxed read of every counter (see StatsSnapshot).
   struct Stats {
     uint64_t hits = 0;
@@ -94,30 +82,9 @@ class LabelCache {
   LabelCache(const LabelCache&) = delete;
   LabelCache& operator=(const LabelCache&) = delete;
 
-  /// Row-memo key of one node's LOUT or LIN row.
-  static uint64_t KeyFor(Side side, NodeId node) {
-    return (static_cast<uint64_t>(node) << 1) |
-           static_cast<uint64_t>(side);
-  }
-
   /// Returns a pin on the block cached under `handle` and marks it
   /// most-recently-used; null on a miss. Owner-thread only.
   LabelBlock Get(uint64_t handle);
-
-  /// Row-memo fast path for the block route: a hit returns a pin on
-  /// the block that holds the row and writes the row's index within it
-  /// — no directory search, no block lookup. The memo holds WEAK
-  /// references: it charges nothing against the byte budget and never
-  /// keeps an evicted block alive; once the block dies the stale memo
-  /// entry is dropped and the lookup misses (the caller then re-takes
-  /// the block route, which re-memoizes). A memo hit counts as a cache
-  /// hit; a memo miss counts nothing — the block route's Get/decode
-  /// accounts for it. Owner-thread only.
-  LabelBlock GetRow(uint64_t row_key, uint32_t* row);
-
-  /// Remembers that `row_key`'s label is row `row` of `block`.
-  /// Owner-thread only.
-  void MemoRow(uint64_t row_key, const LabelBlock& block, uint32_t row);
 
   /// Inserts (or overwrites) the block cached under `handle`, then
   /// evicts least-recently-used blocks until the byte budget holds.
@@ -164,25 +131,19 @@ class LabelCache {
 
  private:
   struct Entry {
+    uint64_t handle;
     LabelBlock block;
-    size_t bytes;     // ApproxBytes at insert, charged until eviction
-    uint64_t used;    // generation of the last Get/Put touch
+    size_t bytes;  // ApproxBytes at insert, charged until eviction
   };
+  using Lru = std::list<Entry>;
 
-  /// A weak row -> (block, row index) shortcut; see GetRow.
-  struct RowRef {
-    std::weak_ptr<const storage::DecodedBlock> block;
-    uint32_t row;
-  };
-
-  /// Drops entries in ascending `used` order until the budget holds.
+  /// Drops entries from the back of lru_ until the budget holds.
   void EvictUntilWithinBudget();
 
-  std::unordered_map<uint64_t, Entry> map_;
-  std::unordered_map<uint64_t, RowRef> rows_;
+  Lru lru_;  // most-recently used first
+  std::unordered_map<uint64_t, Lru::iterator> map_;
   size_t byte_budget_;
-  size_t resident_ = 0;   // authoritative; bytes_ mirrors it
-  uint64_t clock_ = 0;    // bumped on every touch; never wraps in practice
+  size_t resident_ = 0;  // authoritative; bytes_ mirrors it
   std::atomic<size_t> size_{0};
   std::atomic<size_t> bytes_{0};
   std::atomic<uint64_t> hits_{0};

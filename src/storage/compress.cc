@@ -130,11 +130,8 @@ EncodedLabelSection EncodeLabelRows(std::span<const LabelRowRef> rows,
 Result<DecodedBlock> DecodeLabelBlock(std::span<const std::byte> blob,
                                       std::span<const V4DirEntry> dir,
                                       const V4BlockEntry& block,
-                                      bool with_distance,
-                                      const std::string& context) {
-  auto corrupt = [&context](const char* what) {
-    return Status::Corruption(std::string(what) + " in " + context);
-  };
+                                      bool with_distance) {
+  auto corrupt = [](const char* what) { return Status::Corruption(what); };
   // Bounds first: never dereference a byte the block table cannot
   // prove is there.
   if (block.num_rows == 0 || block.first_dir > dir.size() ||
@@ -150,27 +147,43 @@ Result<DecodedBlock> DecodeLabelBlock(std::span<const std::byte> blob,
   if (Crc32(bytes.data(), bytes.size()) != block.crc) {
     return corrupt("block checksum mismatch (bit rot?)");
   }
+  // The columns are sized from the block table before a byte is
+  // decoded, so the entry count must be one the blob can back: every
+  // entry is a suffix entry (at least one byte) or a copy of a
+  // dictionary entry (itself a suffix entry), so no row holds more
+  // than blob_bytes entries.
+  const uint32_t num_rows = block.num_rows;
+  const uint32_t num_entries = block.num_entries;
+  if (num_entries > uint64_t{num_rows} * block.blob_bytes) {
+    return corrupt("block entry count exceeds its bytes");
+  }
 
   DecodedBlock decoded;
-  decoded.row_keys.reserve(block.num_rows);
-  decoded.row_begin.reserve(block.num_rows + 1);
-  decoded.row_summaries.reserve(block.num_rows);
-  decoded.centers.reserve(block.num_entries);
-  decoded.dists.reserve(block.num_entries);
-  decoded.row_begin.push_back(0);
-  auto append = [&decoded](uint32_t center, uint32_t dist,
-                           twohop::LabelSummary* summary) {
-    decoded.centers.push_back(center);
-    decoded.dists.push_back(dist);
-    summary->Add(center);
-  };
+  decoded.row_keys.resize(num_rows);
+  decoded.row_begin.resize(size_t{num_rows} + 1);
+  decoded.row_summaries.resize(num_rows);
+  decoded.centers.resize(num_entries);
+  decoded.dists.resize(num_entries);  // stays 0 without distances
+  uint32_t* centers = decoded.centers.data();
+  uint32_t* dists = decoded.dists.data();
+  const V4DirEntry* rows = dir.data() + block.first_dir;
 
+  // Pass 1: columns. Each row is its shared prefix, copied from the
+  // dictionary (row 0, at [0, dict_len)), then its delta-coded suffix.
+  // row_summaries[r] holds the row's prefix length until pass 2.
   const std::byte* p = bytes.data();
   const std::byte* end = p + bytes.size();
-  uint64_t total_entries = 0;
-  for (uint32_t r = 0; r < block.num_rows; ++r) {
-    const V4DirEntry& d = dir[block.first_dir + r];
+  uint32_t pos = 0;  // entries written so far
+  uint32_t dict_len = 0;
+  for (uint32_t r = 0; r < num_rows; ++r) {
+    const V4DirEntry& d = rows[r];
     if (d.count == 0) return corrupt("empty row in directory");
+    // The running count bounds every write below: a directory that
+    // disagrees with the block table cannot push a row past the
+    // presized columns.
+    if (d.count > num_entries - pos) {
+      return corrupt("block entry count mismatch");
+    }
     uint32_t prefix;
     if (!GetVarint32(&p, end, &prefix)) {
       return corrupt("truncated block (prefix count)");
@@ -178,38 +191,57 @@ Result<DecodedBlock> DecodeLabelBlock(std::span<const std::byte> blob,
     if (prefix > d.count || (r == 0 && prefix != 0)) {
       return corrupt("bad row prefix count");
     }
-    // The dictionary is row 0 of this block, already decoded at
-    // [0, row_begin[1]).
-    size_t dict_len = r == 0 ? 0 : decoded.row_begin[1];
     if (prefix > dict_len) return corrupt("row prefix beyond dictionary");
-    twohop::LabelSummary summary = twohop::LabelSummary::Empty();
-    for (size_t i = 0; i < prefix; ++i) {
-      append(decoded.centers[i], decoded.dists[i], &summary);
+    if (prefix > 0) {
+      std::memcpy(centers + pos, centers, prefix * sizeof(uint32_t));
+      if (with_distance) {
+        std::memcpy(dists + pos, dists, prefix * sizeof(uint32_t));
+      }
     }
-    bool have_prev = prefix > 0;
-    uint64_t prev = have_prev ? decoded.centers[prefix - 1] : 0;
-    for (uint32_t i = prefix; i < d.count; ++i) {
-      uint32_t delta, dist = 0;
+    // Smallest center the next entry may take: one past the previous
+    // center, or 0 when the suffix starts the row.
+    uint64_t next = prefix > 0 ? uint64_t{centers[prefix - 1]} + 1 : 0;
+    const uint32_t row_end = pos + d.count;
+    for (uint32_t i = pos + prefix; i < row_end; ++i) {
+      uint32_t delta;
       if (!GetVarint32(&p, end, &delta)) {
         return corrupt("truncated block (center delta)");
       }
-      if (with_distance && !GetVarint32(&p, end, &dist)) {
+      if (with_distance && !GetVarint32(&p, end, &dists[i])) {
         return corrupt("truncated block (distance)");
       }
-      uint64_t center = have_prev ? prev + 1 + delta : delta;
+      uint64_t center = next + delta;
       if (center > UINT32_MAX) return corrupt("center overflows 32 bits");
-      append(static_cast<uint32_t>(center), dist, &summary);
-      prev = center;
-      have_prev = true;
+      centers[i] = static_cast<uint32_t>(center);
+      next = center + 1;
     }
-    decoded.row_keys.push_back(d.key);
-    decoded.row_begin.push_back(static_cast<uint32_t>(decoded.centers.size()));
-    decoded.row_summaries.push_back(summary.word);
-    total_entries += d.count;
+    decoded.row_keys[r] = d.key;
+    decoded.row_begin[r + 1] = row_end;
+    // The dictionary row is its own prefix.
+    decoded.row_summaries[r] = r == 0 ? d.count : prefix;
+    if (r == 0) dict_len = d.count;
+    pos = row_end;
   }
   if (p != end) return corrupt("trailing bytes after last row");
-  if (total_entries != block.num_entries) {
-    return corrupt("block entry count mismatch");
+  if (pos != num_entries) return corrupt("block entry count mismatch");
+
+  // Pass 2: summaries. A row's prefix summary is the dictionary's
+  // running summary at the prefix length, and its suffix (ascending,
+  // like every row) is folded in after it.
+  std::vector<uint64_t> dict_summaries(dict_len);
+  twohop::LabelSummary running = twohop::LabelSummary::Empty();
+  for (uint32_t i = 0; i < dict_len; ++i) {
+    running.Add(centers[i]);
+    dict_summaries[i] = running.word;
+  }
+  for (uint32_t r = 0; r < num_rows; ++r) {
+    const uint32_t prefix = static_cast<uint32_t>(decoded.row_summaries[r]);
+    twohop::LabelSummary summary =
+        prefix > 0 ? twohop::LabelSummary{dict_summaries[prefix - 1]}
+                   : twohop::LabelSummary::Empty();
+    const uint32_t suffix = decoded.row_begin[r] + prefix;
+    summary.AddAscending(centers + suffix, decoded.row_begin[r + 1] - suffix);
+    decoded.row_summaries[r] = summary.word;
   }
   return decoded;
 }

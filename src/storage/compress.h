@@ -41,7 +41,6 @@
 #include <cstdint>
 #include <memory>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "graph/digraph.h"
@@ -75,9 +74,14 @@ struct V4BlockEntry {
 };
 static_assert(sizeof(V4BlockEntry) == 32 && alignof(V4BlockEntry) == 8);
 
-/// Writer knobs for the clustering pass. The defaults keep one block
-/// around a page: big enough to amortize the dictionary row, small
-/// enough that one cold probe decodes microseconds of work.
+/// Writer knobs for the clustering pass. A block closes at
+/// target_block_bytes, or earlier at a cluster boundary once it holds
+/// cluster_split_bytes. On clustered covers the split closes almost
+/// every block, well under the target (on the 1000-document DBLP
+/// collection, all but the last forward block of each section close
+/// there, averaging about 1.1 KB). A block is what one cold probe
+/// decodes: big enough to amortize its dictionary row, small enough to
+/// decode in microseconds.
 struct CompressOptions {
   /// Close the current block once its encoded bytes reach this.
   size_t target_block_bytes = 4096;
@@ -174,14 +178,15 @@ EncodedLabelSection EncodeLabelRows(std::span<const LabelRowRef> rows,
 
 /// Decodes one block out of a section. Validates everything before
 /// trusting it: the block's dir/blob ranges against the spans, the
-/// per-block CRC, and the encoding itself (prefix bounds, center
-/// overflow, exact byte consumption, entry totals). `context` names
-/// the file/section for error messages. Errors: Corruption.
+/// per-block CRC, the block's entry count against its bytes and its
+/// directory rows (checked before each row is written into columns
+/// sized from it), and the encoding itself (prefix bounds, center
+/// overflow, exact byte consumption). The error names what is wrong;
+/// callers add where. Errors: Corruption.
 Result<DecodedBlock> DecodeLabelBlock(std::span<const std::byte> blob,
                                       std::span<const V4DirEntry> dir,
                                       const V4BlockEntry& block,
-                                      bool with_distance,
-                                      const std::string& context);
+                                      bool with_distance);
 
 // ---- varint primitives (exposed for the codec property tests) ----
 

@@ -175,13 +175,16 @@ Result<std::shared_ptr<const DecodedBlock>> MappedLinLoutStore::DecodeBlock(
   // Backward sections are dist-less regardless of the store flag.
   const bool with_distance =
       view4_.with_distance && (group == kGroupLin || group == kGroupLout);
-  HOPI_ASSIGN_OR_RETURN(
-      DecodedBlock decoded,
-      DecodeLabelBlock(section->blob, section->dir, section->blocks[index],
-                       with_distance,
-                       "block " + std::to_string(index) + " of section group " +
-                           std::to_string(group)));
-  return std::make_shared<const DecodedBlock>(std::move(decoded));
+  Result<DecodedBlock> decoded = DecodeLabelBlock(
+      section->blob, section->dir, section->blocks[index], with_distance);
+  if (!decoded.ok()) {
+    return Status::Corruption(std::string(decoded.status().message())
+                                  .append(" in block ")
+                                  .append(std::to_string(index))
+                                  .append(" of section group ")
+                                  .append(std::to_string(group)));
+  }
+  return std::make_shared<const DecodedBlock>(std::move(*decoded));
 }
 
 Result<PinnedJoin> MappedLinLoutStore::DecodeForwardRow(uint64_t group,

@@ -63,11 +63,14 @@ struct LabelSummary {
   static LabelSummary Empty() { return LabelSummary{kEmptyWord}; }
   static LabelSummary Unknown() { return LabelSummary{kUnknownWord}; }
 
-  /// The two Bloom bits of one center.
+  /// The two Bloom bits of one center. Both shifted hashes fit 32
+  /// bits, so the `% 48` runs in 32-bit arithmetic (a cheaper
+  /// multiply-high than the 64-bit form, same bits).
   static uint64_t BloomBits(uint32_t center) {
     uint64_t h = center * uint64_t{0x9E3779B97F4A7C15};
-    return (uint64_t{1} << ((h >> 32) % 48)) |
-           (uint64_t{1} << ((h >> 52) % 48));
+    uint32_t a = static_cast<uint32_t>(h >> 32) % 48;
+    uint32_t b = static_cast<uint32_t>(h >> 52) % 48;
+    return (uint64_t{1} << a) | (uint64_t{1} << b);
   }
 
   uint32_t min_byte() const { return (word >> 48) & 0xFF; }
@@ -78,6 +81,18 @@ struct LabelSummary {
     uint64_t lo = std::min<uint64_t>(min_byte(), center >> 24);
     uint64_t hi = std::max<uint64_t>(max_byte(), center >> 24);
     word = (word & kBloomMask) | BloomBits(center) | (lo << 48) | (hi << 56);
+  }
+
+  /// Folds in `n` centers sorted ascending: the same word as Add on
+  /// each in turn, but the run's min and max bytes come from its ends,
+  /// leaving only the Bloom bits to OR together per center.
+  void AddAscending(const uint32_t* centers, size_t n) {
+    if (n == 0) return;
+    uint64_t bloom = word & kBloomMask;
+    for (size_t i = 0; i < n; ++i) bloom |= BloomBits(centers[i]);
+    uint64_t lo = std::min<uint64_t>(min_byte(), centers[0] >> 24);
+    uint64_t hi = std::max<uint64_t>(max_byte(), centers[n - 1] >> 24);
+    word = bloom | (lo << 48) | (hi << 56);
   }
 
   /// False only when `center` is definitely not in the set.

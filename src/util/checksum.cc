@@ -6,29 +6,55 @@ namespace hopi {
 
 namespace {
 
-// Reflected CRC-32 table for polynomial 0xEDB88320, generated at
-// compile time (no init-order concerns for static-init callers).
-constexpr std::array<uint32_t, 256> MakeCrc32Table() {
-  std::array<uint32_t, 256> table{};
+// Slicing-by-8 tables for the reflected polynomial 0xEDB88320,
+// generated at compile time (no init-order concerns for static-init
+// callers). kCrc32Tables[0] is the classic byte-at-a-time table;
+// kCrc32Tables[k][b] is the CRC contribution of byte b followed by k
+// zero bytes, so eight table lookups fold eight input bytes at once.
+using Crc32Tables = std::array<std::array<uint32_t, 256>, 8>;
+
+constexpr Crc32Tables MakeCrc32Tables() {
+  Crc32Tables tables{};
   for (uint32_t i = 0; i < 256; ++i) {
     uint32_t c = i;
     for (int k = 0; k < 8; ++k) {
       c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
     }
-    table[i] = c;
+    tables[0][i] = c;
   }
-  return table;
+  for (uint32_t i = 0; i < 256; ++i) {
+    for (size_t k = 1; k < tables.size(); ++k) {
+      uint32_t prev = tables[k - 1][i];
+      tables[k][i] = tables[0][prev & 0xFFu] ^ (prev >> 8);
+    }
+  }
+  return tables;
 }
 
-constexpr std::array<uint32_t, 256> kCrc32Table = MakeCrc32Table();
+constexpr Crc32Tables kCrc32Tables = MakeCrc32Tables();
+
+/// Little-endian 32-bit load from any alignment (compilers fold the
+/// byte assembly into one load on little-endian targets).
+uint32_t LoadLe32(const unsigned char* p) {
+  return static_cast<uint32_t>(p[0]) | static_cast<uint32_t>(p[1]) << 8 |
+         static_cast<uint32_t>(p[2]) << 16 | static_cast<uint32_t>(p[3]) << 24;
+}
 
 }  // namespace
 
 uint32_t Crc32(const void* data, size_t n, uint32_t seed) {
+  const auto& t = kCrc32Tables;
   const auto* p = static_cast<const unsigned char*>(data);
   uint32_t c = seed ^ 0xFFFFFFFFu;
-  for (size_t i = 0; i < n; ++i) {
-    c = kCrc32Table[(c ^ p[i]) & 0xFFu] ^ (c >> 8);
+  for (; n >= 8; p += 8, n -= 8) {
+    uint32_t lo = LoadLe32(p) ^ c;
+    uint32_t hi = LoadLe32(p + 4);
+    c = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^
+        t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^
+        t[2][(hi >> 8) & 0xFFu] ^ t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
+  }
+  for (; n > 0; ++p, --n) {
+    c = t[0][(c ^ *p) & 0xFFu] ^ (c >> 8);
   }
   return c ^ 0xFFFFFFFFu;
 }

@@ -296,7 +296,7 @@ TEST_F(QueryEngineFixture, BatchDedupesRepeatedProbes) {
                 r.stats.labels_borrowed,
             2u * 19u);
   // LOUT(0) is fetched once per distinct pair but decoded at most once:
-  // the 18 fetches after the first are row-memo hits.
+  // the 18 fetches after the first hit its resident block.
   ASSERT_TRUE(mapped_v4_store_->LoutBlockHandle(0).has_value());
   EXPECT_GE(r.stats.cache_hits, 18u);
   EXPECT_LE(r.stats.blocks_decoded, r.stats.cache_misses);
@@ -451,16 +451,19 @@ TEST_F(QueryEngineFixture, SimilarityOptionExpandsApproximateSteps) {
 
 // ---- the byte-budgeted block cache ----
 
-/// A one-row block for node `key` whose single entry points at
-/// `center` — the smallest block there is.
-LabelBlock MakeBlock(NodeId key, NodeId center) {
+/// A one-row block for node `key` with `width` entries, the first
+/// pointing at `center` (width 1 is the smallest block there is; wider
+/// ones charge more bytes).
+LabelBlock MakeBlock(NodeId key, NodeId center, uint32_t width = 1) {
   auto block = std::make_shared<storage::DecodedBlock>();
   block->row_keys = {key};
-  block->row_begin = {0, 1};
-  block->centers = {center};
-  block->dists = {1};
+  block->row_begin = {0, width};
   twohop::LabelSummary summary = twohop::LabelSummary::Empty();
-  summary.Add(center);
+  for (uint32_t i = 0; i < width; ++i) {
+    block->centers.push_back(center + i);
+    block->dists.push_back(1);
+    summary.Add(center + i);
+  }
   block->row_summaries = {summary.word};
   return block;
 }
@@ -473,13 +476,6 @@ uint32_t CenterOf(const LabelBlock& block) {
   return block->JoinRow(0).center(0);
 }
 
-uint64_t OutKey(NodeId node) {
-  return LabelCache::KeyFor(LabelCache::Side::kOut, node);
-}
-uint64_t InKey(NodeId node) {
-  return LabelCache::KeyFor(LabelCache::Side::kIn, node);
-}
-
 TEST(LabelCacheTest, HitsAndMisses) {
   LabelCache cache(1 << 20);
   EXPECT_EQ(cache.Get(1), nullptr);
@@ -490,21 +486,6 @@ TEST(LabelCacheTest, HitsAndMisses) {
   EXPECT_EQ(CenterOf(hit), 42u);
   EXPECT_EQ(cache.hits(), 1u);
   EXPECT_EQ(cache.bytes_resident(), OneBlockBytes());
-}
-
-TEST(LabelCacheTest, RowMemoKeepsSidesApart) {
-  // One block holding node 5's LOUT row and another holding its LIN
-  // row: the memo must never hand one side's row out for the other.
-  LabelCache cache(1 << 20);
-  LabelBlock out_block = cache.Put(1, MakeBlock(5, 1));
-  LabelBlock in_block = cache.Put(2, MakeBlock(5, 2));
-  cache.MemoRow(OutKey(5), out_block, 0);
-  uint32_t row = 0;
-  EXPECT_EQ(cache.GetRow(InKey(5), &row), nullptr);
-  cache.MemoRow(InKey(5), in_block, 0);
-  EXPECT_EQ(CenterOf(cache.GetRow(OutKey(5), &row)), 1u);
-  EXPECT_EQ(CenterOf(cache.GetRow(InKey(5), &row)), 2u);
-  EXPECT_EQ(cache.size(), 2u);
 }
 
 TEST(LabelCacheTest, EvictsLeastRecentlyUsedWhenOverBudget) {
@@ -560,35 +541,63 @@ TEST(LabelCacheTest, EvictionDoesNotInvalidatePinnedBlocks) {
   EXPECT_EQ(pinned.use_count(), 1);  // cache reference is gone
 }
 
-TEST(LabelCacheTest, RowMemoServesPinnedRowsWithoutBlockLookups) {
-  LabelCache cache(1 << 20);
-  LabelBlock block = cache.Put(7, MakeBlock(3, 99));
-  cache.MemoRow(OutKey(3), block, 0);
-  uint32_t row = 123;
-  LabelBlock hit = cache.GetRow(OutKey(3), &row);
-  ASSERT_NE(hit, nullptr);
-  EXPECT_EQ(row, 0u);
-  EXPECT_EQ(hit->JoinRow(row).center(0), 99u);
-  EXPECT_EQ(hit.get(), block.get());  // same block, now pinned twice
-  EXPECT_EQ(cache.hits(), 1u);        // a memo hit is a cache hit
-  // A key never memoized misses without touching the miss counter —
-  // the block route that follows does the accounting.
-  EXPECT_EQ(cache.GetRow(OutKey(4), &row), nullptr);
-  EXPECT_EQ(cache.misses(), 0u);
-}
-
-TEST(LabelCacheTest, RowMemoHoldsNoStrongReference) {
-  LabelCache cache(OneBlockBytes());  // room for exactly one block
-  LabelBlock block = cache.Put(1, MakeBlock(1, 11));
-  cache.MemoRow(OutKey(1), block, 0);
-  cache.Put(2, MakeBlock(2, 22));  // evicts block 1
-  // The memo's weak reference neither kept the evicted block resident
-  // nor dangles: once the last pin drops, the memo entry just misses.
-  EXPECT_EQ(block.use_count(), 1);
-  uint32_t row = 0;
-  ASSERT_NE(cache.GetRow(OutKey(1), &row), nullptr);  // pin still alive
-  block = nullptr;
-  EXPECT_EQ(cache.GetRow(OutKey(1), &row), nullptr);  // expired, dropped
+TEST(LabelCacheTest, EvictsInExactRecencyOrderWithExactBytes) {
+  // A seeded run of Gets and (often overwriting) Puts of blocks of
+  // different sizes, against a reference LRU: a list of (handle,
+  // bytes), most recent first. The test keeps only weak references,
+  // so a block is alive exactly while the cache holds it, and after
+  // every step the resident set, the byte count and the eviction count
+  // must equal the model's.
+  constexpr uint64_t kHandles = 8;
+  const size_t budget = 4 * OneBlockBytes();
+  LabelCache cache(budget);
+  std::vector<std::pair<uint64_t, size_t>> model;
+  size_t model_bytes = 0;
+  uint64_t model_evictions = 0;
+  std::vector<std::weak_ptr<const storage::DecodedBlock>> alive(kHandles);
+  auto touch = [&](uint64_t handle) -> size_t {
+    auto it = std::find_if(model.begin(), model.end(),
+                           [&](const auto& e) { return e.first == handle; });
+    if (it == model.end()) return 0;
+    size_t bytes = it->second;
+    model.erase(it);
+    model.insert(model.begin(), {handle, bytes});
+    return bytes;
+  };
+  Rng rng(17);
+  for (int step = 0; step < 600; ++step) {
+    uint64_t handle = rng.NextBounded(kHandles);
+    if (rng.NextBounded(2) == 0) {
+      bool expect_hit = touch(handle) > 0;
+      EXPECT_EQ(cache.Get(handle) != nullptr, expect_hit) << "step " << step;
+    } else {
+      uint32_t width = 1 + static_cast<uint32_t>(rng.NextBounded(6));
+      LabelBlock block = MakeBlock(static_cast<NodeId>(handle), 0, width);
+      alive[handle] = block;
+      model_bytes -= touch(handle);  // an overwrite re-charges the entry
+      if (model.empty() || model.front().first != handle) {
+        model.insert(model.begin(), {handle, 0});
+      }
+      model.front().second = block->ApproxBytes();
+      model_bytes += block->ApproxBytes();
+      while (model_bytes > budget && !model.empty()) {
+        model_bytes -= model.back().second;
+        model.pop_back();
+        ++model_evictions;
+      }
+      cache.Put(handle, std::move(block));
+    }
+    ASSERT_EQ(cache.bytes_resident(), model_bytes) << "step " << step;
+    ASSERT_EQ(cache.size(), model.size()) << "step " << step;
+    ASSERT_EQ(cache.evictions(), model_evictions) << "step " << step;
+    for (uint64_t h = 0; h < kHandles; ++h) {
+      bool resident = std::any_of(model.begin(), model.end(),
+                                  [&](const auto& e) { return e.first == h; });
+      ASSERT_EQ(!alive[h].expired(), resident)
+          << "step " << step << " handle " << h;
+    }
+  }
+  EXPECT_GT(model_evictions, 0u);
 }
 
 TEST(LabelCacheTest, DecodeAccountingFlowsIntoStats) {

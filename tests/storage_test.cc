@@ -617,8 +617,8 @@ std::map<uint32_t, std::vector<twohop::LabelEntry>> DecodeAll(
     const EncodedLabelSection& section, bool with_distance) {
   std::map<uint32_t, std::vector<twohop::LabelEntry>> out;
   for (const V4BlockEntry& block : section.blocks) {
-    auto decoded = DecodeLabelBlock(section.blob, section.dir, block,
-                                    with_distance, "test");
+    auto decoded =
+        DecodeLabelBlock(section.blob, section.dir, block, with_distance);
     EXPECT_TRUE(decoded.ok()) << decoded.status();
     if (!decoded.ok()) continue;
     for (size_t r = 0; r < decoded->NumRows(); ++r) {
@@ -628,36 +628,72 @@ std::map<uint32_t, std::vector<twohop::LabelEntry>> DecodeAll(
   return out;
 }
 
+/// The four block shapes the codec tests run.
+const CompressOptions kShapes[] = {
+    {},                  // defaults
+    {256, 64},           // many small blocks
+    {1, 1},              // degenerate: one row per block
+    {1 << 20, 1 << 20},  // everything in one block
+};
+
+/// Decodes every block of `section` and checks each row's summary
+/// against LabelSummary::Add folded over that row's centers; returns
+/// the number of rows checked.
+size_t ExpectSummariesMatchCenters(const EncodedLabelSection& section,
+                                   bool with_distance) {
+  size_t rows = 0;
+  for (const V4BlockEntry& block : section.blocks) {
+    auto decoded =
+        DecodeLabelBlock(section.blob, section.dir, block, with_distance);
+    EXPECT_TRUE(decoded.ok()) << decoded.status();
+    if (!decoded.ok()) continue;
+    for (size_t r = 0; r < decoded->NumRows(); ++r, ++rows) {
+      twohop::LabelSummary expect = twohop::LabelSummary::Empty();
+      for (twohop::LabelEntry e : decoded->JoinRow(r)) expect.Add(e.center);
+      EXPECT_EQ(decoded->row_summaries[r], expect.word)
+          << "row key " << decoded->row_keys[r];
+    }
+  }
+  return rows;
+}
+
 TEST(CompressCodecTest, RandomRowsRoundTripAcrossBlockSizes) {
-  const CompressOptions kShapes[] = {
-      {},                    // defaults: one-page blocks
-      {256, 64},             // many small blocks
-      {1, 1},                // degenerate: one row per block
-      {1 << 20, 1 << 20},    // everything in one block
-  };
   for (uint64_t seed : {1u, 2u, 3u, 4u, 5u}) {
     for (bool with_distance : {false, true}) {
-      RowSet set = RandomRows(seed, 60, with_distance);
-      for (const CompressOptions& options : kShapes) {
-        EncodedLabelSection section =
-            EncodeLabelRows(set.Refs(), with_distance, options);
-        auto expect = set.NonEmpty();
-        // The dir carries exactly the non-empty rows, in key order.
-        ASSERT_EQ(section.dir.size(), expect.size());
-        // Blocks tile the dir and the blob exactly.
-        uint64_t next_dir = 0, next_byte = 0;
-        for (const V4BlockEntry& block : section.blocks) {
-          EXPECT_EQ(block.first_dir, next_dir);
-          EXPECT_EQ(block.blob_offset, next_byte);
-          EXPECT_GE(block.num_rows, 1u);
-          next_dir += block.num_rows;
-          next_byte += block.blob_bytes;
+      // Plain, and lifted past 2^24: a per-row lift keeps each row
+      // ascending and spreads the rows over twelve top bytes, so the
+      // summaries' min/max bytes matter.
+      RowSet plain = RandomRows(seed, 60, with_distance);
+      RowSet lifted = plain;
+      for (size_t i = 0; i < lifted.rows.size(); ++i) {
+        for (twohop::LabelEntry& e : lifted.rows[i]) {
+          e.center += (lifted.keys[i] % 12) << 24;
         }
-        EXPECT_EQ(next_dir, section.dir.size());
-        EXPECT_EQ(next_byte, section.blob.size());
-        EXPECT_EQ(DecodeAll(section, with_distance), expect)
-            << "seed " << seed << " dist " << with_distance << " target "
-            << options.target_block_bytes;
+      }
+      for (const CompressOptions& options : kShapes) {
+        for (const RowSet* set : {&plain, &lifted}) {
+          EncodedLabelSection section =
+              EncodeLabelRows(set->Refs(), with_distance, options);
+          auto expect = set->NonEmpty();
+          // The dir carries exactly the non-empty rows, in key order.
+          ASSERT_EQ(section.dir.size(), expect.size());
+          // Blocks tile the dir and the blob exactly.
+          uint64_t next_dir = 0, next_byte = 0;
+          for (const V4BlockEntry& block : section.blocks) {
+            EXPECT_EQ(block.first_dir, next_dir);
+            EXPECT_EQ(block.blob_offset, next_byte);
+            EXPECT_GE(block.num_rows, 1u);
+            next_dir += block.num_rows;
+            next_byte += block.blob_bytes;
+          }
+          EXPECT_EQ(next_dir, section.dir.size());
+          EXPECT_EQ(next_byte, section.blob.size());
+          EXPECT_EQ(DecodeAll(section, with_distance), expect)
+              << "seed " << seed << " dist " << with_distance << " target "
+              << options.target_block_bytes;
+          EXPECT_EQ(ExpectSummariesMatchCenters(section, with_distance),
+                    expect.size());
+        }
       }
     }
   }
@@ -700,6 +736,46 @@ TEST(CompressCodecTest, SharedPrefixesCompressSimilarRows) {
   size_t raw_bytes = (32 * 65) * sizeof(twohop::LabelEntry);
   EXPECT_LT(section.blob.size() * 4, raw_bytes);  // > 4x on this shape
   EXPECT_EQ(DecodeAll(section, true).size(), 32u);
+  EXPECT_EQ(ExpectSummariesMatchCenters(section, true), 32u);
+}
+
+TEST(CompressCodecTest, PrefixSummariesMatchTheirRows) {
+  // Rows sharing every prefix length of one dictionary whose centers
+  // climb through 32 top bytes: each row's prefix summary comes from
+  // the dictionary's running summary at that length.
+  std::vector<twohop::LabelEntry> dict;
+  for (uint32_t e = 0; e < 64; ++e) {
+    dict.push_back({0xC0000000u + e * 0x00800000u, e % 5});
+  }
+  std::vector<std::vector<twohop::LabelEntry>> storage = {dict};
+  for (uint32_t prefix = 0; prefix <= 64; ++prefix) {
+    std::vector<twohop::LabelEntry> row(dict.begin(), dict.begin() + prefix);
+    uint32_t next = prefix == 0 ? 5 : dict[prefix - 1].center + 1;
+    row.push_back({next + prefix, 1});  // never a dictionary center
+    row.push_back({0xF0000000u + prefix, 2});
+    storage.push_back(std::move(row));
+  }
+  std::vector<LabelRowRef> rows;
+  for (uint32_t r = 0; r < storage.size(); ++r) rows.push_back({r, storage[r]});
+  for (bool with_distance : {false, true}) {
+    for (const CompressOptions& options : kShapes) {
+      EncodedLabelSection section =
+          EncodeLabelRows(rows, with_distance, options);
+      EXPECT_EQ(ExpectSummariesMatchCenters(section, with_distance),
+                storage.size());
+    }
+  }
+}
+
+TEST(CompressCodecTest, BloomBitsArePinned) {
+  // Golden words of the 48-bit Bloom hash: summaries are only ever
+  // compared against each other within one process, but these pin the
+  // hash so a cheaper formulation must keep every bit.
+  using twohop::LabelSummary;
+  EXPECT_EQ(LabelSummary::BloomBits(0), uint64_t{0x1});
+  EXPECT_EQ(LabelSummary::BloomBits(1), uint64_t{0x800000200});
+  EXPECT_EQ(LabelSummary::BloomBits(1u << 24), uint64_t{0x8000001000});
+  EXPECT_EQ(LabelSummary::BloomBits(0xFFFFFFFFu), uint64_t{0x80000000002});
 }
 
 TEST(CompressCodecTest, CorruptedBlockBytesAreCorruptionNeverACrash) {
@@ -713,7 +789,7 @@ TEST(CompressCodecTest, CorruptedBlockBytesAreCorruptionNeverACrash) {
       uint64_t victim = block.blob_offset + bit % block.blob_bytes;
       copy.blob[victim] ^= std::byte{0x40};
       auto decoded =
-          DecodeLabelBlock(copy.blob, copy.dir, block, true, "test");
+          DecodeLabelBlock(copy.blob, copy.dir, block, true);
       EXPECT_TRUE(decoded.status().IsCorruption())
           << "block " << b << " bit " << bit << ": " << decoded.status();
     }
@@ -722,8 +798,48 @@ TEST(CompressCodecTest, CorruptedBlockBytesAreCorruptionNeverACrash) {
   const V4BlockEntry& last = section.blocks.back();
   std::span<const std::byte> short_blob(section.blob.data(),
                                         section.blob.size() - 1);
-  auto decoded = DecodeLabelBlock(short_blob, section.dir, last, true, "test");
+  auto decoded = DecodeLabelBlock(short_blob, section.dir, last, true);
   EXPECT_TRUE(decoded.status().IsCorruption()) << decoded.status();
+}
+
+TEST(CompressCodecTest, MetadataThatDisagreesWithTheBlobIsCorruption) {
+  // The block CRC seals the blob bytes only; the directory and the
+  // block table are metadata beside it. With the CRC still valid, the
+  // decoder must refuse metadata that disagrees with the blob before it
+  // writes past the columns it sized from that metadata.
+  RowSet set = RandomRows(91, 40, true);
+  const EncodedLabelSection section =
+      EncodeLabelRows(set.Refs(), true, {256, 64});
+  ASSERT_GT(section.blocks.size(), 1u);
+  auto expect_corruption = [](const EncodedLabelSection& copy,
+                              const V4BlockEntry& block,
+                              const std::string& what) {
+    auto decoded = DecodeLabelBlock(copy.blob, copy.dir, block, true);
+    EXPECT_TRUE(decoded.status().IsCorruption()) << what << ": "
+                                                 << decoded.status();
+    EXPECT_EQ(decoded.status().message().find("checksum"), std::string::npos)
+        << what << ": " << decoded.status();
+  };
+  for (size_t b = 0; b < section.blocks.size(); ++b) {
+    const V4BlockEntry& block = section.blocks[b];
+    const std::string where = std::string("block ").append(std::to_string(b));
+    for (uint32_t r = 0; r < block.num_rows; ++r) {
+      const std::string row =
+          std::string(where).append(" row ").append(std::to_string(r));
+      EncodedLabelSection raised = section;
+      ++raised.dir[block.first_dir + r].count;
+      expect_corruption(raised, block, row + ": count + 1");
+      EncodedLabelSection zero = section;
+      zero.dir[block.first_dir + r].count = 0;
+      expect_corruption(zero, block, row + ": zero count");
+    }
+    V4BlockEntry lowered = block;
+    --lowered.num_entries;
+    expect_corruption(section, lowered, where + ": num_entries - 1");
+    V4BlockEntry absurd = block;
+    absurd.num_entries = UINT32_MAX;  // refused before any allocation
+    expect_corruption(section, absurd, where + ": absurd num_entries");
+  }
 }
 
 // ---- the v4 on-disk format ----
