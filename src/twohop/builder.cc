@@ -30,7 +30,6 @@ class UncoveredSet {
   }
 
   uint64_t count() const { return count_; }
-  bool Test(NodeId u, NodeId v) const { return rows_[u].Test(v); }
 
   void Remove(NodeId u, NodeId v) {
     if (rows_[u].Clear(v)) --count_;
@@ -49,29 +48,6 @@ class UncoveredSet {
  private:
   std::vector<DynamicBitset> rows_;
   uint64_t count_ = 0;
-};
-
-/// Shortest-path test: may w be the center for (u, v)? (Sec 5.2.)
-/// In plain mode the answer is always yes for connected triples.
-class CenterEligibility {
- public:
-  CenterEligibility(const DistanceClosure* dc, bool with_distance)
-      : dc_(dc), with_distance_(with_distance) {}
-
-  /// Precondition: u ->* w ->* v all hold (w fixed by the caller; only
-  /// its distances matter here).
-  bool Eligible(NodeId u, NodeId w, NodeId v, uint32_t dist_uw,
-                uint32_t dist_wv) const {
-    (void)w;
-    if (!with_distance_) return true;
-    auto duv = dc_->Dist(u, v);
-    assert(duv.has_value());
-    return *duv == dist_uw + dist_wv;
-  }
-
- private:
-  const DistanceClosure* dc_;
-  bool with_distance_;
 };
 
 /// One side of a candidate's center graph: node ids plus distances to/from
@@ -118,57 +94,113 @@ void BuildSides(const TransitiveClosure& tc, const DistanceClosure* dc,
   }
 }
 
-/// Constructs center graphs restricted to uncovered pairs. Holds scratch
-/// buffers (an out-side index map and mask) so the hot loop is allocation
-/// free and, in plain mode, word-parallel over the uncovered bitset rows.
+/// Constructs center graphs restricted to uncovered pairs, and removes the
+/// pairs a chosen center covers. Holds scratch buffers (an out-side index
+/// map and mask) so both hot loops are allocation free and word-parallel
+/// over the uncovered bitset rows. `dc` is null in plain mode.
 class CenterGraphBuilder {
  public:
-  explicit CenterGraphBuilder(size_t num_nodes)
-      : out_index_(num_nodes, UINT32_MAX), out_mask_(num_nodes) {}
+  CenterGraphBuilder(size_t num_nodes, const DistanceClosure* dc)
+      : dc_(dc), out_index_(num_nodes) {}
 
-  BipartiteGraph Build(const UncoveredSet& uncovered,
-                       const CenterEligibility& elig, bool with_distance,
-                       NodeId w, const Side& in_side, const Side& out_side) {
-    BipartiteGraph cg(static_cast<uint32_t>(in_side.nodes.size()),
-                      static_cast<uint32_t>(out_side.nodes.size()));
-    if (with_distance) {
-      // Pairwise: every candidate pair needs the shortest-path test.
+  BipartiteGraph Build(const UncoveredSet& uncovered, const Side& in_side,
+                       const Side& out_side) {
+    const uint32_t num_out = static_cast<uint32_t>(out_side.nodes.size());
+    BipartiteGraph cg(static_cast<uint32_t>(in_side.nodes.size()), num_out);
+    if (dc_ == nullptr) {
+      // Plain mode: intersect each ancestor's uncovered row with the
+      // out-side mask; every surviving bit is an edge.
+      for (uint32_t j = 0; j < num_out; ++j) Mark(out_side, j);
       for (uint32_t i = 0; i < in_side.nodes.size(); ++i) {
         NodeId u = in_side.nodes[i];
-        const DynamicBitset& row = uncovered.Row(u);
-        for (uint32_t j = 0; j < out_side.nodes.size(); ++j) {
-          NodeId v = out_side.nodes[j];
-          if (u == v || !row.Test(v)) continue;
-          if (!elig.Eligible(u, w, v, in_side.dists[i], out_side.dists[j])) {
-            continue;
+        uncovered.Row(u).ForEachIntersection(out_mask_, [&](size_t v) {
+          if (static_cast<NodeId>(v) != u) {
+            cg.AddEdge(i, out_index_[v]);
           }
-          cg.AddEdge(i, j);
-        }
+        });
       }
+      ClearMask();
       return cg;
     }
-    // Plain mode: intersect each ancestor's uncovered row with the
-    // out-side mask; every surviving bit is an edge.
-    for (uint32_t j = 0; j < out_side.nodes.size(); ++j) {
-      out_index_[out_side.nodes[j]] = j;
-      out_mask_.Set(out_side.nodes[j]);
-    }
+    // Distance mode: the same walk over Desc(w) only, keeping the
+    // shortest-path pairs. The edge to w (the last out vertex) always
+    // passes the test and is added after the walk, so every in-vertex's
+    // adjacency ascends in out index — the peeling's tie-breaks see the
+    // order a pairwise loop over (i, j) would produce.
+    const uint32_t w_index = num_out - 1;
+    const NodeId w = out_side.nodes[w_index];
+    for (uint32_t j = 0; j < w_index; ++j) Mark(out_side, j);
     for (uint32_t i = 0; i < in_side.nodes.size(); ++i) {
       NodeId u = in_side.nodes[i];
-      uncovered.Row(u).ForEachIntersection(out_mask_, [&](size_t v) {
-        if (static_cast<NodeId>(v) != u) {
-          cg.AddEdge(i, out_index_[v]);
-        }
-      });
+      const DynamicBitset& row = uncovered.Row(u);
+      ForEachShortestPathPair(u, in_side.dists[i], row, out_side,
+                              [&](NodeId, uint32_t j) { cg.AddEdge(i, j); });
+      if (u != w && row.Test(w)) cg.AddEdge(i, w_index);
     }
-    for (uint32_t j = 0; j < out_side.nodes.size(); ++j) {
-      out_index_[out_side.nodes[j]] = UINT32_MAX;
-      out_mask_.Clear(out_side.nodes[j]);
-    }
+    ClearMask();
     return cg;
   }
 
+  /// Removes every uncovered pair (u, v) with u chosen on the in side and
+  /// v on the out side — in distance mode only the shortest-path pairs
+  /// through the center. Returns the number removed.
+  uint64_t RemoveCovered(const Side& in_side, const Side& out_side,
+                         const std::vector<uint32_t>& in_chosen,
+                         const std::vector<uint32_t>& out_chosen,
+                         UncoveredSet* uncovered) {
+    for (uint32_t j : out_chosen) Mark(out_side, j);
+    uint64_t covered = 0;
+    for (uint32_t i : in_chosen) {
+      NodeId u = in_side.nodes[i];
+      if (dc_ == nullptr) {
+        covered += uncovered->RemoveRowSubset(u, out_mask_);
+        continue;
+      }
+      // Clearing the bit the walk stands on never changes what it visits
+      // next (it only moves to higher bits).
+      ForEachShortestPathPair(u, in_side.dists[i], uncovered->Row(u),
+                              out_side, [&](NodeId v, uint32_t) {
+                                uncovered->Remove(u, v);
+                                ++covered;
+                              });
+    }
+    ClearMask();
+    return covered;
+  }
+
  private:
+  void Mark(const Side& side, uint32_t j) {
+    out_index_[side.nodes[j]] = j;
+    out_mask_.Set(side.nodes[j]);
+  }
+  /// Drops the mask's words instead of clearing its bits: Set regrows it
+  /// only up to the largest marked node, so the next walk stops there
+  /// rather than at the end of the row. The index map is read only at
+  /// marked nodes and needs no reset.
+  void ClearMask() { out_mask_.Resize(0); }
+
+  /// Calls fn(v, j) for every v set in both `uncovered_row` (u's) and the
+  /// out mask with dist(u,v) == dist(u,w) + dist(w,v): the shortest-path
+  /// test of Sec 5.2. v ascends, so dist(u,v) comes from a forward cursor
+  /// over u's sorted distance row instead of a binary search per pair;
+  /// every marked v other than u is a descendant of u, hence in that row.
+  template <typename Fn>
+  void ForEachShortestPathPair(NodeId u, uint32_t dist_uw,
+                               const DynamicBitset& uncovered_row,
+                               const Side& out_side, Fn&& fn) {
+    const std::vector<DistConnection>& dists = dc_->Row(u);
+    size_t pos = 0;
+    uncovered_row.ForEachIntersection(out_mask_, [&](size_t v) {
+      while (pos < dists.size() && dists[pos].node < v) ++pos;
+      if (pos == dists.size() || dists[pos].node != v) return;
+      uint32_t j = out_index_[v];
+      if (dists[pos].dist == dist_uw + out_side.dists[j]) {
+        fn(static_cast<NodeId>(v), j);
+      }
+    });
+  }
+
+  const DistanceClosure* dc_;
   std::vector<uint32_t> out_index_;
   DynamicBitset out_mask_;
 };
@@ -239,37 +271,16 @@ double DistanceInitialPriority(const DistanceClosure& dc, NodeId w,
 uint64_t ApplyCenter(NodeId w, const Side& in_side, const Side& out_side,
                      const std::vector<uint32_t>& in_chosen,
                      const std::vector<uint32_t>& out_chosen,
-                     const CenterEligibility& elig, bool with_distance,
-                     UncoveredSet* uncovered, TwoHopCover* cover) {
+                     CenterGraphBuilder* cg_builder, UncoveredSet* uncovered,
+                     TwoHopCover* cover) {
   for (uint32_t i : in_chosen) {
     cover->AddOut(in_side.nodes[i], w, in_side.dists[i]);
   }
   for (uint32_t j : out_chosen) {
     cover->AddIn(out_side.nodes[j], w, out_side.dists[j]);
   }
-
-  uint64_t covered = 0;
-  if (!with_distance) {
-    DynamicBitset out_mask;
-    for (uint32_t j : out_chosen) out_mask.Set(out_side.nodes[j]);
-    for (uint32_t i : in_chosen) {
-      covered += uncovered->RemoveRowSubset(in_side.nodes[i], out_mask);
-    }
-  } else {
-    for (uint32_t i : in_chosen) {
-      NodeId u = in_side.nodes[i];
-      for (uint32_t j : out_chosen) {
-        NodeId v = out_side.nodes[j];
-        if (u == v || !uncovered->Test(u, v)) continue;
-        if (!elig.Eligible(u, w, v, in_side.dists[i], out_side.dists[j])) {
-          continue;
-        }
-        uncovered->Remove(u, v);
-        ++covered;
-      }
-    }
-  }
-  return covered;
+  return cg_builder->RemoveCovered(in_side, out_side, in_chosen, out_chosen,
+                                   uncovered);
 }
 
 /// Per-worker scratch for candidate evaluation: sides and the
@@ -277,7 +288,8 @@ uint64_t ApplyCenter(NodeId w, const Side& in_side, const Side& out_side,
 /// the hot loop stays allocation-light, and owning one per worker makes
 /// the speculation stage share nothing but read-only state.
 struct EvalScratch {
-  explicit EvalScratch(size_t num_nodes) : cg_builder(num_nodes) {}
+  EvalScratch(size_t num_nodes, const DistanceClosure* dc)
+      : cg_builder(num_nodes, dc) {}
   Side in_side;
   Side out_side;
   CenterGraphBuilder cg_builder;
@@ -305,14 +317,14 @@ class CoverBuildPipeline {
         stats_(stats),
         n_(tc.NumNodes()),
         cover_(n_),
-        uncovered_(tc),
-        elig_(dc, options.with_distance) {
+        uncovered_(tc) {
     if (options_.num_threads > 1) {
       pool_ = std::make_unique<ThreadPool>(options_.num_threads);
     }
     size_t workers = pool_ ? pool_->NumWorkers() : 1;
     scratch_.reserve(workers);
-    for (size_t i = 0; i < workers; ++i) scratch_.emplace_back(n_);
+    const DistanceClosure* walk_dc = options_.with_distance ? dc_ : nullptr;
+    for (size_t i = 0; i < workers; ++i) scratch_.emplace_back(n_, walk_dc);
     batch_limit_ = options_.speculation_batch > 0 ? options_.speculation_batch
                                                   : workers;
   }
@@ -338,8 +350,7 @@ class CoverBuildPipeline {
       // point of preselection is fewer redundant entries, not more.
       std::vector<uint32_t> in_chosen, out_chosen;
       BipartiteGraph cg =
-          s.cg_builder.Build(uncovered_, elig_, options_.with_distance, w,
-                             s.in_side, s.out_side);
+          s.cg_builder.Build(uncovered_, s.in_side, s.out_side);
       for (uint32_t i = 0; i < cg.NumIn(); ++i) {
         if (!cg.InAdj(i).empty()) in_chosen.push_back(i);
       }
@@ -348,8 +359,8 @@ class CoverBuildPipeline {
       }
       if (in_chosen.empty()) continue;
       stats_->preselect_covered +=
-          ApplyCenter(w, s.in_side, s.out_side, in_chosen, out_chosen, elig_,
-                      options_.with_distance, &uncovered_, &cover_);
+          ApplyCenter(w, s.in_side, s.out_side, in_chosen, out_chosen,
+                      &s.cg_builder, &uncovered_, &cover_);
     }
   }
 
@@ -428,8 +439,7 @@ class CoverBuildPipeline {
                  &s.out_side);
       uint64_t covered =
           ApplyCenter(w, s.in_side, s.out_side, ds.in_vertices,
-                      ds.out_vertices, elig_, options_.with_distance,
-                      &uncovered_, &cover_);
+                      ds.out_vertices, &s.cg_builder, &uncovered_, &cover_);
       assert(covered > 0);
       (void)covered;
       ++stats_->centers_chosen;
@@ -487,8 +497,7 @@ class CoverBuildPipeline {
       BuildSides(tc_, dc_, options_.with_distance, w, &s.in_side,
                  &s.out_side);
       BipartiteGraph cg =
-          s.cg_builder.Build(uncovered_, elig_, options_.with_distance, w,
-                             s.in_side, s.out_side);
+          s.cg_builder.Build(uncovered_, s.in_side, s.out_side);
       CachedEval& e = cache_[w];
       e.ds = ApproxDensestSubgraph(cg);
       e.version = version_;
@@ -519,7 +528,6 @@ class CoverBuildPipeline {
 
   TwoHopCover cover_;
   UncoveredSet uncovered_;
-  CenterEligibility elig_;
   std::unique_ptr<ThreadPool> pool_;
   std::vector<EvalScratch> scratch_;
   size_t batch_limit_ = 1;

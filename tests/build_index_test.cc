@@ -95,6 +95,29 @@ INSTANTIATE_TEST_SUITE_P(
                   JoinAlgorithm::kRecursive, false, true}),
     CaseName);
 
+// Bit identity: the exact distance-aware index, pinned by CoverDigest
+// (ValidateCover accepts any valid cover). A deliberate change to the
+// greedy choice must re-record these.
+TEST(BuildIndexTest, DistanceIndexDigestIsPinned) {
+  Collection c = testing::SmallDblp(60, 101);
+  IndexBuildOptions options;
+  options.with_distance = true;
+  auto index = BuildIndex(&c, options);
+  ASSERT_TRUE(index.ok()) << index.status();
+  EXPECT_EQ(testing::CoverDigest(index->cover()), 0x62a01b9bcfa5af56ULL);
+}
+
+TEST(BuildIndexTest, SmallCapDistanceIndexDigestIsPinned) {
+  Collection c = testing::SmallDblp(60, 101);
+  IndexBuildOptions options;
+  options.partition.max_connections = 4000;
+  options.join = JoinAlgorithm::kRecursive;
+  options.with_distance = true;
+  auto index = BuildIndex(&c, options);
+  ASSERT_TRUE(index.ok()) << index.status();
+  EXPECT_EQ(testing::CoverDigest(index->cover()), 0x759383ce6ca07772ULL);
+}
+
 TEST(BuildIndexTest, GlobalBuildMatchesPartitionedSemantics) {
   Collection c = testing::SmallDblp(40, 55);
   IndexBuildOptions global;

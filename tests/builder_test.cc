@@ -146,6 +146,10 @@ struct DagParams {
   uint64_t seed;
 };
 
+const DagParams kDagSweep[] = {
+    {10, 1.5, 1}, {10, 3.0, 2}, {25, 1.0, 3}, {25, 2.5, 4}, {40, 2.0, 5},
+    {40, 4.0, 6}, {60, 1.5, 7}, {60, 3.0, 8}, {80, 2.0, 9}, {15, 5.0, 10}};
+
 class CoverBuilderDagProperty : public ::testing::TestWithParam<DagParams> {};
 
 TEST_P(CoverBuilderDagProperty, ValidOnRandomDag) {
@@ -168,13 +172,8 @@ TEST_P(CoverBuilderDagProperty, ValidWithDistanceOnRandomDag) {
       << "nodes=" << p.nodes << " seed=" << p.seed;
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Sweep, CoverBuilderDagProperty,
-    ::testing::Values(DagParams{10, 1.5, 1}, DagParams{10, 3.0, 2},
-                      DagParams{25, 1.0, 3}, DagParams{25, 2.5, 4},
-                      DagParams{40, 2.0, 5}, DagParams{40, 4.0, 6},
-                      DagParams{60, 1.5, 7}, DagParams{60, 3.0, 8},
-                      DagParams{80, 2.0, 9}, DagParams{15, 5.0, 10}));
+INSTANTIATE_TEST_SUITE_P(Sweep, CoverBuilderDagProperty,
+                         ::testing::ValuesIn(kDagSweep));
 
 // ---- Parameterized property sweep: random cyclic digraphs ----
 
@@ -183,6 +182,10 @@ struct DigraphParams {
   size_t edges;
   uint64_t seed;
 };
+
+const DigraphParams kCyclicSweep[] = {{8, 12, 11},  {12, 30, 12}, {20, 40, 13},
+                                      {20, 80, 14}, {30, 60, 15}, {30, 120, 16},
+                                      {40, 70, 17}, {50, 100, 18}};
 
 class CoverBuilderCyclicProperty
     : public ::testing::TestWithParam<DigraphParams> {};
@@ -206,12 +209,50 @@ TEST_P(CoverBuilderCyclicProperty, ValidWithDistance) {
       << "seed=" << p.seed;
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Sweep, CoverBuilderCyclicProperty,
-    ::testing::Values(DigraphParams{8, 12, 11}, DigraphParams{12, 30, 12},
-                      DigraphParams{20, 40, 13}, DigraphParams{20, 80, 14},
-                      DigraphParams{30, 60, 15}, DigraphParams{30, 120, 16},
-                      DigraphParams{40, 70, 17}, DigraphParams{50, 100, 18}));
+INSTANTIATE_TEST_SUITE_P(Sweep, CoverBuilderCyclicProperty,
+                         ::testing::ValuesIn(kCyclicSweep));
+
+// ---- Bit identity: the sweeps' exact covers, pinned ----
+// Each sweep's CoverDigest values folded into one digest per mode. The
+// property tests above accept any valid cover; these fail when the
+// builder picks different centers, and a deliberate change to the greedy
+// choice must re-record them.
+
+template <typename Params, size_t N, typename MakeGraph>
+uint64_t SweepDigest(const Params (&sweep)[N], bool with_distance,
+                     MakeGraph make_graph) {
+  testing::Fnv1a fold;
+  for (const Params& p : sweep) {
+    CoverBuildOptions options;
+    options.with_distance = with_distance;
+    auto cover = BuildCover(make_graph(p), options);
+    EXPECT_TRUE(cover.ok()) << cover.status();
+    if (cover.ok()) fold.Mix(testing::CoverDigest(*cover));
+  }
+  return fold.value();
+}
+
+uint64_t DagSweepDigest(bool with_distance) {
+  return SweepDigest(kDagSweep, with_distance, [](const DagParams& p) {
+    return testing::RandomDag(p.nodes, p.avg_out, p.seed);
+  });
+}
+
+uint64_t CyclicSweepDigest(bool with_distance) {
+  return SweepDigest(kCyclicSweep, with_distance, [](const DigraphParams& p) {
+    return testing::RandomDigraph(p.nodes, p.edges, p.seed);
+  });
+}
+
+TEST(CoverBuilderDigestTest, DagSweepCoversArePinned) {
+  EXPECT_EQ(DagSweepDigest(false), 0xb12baf02f9d43532ULL);
+  EXPECT_EQ(DagSweepDigest(true), 0x558824732ecefbf3ULL);
+}
+
+TEST(CoverBuilderDigestTest, CyclicSweepCoversArePinned) {
+  EXPECT_EQ(CyclicSweepDigest(false), 0x3d68c1dcab66f55dULL);
+  EXPECT_EQ(CyclicSweepDigest(true), 0xb20dbe9f966b0477ULL);
+}
 
 TEST(CoverBuilderDistanceTest, ExactDistancesOnDiamond) {
   Digraph g = Diamond();

@@ -13,6 +13,7 @@
 #include "collection/collection.h"
 #include "datagen/dblp.h"
 #include "graph/digraph.h"
+#include "twohop/cover.h"
 #include "twohop/join_view.h"
 #include "util/rng.h"
 
@@ -21,6 +22,42 @@ namespace hopi::testing {
 /// A label view's entries copied out as values, for comparisons.
 inline std::vector<twohop::LabelEntry> ToEntries(const twohop::JoinView& view) {
   return std::vector<twohop::LabelEntry>(view.begin(), view.end());
+}
+
+/// 64-bit FNV-1a over a stream of integers, each mixed as 8
+/// little-endian bytes.
+class Fnv1a {
+ public:
+  void Mix(uint64_t value) {
+    for (int byte = 0; byte < 8; ++byte) {
+      hash_ ^= (value >> (8 * byte)) & 0xff;
+      hash_ *= 0x100000001b3ULL;
+    }
+  }
+  uint64_t value() const { return hash_; }
+
+ private:
+  uint64_t hash_ = 0xcbf29ce484222325ULL;
+};
+
+/// Fingerprint of a cover's exact labels: for every node, its Out label
+/// then its In label, each as its entry count followed by every center
+/// and distance. ValidateCover accepts any correct cover; a pinned
+/// digest also catches a builder change that picks different centers.
+inline uint64_t CoverDigest(const twohop::TwoHopCover& cover) {
+  Fnv1a fnv;
+  auto mix_label = [&fnv](const twohop::JoinView& label) {
+    fnv.Mix(label.n);
+    for (size_t i = 0; i < label.n; ++i) {
+      fnv.Mix(label.center(i));
+      fnv.Mix(label.dist_at(i));
+    }
+  };
+  for (NodeId v = 0; v < cover.NumNodes(); ++v) {
+    mix_label(cover.Out(v));
+    mix_label(cover.In(v));
+  }
+  return fnv.value();
 }
 
 /// Random DAG: `n` nodes, each node gets edges to ~`avg_out` later nodes.
