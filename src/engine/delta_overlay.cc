@@ -299,8 +299,6 @@ DeltaOverlayBackend::DeltaOverlayBackend(
   size_t n = delta_->num_elements();
   fwd_mark_.assign(n, 0);
   bwd_mark_.assign(n, 0);
-  size_t workers = options_.pool != nullptr ? options_.pool->NumWorkers() : 1;
-  worker_candidates_.resize(workers);
 }
 
 bool DeltaOverlayBackend::IsDeadNode(NodeId e) const {
@@ -360,60 +358,35 @@ bool DeltaOverlayBackend::ExpandFrontier(
     if (other_mark != nullptr && (*other_mark)[y] == epoch_) found = true;
     next->push_back(y);
   };
-  ThreadPool* pool = options_.pool;
-  if (pool != nullptr && frontier.size() >= options_.parallel_frontier_threshold) {
-    // Two-phase parallel expansion: workers scan adjacency read-only
-    // into disjoint per-worker buffers, then the calling thread merges —
-    // the visited stamps keep a single writer. If the pool is busy (a
-    // concurrent probe or a background build owns it), ParallelFor's
-    // re-entrancy guard runs this inline, which is just the serial path
-    // with extra buffering.
-    if (counters_ != nullptr) {
-      counters_->parallel_expansions.fetch_add(1, std::memory_order_relaxed);
-    }
-    for (auto& buf : worker_candidates_) buf.clear();
-    Status st = pool->ParallelFor(
-        0, frontier.size(), [&](size_t i, size_t worker) {
-          ForEachNeighbor(frontier[i], forward, [&](NodeId y) {
-            worker_candidates_[worker].push_back(y);
-          });
-          return Status::OK();
-        });
-    assert(st.ok());
-    (void)st;
-    for (const auto& buf : worker_candidates_) {
-      for (NodeId y : buf) visit(y);
-    }
-  } else {
-    for (NodeId x : frontier) {
-      ForEachNeighbor(x, forward, visit);
-    }
-  }
+  for (NodeId x : frontier) ForEachNeighbor(x, forward, visit);
   return found;
 }
 
-DeltaOverlayBackend::SearchResult DeltaOverlayBackend::BidirectionalSearch(
-    NodeId u, NodeId v, size_t budget) const {
+bool DeltaOverlayBackend::BidirectionalSearch(NodeId u, NodeId v) const {
   PrepareEpoch();
   fwd_mark_[u] = epoch_;
   bwd_mark_[v] = epoch_;
   fwd_frontier_.assign(1, u);
   bwd_frontier_.assign(1, v);
+  size_t budget = options_.hop_budget;
   size_t fwd_hops = 0;
   size_t bwd_hops = 0;
   for (;;) {
     // An emptied frontier is definitive: that side's reachable set is
     // fully stamped and never met the other side.
-    if (fwd_frontier_.empty() || bwd_frontier_.empty()) {
-      return SearchResult::kExhausted;
+    if (fwd_frontier_.empty() || bwd_frontier_.empty()) return false;
+    if (fwd_hops >= budget && bwd_hops >= budget) {
+      // Both sides spent the budget undecided: book it once, then lift
+      // the bound so the same search runs on to the exact answer.
+      if (counters_ != nullptr) {
+        counters_->budget_exhaustions.fetch_add(1, std::memory_order_relaxed);
+      }
+      budget = SIZE_MAX;
     }
-    bool fwd_can = fwd_hops < budget;
-    bool bwd_can = bwd_hops < budget;
-    if (!fwd_can && !bwd_can) return SearchResult::kBudget;
     // Galois-style alternation: always grow the smaller live frontier.
-    bool forward =
-        fwd_can &&
-        (!bwd_can || fwd_frontier_.size() <= bwd_frontier_.size());
+    bool forward = fwd_hops < budget &&
+                   (bwd_hops >= budget ||
+                    fwd_frontier_.size() <= bwd_frontier_.size());
     bool met;
     if (forward) {
       met = ExpandFrontier(fwd_frontier_, /*forward=*/true, &scratch_next_,
@@ -426,7 +399,7 @@ DeltaOverlayBackend::SearchResult DeltaOverlayBackend::BidirectionalSearch(
       bwd_frontier_.swap(scratch_next_);
       ++bwd_hops;
     }
-    if (met) return SearchResult::kFound;
+    if (met) return true;
   }
 }
 
@@ -454,30 +427,8 @@ DeltaOverlayBackend::Outcome DeltaOverlayBackend::Probe(NodeId u,
   if (counters_ != nullptr) {
     counters_->bfs_fallbacks.fetch_add(1, std::memory_order_relaxed);
   }
-  switch (BidirectionalSearch(u, v, options_.hop_budget)) {
-    case SearchResult::kFound:
-      if (counters_ != nullptr) {
-        counters_->bfs_reachable.fetch_add(1, std::memory_order_relaxed);
-      }
-      return Outcome::kBfsReachable;
-    case SearchResult::kExhausted:
-      if (counters_ != nullptr) {
-        counters_->bfs_unreachable.fetch_add(1, std::memory_order_relaxed);
-      }
-      return Outcome::kBfsUnreachable;
-    case SearchResult::kBudget:
-      break;
-  }
-  // Typed unknown: the hop budget ran out on both sides. Recheck with no
-  // budget so the served answer stays exact (kBudget is impossible at
-  // SIZE_MAX — the search either meets or exhausts a frontier).
-  if (counters_ != nullptr) {
-    counters_->budget_exhaustions.fetch_add(1, std::memory_order_relaxed);
-  }
-  SearchResult r = BidirectionalSearch(u, v, SIZE_MAX);
-  assert(r != SearchResult::kBudget);
-  return r == SearchResult::kFound ? Outcome::kRecheckReachable
-                                   : Outcome::kRecheckUnreachable;
+  return BidirectionalSearch(u, v) ? Outcome::kBfsReachable
+                                   : Outcome::kBfsUnreachable;
 }
 
 std::optional<uint32_t> DeltaOverlayBackend::Distance(NodeId u,

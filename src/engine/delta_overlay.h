@@ -8,29 +8,23 @@
 // a DeltaOverlayBackend answers probes against the *combined* graph —
 // base edges minus delta deletions plus delta insertions.
 //
-// The probe strategy is index-hit ∨ bounded bidirectional BFS (the
-// hop-bounded forward/backward search with frontier intersection of
-// katana's Reachability.cpp):
+// The probe strategy is index-hit ∨ bidirectional BFS (the hop-bounded
+// forward/backward search with frontier intersection of katana's
+// Reachability.cpp):
 //
 //   1. base hit — when the delta contains no base-edge or base-document
 //      removals, edge insertion is monotone for reachability, so a
 //      positive answer from the base index is still a positive answer;
-//   2. bounded BFS — otherwise (or when the base says no), expand a
-//      forward frontier from u and a backward frontier from v through
-//      the combined adjacency, always growing the smaller side, up to
-//      `hop_budget` hops per side; meeting frontiers prove
-//      reachability, an emptied frontier proves unreachability;
-//   3. typed unknown → recheck — a probe that exhausts the hop budget
-//      on both sides is *unknown*, surfaced in OverlayCounters as a
-//      budget exhaustion, and escalated to an unbounded search so the
-//      answer handed to the client is still exact.
-//
-// Large frontiers are expanded through a shared util::ThreadPool
-// (ParallelFor): workers scan adjacency read-only into per-worker
-// candidate buffers and the calling thread merges them sequentially, so
-// the visited stamps have a single writer. The pool's re-entrancy guard
-// (util/thread_pool.h) makes it safe for many concurrent probes to
-// target one pool — losers degrade to inline expansion.
+//   2. BFS — otherwise (or when the base says no), expand a forward
+//      frontier from u and a backward frontier from v through the
+//      combined adjacency on the calling thread, always growing the
+//      smaller side, up to `hop_budget` hops per side; meeting
+//      frontiers prove reachability, an emptied frontier proves
+//      unreachability;
+//   3. over budget — once both sides have spent `hop_budget` hops, the
+//      probe is booked in OverlayCounters as a budget exhaustion and
+//      the same search carries on unbounded, so every answer handed to
+//      the client is exact.
 //
 // DeltaState is copy-on-write: Apply() validates one mutation against
 // base ∪ delta and returns the successor state, so readers holding the
@@ -56,7 +50,6 @@
 #include "collection/collection.h"
 #include "engine/backend.h"
 #include "util/result.h"
-#include "util/thread_pool.h"
 
 namespace hopi::engine {
 
@@ -248,61 +241,48 @@ class DeltaState {
 /// instance a pool's workers create (relaxed atomics; read by
 /// EnginePool::Stats and the /stats endpoint).
 struct OverlayCounters {
-  std::atomic<uint64_t> probes{0};          ///< Non-reflexive probes.
-  std::atomic<uint64_t> base_hits{0};       ///< Answered by the base index.
-  std::atomic<uint64_t> bfs_fallbacks{0};   ///< Went to the bounded BFS.
-  std::atomic<uint64_t> bfs_reachable{0};   ///< Frontiers met within budget.
-  std::atomic<uint64_t> bfs_unreachable{0}; ///< A frontier emptied.
-  /// Hop budget exhausted on both sides — the typed "unknown" that was
-  /// escalated to the unbounded recheck.
+  std::atomic<uint64_t> probes{0};         ///< Non-reflexive probes.
+  std::atomic<uint64_t> base_hits{0};      ///< Answered by the base index.
+  std::atomic<uint64_t> bfs_fallbacks{0};  ///< Went to the BFS.
+  /// BFS probes that spent the hop budget on both sides without an
+  /// answer (the search then carried on unbounded).
   std::atomic<uint64_t> budget_exhaustions{0};
-  std::atomic<uint64_t> parallel_expansions{0};  ///< Frontiers via the pool.
 };
 
 struct DeltaOverlayOptions {
-  /// Hops each BFS frontier may expand before the probe is declared
-  /// unknown and escalated to the unbounded recheck.
+  /// Hops per BFS side after which a still-undecided probe counts as a
+  /// budget exhaustion. Only that counter depends on it: the search
+  /// carries on unbounded, so answers are exact at any budget.
   size_t hop_budget = 8;
-  /// Frontier size at or above which expansion goes through `pool`
-  /// (below it, inline expansion beats the hand-off).
-  size_t parallel_frontier_threshold = 128;
-  /// Pool driving large-frontier expansion; nullptr = always inline.
-  /// May be shared with anything else (including other probes running
-  /// concurrently) — contended ParallelFor calls fall back to inline
-  /// execution.
-  ThreadPool* pool = nullptr;
 };
 
 /// ReachabilityBackend over base ∪ delta.
 ///
 /// Label-less (HasLabels() = false): the QueryEngine batch path routes
 /// every probe through TestConnections/IsReachable, which is where the
-/// index-hit ∨ bounded-BFS strategy lives. Not distance-aware — under a
+/// index-hit ∨ BFS strategy lives. Not distance-aware — under a
 /// non-empty delta, connected pairs report distance 0 (the pool serves
 /// exact distances again after the next rebuild truncates the delta).
 ///
 /// Instances carry per-probe scratch (epoch-stamped visited arrays):
 /// one instance serves one thread at a time, the same contract as every
-/// other backend behind a QueryEngine. The shared `counters` and
-/// `options.pool` may be used by any number of instances concurrently.
+/// other backend behind a QueryEngine. The shared `counters` may be
+/// used by any number of instances concurrently.
 class DeltaOverlayBackend final : public ReachabilityBackend {
  public:
   /// Where a probe's answer came from — the typed outcome behind
-  /// IsReachable, exposed for tests and stats. kRecheck* outcomes are
-  /// budget exhaustions whose exact answer came from the unbounded
-  /// escalation.
+  /// IsReachable, exposed for tests and stats. Whether a BFS probe went
+  /// over the hop budget shows only in OverlayCounters.
   enum class Outcome : uint8_t {
-    kReflexive,           // u == v
-    kBaseHit,             // base index said yes and the delta kept it valid
-    kDeadEndpoint,        // an endpoint's document is deleted
-    kBfsReachable,        // frontiers met within the hop budget
-    kBfsUnreachable,      // a frontier emptied within the hop budget
-    kRecheckReachable,    // unknown at the budget; unbounded search: yes
-    kRecheckUnreachable,  // unknown at the budget; unbounded search: no
+    kReflexive,       // u == v
+    kBaseHit,         // base index said yes and the delta kept it valid
+    kDeadEndpoint,    // an endpoint's document is deleted
+    kBfsReachable,    // the BFS frontiers met
+    kBfsUnreachable,  // a BFS frontier emptied
   };
   static bool IsReachableOutcome(Outcome o) {
     return o == Outcome::kReflexive || o == Outcome::kBaseHit ||
-           o == Outcome::kBfsReachable || o == Outcome::kRecheckReachable;
+           o == Outcome::kBfsReachable;
   }
 
   /// `base` answers the un-mutated snapshot; `base_collection` is the
@@ -332,19 +312,16 @@ class DeltaOverlayBackend final : public ReachabilityBackend {
   const DeltaState& delta() const { return *delta_; }
 
  private:
-  enum class SearchResult : uint8_t { kFound, kExhausted, kBudget };
-
   /// True when the element's document was deleted through the delta.
   bool IsDeadNode(NodeId e) const;
   /// Calls fn(y) for every combined-graph neighbor of x in the given
-  /// direction, skipping deleted edges and dead endpoints. Read-only —
-  /// safe from ParallelFor workers.
+  /// direction, skipping deleted edges and dead endpoints.
   template <typename Fn>
   void ForEachNeighbor(NodeId x, bool forward, Fn&& fn) const;
 
-  /// Bidirectional BFS with `budget` hops per side. kBudget is
-  /// impossible when budget is SIZE_MAX (the recheck configuration).
-  SearchResult BidirectionalSearch(NodeId u, NodeId v, size_t budget) const;
+  /// Bidirectional BFS: true when u reaches v. Books a budget
+  /// exhaustion when both sides spend the hop budget undecided.
+  bool BidirectionalSearch(NodeId u, NodeId v) const;
   /// Expands `frontier` one hop into `next`, stamping `mark` (and
   /// testing `other_mark` for the meet). Returns true on a meet.
   bool ExpandFrontier(const std::vector<NodeId>& frontier, bool forward,
@@ -369,8 +346,6 @@ class DeltaOverlayBackend final : public ReachabilityBackend {
   mutable std::vector<NodeId> fwd_frontier_;
   mutable std::vector<NodeId> bwd_frontier_;
   mutable std::vector<NodeId> scratch_next_;
-  /// Per-ParallelFor-worker candidate buffers (disjoint slots).
-  mutable std::vector<std::vector<NodeId>> worker_candidates_;
 };
 
 }  // namespace hopi::engine

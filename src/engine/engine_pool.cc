@@ -279,12 +279,6 @@ Status EnginePool::EnableMutations(const HopiIndex& source) {
                              source.with_distance());
   maintenance_ = std::move(maintenance);
   maintenance_with_distance_ = source.with_distance();
-  if (!overlay_pool_) {
-    // Created once and kept for the pool's lifetime: worker overlay
-    // backends hold the raw pointer and may outlive a later Swap().
-    overlay_pool_ = std::make_unique<ThreadPool>(
-        std::max<size_t>(1, options_.overlay_threads));
-  }
   return Status::OK();
 }
 
@@ -474,9 +468,6 @@ const EnginePool::ServingState& EnginePool::BindCurrentState(WorkerState* ws) {
       // reachability sees base ∪ delta.
       DeltaOverlayOptions overlay_options;
       overlay_options.hop_budget = options_.overlay_hop_budget;
-      overlay_options.parallel_frontier_threshold =
-          options_.overlay_parallel_threshold;
-      overlay_options.pool = overlay_pool_.get();
       backend = std::make_unique<DeltaOverlayBackend>(
           std::move(backend), &current->snapshot->collection(),
           current->delta, overlay_options, &overlay_counters_);
@@ -618,8 +609,6 @@ PoolStats EnginePool::Stats() const {
       overlay_counters_.bfs_fallbacks.load(std::memory_order_relaxed);
   stats.overlay_budget_exhaustions =
       overlay_counters_.budget_exhaustions.load(std::memory_order_relaxed);
-  stats.overlay_parallel_expansions =
-      overlay_counters_.parallel_expansions.load(std::memory_order_relaxed);
   std::shared_ptr<const ServingState> state = State();
   stats.snapshot_version = state->snapshot->version();
   stats.delta_ops = state->delta->num_ops();

@@ -29,7 +29,7 @@
 // Sec-6-maintained HopiIndex (the rebuild source), and publishes
 // {same snapshot, delta + op} — the op is visible to the very next
 // work item any worker picks up, served through a DeltaOverlayBackend
-// (delta_overlay.h: base-index-hit ∨ bounded bidirectional BFS).
+// (delta_overlay.h: base-index-hit ∨ bidirectional BFS).
 // RebuildNow() / the RebuildDaemon then fold the delta back to zero:
 // freeze a fresh snapshot from the maintenance index and publish it
 // TOGETHER with the delta truncated through the frozen generation — one
@@ -73,7 +73,6 @@
 #include "query/similarity.h"
 #include "util/lane_queue.h"
 #include "util/result.h"
-#include "util/thread_pool.h"
 
 namespace hopi::engine {
 
@@ -123,14 +122,10 @@ struct EnginePoolOptions {
 
   // ---- delta overlay (used only after EnableMutations) ----
 
-  /// Hop budget per BFS side before a probe escalates to the unbounded
-  /// recheck (DeltaOverlayOptions::hop_budget).
+  /// Hops per BFS side after which an overlay probe counts as a budget
+  /// exhaustion (DeltaOverlayOptions::hop_budget). Sets only that
+  /// counter's threshold; answers are exact at any value.
   size_t overlay_hop_budget = 8;
-  /// Frontier size at which overlay BFS expansion goes parallel.
-  size_t overlay_parallel_threshold = 128;
-  /// Threads of the pool shared by all workers' overlay BFS frontiers
-  /// (ThreadPool's re-entrancy guard arbitrates concurrent probes).
-  size_t overlay_threads = 2;
   /// Hard cap on buffered delta ops: ApplyMutation sheds with
   /// ResourceExhausted at the cap until a rebuild truncates the delta.
   /// 0 = unbounded.
@@ -251,7 +246,6 @@ struct PoolStats {
   uint64_t overlay_base_hits = 0;
   uint64_t overlay_bfs_fallbacks = 0;
   uint64_t overlay_budget_exhaustions = 0;
-  uint64_t overlay_parallel_expansions = 0;
   /// Gauges (not monotonic): the load picture at the Stats() call.
   uint64_t queued = 0;    ///< Work items waiting across all lanes.
   uint64_t executing = 0; ///< Workers currently inside an item.
@@ -484,9 +478,6 @@ class EnginePool {
   /// Serializes whole rebuilds (kFull spends most of its time outside
   /// mutation_mu_; this keeps two rebuilds from racing each other).
   std::mutex rebuild_mu_;
-  /// Shared by every worker's overlay backend for parallel BFS
-  /// frontiers; created lazily by EnableMutations.
-  std::unique_ptr<ThreadPool> overlay_pool_;
   OverlayCounters overlay_counters_;
 
   std::atomic<uint64_t> mutations_{0};

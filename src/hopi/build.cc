@@ -113,10 +113,11 @@ Result<HopiIndex> BuildIndex(collection::Collection* collection,
   // Partition covers are independent; they are built over a thread pool
   // (Sec 4.1: "all these computations can be done concurrently") and
   // translated into the unified cover serially. The budget is split:
-  // `outer` pool workers across partitions, the remainder as
-  // intra-partition threads inside the largest covers (see
-  // SplitThreadBudget), so one fat partition no longer caps the phase at
-  // single-thread speed.
+  // `outer` = min(threads, partitions) pool workers across partitions,
+  // the remainder as intra-partition threads inside the largest covers
+  // (see SplitThreadBudget). A remainder exists only when there are
+  // fewer partitions than threads; otherwise every cover runs on one
+  // thread and the fattest partition sets the phase's time.
   watch.Restart();
   const size_t num_partitions = partitioning->NumPartitions();
   std::vector<Result<twohop::TwoHopCover>> covers(

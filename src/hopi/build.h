@@ -40,13 +40,15 @@ struct IndexBuildOptions {
   uint64_t psg_partition_cap = 0;
   /// Total thread budget for the covers phase. Partition covers are
   /// independent ("all these computations can be done concurrently",
-  /// Sec 4.1) and run over a shared pool; when there are fewer
-  /// partitions than threads, the leftover budget moves *inside* the
-  /// largest partitions' cover builds (speculative candidate
-  /// evaluation, see twohop::CoverBuildOptions::num_threads), so the
-  /// fattest partition no longer caps the phase at single-thread speed.
-  /// In `global` mode the whole budget goes to the one cover build.
-  /// The built index is identical for every value.
+  /// Sec 4.1) and run on min(num_threads, partitions) pool workers.
+  /// Only when there are fewer partitions than threads does the
+  /// leftover budget move *inside* the largest partitions' cover
+  /// builds (speculative candidate evaluation, see
+  /// twohop::CoverBuildOptions::num_threads); with at least as many
+  /// partitions as threads every cover is built on one thread, so a
+  /// partition holding most of the connections still sets the phase's
+  /// time. In `global` mode the whole budget goes to the one cover
+  /// build. The built index is identical for every value.
   size_t num_threads = 1;
 };
 

@@ -1,5 +1,7 @@
 #include "hopi/index.h"
 
+#include "hopi/join.h"
+
 namespace hopi {
 
 HopiIndex::HopiIndex(collection::Collection* collection,
@@ -30,33 +32,6 @@ double HopiIndex::DegradationFactor() const {
   return density / density_at_build_;
 }
 
-void HopiIndex::MergeLink(NodeId u, NodeId v) {
-  // Fig. 2: v is the center for all new connections from ancestors of u
-  // (including u) to descendants of v (including v). Ancestors and
-  // descendants are computed with the *current* cover.
-  std::vector<NodeId> ancestors = cover_.Ancestors(u);
-  std::vector<NodeId> descendants = cover_.Descendants(v);
-
-  if (with_distance_) {
-    // dist(a, v) = dist(a, u) + 1 over the new link; descendants keep
-    // their dist(v, d). Entries can only overestimate a true shortest
-    // distance transiently inside this loop; AddIn/AddOut keep minima.
-    for (NodeId a : ancestors) {
-      auto d = cover_.cover().Distance(a, u);
-      if (d) cover_.AddOut(a, v, *d + 1);
-    }
-    cover_.AddOut(u, v, 1);
-    for (NodeId d : descendants) {
-      auto dist = cover_.cover().Distance(v, d);
-      if (dist) cover_.AddIn(d, v, *dist);
-    }
-  } else {
-    for (NodeId a : ancestors) cover_.AddOut(a, v);
-    cover_.AddOut(u, v);
-    for (NodeId d : descendants) cover_.AddIn(d, v);
-  }
-}
-
 Status HopiIndex::InsertLink(NodeId u, NodeId v) {
   if (u >= collection_->NumElements() || v >= collection_->NumElements()) {
     return Status::InvalidArgument("link endpoint out of range");
@@ -65,7 +40,7 @@ Status HopiIndex::InsertLink(NodeId u, NodeId v) {
   if (!collection_->AddLink(u, v)) {
     return Status::InvalidArgument("link already present");
   }
-  MergeLink(u, v);
+  MergeLink(u, v, with_distance_, &cover_);
   return Status::OK();
 }
 

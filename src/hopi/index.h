@@ -118,10 +118,6 @@ class HopiIndex {
   }
 
  private:
-  /// Sec 3.3 / Fig 2: merge one link into the cover with v as the center
-  /// for all newly created connections.
-  void MergeLink(NodeId u, NodeId v);
-
   Status DeleteDocumentFast(collection::DocId doc);
   Status DeleteDocumentGeneral(collection::DocId doc, DeleteStats* stats);
 

@@ -12,36 +12,6 @@ namespace hopi {
 
 namespace {
 
-/// Fig. 2 link merge shared with the maintenance path: v becomes the
-/// center for all new connections across link (u, v). Ancestors and
-/// descendants come from the current (evolving) cover.
-uint64_t MergeOneLink(NodeId u, NodeId v, bool with_distance,
-                      twohop::IndexedCover* cover) {
-  uint64_t added = 0;
-  std::vector<NodeId> ancestors = cover->Ancestors(u);
-  std::vector<NodeId> descendants = cover->Descendants(v);
-  if (with_distance) {
-    for (NodeId a : ancestors) {
-      auto d = cover->cover().Distance(a, u);
-      if (d && cover->AddOut(a, v, *d + 1)) ++added;
-    }
-    if (cover->AddOut(u, v, 1)) ++added;
-    for (NodeId d : descendants) {
-      auto dist = cover->cover().Distance(v, d);
-      if (dist && cover->AddIn(d, v, *dist)) ++added;
-    }
-  } else {
-    for (NodeId a : ancestors) {
-      if (cover->AddOut(a, v)) ++added;
-    }
-    if (cover->AddOut(u, v)) ++added;
-    for (NodeId d : descendants) {
-      if (cover->AddIn(d, v)) ++added;
-    }
-  }
-  return added;
-}
-
 /// Single-source shortest distances over the PSG's weighted adjacency
 /// (weights >= 1; Dijkstra with a binary heap). Plain mode uses the same
 /// routine with all weights 1 — still correct, just BFS-equivalent.
@@ -278,6 +248,36 @@ std::vector<SkeletonRow> ComputeSkeletonCover(
   return rows;
 }
 
+uint64_t MergeLink(NodeId u, NodeId v, bool with_distance,
+                   twohop::IndexedCover* cover) {
+  uint64_t added = 0;
+  std::vector<NodeId> ancestors = cover->Ancestors(u);
+  std::vector<NodeId> descendants = cover->Descendants(v);
+  if (with_distance) {
+    // dist(a, v) = dist(a, u) + 1 over the new link; descendants keep
+    // their dist(v, d). Entries can only overestimate a true shortest
+    // distance transiently inside this loop; AddIn/AddOut keep minima.
+    for (NodeId a : ancestors) {
+      auto d = cover->cover().Distance(a, u);
+      if (d && cover->AddOut(a, v, *d + 1)) ++added;
+    }
+    if (cover->AddOut(u, v, 1)) ++added;
+    for (NodeId d : descendants) {
+      auto dist = cover->cover().Distance(v, d);
+      if (dist && cover->AddIn(d, v, *dist)) ++added;
+    }
+  } else {
+    for (NodeId a : ancestors) {
+      if (cover->AddOut(a, v)) ++added;
+    }
+    if (cover->AddOut(u, v)) ++added;
+    for (NodeId d : descendants) {
+      if (cover->AddIn(d, v)) ++added;
+    }
+  }
+  return added;
+}
+
 Status JoinCoversIncremental(const collection::Collection& collection,
                              const partition::Partitioning& partitioning,
                              bool with_distance,
@@ -288,7 +288,7 @@ Status JoinCoversIncremental(const collection::Collection& collection,
   stats->cross_links = partitioning.cross_links.size();
   for (const collection::Link& l : partitioning.cross_links) {
     stats->label_additions +=
-        MergeOneLink(l.source, l.target, with_distance, cover);
+        MergeLink(l.source, l.target, with_distance, cover);
   }
   return Status::OK();
 }

@@ -52,6 +52,14 @@ Status JoinCoversIncremental(const collection::Collection& collection,
                              twohop::IndexedCover* cover,
                              JoinStats* stats = nullptr);
 
+/// Fig. 2 link merge: v becomes the center of every new connection
+/// across link (u, v), from u and its ancestors to v and its
+/// descendants, both read from the current (evolving) cover. Returns
+/// the number of label entries added. The incremental join runs it per
+/// cross link; Sec 6 InsertLink / InsertDocument run it per new link.
+uint64_t MergeLink(NodeId u, NodeId v, bool with_distance,
+                   twohop::IndexedCover* cover);
+
 /// New structurally recursive algorithm.
 Status JoinCoversRecursive(const collection::Collection& collection,
                            const partition::Partitioning& partitioning,

@@ -7,6 +7,7 @@
 #include "graph/subgraph.h"
 #include "graph/traversal.h"
 #include "hopi/index.h"
+#include "hopi/join.h"
 #include "twohop/builder.h"
 #include "util/timer.h"
 
@@ -79,7 +80,9 @@ Status HopiIndex::InsertDocument(DocId doc) {
     DocId ds = collection_->DocOf(l.source);
     DocId dt = collection_->DocOf(l.target);
     if (ds == dt) continue;
-    if (ds == doc || dt == doc) MergeLink(l.source, l.target);
+    if (ds == doc || dt == doc) {
+      MergeLink(l.source, l.target, with_distance_, &cover_);
+    }
   }
   return Status::OK();
 }

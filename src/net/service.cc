@@ -300,8 +300,6 @@ std::string ReachabilityService::StatsJson() const {
   out += ",\"bfs_fallbacks\":" + std::to_string(pool.overlay_bfs_fallbacks);
   out += ",\"budget_exhaustions\":" +
          std::to_string(pool.overlay_budget_exhaustions);
-  out += ",\"parallel_expansions\":" +
-         std::to_string(pool.overlay_parallel_expansions);
   out += ",\"rebuilds\":" + std::to_string(pool.rebuilds);
   out += ",\"last_rebuild_pause_us\":" +
          std::to_string(pool.last_rebuild_pause_us);

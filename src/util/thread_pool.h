@@ -39,11 +39,11 @@ namespace hopi {
 /// task of the same pool — does not block and does not corrupt the
 /// running loop: it detects the busy pool and degrades to an inline
 /// serial loop on the calling thread, preserving the error-channel
-/// semantics. This makes the pool safe to share between a background
-/// build and concurrent overlay BFS probes (engine/delta_overlay.cc);
-/// callers that want guaranteed nested parallelism still use a
-/// separate, smaller pool (see the thread budget split in
-/// hopi/build.cc).
+/// semantics. So a pool never deadlocks or corrupts a loop when it is
+/// shared by several threads or called from inside its own tasks, at
+/// the cost of the loser running serially; callers that want
+/// guaranteed nested parallelism use a separate, smaller pool (see the
+/// thread budget split in hopi/build.cc).
 class ThreadPool {
  public:
   explicit ThreadPool(size_t num_threads);

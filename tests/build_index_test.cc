@@ -118,6 +118,50 @@ TEST(BuildIndexTest, SmallCapDistanceIndexDigestIsPinned) {
   EXPECT_EQ(testing::CoverDigest(index->cover()), 0x759383ce6ca07772ULL);
 }
 
+// Sec-6 bit identity: the pinned collection's index after a fixed
+// seeded sequence of 60 InsertLink and 3 InsertDocument calls (each new
+// document cites an existing root and is cited by an existing element).
+// Pins the Fig. 2 link merge both maintenance operations run.
+uint64_t MaintainedIndexDigest(bool with_distance) {
+  Collection c = testing::SmallDblp(60, 101);
+  IndexBuildOptions options;
+  options.with_distance = with_distance;
+  auto index = BuildIndex(&c, options);
+  EXPECT_TRUE(index.ok()) << index.status();
+  if (!index.ok()) return 0;
+  Rng rng(4242);
+  for (int links = 0; links < 60;) {
+    NodeId u = static_cast<NodeId>(rng.NextBounded(c.NumElements()));
+    NodeId v = static_cast<NodeId>(rng.NextBounded(c.NumElements()));
+    if (u == v || c.ElementGraph().HasEdge(u, v)) continue;
+    EXPECT_TRUE(index->InsertLink(u, v).ok());
+    ++links;
+  }
+  for (int i = 0; i < 3; ++i) {
+    NodeId cited = c.RootOf(
+        static_cast<collection::DocId>(rng.NextBounded(c.NumDocuments())));
+    NodeId citing = static_cast<NodeId>(rng.NextBounded(c.NumElements()));
+    collection::DocId d =
+        c.AddDocument(std::string("maint").append(std::to_string(i)));
+    NodeId root = c.AddElement(d, "inproceedings");
+    c.AddLink(c.AddElement(d, "cite", root), cited);
+    c.AddLink(citing, root);
+    EXPECT_TRUE(index->InsertDocument(d).ok());
+  }
+  Status valid =
+      twohop::ValidateCover(index->cover(), c.ElementGraph(), with_distance);
+  EXPECT_TRUE(valid.ok()) << valid;
+  return testing::CoverDigest(index->cover());
+}
+
+TEST(BuildIndexTest, MaintainedIndexDigestIsPinned) {
+  EXPECT_EQ(MaintainedIndexDigest(false), 0xfd6be6fae50b0f3aULL);
+}
+
+TEST(BuildIndexTest, MaintainedDistanceIndexDigestIsPinned) {
+  EXPECT_EQ(MaintainedIndexDigest(true), 0x8ae2fc0a4c2e8226ULL);
+}
+
 TEST(BuildIndexTest, GlobalBuildMatchesPartitionedSemantics) {
   Collection c = testing::SmallDblp(40, 55);
   IndexBuildOptions global;

@@ -14,7 +14,9 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
+#include <iterator>
 #include <memory>
 #include <optional>
 #include <string>
@@ -27,6 +29,7 @@
 #include "engine/shard_router.h"
 #include "engine/sharded_engine.h"
 #include "engine/snapshot.h"
+#include "graph/traversal.h"
 #include "hopi/build.h"
 #include "storage/linlout.h"
 #include "test_util.h"
@@ -302,7 +305,7 @@ INSTANTIATE_TEST_SUITE_P(
 // un-rebuilt snapshot) while a mirror Collection replays the same ops
 // via ApplyMutationToCollection. After each batch of ops the full n×n
 // matrix through the pool must equal the closure re-materialized from
-// the mirror — the overlay's bounded BFS, base-hit gating, deleted-edge
+// the mirror — the overlay's BFS, base-hit gating, deleted-edge
 // masking and dead-document handling all face the same independent
 // oracle as the frozen access paths above.
 
@@ -438,11 +441,9 @@ TEST_P(OverlayDifferentialScenario, OverlayMatchesClosureOracleWhileMutating) {
   engine::EnginePoolOptions pool_options;
   pool_options.num_threads = 2;
   // A third of the seeds serve with a starvation-level hop budget, so
-  // nontrivial probes straddle it and cross the typed-unknown recheck;
-  // half drive frontier expansion through the shared thread pool from
-  // frontier size 2 up. Answers must be identical either way.
+  // nontrivial probes straddle it and run on past it. Answers must be
+  // identical either way.
   pool_options.overlay_hop_budget = seed % 3 == 0 ? 1 : 8;
-  pool_options.overlay_parallel_threshold = seed % 2 == 0 ? 2 : 128;
   engine::EnginePool pool(snapshot, pool_options);
   ASSERT_TRUE(pool.EnableMutations(index).ok());
 
@@ -528,8 +529,8 @@ INSTANTIATE_TEST_SUITE_P(
 
 // The typed probe state machine, outcome by outcome, on a handmade
 // graph: base hit while the delta is purely additive, BFS once a base
-// edge is masked, typed unknown + unbounded recheck at a 1-hop budget,
-// dead endpoints after a document deletion.
+// edge is masked, budget exhaustions at a 1-hop budget, dead endpoints
+// after a document deletion.
 TEST(DeltaOverlayOutcomeTest, TypedOutcomesCoverTheProbeStateMachine) {
   using Outcome = engine::DeltaOverlayBackend::Outcome;
   Collection c;
@@ -581,8 +582,8 @@ TEST(DeltaOverlayOutcomeTest, TypedOutcomesCoverTheProbeStateMachine) {
       delta->Apply(engine::Mutation::DeleteLink(b, z), c).status().IsNotFound());
 
   // An 8-document chain a -> e0 -> ... -> e7 -> z through the delta:
-  // with a 1-hop budget per side the probe is a typed unknown, and the
-  // unbounded recheck restores the exact answer.
+  // with a 1-hop budget per side the probe goes over budget, is booked
+  // as a budget exhaustion, and the search runs on to the exact answer.
   std::vector<NodeId> chain;
   for (int i = 0; i < 8; ++i) {
     apply(engine::Mutation::InsertDocument("chain" + std::to_string(i) + ".xml",
@@ -598,12 +599,14 @@ TEST(DeltaOverlayOutcomeTest, TypedOutcomesCoverTheProbeStateMachine) {
     engine::DeltaOverlayBackend overlay(mk_base(), &c, delta, tight,
                                         &counters);
     uint64_t before = counters.budget_exhaustions.load();
-    EXPECT_EQ(overlay.Probe(a, z), Outcome::kRecheckReachable);
+    EXPECT_EQ(overlay.Probe(a, z), Outcome::kBfsReachable);
     EXPECT_EQ(counters.budget_exhaustions.load(), before + 1);
-    EXPECT_EQ(overlay.Probe(chain[5], chain[1]), Outcome::kRecheckUnreachable);
-    // A frontier that empties within the budget is definitive without a
-    // recheck: z has no outgoing edges at all.
+    EXPECT_EQ(overlay.Probe(chain[5], chain[1]), Outcome::kBfsUnreachable);
+    EXPECT_EQ(counters.budget_exhaustions.load(), before + 2);
+    // A frontier that empties within the budget is definitive and not
+    // an exhaustion: z has no outgoing edges at all.
     EXPECT_EQ(overlay.Probe(z, chain[0]), Outcome::kBfsUnreachable);
+    EXPECT_EQ(counters.budget_exhaustions.load(), before + 2);
   }
 
   // Descendants/Ancestors walk the combined graph.
@@ -714,6 +717,121 @@ TEST(DeltaOverlayOutcomeTest, HopBudgetExhaustionsSurfaceInPoolStats) {
   EXPECT_GT(stats.overlay_probes, 0u);
   EXPECT_GT(stats.overlay_bfs_fallbacks, 0u);
   EXPECT_GT(stats.overlay_budget_exhaustions, 0u);
+}
+
+// What each OverlayCounters field means, probe by probe, over every
+// pair of seeded base ∪ delta graphs (each prefix of a random sequence
+// of link and document inserts and deletes) at several hop budgets. The
+// benchmark's overlay.*_frac metrics are ratios of these counters. A
+// BFS probe is a budget exhaustion exactly when both sides can spend
+// the budget undecided: dist(u, v) > 2 × budget (or unreachable), and
+// u reaches some node at distance `budget` forward, v at `budget`
+// backward.
+TEST(DeltaOverlayOutcomeTest, CountersTallyTheTypedOutcomes) {
+  using Outcome = engine::DeltaOverlayBackend::Outcome;
+  const size_t kBudgets[] = {0, 1, 2, 8, SIZE_MAX};
+  // Outcome tallies over every graph, so the test cannot pass vacuously.
+  uint64_t all_base_hits = 0, all_dead = 0, all_bfs = 0;
+  uint64_t all_exhausted[std::size(kBudgets)] = {};
+  for (uint64_t seed = 1; seed <= 6; ++seed) {
+    Collection c = testing::RandomCollection(4, 4, 6, seed + 900);
+    TransitiveClosureIndex base_closure =
+        TransitiveClosureIndex::Build(c.ElementGraph(), false);
+    Rng rng(seed * 31 + 7);
+    auto delta =
+        engine::DeltaState::MakeEmpty(c.NumElements(), c.NumDocuments(), 0);
+    Collection mirror = c;
+    int doc_counter = 0;
+    std::string trace;
+    for (int op = 0; op < 8; ++op) {
+      engine::Mutation m = RandomOverlayMutation(&rng, mirror, &doc_counter);
+      trace += (trace.empty() ? "" : ", ") + Describe(m);
+      auto next = delta->Apply(m, c);
+      ASSERT_TRUE(next.ok()) << trace << ": " << next.status();
+      delta = std::move(next).value();
+      ASSERT_TRUE(engine::ApplyMutationToCollection(m, &mirror).ok());
+
+      const Digraph& g = mirror.ElementGraph();
+      const auto n = static_cast<NodeId>(mirror.NumElements());
+      TransitiveClosureIndex closure = TransitiveClosureIndex::Build(g, false);
+      std::vector<std::vector<uint32_t>> dist(n);
+      std::vector<uint32_t> out_depth(n, 0);  // farthest BFS level forward
+      std::vector<uint32_t> in_depth(n, 0);   // ... and backward
+      for (NodeId x = 0; x < n; ++x) {
+        dist[x] = BfsDistances(g, x);
+        for (uint32_t d : dist[x]) {
+          if (d != kUnreachable) out_depth[x] = std::max(out_depth[x], d);
+        }
+        for (uint32_t d : BfsDistancesReverse(g, x)) {
+          if (d != kUnreachable) in_depth[x] = std::max(in_depth[x], d);
+        }
+      }
+
+      for (size_t b = 0; b < std::size(kBudgets); ++b) {
+        const size_t budget = kBudgets[b];
+        const std::string context = "seed" + std::to_string(seed) +
+                                    " budget " + std::to_string(budget) +
+                                    " after " + trace;
+        engine::OverlayCounters counters;
+        engine::DeltaOverlayBackend overlay(
+            std::make_unique<engine::ClosureBackend>(base_closure, false), &c,
+            delta, {.hop_budget = budget}, &counters);
+        uint64_t base_hits = 0, bfs = 0, dead = 0, exhausted = 0;
+        for (NodeId u = 0; u < n; ++u) {
+          for (NodeId v = 0; v < n; ++v) {
+            const uint64_t before = counters.budget_exhaustions.load();
+            const Outcome o = overlay.Probe(u, v);
+            ASSERT_EQ(engine::DeltaOverlayBackend::IsReachableOutcome(o),
+                      closure.IsReachable(u, v))
+                << context << ": " << u << "->" << v;
+            const bool booked = counters.budget_exhaustions.load() != before;
+            bool want_booked = false;
+            switch (o) {
+              case Outcome::kReflexive:
+                break;
+              case Outcome::kBaseHit:
+                ++base_hits;
+                break;
+              case Outcome::kDeadEndpoint:
+                ++dead;
+                break;
+              case Outcome::kBfsReachable:
+              case Outcome::kBfsUnreachable:
+                ++bfs;
+                want_booked = budget < n &&
+                              (dist[u][v] == kUnreachable ||
+                               dist[u][v] > 2 * budget) &&
+                              out_depth[u] >= budget &&
+                              in_depth[v] >= budget;
+                break;
+            }
+            ASSERT_EQ(booked, want_booked)
+                << context << ": " << u << "->" << v;
+            exhausted += booked ? 1 : 0;
+          }
+        }
+        EXPECT_EQ(counters.base_hits.load(), base_hits) << context;
+        EXPECT_EQ(counters.bfs_fallbacks.load(), bfs) << context;
+        EXPECT_EQ(counters.probes.load(), base_hits + bfs + dead) << context;
+        EXPECT_EQ(counters.budget_exhaustions.load(), exhausted) << context;
+        if (budget == 0) {
+          EXPECT_EQ(exhausted, bfs) << context;
+        }
+        all_base_hits += base_hits;
+        all_dead += dead;
+        all_bfs += bfs;
+        all_exhausted[b] += exhausted;
+      }
+    }
+  }
+  EXPECT_GT(all_base_hits, 0u);
+  EXPECT_GT(all_dead, 0u);
+  EXPECT_GT(all_bfs, 0u);
+  // Exhaustions fall as the budget grows, and vanish when it is unbounded.
+  for (size_t b = 0; b + 2 < std::size(kBudgets); ++b) {
+    EXPECT_GT(all_exhausted[b], all_exhausted[b + 1]) << kBudgets[b];
+  }
+  EXPECT_EQ(all_exhausted[std::size(kBudgets) - 1], 0u);
 }
 
 // ---- sharded scatter-gather scenarios ----

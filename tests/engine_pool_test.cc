@@ -869,8 +869,7 @@ TEST(EnginePoolStressTest, MutationsRebuildsAndProbesRaceConsistently) {
 
   EnginePoolOptions options;
   options.num_threads = 3;
-  options.overlay_hop_budget = 2;  // force recheck traffic
-  options.overlay_parallel_threshold = 4;
+  options.overlay_hop_budget = 2;  // force over-budget searches
   options.max_delta_ops = 64;  // writer must wait for absorbs
   EnginePool pool(snapshot, options);
   ASSERT_TRUE(pool.EnableMutations(index).ok());
