@@ -14,7 +14,7 @@
 //                  loop: a late response delays the next send, and
 //                  that delay counts in the next request's latency).
 //   --mode=burst   shedding demo: a deliberately tiny pool (1 worker,
-//                  lane capacity from --queue_capacity) under a
+//                  queue capacity from --queue_capacity) under a
 //                  many-client closed loop — the 429 column is the
 //                  admission controller earning its keep.
 //
@@ -259,7 +259,7 @@ int main(int argc, char** argv) {
   }
 
   if (mode == "all" || mode == "burst") {
-    // A pool sized to drown: 1 worker, tiny lane, low watermarks. The
+    // A pool sized to drown: 1 worker, tiny queue, low watermarks. The
     // burst MUST shed (asserted by tests/net_test.cc; reported here).
     engine::EnginePoolOptions pool_options;
     pool_options.num_threads = 1;
@@ -280,7 +280,7 @@ int main(int argc, char** argv) {
     engine::PoolStats stats = pool.Stats();
     report.Add("burst_pool_sheds", stats.sheds);
     std::cout << "burst: pool sheds=" << stats.sheds
-              << " (burst_clients=" << burst_clients << ", lane cap="
+              << " (burst_clients=" << burst_clients << ", queue cap="
               << queue_capacity << ", high watermark=" << shed_high << ")\n";
     server.Stop();
   }

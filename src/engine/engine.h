@@ -79,12 +79,6 @@ struct ReachabilityResponse {
 struct BatchRequest {
   std::vector<NodePair> pairs;
   bool want_distances = false;
-  /// Optional worker-affinity key for EnginePool submissions: requests
-  /// with the same hint land on the same worker lane (hint % workers),
-  /// so a client that shards its keyspace keeps each key range's labels
-  /// in one worker's cache. Unset = the pool's dispatch policy picks.
-  /// Ignored outside EnginePool.
-  std::optional<uint64_t> lane_hint = std::nullopt;
 };
 
 /// Per-call accounting of one Batch() evaluation. Label fetches take

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <exception>
+#include <stdexcept>
 #include <string>
 #include <utility>
 
@@ -22,6 +23,23 @@ std::string DescribeCurrentException() {
   } catch (...) {
     return "non-standard exception";
   }
+}
+
+/// The callback behind the future forms: it fulfils `promise`, and a
+/// failed Result becomes the future's exception. The closure shares the
+/// promise, so the promise outlives its fulfilment even when the waiter
+/// returns the moment the future is ready.
+template <typename Response>
+std::function<void(Result<Response>)> Fulfil(
+    std::shared_ptr<std::promise<Response>> promise) {
+  return [promise = std::move(promise)](Result<Response> result) {
+    if (result.ok()) {
+      promise->set_value(std::move(result).value());
+    } else {
+      promise->set_exception(std::make_exception_ptr(
+          std::runtime_error(result.status().ToString())));
+    }
+  };
 }
 
 }  // namespace
@@ -47,11 +65,7 @@ bool AdmissionController::Admit(size_t load) {
 EnginePool::EnginePool(std::shared_ptr<const BackendSnapshot> snapshot,
                        EnginePoolOptions options)
     : options_(std::move(options)),
-      admission_(options_.shed_high_watermark, options_.shed_low_watermark),
-      queue_(options_.num_threads != 0
-                 ? options_.num_threads
-                 : std::max<size_t>(1, std::thread::hardware_concurrency()),
-             options_.queue_capacity) {
+      admission_(options_.shed_high_watermark, options_.shed_low_watermark) {
   assert(snapshot && "EnginePool requires a non-null initial snapshot");
   auto state = std::make_shared<ServingState>();
   state->delta = DeltaState::MakeEmpty(snapshot->collection().NumElements(),
@@ -59,15 +73,22 @@ EnginePool::EnginePool(std::shared_ptr<const BackendSnapshot> snapshot,
                                        /*generation=*/0);
   state->snapshot = std::move(snapshot);
   published_ = std::move(state);
-  size_t n = queue_.NumLanes();
+  size_t n = options_.num_threads != 0
+                 ? options_.num_threads
+                 : std::max<size_t>(1, std::thread::hardware_concurrency());
+  queue_limit_ = options_.queue_capacity * n;
   workers_.reserve(n);
-  for (size_t lane = 0; lane < n; ++lane) {
+  for (size_t i = 0; i < n; ++i) {
     workers_.push_back(std::make_unique<WorkerState>());
+    workers_[i]->index = i;
+    // Every worker starts idle, so the first submissions hand off even
+    // before the threads reach their wait.
+    idle_.push_back(workers_[i].get());
   }
   // Spawn after every WorkerState exists so a fast worker never races
   // the vector growing.
-  for (size_t lane = 0; lane < n; ++lane) {
-    workers_[lane]->thread = std::thread([this, lane] { WorkerLoop(lane); });
+  for (auto& ws : workers_) {
+    ws->thread = std::thread([this, worker = ws.get()] { WorkerLoop(*worker); });
   }
 }
 
@@ -75,115 +96,105 @@ EnginePool::~EnginePool() { Shutdown(); }
 
 void EnginePool::Shutdown() {
   std::call_once(shutdown_once_, [this] {
-    shutdown_.store(true, std::memory_order_release);
-    queue_.Close();  // wakes every worker; Pop drains queued items first
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      closed_ = true;
+    }
+    // Busy workers empty the queue first; idle ones wake and exit.
+    for (auto& ws : workers_) ws->wake.notify_one();
     for (auto& ws : workers_) {
       if (ws->thread.joinable()) ws->thread.join();
     }
   });
 }
 
-Status EnginePool::CheckAcceptingOr(const char* what) const {
-  if (shutdown_.load(std::memory_order_acquire)) {
-    return Status::FailedPrecondition(
-        std::string(what) + " on a shut-down EnginePool");
+Status EnginePool::Enqueue(Job job, const char* what) {
+  WorkerState* worker = nullptr;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (closed_) {
+      return Status::FailedPrecondition(
+          std::string(what) + " on a shut-down EnginePool");
+    }
+    size_t executing = workers_.size() - idle_.size();
+    if (!admission_.Admit(queue_.size() + executing)) {
+      ++sheds_;
+      return Status::ResourceExhausted(
+          std::string(what) + " shed: pending load over the high watermark");
+    }
+    if (idle_.empty()) {
+      if (queue_limit_ != 0 && queue_.size() >= queue_limit_) {
+        ++sheds_;
+        return Status::ResourceExhausted(std::string(what) +
+                                         " shed: work queue at capacity");
+      }
+      queue_.push_back(std::move(job));
+      return Status::OK();
+    }
+    worker = idle_.back();
+    idle_.pop_back();
+    worker->handoff = std::move(job);
   }
+  worker->wake.notify_one();
   return Status::OK();
 }
 
-size_t EnginePool::PickLane(std::optional<uint64_t> lane_hint) {
-  if (lane_hint.has_value()) {
-    return static_cast<size_t>(*lane_hint % workers_.size());
-  }
-  size_t cursor =
-      next_lane_.fetch_add(1, std::memory_order_relaxed) % workers_.size();
-  if (options_.dispatch == EnginePoolOptions::Dispatch::kRoundRobin) {
-    return cursor;
-  }
-  // Least loaded = queued + executing. Starting the scan at the
-  // rotating cursor breaks all-idle ties round-robin instead of
-  // funneling a one-at-a-time request stream into lane 0 while its
-  // worker is still busy.
-  std::vector<size_t> depths = queue_.Depths();
-  size_t best = cursor;
-  size_t best_load = SIZE_MAX;
-  for (size_t k = 0; k < workers_.size(); ++k) {
-    size_t lane = (cursor + k) % workers_.size();
-    size_t load = depths[lane] +
-                  workers_[lane]->inflight.load(std::memory_order_relaxed);
-    if (load < best_load) {
-      best_load = load;
-      best = lane;
-    }
-  }
-  return best;
-}
-
-size_t EnginePool::PendingLoad() const {
-  size_t load = queue_.TotalQueued();
-  for (const auto& ws : workers_) {
-    load += ws->inflight.load(std::memory_order_relaxed);
-  }
-  return load;
-}
-
-Status EnginePool::Enqueue(WorkItem item, const char* what) {
-  HOPI_RETURN_NOT_OK(CheckAcceptingOr(what));
-  if (!admission_.Admit(PendingLoad())) {
-    sheds_.fetch_add(1, std::memory_order_relaxed);
-    return Status::ResourceExhausted(
-        std::string(what) + " shed: pending load over the high watermark");
-  }
-  std::optional<uint64_t> lane_hint =
-      item.batch ? item.batch->request.lane_hint : std::nullopt;
-  switch (queue_.TryPush(PickLane(lane_hint), std::move(item))) {
-    case LanePush::kAccepted:
-      return Status::OK();
-    case LanePush::kShed:
-      sheds_.fetch_add(1, std::memory_order_relaxed);
-      return Status::ResourceExhausted(
-          std::string(what) + " shed: worker lane at capacity");
-    case LanePush::kClosed:
-      break;
-  }
-  return Status::FailedPrecondition(
-      std::string(what) + " on a shut-down EnginePool");
-}
-
-Result<std::future<PoolBatchResponse>> EnginePool::SubmitBatch(
-    BatchRequest request) {
-  WorkItem item;
-  item.batch.emplace(BatchJob{std::move(request), {}, nullptr});
-  std::future<PoolBatchResponse> future = item.batch->promise.get_future();
-  HOPI_RETURN_NOT_OK(Enqueue(std::move(item), "SubmitBatch"));
-  return future;
-}
-
-Result<std::future<PoolPathResponse>> EnginePool::SubmitQuery(
-    PathQueryRequest request) {
-  WorkItem item;
-  item.path.emplace(PathJob{std::move(request), {}, nullptr});
-  std::future<PoolPathResponse> future = item.path->promise.get_future();
-  HOPI_RETURN_NOT_OK(Enqueue(std::move(item), "SubmitQuery"));
-  return future;
+template <typename Request, typename Response>
+Status EnginePool::Submit(Request request,
+                          std::function<void(Result<Response>)> on_done,
+                          const char* what) {
+  assert(on_done && "EnginePool submissions require a callback");
+  return Enqueue(
+      [this, request = std::move(request),
+       on_done = std::move(on_done)](WorkerState& ws) {
+        // The exception barrier: a throw (rebind allocation, backend
+        // fault, bad_alloc on a huge batch) fails this one request
+        // instead of escaping the thread body and terminating the
+        // process.
+        auto serve = [&]() -> Result<Response> {
+          try {
+            return Serve(ws, request);
+          } catch (...) {
+            return Status::Internal("serving worker failed: " +
+                                    DescribeCurrentException());
+          }
+        };
+        try {
+          on_done(serve());
+        } catch (...) {
+          // Callbacks must not throw; swallowing here keeps the worker
+          // alive (contract documented on SubmitBatch).
+        }
+      },
+      what);
 }
 
 Status EnginePool::SubmitBatch(
     BatchRequest request,
     std::function<void(Result<PoolBatchResponse>)> on_done) {
-  assert(on_done && "SubmitBatch callback form requires a callback");
-  WorkItem item;
-  item.batch.emplace(BatchJob{std::move(request), {}, std::move(on_done)});
-  return Enqueue(std::move(item), "SubmitBatch");
+  return Submit(std::move(request), std::move(on_done), "SubmitBatch");
 }
 
 Status EnginePool::SubmitQuery(
     PathQueryRequest request,
     std::function<void(Result<PoolPathResponse>)> on_done) {
-  assert(on_done && "SubmitQuery callback form requires a callback");
-  WorkItem item;
-  item.path.emplace(PathJob{std::move(request), {}, std::move(on_done)});
-  return Enqueue(std::move(item), "SubmitQuery");
+  return Submit(std::move(request), std::move(on_done), "SubmitQuery");
+}
+
+Result<std::future<PoolBatchResponse>> EnginePool::SubmitBatch(
+    BatchRequest request) {
+  auto promise = std::make_shared<std::promise<PoolBatchResponse>>();
+  std::future<PoolBatchResponse> future = promise->get_future();
+  HOPI_RETURN_NOT_OK(SubmitBatch(std::move(request), Fulfil(promise)));
+  return future;
+}
+
+Result<std::future<PoolPathResponse>> EnginePool::SubmitQuery(
+    PathQueryRequest request) {
+  auto promise = std::make_shared<std::promise<PoolPathResponse>>();
+  std::future<PoolPathResponse> future = promise->get_future();
+  HOPI_RETURN_NOT_OK(SubmitQuery(std::move(request), Fulfil(promise)));
+  return future;
 }
 
 Result<PoolBatchResponse> EnginePool::Batch(BatchRequest request) {
@@ -484,101 +495,69 @@ const EnginePool::ServingState& EnginePool::BindCurrentState(WorkerState* ws) {
   return *ws->state;
 }
 
-void EnginePool::WorkerLoop(size_t lane) {
-  WorkerState& ws = *workers_[lane];
-  while (std::optional<WorkItem> item = queue_.Pop(lane)) {
-    ws.inflight.store(1, std::memory_order_relaxed);
-    // Exception barrier: a throw (rebind allocation, backend fault,
-    // bad_alloc on a huge batch) fails the one request through its
-    // promise instead of escaping the thread body and terminating the
-    // process — the serving-worker analogue of util::ThreadPool's
-    // error channel.
-    try {
-      const ServingState& state = BindCurrentState(&ws);
-      uint64_t version = state.snapshot->version();
-      uint64_t generation = state.delta->generation();
-      if (item->batch) {
-        BatchResponse response = ws.engine->Batch(item->batch->request);
-        const BatchStats& stats = response.stats;
-        ws.probes.fetch_add(stats.probes, std::memory_order_relaxed);
-        ws.unique_probes.fetch_add(stats.unique_probes,
-                                   std::memory_order_relaxed);
-        ws.cache_hits.fetch_add(stats.cache_hits, std::memory_order_relaxed);
-        ws.cache_misses.fetch_add(stats.cache_misses,
-                                  std::memory_order_relaxed);
-        ws.labels_borrowed.fetch_add(stats.labels_borrowed,
-                                     std::memory_order_relaxed);
-        ws.blocks_decoded.fetch_add(stats.blocks_decoded,
-                                    std::memory_order_relaxed);
-        ws.backend_probes.fetch_add(stats.backend_probes,
-                                    std::memory_order_relaxed);
-        ws.batches.fetch_add(1, std::memory_order_relaxed);
-        PoolBatchResponse out{std::move(response), version, generation, lane};
-        if (item->batch->on_done) {
-          // Detach first so the catch-all below cannot double-deliver
-          // if the callback itself throws.
-          auto on_done = std::move(item->batch->on_done);
-          item->batch->on_done = nullptr;
-          on_done(std::move(out));
-        } else {
-          item->batch->promise.set_value(std::move(out));
-        }
-      } else {
-        Result<PathQueryResponse> result =
-            ws.engine->Query(item->path->request);
-        ws.path_queries.fetch_add(1, std::memory_order_relaxed);
-        PoolPathResponse out{std::move(result), version, generation, lane};
-        if (item->path->on_done) {
-          auto on_done = std::move(item->path->on_done);
-          item->path->on_done = nullptr;
-          on_done(std::move(out));
-        } else {
-          item->path->promise.set_value(std::move(out));
-        }
-      }
-    } catch (...) {
-      // Callback jobs get a typed error Result; future jobs get the
-      // exception itself (the pre-callback contract).
-      Status error = Status::Internal("serving worker failed: " +
-                                      DescribeCurrentException());
-      try {
-        if (item->batch) {
-          if (item->batch->on_done) {
-            try {
-              item->batch->on_done(error);
-            } catch (...) {
-              // Callbacks must not throw; swallowing here keeps the
-              // worker alive (contract documented on SubmitBatch).
-            }
-          } else {
-            item->batch->promise.set_exception(std::current_exception());
-          }
-        } else {
-          if (item->path->on_done) {
-            try {
-              item->path->on_done(error);
-            } catch (...) {
-            }
-          } else {
-            item->path->promise.set_exception(std::current_exception());
-          }
-        }
-      } catch (const std::future_error&) {
-        // The promise was already satisfied (set_value threw after
-        // delivering): the client has its answer; nothing to report.
+PoolBatchResponse EnginePool::Serve(WorkerState& ws,
+                                     const BatchRequest& request) {
+  const ServingState& state = BindCurrentState(&ws);
+  BatchResponse response = ws.engine->Batch(request);
+  const BatchStats& stats = response.stats;
+  ws.probes.fetch_add(stats.probes, std::memory_order_relaxed);
+  ws.unique_probes.fetch_add(stats.unique_probes, std::memory_order_relaxed);
+  ws.cache_hits.fetch_add(stats.cache_hits, std::memory_order_relaxed);
+  ws.cache_misses.fetch_add(stats.cache_misses, std::memory_order_relaxed);
+  ws.labels_borrowed.fetch_add(stats.labels_borrowed,
+                               std::memory_order_relaxed);
+  ws.blocks_decoded.fetch_add(stats.blocks_decoded, std::memory_order_relaxed);
+  ws.backend_probes.fetch_add(stats.backend_probes, std::memory_order_relaxed);
+  ws.batches.fetch_add(1, std::memory_order_relaxed);
+  return {std::move(response), state.snapshot->version(),
+          state.delta->generation(), ws.index};
+}
+
+PoolPathResponse EnginePool::Serve(WorkerState& ws,
+                                   const PathQueryRequest& request) {
+  const ServingState& state = BindCurrentState(&ws);
+  Result<PathQueryResponse> result = ws.engine->Query(request);
+  ws.path_queries.fetch_add(1, std::memory_order_relaxed);
+  return {std::move(result), state.snapshot->version(),
+          state.delta->generation(), ws.index};
+}
+
+void EnginePool::WorkerLoop(WorkerState& ws) {
+  std::unique_lock<std::mutex> lock(mu_);
+  for (;;) {
+    // Listed in idle_ (by the constructor or at the end of the last
+    // turn): only a hand-off or Shutdown signals this worker.
+    ws.wake.wait(lock, [&] { return ws.handoff != nullptr || closed_; });
+    if (ws.handoff == nullptr) break;  // closed, and the queue is empty
+    Job job = std::exchange(ws.handoff, nullptr);
+    while (job != nullptr) {
+      lock.unlock();
+      job(ws);
+      job = nullptr;  // the request and callback die outside the lock
+      lock.lock();
+      if (!queue_.empty()) {
+        job = std::move(queue_.front());
+        queue_.pop_front();
       }
     }
-    ws.inflight.store(0, std::memory_order_relaxed);
+    idle_.push_back(&ws);
   }
+  lock.unlock();
   // Drop the worker's snapshot reference promptly on exit so Shutdown
   // is also a release of the served index.
-  std::lock_guard<std::mutex> lock(ws.rebind_mu);
+  std::lock_guard<std::mutex> rebind_lock(ws.rebind_mu);
   ws.engine.reset();
   ws.state.reset();
 }
 
 PoolStats EnginePool::Stats() const {
   PoolStats stats;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    stats.queued = queue_.size();
+    stats.executing = workers_.size() - idle_.size();
+    stats.sheds = sheds_;
+  }
   for (const auto& ws : workers_) {
     stats.batches += ws->batches.load(std::memory_order_relaxed);
     stats.path_queries += ws->path_queries.load(std::memory_order_relaxed);
@@ -594,7 +573,6 @@ PoolStats EnginePool::Stats() const {
     stats.rebinds += ws->rebinds.load(std::memory_order_relaxed);
   }
   stats.swaps = swaps_.load(std::memory_order_relaxed);
-  stats.sheds = sheds_.load(std::memory_order_relaxed);
   stats.mutations = mutations_.load(std::memory_order_relaxed);
   stats.mutation_failures =
       mutation_failures_.load(std::memory_order_relaxed);
@@ -614,10 +592,6 @@ PoolStats EnginePool::Stats() const {
   stats.delta_ops = state->delta->num_ops();
   stats.delta_generation = state->delta->generation();
   stats.degradation = MaintenanceDegradation();
-  stats.queued = queue_.TotalQueued();
-  for (const auto& ws : workers_) {
-    stats.executing += ws->inflight.load(std::memory_order_relaxed);
-  }
   stats.shedding = admission_.shedding();
   return stats;
 }

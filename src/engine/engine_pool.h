@@ -4,9 +4,14 @@
 // workers, each owning one QueryEngine (and therefore one private
 // LabelCache — caches stay thread-local and lock-free), all bound to
 // one shared immutable BackendSnapshot. Work (batched reachability,
-// path queries) enters through an MPMC lane queue and completes through
-// std::future; producers pick the lane round-robin (cache affinity) or
-// least-loaded (balance).
+// path queries) enters one FIFO under one mutex: a request that arrives
+// while a worker is idle is handed straight to that worker, through the
+// worker's own slot and condition variable, and otherwise waits in the
+// queue, which every worker empties before it goes idle again. So no
+// request waits while a worker idles, and a worker is signalled only
+// when a job waits in its slot.
+// A request is one closure that serves itself and answers through its
+// callback; the future and blocking forms wrap the callback form.
 //
 // Snapshot swap is RCU-style: Swap() publishes a new serving state and
 // returns immediately. Workers notice on their *next* work item, rebind
@@ -21,8 +26,9 @@
 // reports). Two requests submitted around a Swap may be served from
 // different states, and two workers may briefly serve different
 // versions — this is eventual, per-item consistency, the standard RCU
-// trade. A caller that needs a barrier can Swap() and then wait for one
-// sentinel request per worker lane.
+// trade. A request submitted after Swap() returns is served from the
+// new state or a later one, so a caller that needs a barrier waits for
+// the requests it submitted before the Swap.
 //
 // Mutation (serve-during-rebuild): EnableMutations() arms a write path.
 // ApplyMutation() validates one op, applies it to a pool-private
@@ -44,9 +50,9 @@
 // Shutdown are rejected with FailedPrecondition. All snapshots handed
 // to the pool must simply stay un-mutated; the pool's shared_ptrs keep
 // them alive as long as needed.
-// Overload safety: the work queue can be bounded (queue_capacity) and
-// fronted by an AdmissionController — hysteresis watermarks over the
-// aggregate pending load (queued + executing). Submissions beyond
+// Overload safety: the work queue can be bounded (queue_capacity per
+// worker) and fronted by an AdmissionController — hysteresis watermarks
+// over the pending load (queued + executing). Submissions beyond
 // either bound fail fast with a typed ResourceExhausted instead of
 // queueing unboundedly; the network front-end (net/service.h) turns
 // that into HTTP 429. Both bounds are off by default, preserving the
@@ -58,6 +64,7 @@
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <future>
 #include <memory>
@@ -71,7 +78,6 @@
 #include "engine/snapshot.h"
 #include "hopi/index.h"
 #include "query/similarity.h"
-#include "util/lane_queue.h"
 #include "util/result.h"
 
 namespace hopi::engine {
@@ -81,37 +87,21 @@ struct EnginePoolOptions {
   /// thread-per-core default), clamped to at least 1.
   size_t num_threads = 0;
 
-  /// How submissions pick a worker lane. Either policy is overridden
-  /// by BatchRequest::lane_hint: a hinted batch always lands on lane
-  /// (hint % workers), which is how keyspace-sharding clients (e.g.
-  /// the scatter-gather router) actually get per-worker cache reuse —
-  /// the policies below only spread *unhinted* traffic.
-  enum class Dispatch {
-    /// Cycle through workers — spreads a uniform stream evenly. The
-    /// global cursor is shared by all clients, so without lane_hint
-    /// two interleaved request streams do NOT each stick to a worker.
-    kRoundRobin,
-    /// Worker with the least pending work (queued items + the one it
-    /// is executing), all-idle ties rotated round-robin — absorbs
-    /// skewed request sizes at the price of colder caches.
-    kLeastLoaded,
-  };
-  Dispatch dispatch = Dispatch::kLeastLoaded;
-
   /// Per-worker hot-label cache byte budget (QueryEngineOptions).
   size_t label_cache_bytes = 4 * 1024 * 1024;
 
   /// Ontology for ~tag path steps, copied into every worker engine.
   std::optional<query::TagSimilarity> similarity = std::nullopt;
 
-  /// Per-lane bound on queued work items (LaneQueue capacity). A
-  /// submission to a full lane fails with ResourceExhausted even when
+  /// Queued requests allowed per worker: the work queue holds at most
+  /// queue_capacity × workers requests waiting for a worker. A
+  /// submission to a full queue fails with ResourceExhausted even when
   /// the admission controller admits — the hard backstop under a
   /// burst. 0 = unbounded (the pre-overload-control behavior).
   size_t queue_capacity = 0;
 
-  /// Admission watermarks over the aggregate pending load (items
-  /// queued across all lanes + items executing). At or above
+  /// Admission watermarks over the pending load (requests queued +
+  /// requests executing). At or above
   /// `shed_high_watermark` the pool starts shedding every submission
   /// with ResourceExhausted; it re-admits once the load drains to
   /// `shed_low_watermark` or below (hysteresis, so the gate does not
@@ -164,7 +154,7 @@ struct PoolBatchResponse {
   /// with snapshot_version this names the exact logical graph served.
   /// 0 until the first mutation.
   uint64_t delta_generation = 0;
-  /// Worker that served it (its lane index).
+  /// Index of the worker that served it (0 .. num_threads() - 1).
   size_t worker = 0;
 };
 
@@ -235,7 +225,7 @@ struct PoolStats {
   /// the bound is (swaps + 1) × workers, not swaps × workers.
   uint64_t rebinds = 0;
   /// Submissions refused with ResourceExhausted (admission watermark
-  /// or a full lane). Monotonic.
+  /// or a full queue). Monotonic.
   uint64_t sheds = 0;
   // ---- mutation / overlay (all zero until EnableMutations) ----
   uint64_t mutations = 0;          ///< Ops accepted into the delta.
@@ -247,8 +237,8 @@ struct PoolStats {
   uint64_t overlay_bfs_fallbacks = 0;
   uint64_t overlay_budget_exhaustions = 0;
   /// Gauges (not monotonic): the load picture at the Stats() call.
-  uint64_t queued = 0;    ///< Work items waiting across all lanes.
-  uint64_t executing = 0; ///< Workers currently inside an item.
+  uint64_t queued = 0;    ///< Requests waiting for a worker.
+  uint64_t executing = 0; ///< Workers currently serving a request.
   bool shedding = false;  ///< Admission gate currently tripped.
   uint64_t delta_ops = 0;         ///< Un-absorbed delta ops right now.
   uint64_t delta_generation = 0;  ///< Global mutation count.
@@ -278,28 +268,25 @@ class EnginePool {
 
   // ---- submission (any thread) ----
 
-  /// Enqueues a batch; the future completes with the response and the
-  /// serving snapshot's version. FailedPrecondition after Shutdown();
-  /// ResourceExhausted when the admission gate or a bounded lane sheds
-  /// (the request was NOT queued — retry later).
-  Result<std::future<PoolBatchResponse>> SubmitBatch(BatchRequest request);
-
-  /// Enqueues a path query; contract as SubmitBatch.
-  Result<std::future<PoolPathResponse>> SubmitQuery(PathQueryRequest request);
-
-  /// Callback forms for async callers (the network front-end): instead
-  /// of a future, `on_done` runs ON THE SERVING WORKER right after the
-  /// item completes — it must be cheap and non-blocking (hand the
-  /// result off; a slow callback stalls that worker's lane) and must
-  /// not throw (exceptions are swallowed). A worker-side failure
-  /// (rebind allocation, backend fault) is delivered as an error
-  /// Result. The returned Status only covers enqueueing: OK means
-  /// `on_done` will eventually run exactly once; ResourceExhausted /
-  /// FailedPrecondition mean it never will.
+  /// Submits a batch: `on_done` runs ON THE SERVING WORKER right after
+  /// the request is served — it must be cheap and non-blocking (hand
+  /// the result off; a slow callback keeps that worker from the queue)
+  /// and must not throw (exceptions are swallowed). A worker-side
+  /// failure (rebind allocation, backend fault) is delivered as an
+  /// error Result. The returned Status only covers submission: OK means
+  /// `on_done` will eventually run exactly once; FailedPrecondition
+  /// (after Shutdown()) and ResourceExhausted (the admission gate or a
+  /// full queue shed it — retry later) mean it never will.
   Status SubmitBatch(BatchRequest request,
                      std::function<void(Result<PoolBatchResponse>)> on_done);
+  /// Submits a path query; contract as SubmitBatch.
   Status SubmitQuery(PathQueryRequest request,
                      std::function<void(Result<PoolPathResponse>)> on_done);
+
+  /// Future forms: the callback fulfils the future, and a worker-side
+  /// failure becomes its exception (std::runtime_error).
+  Result<std::future<PoolBatchResponse>> SubmitBatch(BatchRequest request);
+  Result<std::future<PoolPathResponse>> SubmitQuery(PathQueryRequest request);
 
   /// Synchronous conveniences: submit + wait.
   Result<PoolBatchResponse> Batch(BatchRequest request);
@@ -366,7 +353,7 @@ class EnginePool {
 
   PoolStats Stats() const;
 
-  /// Per-worker label-cache counters (index = lane). Safe while the
+  /// Per-worker label-cache counters (index = worker). Safe while the
   /// pool serves: cache stats are atomic and the engine object itself
   /// is pinned under the worker's rebind lock for the read.
   std::vector<LabelCache::Stats> WorkerCacheStats() const;
@@ -384,37 +371,25 @@ class EnginePool {
     std::shared_ptr<const DeltaState> delta;
   };
 
-  struct BatchJob {
-    BatchRequest request;
-    // Exactly one completion channel: `on_done` when set, else the
-    // promise.
-    std::promise<PoolBatchResponse> promise;
-    std::function<void(Result<PoolBatchResponse>)> on_done;
-  };
-  struct PathJob {
-    PathQueryRequest request;
-    std::promise<PoolPathResponse> promise;
-    std::function<void(Result<PoolPathResponse>)> on_done;
-  };
-  struct WorkItem {
-    // Exactly one engaged (a variant would also do; two optionals keep
-    // the worker switch trivially readable).
-    std::optional<BatchJob> batch;
-    std::optional<PathJob> path;
-  };
+  struct WorkerState;
+  /// One accepted request: serves itself on the worker that runs it
+  /// and answers through its callback.
+  using Job = std::function<void(WorkerState&)>;
 
   /// Everything one serving thread owns. Only the owning worker touches
   /// `state`/`engine` — except that Stats readers pin the engine
   /// under `rebind_mu` while reading its cache counters.
   struct WorkerState {
+    size_t index = 0;
     std::thread thread;
+    /// The hand-off slot, guarded by mu_: a submitter that takes this
+    /// worker off idle_ puts the job here, then signals `wake`, which
+    /// only this worker waits on.
+    Job handoff;
+    std::condition_variable wake;
     std::mutex rebind_mu;
     std::shared_ptr<const ServingState> state;
     std::optional<QueryEngine> engine;
-    /// 1 while the worker is executing an item (kLeastLoaded dispatch
-    /// counts it as load; queue depth alone is blind to a worker stuck
-    /// in a long batch).
-    std::atomic<uint32_t> inflight{0};
     // Served-work counters (relaxed atomics; see PoolStats).
     std::atomic<uint64_t> batches{0};
     std::atomic<uint64_t> path_queries{0};
@@ -436,19 +411,21 @@ class EnginePool {
     std::optional<HopiIndex> index;
   };
 
-  /// `lane_hint` (from BatchRequest) pins the choice to hint % workers
-  /// regardless of the dispatch policy; nullopt applies the policy.
-  size_t PickLane(std::optional<uint64_t> lane_hint);
-  void WorkerLoop(size_t lane);
-  /// Rebinds worker `lane` to the published serving state if it
-  /// changed; returns the state the next item will be served from.
+  void WorkerLoop(WorkerState& ws);
+  /// Rebinds worker `ws` to the published serving state if it changed;
+  /// returns the state the next request will be served from.
   const ServingState& BindCurrentState(WorkerState* ws);
-  Status CheckAcceptingOr(const char* what) const;
-  /// Items queued across lanes + items executing — the load the
-  /// admission watermarks are measured against.
-  size_t PendingLoad() const;
-  /// Shared submission tail: admission gate, lane pick, bounded push.
-  Status Enqueue(WorkItem item, const char* what);
+  /// Serve one request on worker `ws` and count it in its stats.
+  PoolBatchResponse Serve(WorkerState& ws, const BatchRequest& request);
+  PoolPathResponse Serve(WorkerState& ws, const PathQueryRequest& request);
+  /// Wraps a request and its callback into a Job and enqueues it.
+  template <typename Request, typename Response>
+  Status Submit(Request request,
+                std::function<void(Result<Response>)> on_done,
+                const char* what);
+  /// Shared submission tail: admission gate, then hand-off to an idle
+  /// worker or a bounded push onto the queue.
+  Status Enqueue(Job job, const char* what);
 
   /// The published serving state (never null).
   std::shared_ptr<const ServingState> State() const;
@@ -462,9 +439,18 @@ class EnginePool {
 
   EnginePoolOptions options_;
   AdmissionController admission_;
-  LaneQueue<WorkItem> queue_;
   std::vector<std::unique_ptr<WorkerState>> workers_;
-  std::atomic<uint64_t> sheds_{0};
+
+  /// Guards the work queue, the idle list, every hand-off slot, closed_
+  /// and sheds_. Invariant: a worker is listed in idle_ only while the
+  /// queue is empty, so a submission either hands off or queues.
+  mutable std::mutex mu_;
+  std::deque<Job> queue_;
+  size_t queue_limit_ = 0;  // queue_capacity × workers; 0 = unbounded
+  /// Workers waiting on their slot, most recently idle last.
+  std::vector<WorkerState*> idle_;
+  bool closed_ = false;
+  uint64_t sheds_ = 0;
 
   mutable std::mutex snapshot_mu_;
   std::shared_ptr<const ServingState> published_;  // guarded by snapshot_mu_
@@ -486,8 +472,6 @@ class EnginePool {
   std::atomic<uint64_t> last_rebuild_pause_us_{0};
 
   std::atomic<uint64_t> swaps_{0};
-  std::atomic<size_t> next_lane_{0};  // round-robin cursor
-  std::atomic<bool> shutdown_{false};
   std::once_flag shutdown_once_;
 };
 

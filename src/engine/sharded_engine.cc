@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <future>
-#include <map>
 #include <unordered_set>
 #include <utility>
 
@@ -245,7 +244,6 @@ std::vector<std::unique_ptr<ShardClient>> MakePoolClients(
   auto tags = std::make_shared<const query::TagIndex>(collection);
   EnginePoolOptions pool_options;
   pool_options.num_threads = options.threads_per_shard;
-  pool_options.dispatch = options.dispatch;
   pool_options.label_cache_bytes = options.label_cache_bytes;
   pool_options.queue_capacity = options.queue_capacity;
   std::vector<std::unique_ptr<ShardClient>> clients;
@@ -296,22 +294,19 @@ Status ShardedEngine::PlanBatch(const BatchRequest& request,
                                 MergeState* state) {
   using Plan = MergeState::Plan;
   const size_t n = clients_.size();
-  // Tag of the one direct (unhinted) sub-batch per shard; cross
-  // sub-batches are tagged — and lane-hinted — by their ordered shard
-  // pair so one pair's leg labels concentrate in one worker's cache.
-  constexpr uint64_t kDirectTag = UINT64_MAX;
-
-  std::map<std::pair<size_t, uint64_t>, size_t> sub_of;
-  auto sub_for = [&](size_t shard, uint64_t tag) {
-    auto [it, inserted] = sub_of.try_emplace({shard, tag}, state->subs.size());
-    if (inserted) {
+  // One sub-batch per consulted shard: its direct probes and its legs
+  // of every cross pair, deduplicated together.
+  constexpr size_t kNoSub = SIZE_MAX;
+  std::vector<size_t> sub_of(n, kNoSub);
+  auto sub_for = [&](size_t shard) {
+    if (sub_of[shard] == kNoSub) {
+      sub_of[shard] = state->subs.size();
       SubBatch sub;
       sub.shard = shard;
       sub.request.want_distances = request.want_distances;
-      if (tag != kDirectTag) sub.request.lane_hint = tag;
       state->subs.push_back(std::move(sub));
     }
-    return it->second;
+    return sub_of[shard];
   };
   std::vector<uint64_t> shard_probes(n, 0);
   auto add_probe = [&](size_t sub_index, NodeId a, NodeId b) {
@@ -347,7 +342,7 @@ Status ShardedEngine::PlanBatch(const BatchRequest& request,
       continue;
     }
     if (su == sv) {
-      size_t sub = sub_for(su, kDirectTag);
+      size_t sub = sub_for(su);
       plan.kind = Plan::Kind::kDirect;
       plan.sub = sub;
       plan.index = add_probe(sub, u, v);
@@ -366,9 +361,8 @@ Status ShardedEngine::PlanBatch(const BatchRequest& request,
       continue;
     }
     const ShardProbeSet& probes = router_.ProbesBetween(su, sv);
-    uint64_t tag = static_cast<uint64_t>(su) * n + sv;
-    size_t source_sub = sub_for(su, tag);
-    size_t target_sub = sub_for(sv, tag);
+    size_t source_sub = sub_for(su);
+    size_t target_sub = sub_for(sv);
     for (NodeId s : probes.sources) add_probe(source_sub, u, s);
     for (NodeId t : probes.targets) add_probe(target_sub, t, v);
     plan.kind = Plan::Kind::kCross;

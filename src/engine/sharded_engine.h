@@ -28,9 +28,9 @@
 //               Unsupported        want_distances over a consulted
 //                                  shard whose cover is plain
 //                                  (detected synchronously, no scatter)
-//   affinity  each scatter sub-batch carries lane_hint = the ordered
-//             shard pair it serves, so one shard-pair's leg labels
-//             concentrate in one worker's cache (BatchRequest doc).
+//   fan-out   a batch sends one sub-batch to each shard it consults,
+//             holding that shard's direct probes and its legs of every
+//             cross pair, deduplicated together.
 //
 // The engine talks to shards ONLY through ShardClient — a narrow,
 // callback-based, socket-liftable interface (name / with_distance /
@@ -190,13 +190,9 @@ struct ShardedEngineOptions {
   size_t threads_per_shard = 1;
   /// Per-worker label cache bytes (EnginePoolOptions).
   size_t label_cache_bytes = 4 * 1024 * 1024;
-  /// Per-lane bound on queued sub-batches — the per-shard bounded
-  /// queue. 0 = unbounded.
+  /// Queued sub-batches allowed per shard worker
+  /// (EnginePoolOptions::queue_capacity). 0 = unbounded.
   size_t queue_capacity = 256;
-  /// Unhinted-traffic dispatch for the shard pools (scatter sub-batches
-  /// carry lane hints and bypass this).
-  EnginePoolOptions::Dispatch dispatch =
-      EnginePoolOptions::Dispatch::kRoundRobin;
   /// Merge deadline: how long a batch waits for its slowest shard
   /// before finalizing partial with DeadlineExceeded. zero() = wait
   /// forever (a stalled shard then stalls the batch — only sensible in

@@ -19,6 +19,8 @@
 
 namespace hopi {
 
+class DynamicBitset;
+
 /// Outcome of a document deletion, for the Sec 7.3 experiments.
 struct DeleteStats {
   bool separated = false;        // Theorem-2 fast path applied
@@ -120,6 +122,14 @@ class HopiIndex {
  private:
   Status DeleteDocumentFast(collection::DocId doc);
   Status DeleteDocumentGeneral(collection::DocId doc, DeleteStats* stats);
+  /// Theorem 3's region merge, run after a removal: a fresh cover L-hat
+  /// over everything `ancestors` reach in the new graph replaces their
+  /// Lout; the descendants' Lin loses every center in `dropped_centers`
+  /// and takes L-hat's; every other node adds L-hat's entries. Returns
+  /// the region's size.
+  Result<size_t> MergeRecomputedRegion(const std::vector<NodeId>& ancestors,
+                                       const DynamicBitset& dropped_centers,
+                                       const std::vector<NodeId>& descendants);
 
   collection::Collection* collection_;
   twohop::IndexedCover cover_;

@@ -234,32 +234,46 @@ Status HopiIndex::DeleteDocumentGeneral(DocId doc, DeleteStats* stats) {
   }
 
   // Remove the document from the collection; the element graph now is the
-  // post-deletion graph.
+  // post-deletion graph. The deleted document's elements lose their
+  // labels entirely; the region merge never touches them (they are
+  // isolated now).
   HOPI_RETURN_NOT_OK(collection_->RemoveDocument(doc));
+  for (NodeId e : doc_elements) cover_.mutable_cover()->ClearNode(e);
 
-  // Partial closure recomputation: everything reachable from the seeds
-  // (the remaining ancestors) in the new graph, then a fresh 2-hop cover
-  // L-hat over that region.
-  std::vector<NodeId> region = ReachableFromAll(ge, adi_outside);
+  HOPI_ASSIGN_OR_RETURN(size_t region,
+                        MergeRecomputedRegion(adi_outside, adi_mask,
+                                              ddi_outside));
   stats->recompute_fraction =
       collection_->NumElements() == 0
           ? 0.0
-          : static_cast<double>(region.size()) /
+          : static_cast<double>(region) /
                 static_cast<double>(collection_->NumElements());
+  return Status::OK();
+}
 
+Result<size_t> HopiIndex::MergeRecomputedRegion(
+    const std::vector<NodeId>& ancestors, const DynamicBitset& dropped_centers,
+    const std::vector<NodeId>& descendants) {
+  // Partial closure recomputation: everything the ancestors reach in the
+  // new graph, then a fresh 2-hop cover L-hat over that region.
+  const Digraph& ge = collection_->ElementGraph();
+  std::vector<NodeId> region = ReachableFromAll(ge, ancestors);
   InducedSubgraph sub = BuildInducedSubgraph(ge, region);
   twohop::CoverBuildOptions options;
   options.with_distance = with_distance_;
   auto lhat = twohop::BuildCover(sub.graph, options);
   if (!lhat.ok()) return lhat.status();
 
+  // L' := L ∪ L-hat, except: Lout is *replaced* for the ancestors and Lin
+  // is filtered of the dropped centers, then extended, for the
+  // descendants. First collect L-hat's entries per global node.
   twohop::TwoHopCover* cover = cover_.mutable_cover();
-
-  // L' := L ∪ L-hat, except: Lout is *replaced* for nodes in A_di and Lin
-  // is filtered-of-A_di then extended for nodes in D_di.
-  // First collect L-hat's entries per global node.
   std::vector<std::vector<twohop::LabelEntry>> lhat_in(cover->NumNodes());
   std::vector<std::vector<twohop::LabelEntry>> lhat_out(cover->NumNodes());
+  auto by_center = [](const twohop::LabelEntry& a,
+                      const twohop::LabelEntry& b) {
+    return a.center < b.center;
+  };
   for (NodeId local = 0; local < lhat->NumNodes(); ++local) {
     NodeId global = sub.Global(local);
     for (twohop::LabelEntry e : lhat->In(local)) {
@@ -268,29 +282,19 @@ Status HopiIndex::DeleteDocumentGeneral(DocId doc, DeleteStats* stats) {
     for (twohop::LabelEntry e : lhat->Out(local)) {
       lhat_out[global].push_back({sub.Global(e.center), e.dist});
     }
-    std::sort(lhat_in[global].begin(), lhat_in[global].end(),
-              [](const twohop::LabelEntry& a, const twohop::LabelEntry& b) {
-                return a.center < b.center;
-              });
-    std::sort(lhat_out[global].begin(), lhat_out[global].end(),
-              [](const twohop::LabelEntry& a, const twohop::LabelEntry& b) {
-                return a.center < b.center;
-              });
+    std::sort(lhat_in[global].begin(), lhat_in[global].end(), by_center);
+    std::sort(lhat_out[global].begin(), lhat_out[global].end(), by_center);
   }
 
-  DynamicBitset in_adi_outside(collection_->NumElements());
-  for (NodeId a : adi_outside) in_adi_outside.Set(a);
-
-  // Replacement for ancestors: L'out(a) := L-hat_out(a).
-  for (NodeId a : adi_outside) {
+  // Ancestors: L'out(a) := L-hat_out(a).
+  for (NodeId a : ancestors) {
     cover->SetOut(a, lhat_out[a]);
     lhat_out[a].clear();
   }
-  // Descendants: L'in(d) := (Lin(d) \ A_di) ∪ L-hat_in(d).
-  for (NodeId d : ddi_outside) {
-    std::vector<twohop::LabelEntry> filtered =
-        FilterEntries(cover->In(d), adi_mask);
-    cover->SetIn(d, MergeEntries(std::move(filtered), lhat_in[d]));
+  // Descendants: L'in(d) := (Lin(d) \ dropped) ∪ L-hat_in(d).
+  for (NodeId d : descendants) {
+    cover->SetIn(d, MergeEntries(FilterEntries(cover->In(d), dropped_centers),
+                                 lhat_in[d]));
     lhat_in[d].clear();
   }
   // Everyone else in the recomputed region: plain union.
@@ -302,11 +306,8 @@ Status HopiIndex::DeleteDocumentGeneral(DocId doc, DeleteStats* stats) {
       cover->AddOut(v, e.center, e.dist);
     }
   }
-  // The deleted document's elements lose their labels entirely.
-  for (NodeId e : doc_elements) cover->ClearNode(e);
-
   cover_.RebuildReverseMaps();
-  return Status::OK();
+  return region.size();
 }
 
 Status HopiIndex::DeleteLink(NodeId u, NodeId v) {
@@ -333,55 +334,9 @@ Status HopiIndex::DeleteLink(NodeId u, NodeId v) {
 
   // General path, mirroring Theorem 3 with A_di := ancestors of u and
   // D_di := descendants of v.
-  std::vector<NodeId> region = ReachableFromAll(ge, a_set);
-  InducedSubgraph sub = BuildInducedSubgraph(ge, region);
-  twohop::CoverBuildOptions options;
-  options.with_distance = with_distance_;
-  auto lhat = twohop::BuildCover(sub.graph, options);
-  if (!lhat.ok()) return lhat.status();
-
-  twohop::TwoHopCover* cover = cover_.mutable_cover();
-  std::vector<std::vector<twohop::LabelEntry>> lhat_in(cover->NumNodes());
-  std::vector<std::vector<twohop::LabelEntry>> lhat_out(cover->NumNodes());
-  for (NodeId local = 0; local < lhat->NumNodes(); ++local) {
-    NodeId global = sub.Global(local);
-    for (twohop::LabelEntry e : lhat->In(local)) {
-      lhat_in[global].push_back({sub.Global(e.center), e.dist});
-    }
-    for (twohop::LabelEntry e : lhat->Out(local)) {
-      lhat_out[global].push_back({sub.Global(e.center), e.dist});
-    }
-    auto by_center = [](const twohop::LabelEntry& a,
-                        const twohop::LabelEntry& b) {
-      return a.center < b.center;
-    };
-    std::sort(lhat_in[global].begin(), lhat_in[global].end(), by_center);
-    std::sort(lhat_out[global].begin(), lhat_out[global].end(), by_center);
-  }
-
   DynamicBitset a_mask(collection_->NumElements());
   for (NodeId a : a_set) a_mask.Set(a);
-
-  for (NodeId a : a_set) {
-    cover->SetOut(a, lhat_out[a]);
-    lhat_out[a].clear();
-  }
-  for (NodeId d : d_set) {
-    std::vector<twohop::LabelEntry> filtered =
-        FilterEntries(cover->In(d), a_mask);
-    cover->SetIn(d, MergeEntries(std::move(filtered), lhat_in[d]));
-    lhat_in[d].clear();
-  }
-  for (NodeId x = 0; x < cover->NumNodes(); ++x) {
-    for (const twohop::LabelEntry& e : lhat_in[x]) {
-      cover->AddIn(x, e.center, e.dist);
-    }
-    for (const twohop::LabelEntry& e : lhat_out[x]) {
-      cover->AddOut(x, e.center, e.dist);
-    }
-  }
-  cover_.RebuildReverseMaps();
-  return Status::OK();
+  return MergeRecomputedRegion(a_set, a_mask, d_set).status();
 }
 
 Status HopiIndex::ReplaceDocument(DocId old_doc, DocId new_doc) {

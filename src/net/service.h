@@ -17,7 +17,7 @@
 // on_done serializes the result and fires the Responder — no thread
 // ever blocks on a query. Shedding falls out of the same path: a
 // refused submission (ResourceExhausted from the admission gate or a
-// full lane) is answered 429 right from the handler, which is exactly
+// full queue) is answered 429 right from the handler, which is exactly
 // why an overloaded server keeps answering /stats and 429s instead of
 // stalling accepts.
 //

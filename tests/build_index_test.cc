@@ -162,6 +162,66 @@ TEST(BuildIndexTest, MaintainedDistanceIndexDigestIsPinned) {
   EXPECT_EQ(MaintainedIndexDigest(true), 0x8ae2fc0a4c2e8226ULL);
 }
 
+// Sec-6 delete bit identity: the pinned collection's index after a
+// fixed seeded sequence of 8 DeleteLink and 4 DeleteDocument calls,
+// each checked by ValidateCover. Pins the Theorem-3 region merge both
+// deletes run; the counts say how many deletes took that general path
+// (a link delete whose endpoints stay connected in a plain cover, and a
+// document that separates the document graph, skip it).
+struct DeleteDigest {
+  uint64_t digest = 0;
+  int general_links = 0;
+  int general_documents = 0;
+};
+
+DeleteDigest DeletedIndexDigest(bool with_distance) {
+  DeleteDigest out;
+  Collection c = testing::SmallDblp(60, 101);
+  IndexBuildOptions options;
+  options.with_distance = with_distance;
+  auto index = BuildIndex(&c, options);
+  EXPECT_TRUE(index.ok()) << index.status();
+  if (!index.ok()) return out;
+  Rng rng(4343);
+  for (int step = 0; step < 12; ++step) {
+    if (step % 3 == 2) {
+      collection::DocId doc;
+      do {
+        doc = static_cast<collection::DocId>(rng.NextBounded(c.NumDocuments()));
+      } while (!c.IsLive(doc));
+      DeleteStats stats;
+      EXPECT_TRUE(index->DeleteDocument(doc, &stats).ok());
+      if (!stats.separated) ++out.general_documents;
+    } else {
+      collection::Link link = c.Links()[rng.NextBounded(c.Links().size())];
+      EXPECT_TRUE(index->DeleteLink(link.source, link.target).ok());
+      if (with_distance ||
+          !IsReachable(c.ElementGraph(), link.source, link.target)) {
+        ++out.general_links;
+      }
+    }
+    Status valid =
+        twohop::ValidateCover(index->cover(), c.ElementGraph(), with_distance);
+    EXPECT_TRUE(valid.ok()) << "step " << step << ": " << valid;
+  }
+  out.digest = testing::CoverDigest(index->cover());
+  return out;
+}
+
+TEST(BuildIndexTest, DeletedIndexDigestIsPinned) {
+  DeleteDigest run = DeletedIndexDigest(false);
+  EXPECT_GE(run.general_links, 1);
+  EXPECT_GE(run.general_documents, 1);
+  EXPECT_EQ(run.digest, 0x1f126ad8d963e91fULL);
+}
+
+TEST(BuildIndexTest, DeletedDistanceIndexDigestIsPinned) {
+  DeleteDigest run = DeletedIndexDigest(true);
+  EXPECT_GE(run.general_links, 1);
+  EXPECT_GE(run.general_documents, 1);
+  EXPECT_EQ(run.digest, 0xf8577d66e5acc011ULL);
+}
+
 TEST(BuildIndexTest, GlobalBuildMatchesPartitionedSemantics) {
   Collection c = testing::SmallDblp(40, 55);
   IndexBuildOptions global;

@@ -12,7 +12,10 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
+#include <deque>
+#include <future>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -72,10 +75,7 @@ class EnginePoolFixture : public ::testing::Test {
 // ---- unit tests ----
 
 TEST_F(EnginePoolFixture, BatchMatchesSingleEngineAcrossWorkers) {
-  EnginePoolOptions options;
-  options.num_threads = 4;
-  options.dispatch = EnginePoolOptions::Dispatch::kRoundRobin;
-  EnginePool pool(snapshot_, options);
+  EnginePool pool(snapshot_, {.num_threads = 4});
   EXPECT_EQ(pool.num_threads(), 4u);
 
   QueryEngine reference = QueryEngine::ForIndex(*index_);
@@ -125,55 +125,130 @@ TEST_F(EnginePoolFixture, PathQueriesRunThroughThePool) {
   EXPECT_EQ(pool.Stats().path_queries, 3u);
 }
 
-TEST_F(EnginePoolFixture, LeastLoadedAndRoundRobinBothServeEverything) {
-  for (auto dispatch : {EnginePoolOptions::Dispatch::kRoundRobin,
-                        EnginePoolOptions::Dispatch::kLeastLoaded}) {
-    EnginePoolOptions options;
-    options.num_threads = 3;
-    options.dispatch = dispatch;
-    EnginePool pool(snapshot_, options);
-    std::vector<std::future<PoolBatchResponse>> futures;
-    for (uint64_t seed = 100; seed < 140; ++seed) {
-      auto submitted = pool.SubmitBatch({.pairs = RandomPairs(50, seed)});
-      ASSERT_TRUE(submitted.ok());
-      futures.push_back(std::move(submitted).value());
+TEST_F(EnginePoolFixture, IdleWorkerServesWhileAnotherStalls) {
+  // Work conservation: one of two workers stalls inside a callback, and
+  // every batch submitted meanwhile is served by the other one instead
+  // of waiting behind the stall. The gate is captured by value and
+  // released before any assertion, so a failure cannot leave the
+  // stalled worker waiting on a destroyed future.
+  EnginePool pool(snapshot_, {.num_threads = 2});
+  std::promise<void> release;
+  std::shared_future<void> gate(release.get_future());
+  std::promise<size_t> entered;
+  ASSERT_TRUE(pool.SubmitBatch({.pairs = RandomPairs(1, 0)},
+                               [gate, &entered](Result<PoolBatchResponse> r) {
+                                 entered.set_value(r.ok() ? r->worker
+                                                          : SIZE_MAX);
+                                 gate.wait();
+                               })
+                  .ok());
+  const size_t stalled = entered.get_future().get();
+
+  constexpr int kBatches = 16;
+  int refused = 0;
+  int late = 0;
+  std::vector<size_t> served_by;
+  for (uint64_t seed = 1; seed <= kBatches; ++seed) {
+    auto submitted = pool.SubmitBatch({.pairs = RandomPairs(50, seed)});
+    if (!submitted.ok()) {
+      ++refused;
+      continue;
     }
-    for (auto& future : futures) {
-      EXPECT_EQ(future.get().batch.reachable.size(), 50u);
+    std::future<PoolBatchResponse> future = std::move(submitted).value();
+    if (future.wait_for(std::chrono::seconds(10)) !=
+        std::future_status::ready) {
+      ++late;
+      continue;
     }
-    EXPECT_EQ(pool.Stats().batches, 40u);
+    served_by.push_back(future.get().worker);
   }
+  release.set_value();
+
+  EXPECT_EQ(refused, 0);
+  EXPECT_EQ(late, 0) << "batches queued behind the stalled worker";
+  EXPECT_EQ(served_by.size(), static_cast<size_t>(kBatches));
+  for (size_t worker : served_by) EXPECT_NE(worker, stalled);
 }
 
-TEST_F(EnginePoolFixture, LaneHintPinsTheWorkerLaneUnderEitherPolicy) {
-  // The per-worker cache-affinity contract keyspace-sharding clients
-  // (the scatter-gather router) rely on: a hinted batch lands on lane
-  // hint % workers no matter which dispatch policy spreads the
-  // unhinted traffic — and no matter what other requests interleave.
-  for (auto dispatch : {EnginePoolOptions::Dispatch::kRoundRobin,
-                        EnginePoolOptions::Dispatch::kLeastLoaded}) {
-    EnginePoolOptions options;
-    options.num_threads = 4;
-    options.dispatch = dispatch;
-    EnginePool pool(snapshot_, options);
-    for (uint64_t hint : {0u, 1u, 2u, 3u, 5u, 42u, 1000003u}) {
-      for (int rep = 0; rep < 3; ++rep) {
-        BatchRequest request;
-        request.pairs = RandomPairs(16, hint * 10 + rep);
-        request.lane_hint = hint;
-        // Unhinted interleaver: advances the round-robin cursor /
-        // perturbs the load so a policy-routed hinted batch would
-        // drift lanes between reps.
-        auto unhinted = pool.SubmitBatch({.pairs = RandomPairs(8, hint + rep)});
-        ASSERT_TRUE(unhinted.ok());
-        auto response = pool.Batch(std::move(request));
-        ASSERT_TRUE(response.ok()) << response.status();
-        EXPECT_EQ(response->worker, hint % 4)
-            << "hint " << hint << " rep " << rep;
-        std::move(unhinted).value().get();
+TEST_F(EnginePoolFixture, ExactlyOnceUnderSheddingAndShutdown) {
+  // Four producers submit callback batches to a tightly bounded pool
+  // until Shutdown refuses them; the main thread shuts down after about
+  // 2,000 deliveries. Every accepted submission's callback runs exactly
+  // once, no shed or refused one ever runs, every submission is one of
+  // the three, and both the bound and the shutdown actually bit.
+  constexpr int kProducers = 4;
+  enum Outcome : uint8_t { kAccepted, kShed, kRefused, kOther };
+  struct Producer {
+    std::thread thread;
+    std::vector<Outcome> outcome;  // one per submission
+    // One run count per submission; a deque never moves its elements,
+    // so a callback may hold a pointer while the producer appends.
+    std::deque<std::atomic<uint32_t>> runs;
+  };
+  std::vector<Producer> producers(kProducers);
+  std::atomic<uint64_t> deliveries{0};
+  std::atomic<int> producers_done{0};
+  const BatchRequest request{.pairs = RandomPairs(64, 5)};
+
+  EnginePool pool(snapshot_, {.num_threads = 2, .queue_capacity = 1});
+  for (Producer& producer : producers) {
+    producer.thread = std::thread([&] {
+      for (;;) {
+        std::atomic<uint32_t>* ran = &producer.runs.emplace_back(0);
+        Status status = pool.SubmitBatch(
+            request, [ran, &deliveries](Result<PoolBatchResponse>) {
+              ran->fetch_add(1, std::memory_order_relaxed);
+              deliveries.fetch_add(1, std::memory_order_release);
+            });
+        producer.outcome.push_back(
+            status.ok()                      ? kAccepted
+            : status.IsResourceExhausted()  ? kShed
+            : status.IsFailedPrecondition() ? kRefused
+                                            : kOther);
+        if (status.ok()) continue;
+        if (!status.IsResourceExhausted()) break;
+        std::this_thread::yield();  // shed: give the workers a turn
+      }
+      producers_done.fetch_add(1);
+    });
+  }
+  while (deliveries.load(std::memory_order_acquire) < 2000 &&
+         producers_done.load() < kProducers) {
+    std::this_thread::yield();
+  }
+  pool.Shutdown();
+  for (Producer& producer : producers) producer.thread.join();
+
+  uint64_t accepted = 0, shed = 0, refused = 0, submitted = 0;
+  int wrong_runs = 0;
+  for (const Producer& producer : producers) {
+    for (size_t i = 0; i < producer.outcome.size(); ++i) {
+      ++submitted;
+      uint32_t ran = producer.runs[i].load(std::memory_order_relaxed);
+      switch (producer.outcome[i]) {
+        case kAccepted:
+          ++accepted;
+          wrong_runs += ran == 1 ? 0 : 1;
+          break;
+        case kShed:
+          ++shed;
+          wrong_runs += ran == 0 ? 0 : 1;
+          break;
+        case kRefused:
+          ++refused;
+          wrong_runs += ran == 0 ? 0 : 1;
+          break;
+        case kOther:
+          break;
       }
     }
   }
+  EXPECT_EQ(wrong_runs, 0);
+  EXPECT_EQ(accepted + shed + refused, submitted);
+  EXPECT_EQ(deliveries.load(), accepted);
+  EXPECT_GT(shed, 0u) << "the queue bound never bit";
+  EXPECT_EQ(refused, static_cast<uint64_t>(kProducers));
+  EXPECT_EQ(pool.Stats().sheds, shed);
 }
 
 TEST_F(EnginePoolFixture, ShutdownDrainsThenRejects) {
@@ -327,9 +402,9 @@ TEST_F(EnginePoolFixture, CallbackSubmissionDeliversOnWorker) {
   EXPECT_EQ(path->result.value().count, expected->count);
 }
 
-TEST_F(EnginePoolFixture, BoundedLaneShedsDeterministicallyThenReadmits) {
+TEST_F(EnginePoolFixture, BoundedQueueShedsDeterministicallyThenReadmits) {
   // One worker whose first job blocks on a promise we hold: with the
-  // worker provably stalled, lane occupancy is deterministic and the
+  // worker provably stalled, queue occupancy is deterministic and the
   // shed point is exact — no sleeps, no racing.
   EnginePool pool(snapshot_, {.num_threads = 1, .queue_capacity = 1});
   std::promise<void> release;
@@ -343,7 +418,7 @@ TEST_F(EnginePoolFixture, BoundedLaneShedsDeterministicallyThenReadmits) {
                   .ok());
   entered.get_future().wait();  // worker is now inside the callback
 
-  // Slot 1: fills the lane (capacity 1). Slot 2: must shed.
+  // Slot 1: fills the queue (capacity 1 × 1 worker). Slot 2: must shed.
   std::promise<Result<PoolBatchResponse>> queued_done;
   ASSERT_TRUE(pool.SubmitBatch({.pairs = RandomPairs(2, 1)},
                                [&](Result<PoolBatchResponse> result) {
@@ -356,7 +431,7 @@ TEST_F(EnginePoolFixture, BoundedLaneShedsDeterministicallyThenReadmits) {
                                  });
   ASSERT_FALSE(shed.ok());
   EXPECT_TRUE(shed.IsResourceExhausted());
-  // The futures API sheds identically (same Enqueue tail).
+  // The future form sheds identically (it wraps the callback form).
   auto shed_future = pool.SubmitBatch({.pairs = RandomPairs(2, 3)});
   ASSERT_FALSE(shed_future.ok());
   EXPECT_TRUE(shed_future.status().IsResourceExhausted());
@@ -368,7 +443,7 @@ TEST_F(EnginePoolFixture, BoundedLaneShedsDeterministicallyThenReadmits) {
 
   release.set_value();  // un-stall; the queued job drains
   ASSERT_TRUE(queued_done.get_future().get().ok());
-  // Re-admission: the lane has room again.
+  // Re-admission: the queue has room again.
   auto after = pool.Batch({.pairs = RandomPairs(2, 4)});
   ASSERT_TRUE(after.ok());
   EXPECT_EQ(pool.Stats().sheds, 2u);  // no new sheds

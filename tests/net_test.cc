@@ -691,7 +691,7 @@ TEST_F(ServingFixture, ExpectContinueRoundTrips) {
 }
 
 TEST_F(ServingFixture, BurstBeyondQueueCapacitySheds429AndRecovers) {
-  // The acceptance scenario: 1 worker, lane capacity 2, watermarks
+  // The acceptance scenario: 1 worker, queue capacity 2, watermarks
   // low — then 16 concurrent closed-loop clients fire oversized
   // batches. The server must (a) answer every request with 200 or 429,
   // (b) shed at least once, (c) keep serving /healthz and /stats
@@ -716,7 +716,7 @@ TEST_F(ServingFixture, BurstBeyondQueueCapacitySheds429AndRecovers) {
   body += "]}";
 
   // Stall the lone worker inside a blocking callback so the burst
-  // provably overflows the lane on any scheduler (under ASan on one
+  // provably overflows the queue on any scheduler (under ASan on one
   // core, a free-running worker can drain a closed-loop burst without
   // ever letting four requests pile up). While the gate is held,
   // outstanding = 1 executing + 2 queued = the high watermark, so

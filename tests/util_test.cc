@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "util/checksum.h"
-#include "util/lane_queue.h"
 #include "util/thread_pool.h"
 #include "util/cli.h"
 #include "util/mmap_file.h"
@@ -579,155 +578,6 @@ TEST(RngForkTest, ChildStreamDecorrelatedFromParent) {
     if (parent.Next() == child.Next()) ++same;
   }
   EXPECT_EQ(same, 0);
-}
-
-// ---- LaneQueue ----
-
-TEST(LaneQueueTest, FifoWithinOneLane) {
-  LaneQueue<int> q(2);
-  EXPECT_EQ(q.NumLanes(), 2u);
-  EXPECT_TRUE(q.Push(0, 1));
-  EXPECT_TRUE(q.Push(0, 2));
-  EXPECT_TRUE(q.Push(1, 9));
-  EXPECT_EQ(q.Pop(0), 1);
-  EXPECT_EQ(q.Pop(0), 2);
-  EXPECT_EQ(q.Pop(1), 9);
-  EXPECT_EQ(q.TotalQueued(), 0u);
-}
-
-TEST(LaneQueueTest, LeastLoadedPicksEmptiestLane) {
-  LaneQueue<int> q(3);
-  EXPECT_EQ(q.LeastLoadedLane(), 0u);  // all empty: lowest index
-  ASSERT_TRUE(q.Push(0, 1));
-  ASSERT_TRUE(q.Push(2, 1));
-  EXPECT_EQ(q.LeastLoadedLane(), 1u);
-  ASSERT_TRUE(q.Push(1, 1));
-  ASSERT_TRUE(q.Push(1, 2));
-  EXPECT_EQ(q.LeastLoadedLane(), 0u);  // 0 and 2 tie at 1 item
-  EXPECT_EQ(q.Depths(), (std::vector<size_t>{1, 2, 1}));
-}
-
-TEST(LaneQueueTest, CloseDrainsThenReturnsNullopt) {
-  LaneQueue<int> q(1);
-  ASSERT_TRUE(q.Push(0, 7));
-  q.Close();
-  EXPECT_FALSE(q.Push(0, 8));  // rejected...
-  EXPECT_EQ(q.Pop(0), 7);      // ...but queued work still drains
-  EXPECT_EQ(q.Pop(0), std::nullopt);
-  EXPECT_TRUE(q.closed());
-  q.Close();  // idempotent
-}
-
-TEST(LaneQueueTest, CloseWakesBlockedConsumer) {
-  LaneQueue<int> q(1);
-  std::thread consumer([&] { EXPECT_EQ(q.Pop(0), std::nullopt); });
-  q.Close();
-  consumer.join();
-}
-
-TEST(LaneQueueTest, ManyProducersOneConsumerPerLane) {
-  constexpr size_t kLanes = 3;
-  constexpr int kPerProducer = 200;
-  LaneQueue<int> q(kLanes);
-  std::vector<std::thread> producers;
-  for (int p = 0; p < 4; ++p) {
-    producers.emplace_back([&q, p] {
-      for (int i = 0; i < kPerProducer; ++i) {
-        ASSERT_TRUE(q.Push((p + i) % kLanes, p * kPerProducer + i));
-      }
-    });
-  }
-  std::atomic<int> consumed{0};
-  std::vector<std::thread> consumers;
-  for (size_t lane = 0; lane < kLanes; ++lane) {
-    consumers.emplace_back([&q, &consumed, lane] {
-      while (q.Pop(lane)) consumed.fetch_add(1);
-    });
-  }
-  for (auto& p : producers) p.join();
-  q.Close();
-  for (auto& c : consumers) c.join();
-  EXPECT_EQ(consumed.load(), 4 * kPerProducer);
-}
-
-// ---- bounded LaneQueue (overload shedding substrate) ----
-
-TEST(LaneQueueBoundedTest, TryPushShedsAtCapacityAndReadmitsAfterDrain) {
-  LaneQueue<int> q(2, /*capacity_per_lane=*/2);
-  EXPECT_EQ(q.CapacityPerLane(), 2u);
-  EXPECT_EQ(q.TryPush(0, 1), LanePush::kAccepted);
-  EXPECT_EQ(q.TryPush(0, 2), LanePush::kAccepted);
-  EXPECT_EQ(q.TryPush(0, 3), LanePush::kShed);  // lane 0 full
-  EXPECT_EQ(q.TryPush(1, 9), LanePush::kAccepted);  // lane 1 unaffected
-  EXPECT_EQ(q.Pop(0), 1);  // drain one slot...
-  EXPECT_EQ(q.TryPush(0, 4), LanePush::kAccepted);  // ...re-admits
-  EXPECT_EQ(q.Pop(0), 2);
-  EXPECT_EQ(q.Pop(0), 4);  // shed item 3 was never queued
-  EXPECT_EQ(q.Pop(1), 9);
-}
-
-TEST(LaneQueueBoundedTest, BlockingPushIgnoresCapacity) {
-  // The trusted in-process path (futures API) keeps its pre-overload
-  // semantics: Push never sheds.
-  LaneQueue<int> q(1, /*capacity_per_lane=*/1);
-  EXPECT_TRUE(q.Push(0, 1));
-  EXPECT_TRUE(q.Push(0, 2));
-  EXPECT_EQ(q.Depths(), (std::vector<size_t>{2}));
-}
-
-TEST(LaneQueueBoundedTest, ZeroCapacityMeansUnbounded) {
-  LaneQueue<int> q(1);
-  for (int i = 0; i < 1000; ++i) {
-    ASSERT_EQ(q.TryPush(0, i), LanePush::kAccepted);
-  }
-}
-
-TEST(LaneQueueBoundedTest, TryPushAfterCloseReportsClosed) {
-  LaneQueue<int> q(1, 4);
-  ASSERT_EQ(q.TryPush(0, 7), LanePush::kAccepted);
-  q.Close();
-  EXPECT_EQ(q.TryPush(0, 8), LanePush::kClosed);
-  EXPECT_EQ(q.Pop(0), 7);  // queued work still drains after Close
-  EXPECT_EQ(q.Pop(0), std::nullopt);
-}
-
-TEST(LaneQueueBoundedTest, ShedDrainCloseInterleavingNeverLosesAccepted) {
-  // Producers TryPush as fast as they can against a consumer that
-  // drains slowly, then everything closes mid-flight: every kAccepted
-  // item must come out exactly once, and sheds must be non-zero (the
-  // bound actually bit).
-  constexpr size_t kCapacity = 4;
-  constexpr int kPerProducer = 500;
-  LaneQueue<int> q(1, kCapacity);
-  std::atomic<int> accepted{0};
-  std::atomic<int> shed{0};
-  std::vector<std::thread> producers;
-  for (int p = 0; p < 3; ++p) {
-    producers.emplace_back([&] {
-      for (int i = 0; i < kPerProducer; ++i) {
-        switch (q.TryPush(0, i)) {
-          case LanePush::kAccepted:
-            accepted.fetch_add(1);
-            break;
-          case LanePush::kShed:
-            shed.fetch_add(1);
-            break;
-          case LanePush::kClosed:
-            return;
-        }
-      }
-    });
-  }
-  std::atomic<int> popped{0};
-  std::thread consumer([&] {
-    while (q.Pop(0)) popped.fetch_add(1);
-  });
-  for (auto& p : producers) p.join();
-  q.Close();
-  consumer.join();
-  EXPECT_EQ(popped.load(), accepted.load());
-  EXPECT_GT(shed.load(), 0);
-  EXPECT_LE(q.TotalQueued(), 0u);
 }
 
 // ---- LatencyHistogram ----
