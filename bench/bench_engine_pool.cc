@@ -1,7 +1,7 @@
 // EnginePool serving-throughput sweep: {1,2,4,8} workers × batch sizes
 // × backend kind, reporting queries/sec (probes, not batches) and the
 // per-batch label route mix (cache hit rate for the block-route v4
-// store; borrow share for the zero-copy hopi / mapped v3 backends).
+// store; borrow share for the zero-copy hopi backend).
 //
 // The submission side runs `clients` threads each firing synchronous
 // Batch() calls, so the measured number is end-to-end: queue, dispatch,
@@ -120,32 +120,23 @@ int main(int argc, char** argv) {
             << " client threads (hardware_concurrency="
             << std::thread::hardware_concurrency() << ")\n";
 
-  // The three label-carrying serving snapshots: the in-memory cover,
-  // the v4 file (block route) and the v3 file (borrow route).
+  // The two label-carrying serving snapshots: the in-memory cover
+  // (borrow route) and the v4 file (block route).
   auto hopi_snapshot = engine::BackendSnapshot::Freeze(*index);
   storage::LinLoutStore store =
       storage::LinLoutStore::FromCover(index->cover(), false);
-  auto write_and_open = [&store](const std::string& path, uint32_t version)
-      -> std::shared_ptr<const storage::MappedLinLoutStore> {
-    storage::StoreWriteOptions write_options;
-    write_options.format_version = version;
-    if (Status s = store.WriteToFile(path, write_options); !s.ok()) {
-      std::cerr << s << "\n";
-      return nullptr;
-    }
-    auto opened = storage::MappedLinLoutStore::Open(path);
-    if (!opened.ok()) {
-      std::cerr << opened.status() << "\n";
-      return nullptr;
-    }
-    return std::make_shared<const storage::MappedLinLoutStore>(
-        std::move(opened).value());
-  };
-  const std::string path = "bench_engine_pool.bin";
   const std::string v4_path = "bench_engine_pool_v4.bin";
-  auto mapped = write_and_open(path, storage::kFormatVersion);
-  auto mapped_v4 = write_and_open(v4_path, storage::kFormatVersionV4);
-  if (!mapped || !mapped_v4) return 1;
+  if (Status s = store.WriteToFile(v4_path); !s.ok()) {
+    std::cerr << s << "\n";
+    return 1;
+  }
+  auto opened = storage::MappedLinLoutStore::Open(v4_path);
+  if (!opened.ok()) {
+    std::cerr << opened.status() << "\n";
+    return 1;
+  }
+  auto mapped_v4 = std::make_shared<const storage::MappedLinLoutStore>(
+      std::move(opened).value());
   auto collection = std::shared_ptr<const collection::Collection>(
       hopi_snapshot, &hopi_snapshot->collection());
   struct NamedSnapshot {
@@ -156,8 +147,6 @@ int main(int argc, char** argv) {
       {"hopi", hopi_snapshot},
       {"mapped-v4", engine::BackendSnapshot::OfMappedStore(
                         collection, mapped_v4, hopi_snapshot->tags())},
-      {"mapped", engine::BackendSnapshot::OfMappedStore(
-                     collection, mapped, hopi_snapshot->tags())},
   };
 
   hopi::bench::BenchReport report("engine_pool");
@@ -204,7 +193,7 @@ int main(int argc, char** argv) {
     std::atomic<uint64_t> swaps{0};
     std::thread swapper([&] {
       while (!done.load()) {
-        pool.Swap(swaps.fetch_add(1) % 2 == 0 ? snapshots[2].snapshot
+        pool.Swap(swaps.fetch_add(1) % 2 == 0 ? snapshots[1].snapshot
                                               : hopi_snapshot);
         std::this_thread::yield();
       }
@@ -300,7 +289,6 @@ int main(int argc, char** argv) {
   overlay_table.Print(std::cout);
   overlay_report.Write();
 
-  std::remove(path.c_str());
   std::remove(v4_path.c_str());
   return 0;
 }

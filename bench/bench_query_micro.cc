@@ -266,11 +266,11 @@ struct SweepProbe {
   twohop::LabelSummary lout_summary, lin_summary;
 
   twohop::JoinView OutView() const {
-    return {lout_centers.data(), lout_dists.data(), lout_centers.size(), 1,
+    return {lout_centers.data(), lout_dists.data(), lout_centers.size(),
             lout_summary};
   }
   twohop::JoinView InView() const {
-    return {lin_centers.data(), lin_dists.data(), lin_centers.size(), 1,
+    return {lin_centers.data(), lin_dists.data(), lin_centers.size(),
             lin_summary};
   }
 };

@@ -1,21 +1,20 @@
-// Storage-layer I/O bench: raw (v3) vs block-compressed (v4) LIN/LOUT
-// files — size on disk, open cost, and batched probe throughput.
+// Storage-layer I/O bench: the block-compressed (v4) LIN/LOUT file —
+// size on disk, open cost, and batched probe throughput in each open
+// mode.
 //
 //   cold open  MappedLinLoutStore::Open validates checksums but copies
 //              nothing when it maps the file; its buffered mode
-//              ("buffered_v3") reads the whole file into the heap
-//              first. The v4 lazy open ("mapped_v4_lazy") verifies
-//              only the metadata CRC: the open cost that stays flat as
+//              ("buffered_v4") reads the whole file into the heap
+//              first. The lazy open ("mapped_v4_lazy") verifies only
+//              the metadata CRC: the open cost that stays flat as
 //              covers outgrow RAM.
-//   cold batch a fresh engine's first 256-probe batch: v3 mapped
-//              borrows spans off the file image; v4 decodes every
-//              touched block once into the byte-budgeted cache.
-//   warm batch the steady state: v3 still borrows, v4 serves pinned
-//              rows from cached blocks — the ~"within 10% of raw"
-//              number the v4 design is accountable to.
+//   cold batch a fresh engine's first 256-probe batch: every touched
+//              block is decoded once into the byte-budgeted cache.
+//   warm batch the steady state: pinned rows served from cached
+//              blocks.
 //
-// Writes BENCH_storage_io.json (bytes/entry both formats, compression
-// ratio, cold/warm probes/s) for runs to be diffed.
+// Writes BENCH_storage_io.json (bytes/entry, open cost, cold/warm
+// probes/s) for runs to be diffed.
 #include <cstdio>
 #include <iostream>
 #include <string>
@@ -44,7 +43,7 @@ int main(int argc, char** argv) {
   size_t cache_bytes = static_cast<size_t>(cli.GetInt("cache_kb", 65536)) *
                        1024;
 
-  PrintHeader("Storage I/O: raw (v3) vs block-compressed (v4) LIN/LOUT");
+  PrintHeader("Storage I/O: block-compressed (v4) LIN/LOUT");
   collection::Collection c = MakeDblp(docs, seed);
   IndexBuildOptions options;
   options.with_distance = true;
@@ -56,38 +55,23 @@ int main(int argc, char** argv) {
   storage::LinLoutStore store =
       storage::LinLoutStore::FromCover(index->cover(), true);
 
-  const std::string v3_path = "bench_storage_io_v3.bin";
   const std::string v4_path = "bench_storage_io_v4.bin";
-  storage::StoreWriteOptions v3_options;
-  v3_options.format_version = storage::kFormatVersion;
-  if (Status s = store.WriteToFile(v3_path, v3_options); !s.ok()) {
+  if (Status s = store.WriteToFile(v4_path); !s.ok()) {
     std::cerr << s << "\n";
     return 1;
   }
-  storage::StoreWriteOptions v4_options;
-  v4_options.format_version = storage::kFormatVersionV4;
-  if (Status s = store.WriteToFile(v4_path, v4_options); !s.ok()) {
-    std::cerr << s << "\n";
-    return 1;
-  }
-  auto v3_info = storage::InspectFile(v3_path);
   auto v4_info = storage::InspectFile(v4_path);
-  if (!v3_info.ok() || !v4_info.ok()) {
-    std::cerr << v3_info.status() << " / " << v4_info.status() << "\n";
+  if (!v4_info.ok()) {
+    std::cerr << v4_info.status() << "\n";
     return 1;
   }
   const uint64_t entries = store.NumEntries();
-  const double v3_bpe =
-      static_cast<double>(v3_info->file_bytes) / static_cast<double>(entries);
   const double v4_bpe =
       static_cast<double>(v4_info->file_bytes) / static_cast<double>(entries);
   std::cout << "cover: " << TablePrinter::FmtCount(entries)
             << " label entries\n"
-            << "  v3: " << TablePrinter::FmtCount(v3_info->file_bytes)
-            << " bytes (" << TablePrinter::Fmt(v3_bpe, 2) << " B/entry)\n"
             << "  v4: " << TablePrinter::FmtCount(v4_info->file_bytes)
-            << " bytes (" << TablePrinter::Fmt(v4_bpe, 2) << " B/entry), "
-            << TablePrinter::Fmt(v3_bpe / v4_bpe, 2) << "x smaller\n";
+            << " bytes (" << TablePrinter::Fmt(v4_bpe, 2) << " B/entry)\n";
 
   Rng rng(seed);
   std::vector<engine::NodePair> pairs;
@@ -101,11 +85,8 @@ int main(int argc, char** argv) {
   BenchReport report("storage_io");
   report.Add("docs", static_cast<uint64_t>(docs));
   report.Add("label_entries", entries);
-  report.Add("v3_file_bytes", v3_info->file_bytes);
   report.Add("v4_file_bytes", v4_info->file_bytes);
-  report.Add("v3_bytes_per_entry", v3_bpe);
   report.Add("v4_bytes_per_entry", v4_bpe);
-  report.Add("compression_ratio", v3_bpe / v4_bpe);
 
   report.Add("label_cache_bytes", static_cast<uint64_t>(cache_bytes));
 
@@ -140,16 +121,14 @@ int main(int argc, char** argv) {
     report.Add(mode + "_blocks_decoded", cold.stats.blocks_decoded);
   };
 
-  // Open modes: v3 buffered and mapped (borrow route), v4 verified and
-  // lazy (block route).
+  // Open modes: buffered, mapped, and mapped lazy.
   struct MappedMode {
     std::string name;
     std::string path;
     storage::MappedOpenOptions open;
   };
   const MappedMode modes[] = {
-      {"buffered_v3", v3_path, {.prefer_mmap = false}},
-      {"mapped_v3", v3_path, {}},
+      {"buffered_v4", v4_path, {.prefer_mmap = false}},
       {"mapped_v4", v4_path, {}},
       {"mapped_v4_lazy", v4_path, {.prefer_mmap = true,
                                    .verify_file_checksum = false}},
@@ -169,12 +148,10 @@ int main(int argc, char** argv) {
     run_mode(mode.name, *mapped, open_s);
   }
   table.Print(std::cout);
-  std::cout << "\nShape check: v3 mapped batches borrow spans (no decodes); "
-               "v4 cold batches decode each touched block once, warm v4 "
-               "batches serve pinned rows from the byte-budgeted cache and "
-               "should land within ~10% of the raw v3 borrow route.\n";
+  std::cout << "\nShape check: cold batches decode each touched block "
+               "once; warm batches serve pinned rows from the byte-budgeted "
+               "cache and decode nothing.\n";
   report.Write();
-  std::remove(v3_path.c_str());
   std::remove(v4_path.c_str());
   return 0;
 }

@@ -95,8 +95,8 @@ class ReachabilityBackend {
   //            keeps it in its byte-budgeted cache.
   //   borrow — BorrowOutJoin/BorrowInJoin lend a view into storage the
   //            backend already owns (an in-memory cover's packed
-  //            columns, a v3 file image's rows). Zero copies; the cache
-  //            is bypassed entirely.
+  //            columns, or the empty row of a file's node without a
+  //            block). Zero copies; the cache is bypassed entirely.
 
   /// @brief True when the backend stores 2-hop labels and lends them
   /// through the hooks below. Label-less backends (materialized

@@ -69,22 +69,17 @@ class HopiIndexBackend final : public ReachabilityBackend {
   const HopiIndex* index_;
 };
 
-/// Adapter over the LIN/LOUT file reader. For raw (v3) stores, labels
-/// are lent to the engine as strided views over the file image (the
-/// borrow route), so batch queries run zero-copy off disk — no cache
-/// traffic at all. For block-compressed (v4) stores the adapter speaks
-/// the block route instead: it names the block holding a node's row
-/// and decodes it on demand, and the engine's byte-budgeted cache
-/// keeps hot blocks resident (nodes without rows still borrow an
-/// engaged empty view — no decode for them).
+/// Adapter over the LIN/LOUT file reader. It speaks the block route:
+/// it names the block holding a node's row and decodes it on demand,
+/// and the engine's byte-budgeted cache keeps hot blocks resident.
+/// Nodes without rows borrow an engaged empty view — no decode for
+/// them.
 class MappedStoreBackend final : public ReachabilityBackend {
  public:
   explicit MappedStoreBackend(const storage::MappedLinLoutStore& store)
       : store_(&store) {}
 
-  std::string_view Name() const override {
-    return store_->compressed() ? "mapped-v4" : "mapped";
-  }
+  std::string_view Name() const override { return "mapped"; }
   bool with_distance() const override { return store_->with_distance(); }
 
   bool IsReachable(NodeId u, NodeId v) const override {
@@ -102,10 +97,10 @@ class MappedStoreBackend final : public ReachabilityBackend {
 
   bool HasLabels() const override { return true; }
   std::optional<twohop::JoinView> BorrowOutJoin(NodeId u) const override {
-    return Borrow(store_->LoutSpan(u), store_->LoutBlockHandle(u));
+    return BorrowEmpty(store_->LoutBlockHandle(u));
   }
   std::optional<twohop::JoinView> BorrowInJoin(NodeId v) const override {
-    return Borrow(store_->LinSpan(v), store_->LinBlockHandle(v));
+    return BorrowEmpty(store_->LinBlockHandle(v));
   }
   std::optional<uint64_t> OutLabelBlock(NodeId u) const override {
     return store_->LoutBlockHandle(u);
@@ -118,13 +113,12 @@ class MappedStoreBackend final : public ReachabilityBackend {
   }
 
  private:
-  /// v3: the raw rows as a strided view. v4: only the one label it
-  /// never has to decode — the empty one of a node without a block.
-  std::optional<twohop::JoinView> Borrow(
-      std::span<const twohop::LabelEntry> rows,
-      std::optional<uint64_t> block) const {
-    if (store_->compressed() && block) return std::nullopt;
-    return twohop::JoinView::FromEntries(rows.data(), rows.size());
+  /// The one label this backend lends: the empty one of a node without
+  /// a block. A node with a block is served by the block route.
+  static std::optional<twohop::JoinView> BorrowEmpty(
+      std::optional<uint64_t> block) {
+    if (block) return std::nullopt;
+    return twohop::JoinView::Empty();
   }
 
   const storage::MappedLinLoutStore* store_;

@@ -98,9 +98,9 @@ PinnedJoin QueryEngine::FetchJoinLabel(bool out, NodeId node,
     return {view, std::move(block)};
   }
   // Borrow route: label storage the backend already owns (in-memory
-  // covers, raw v3 file images) is lent as a kernel view — zero
-  // copies, no pin needed (backend-lifetime storage). For compressed
-  // backends this only serves rows with no block: the empty ones.
+  // covers) is lent as a kernel view — zero copies, no pin needed
+  // (backend-lifetime storage). For compressed backends this only
+  // serves rows with no block: the empty ones.
   std::optional<twohop::JoinView> borrowed =
       out ? backend_->BorrowOutJoin(node) : backend_->BorrowInJoin(node);
   assert(borrowed && "a HasLabels() backend lends every unblocked label");

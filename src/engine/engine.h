@@ -165,9 +165,8 @@ class QueryEngine {
   // engine.
   static QueryEngine ForIndex(const HopiIndex& index,
                               QueryEngineOptions options = {});
-  /// Serves batch queries off the LIN/LOUT file: v3 rows zero-copy
-  /// (the borrow route; the label cache stays cold), v4 blocks through
-  /// the decoded-block cache.
+  /// Serves batch queries off the LIN/LOUT file: label blocks through
+  /// the decoded-block cache (empty rows are borrowed).
   static QueryEngine ForMappedStore(const collection::Collection& collection,
                                     const storage::MappedLinLoutStore& store,
                                     QueryEngineOptions options = {});
@@ -219,9 +218,9 @@ class QueryEngine {
   /// join kernels want it, by one of two routes: the block route (a
   /// pinned block through the byte-budgeted cache, decoded on a miss)
   /// or the borrow route (the backend lends its own storage — a
-  /// cover's packed columns, a v3 file's rows). Counts the route taken
-  /// into `stats`; the first decode failure lands in `*error` and
-  /// yields an empty view. The returned PinnedJoin keeps the view
+  /// cover's packed columns, or a file's empty row). Counts the route
+  /// taken into `stats`; the first decode failure lands in `*error`
+  /// and yields an empty view. The returned PinnedJoin keeps the view
   /// valid regardless of later fetches or evictions — exactly as long
   /// as the batch join needs it.
   PinnedJoin FetchJoinLabel(bool out, NodeId node, BatchStats* stats,

@@ -70,8 +70,8 @@ class BackendSnapshot {
       std::shared_ptr<const query::TagIndex> tags = nullptr);
 
   /// The LIN/LOUT file reader; `collection` is the collection the
-  /// store's cover was built from (v3 rows are lent zero-copy, so N
-  /// serving threads share one file image).
+  /// store's cover was built from. N serving threads share one file
+  /// image, each decoding blocks into its own engine's cache.
   static std::shared_ptr<const BackendSnapshot> OfMappedStore(
       std::shared_ptr<const collection::Collection> collection,
       std::shared_ptr<const storage::MappedLinLoutStore> store,

@@ -97,7 +97,7 @@ EncodedLabelSection EncodeLabelRows(std::span<const LabelRowRef> rows,
   };
 
   for (const LabelRowRef& row : rows) {
-    if (row.entries.empty()) continue;  // absent == empty, like v3 dirs
+    if (row.entries.empty()) continue;  // absent == empty
     if (block_rows > 0) {
       size_t prefix = SharedPrefix(dict, row.entries, with_distance);
       // Sliding-window split: target size reached, or the row opens a

@@ -1,14 +1,14 @@
 // Block compression for LIN/LOUT label rows (the v4 section type).
 //
-// The v3 format stores every label row as raw (center u32, dist u32)
-// pairs, so a mapped store can only serve covers whose labels fit
-// uncompressed. v4 instead packs rows into self-contained compressed
-// blocks, following the delta + prefix-clustering design the ROADMAP
-// cites (CSIndex's DataComp): centers inside a row are sorted and
-// unique, so they delta-encode as varints, and consecutive rows in a
-// cover are highly similar, so a sliding-window clustering pass makes
-// the first row of each block the cluster dictionary and stores only
-// the shared-prefix length for the rows after it.
+// Raw (center u32, dist u32) rows would let a mapped store serve only
+// covers whose labels fit uncompressed. v4 instead packs rows into
+// self-contained compressed blocks, following the delta +
+// prefix-clustering design the ROADMAP cites (CSIndex's DataComp):
+// centers inside a row are sorted and unique, so they delta-encode as
+// varints, and consecutive rows in a cover are highly similar, so a
+// sliding-window clustering pass makes the first row of each block the
+// cluster dictionary and stores only the shared-prefix length for the
+// rows after it.
 //
 // One block is the unit of IO, checksumming, decoding and caching:
 //
@@ -51,9 +51,8 @@ namespace hopi::storage {
 
 /// Directory entry of a v4 label section: one per row (node id for
 /// forward sections, center id for backward sections), sorted by key.
-/// Unlike v3's DirEntry there is no `begin` — row positions follow
-/// from the cumulative counts, and the block table says which block
-/// holds which row range.
+/// There is no `begin` — row positions follow from the cumulative
+/// counts, and the block table says which block holds which row range.
 struct V4DirEntry {
   uint32_t key;
   uint32_t count;  // entries in this row, always >= 1
@@ -143,10 +142,10 @@ struct DecodedBlock {
 
 /// A label view plus whatever keeps it alive — the one pinned label
 /// type. `block` is null when the view borrows storage that lives as
-/// long as its owner anyway (an in-memory cover, a v3 file image);
-/// otherwise it pins the DecodedBlock the view aliases, so a cache
-/// eviction cannot invalidate the view. Hold the PinnedJoin, not just
-/// the view: a bare view must not outlive its pin.
+/// long as its owner anyway (an in-memory cover, or none at all for an
+/// empty row); otherwise it pins the DecodedBlock the view aliases, so
+/// a cache eviction cannot invalidate the view. Hold the PinnedJoin,
+/// not just the view: a bare view must not outlive its pin.
 struct PinnedJoin {
   twohop::JoinView view;
   std::shared_ptr<const DecodedBlock> block;
@@ -154,8 +153,7 @@ struct PinnedJoin {
 
 /// One input row for the encoder: a key and its sorted, unique-center
 /// entries. Rows must arrive sorted by key; empty rows are skipped
-/// (absent and empty are the same thing in the format, exactly like
-/// v3 directories).
+/// (absent and empty are the same thing in the format).
 struct LabelRowRef {
   uint32_t key;
   std::span<const twohop::LabelEntry> entries;

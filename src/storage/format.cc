@@ -44,45 +44,6 @@ uint64_t GetU64(const std::byte* p) {
 
 uint64_t Align8(uint64_t n) { return (n + 7) & ~uint64_t{7}; }
 
-/// Groups a sorted run into directory entries; `key` extracts the group
-/// key (id for forward runs, center for backward runs).
-template <typename KeyFn>
-std::vector<DirEntry> BuildDir(std::span<const TableRow> run, KeyFn key) {
-  std::vector<DirEntry> dir;
-  size_t i = 0;
-  while (i < run.size()) {
-    uint32_t k = key(run[i]);
-    size_t j = i;
-    while (j < run.size() && key(run[j]) == k) ++j;
-    dir.push_back({k, static_cast<uint32_t>(j - i), i});
-    i = j;
-  }
-  return dir;
-}
-
-/// Shared validation of one (directory, rows) pair: keys strictly
-/// ascending, begin indices exactly partitioning the rows section, and
-/// each group's payload strictly ascending (`payload_key` extracts the
-/// sort key of a row).
-template <typename Rows, typename PayloadKey>
-bool DirConsistent(std::span<const DirEntry> dir, std::span<const Rows> rows,
-                   PayloadKey payload_key) {
-  uint64_t running = 0;
-  uint32_t prev_key = 0;
-  for (size_t e = 0; e < dir.size(); ++e) {
-    const DirEntry& d = dir[e];
-    if (e > 0 && d.key <= prev_key) return false;
-    prev_key = d.key;
-    if (d.begin != running || d.count == 0) return false;
-    if (d.count > rows.size() - running) return false;
-    running += d.count;
-    for (uint64_t r = d.begin + 1; r < d.begin + d.count; ++r) {
-      if (payload_key(rows[r - 1]) >= payload_key(rows[r])) return false;
-    }
-  }
-  return running == rows.size();
-}
-
 /// CRC-32 over [0, meta_end) of a v4 image with the meta_crc field
 /// (bytes [16, 20)) treated as zero — computed identically by writer
 /// and reader so the stored value can live inside the sealed range.
@@ -125,8 +86,15 @@ bool SectionConsistent(const LabelSectionView& s) {
   return next_dir == s.dir.size() && next_byte == s.blob.size();
 }
 
-}  // namespace
+/// Magic/version/flags of any HOPI LIN/LOUT file, before any version
+/// policy.
+struct RawHeader {
+  uint32_t version = 0;
+  uint32_t flags = 0;
+};
 
+/// Errors: Corruption for a short image or foreign magic, Unsupported
+/// for the pre-versioned v1 layout ("HOPILL01").
 Result<RawHeader> ReadRawHeader(std::span<const std::byte> image,
                                 const std::string& path) {
   if (image.size() < 4 ||
@@ -149,97 +117,34 @@ Result<RawHeader> ReadRawHeader(std::span<const std::byte> image,
   return header;
 }
 
-Result<FileView> ParseV3(std::span<const std::byte> image,
-                         const std::string& path) {
-  HOPI_ASSIGN_OR_RETURN(RawHeader header, ReadRawHeader(image, path));
-  if (header.version != kFormatVersion) {
-    return Status::Unsupported(
-        "LIN/LOUT file " + path + " has format version " +
-        std::to_string(header.version) + "; this reader needs version " +
-        std::to_string(kFormatVersion));
-  }
-  if ((header.flags & ~kKnownFlags) != 0) {
-    return Status::Corruption("unknown header flags in " + path);
-  }
-  if (image.size() < kHeaderBytes + kTrailerBytes) {
-    return Status::Corruption("truncated v3 header in " + path);
-  }
-  if (GetU32(image.data() + 12) != kHeaderBytes) {
-    return Status::Corruption("bad header size field in " + path);
-  }
-  // Seal first: the trailing checksum covers every byte before it, so a
-  // torn or bit-flipped file fails here before any field is trusted.
-  const std::byte* trailer = image.data() + image.size() - kTrailerBytes;
-  if (std::memcmp(trailer + 4, kTrailerMagic, sizeof(kTrailerMagic)) != 0) {
-    return Status::Corruption("missing checksum trailer (torn write?) in " +
-                              path);
-  }
-  uint32_t actual = Crc32(image.data(), image.size() - kTrailerBytes);
-  if (actual != GetU32(trailer)) {
-    return Status::Corruption("checksum mismatch in " + path +
-                              " (torn write or bit rot)");
-  }
-  // Section table: in-order, 8-aligned, inside [header, trailer).
-  SectionRange sections[kNumSections];
-  uint64_t prev_end = kHeaderBytes;
-  const uint64_t data_end = image.size() - kTrailerBytes;
-  constexpr size_t kElemSize[kNumSections] = {
-      sizeof(DirEntry), sizeof(twohop::LabelEntry),
-      sizeof(DirEntry), sizeof(twohop::LabelEntry),
-      sizeof(DirEntry), sizeof(uint32_t),
-      sizeof(DirEntry), sizeof(uint32_t)};
-  for (size_t s = 0; s < kNumSections; ++s) {
-    sections[s].offset = GetU64(image.data() + 16 + s * 16);
-    sections[s].length = GetU64(image.data() + 16 + s * 16 + 8);
-    if (sections[s].offset % 8 != 0 || sections[s].offset < prev_end ||
-        sections[s].length > data_end ||
-        sections[s].offset > data_end - sections[s].length ||
-        sections[s].length % kElemSize[s] != 0) {
-      return Status::Corruption("section table out of bounds in " + path);
+/// Regroups a sorted table run into encoder rows. `forward` selects
+/// the grouping key (id vs center) and the entry payload (center+dist
+/// vs id, dist-less). `buf` backs the returned spans and must outlive
+/// them; it is reserved up front so pushes never reallocate.
+std::vector<LabelRowRef> GroupRun(std::span<const TableRow> run, bool forward,
+                                  std::vector<twohop::LabelEntry>* buf) {
+  buf->clear();
+  buf->reserve(run.size());
+  std::vector<LabelRowRef> rows;
+  size_t i = 0;
+  while (i < run.size()) {
+    uint32_t key = forward ? run[i].id : run[i].center;
+    size_t start = buf->size();
+    size_t j = i;
+    while (j < run.size() && (forward ? run[j].id : run[j].center) == key) {
+      buf->push_back(forward
+                         ? twohop::LabelEntry{run[j].center, run[j].dist}
+                         : twohop::LabelEntry{run[j].id, 0});
+      ++j;
     }
-    prev_end = sections[s].offset + sections[s].length;
+    rows.push_back({key, std::span<const twohop::LabelEntry>(
+                             buf->data() + start, j - i)});
+    i = j;
   }
-
-  FileView view;
-  view.flags = header.flags;
-  view.with_distance = (header.flags & kFlagDistance) != 0;
-  auto dir_span = [&](Section s) {
-    return std::span<const DirEntry>(
-        reinterpret_cast<const DirEntry*>(image.data() + sections[s].offset),
-        sections[s].length / sizeof(DirEntry));
-  };
-  auto row_span = [&](Section s) {
-    return std::span<const twohop::LabelEntry>(
-        reinterpret_cast<const twohop::LabelEntry*>(image.data() +
-                                                    sections[s].offset),
-        sections[s].length / sizeof(twohop::LabelEntry));
-  };
-  auto id_span = [&](Section s) {
-    return std::span<const uint32_t>(
-        reinterpret_cast<const uint32_t*>(image.data() + sections[s].offset),
-        sections[s].length / sizeof(uint32_t));
-  };
-  view.lin_dir = dir_span(kLinDir);
-  view.lin_rows = row_span(kLinRows);
-  view.lout_dir = dir_span(kLoutDir);
-  view.lout_rows = row_span(kLoutRows);
-  view.lin_bwd_dir = dir_span(kLinBwdDir);
-  view.lin_bwd_ids = id_span(kLinBwdIds);
-  view.lout_bwd_dir = dir_span(kLoutBwdDir);
-  view.lout_bwd_ids = id_span(kLoutBwdIds);
-
-  auto by_center = [](const twohop::LabelEntry& e) { return e.center; };
-  auto by_id = [](uint32_t id) { return id; };
-  if (!DirConsistent(view.lin_dir, view.lin_rows, by_center) ||
-      !DirConsistent(view.lout_dir, view.lout_rows, by_center) ||
-      !DirConsistent(view.lin_bwd_dir, view.lin_bwd_ids, by_id) ||
-      !DirConsistent(view.lout_bwd_dir, view.lout_bwd_ids, by_id) ||
-      view.lin_bwd_ids.size() != view.lin_rows.size() ||
-      view.lout_bwd_ids.size() != view.lout_rows.size()) {
-    return Status::Corruption("inconsistent label directories in " + path);
-  }
-  return view;
+  return rows;
 }
+
+}  // namespace
 
 Result<FileViewV4> ParseV4(std::span<const std::byte> image,
                            const std::string& path, ParseV4Options options) {
@@ -247,8 +152,9 @@ Result<FileViewV4> ParseV4(std::span<const std::byte> image,
   if (header.version != kFormatVersionV4) {
     return Status::Unsupported(
         "LIN/LOUT file " + path + " has format version " +
-        std::to_string(header.version) + "; this reader needs version " +
-        std::to_string(kFormatVersionV4));
+        std::to_string(header.version) + "; this build reads version " +
+        std::to_string(kFormatVersionV4) +
+        " only — rebuild the store from the cover");
   }
   if ((header.flags & ~kKnownFlags) != 0) {
     return Status::Corruption("unknown header flags in " + path);
@@ -258,6 +164,9 @@ Result<FileViewV4> ParseV4(std::span<const std::byte> image,
   }
   if (GetU32(image.data() + 12) != kHeaderBytesV4) {
     return Status::Corruption("bad header size field in " + path);
+  }
+  if (GetU32(image.data() + 20) != 0) {
+    return Status::Corruption("reserved header field set in " + path);
   }
   // The trailer magic is checked even on lazy opens (it costs nothing
   // and catches most torn writes); the full-file checksum is the
@@ -340,113 +249,6 @@ Result<FileViewV4> ParseV4(std::span<const std::byte> image,
   }
   return view;
 }
-
-std::vector<std::byte> BuildFileImage(std::span<const TableRow> lin_fwd,
-                                      std::span<const TableRow> lout_fwd,
-                                      std::span<const TableRow> lin_bwd,
-                                      std::span<const TableRow> lout_bwd,
-                                      bool with_distance) {
-  auto by_id = [](const TableRow& r) { return r.id; };
-  auto by_center = [](const TableRow& r) { return r.center; };
-  std::vector<DirEntry> lin_dir = BuildDir(lin_fwd, by_id);
-  std::vector<DirEntry> lout_dir = BuildDir(lout_fwd, by_id);
-  std::vector<DirEntry> lin_bwd_dir = BuildDir(lin_bwd, by_center);
-  std::vector<DirEntry> lout_bwd_dir = BuildDir(lout_bwd, by_center);
-
-  const uint64_t lengths[kNumSections] = {
-      lin_dir.size() * sizeof(DirEntry),
-      lin_fwd.size() * sizeof(twohop::LabelEntry),
-      lout_dir.size() * sizeof(DirEntry),
-      lout_fwd.size() * sizeof(twohop::LabelEntry),
-      lin_bwd_dir.size() * sizeof(DirEntry),
-      lin_bwd.size() * sizeof(uint32_t),
-      lout_bwd_dir.size() * sizeof(DirEntry),
-      lout_bwd.size() * sizeof(uint32_t)};
-  SectionRange sections[kNumSections];
-  uint64_t end = kHeaderBytes;
-  for (size_t s = 0; s < kNumSections; ++s) {
-    sections[s].offset = Align8(end);
-    sections[s].length = lengths[s];
-    end = sections[s].offset + sections[s].length;
-  }
-  std::vector<std::byte> image(Align8(end) + kTrailerBytes, std::byte{0});
-
-  std::memcpy(image.data(), kMagic, sizeof(kMagic));
-  PutU32(image.data() + 4, kFormatVersion);
-  PutU32(image.data() + 8, with_distance ? kFlagDistance : 0);
-  PutU32(image.data() + 12, kHeaderBytes);
-  for (size_t s = 0; s < kNumSections; ++s) {
-    PutU64(image.data() + 16 + s * 16, sections[s].offset);
-    PutU64(image.data() + 16 + s * 16 + 8, sections[s].length);
-  }
-
-  auto write_dir = [&](Section s, const std::vector<DirEntry>& dir) {
-    // An empty directory (a store with no labels on one side) has a
-    // null data() — passing that to memcpy is UB even for 0 bytes.
-    if (dir.empty()) return;
-    std::memcpy(image.data() + sections[s].offset, dir.data(),
-                dir.size() * sizeof(DirEntry));
-  };
-  auto write_rows = [&](Section s, std::span<const TableRow> run) {
-    std::byte* p = image.data() + sections[s].offset;
-    for (const TableRow& r : run) {
-      PutU32(p, r.center);
-      PutU32(p + 4, r.dist);
-      p += sizeof(twohop::LabelEntry);
-    }
-  };
-  auto write_ids = [&](Section s, std::span<const TableRow> run) {
-    std::byte* p = image.data() + sections[s].offset;
-    for (const TableRow& r : run) {
-      PutU32(p, r.id);
-      p += sizeof(uint32_t);
-    }
-  };
-  write_dir(kLinDir, lin_dir);
-  write_rows(kLinRows, lin_fwd);
-  write_dir(kLoutDir, lout_dir);
-  write_rows(kLoutRows, lout_fwd);
-  write_dir(kLinBwdDir, lin_bwd_dir);
-  write_ids(kLinBwdIds, lin_bwd);
-  write_dir(kLoutBwdDir, lout_bwd_dir);
-  write_ids(kLoutBwdIds, lout_bwd);
-
-  std::byte* trailer = image.data() + image.size() - kTrailerBytes;
-  PutU32(trailer, Crc32(image.data(), image.size() - kTrailerBytes));
-  std::memcpy(trailer + 4, kTrailerMagic, sizeof(kTrailerMagic));
-  return image;
-}
-
-namespace {
-
-/// Regroups a sorted table run into encoder rows. `forward` selects
-/// the grouping key (id vs center) and the entry payload (center+dist
-/// vs id, dist-less). `buf` backs the returned spans and must outlive
-/// them; it is reserved up front so pushes never reallocate.
-std::vector<LabelRowRef> GroupRun(std::span<const TableRow> run, bool forward,
-                                  std::vector<twohop::LabelEntry>* buf) {
-  buf->clear();
-  buf->reserve(run.size());
-  std::vector<LabelRowRef> rows;
-  size_t i = 0;
-  while (i < run.size()) {
-    uint32_t key = forward ? run[i].id : run[i].center;
-    size_t start = buf->size();
-    size_t j = i;
-    while (j < run.size() && (forward ? run[j].id : run[j].center) == key) {
-      buf->push_back(forward
-                         ? twohop::LabelEntry{run[j].center, run[j].dist}
-                         : twohop::LabelEntry{run[j].id, 0});
-      ++j;
-    }
-    rows.push_back({key, std::span<const twohop::LabelEntry>(
-                             buf->data() + start, j - i)});
-    i = j;
-  }
-  return rows;
-}
-
-}  // namespace
 
 std::vector<std::byte> BuildFileImageV4(std::span<const TableRow> lin_fwd,
                                         std::span<const TableRow> lout_fwd,
@@ -618,7 +420,7 @@ Result<std::vector<std::byte>> ReadFileImage(const std::string& path) {
 Result<FormatInfo> InspectFile(const std::string& path) {
   std::FILE* f = std::fopen(path.c_str(), "rb");
   if (f == nullptr) return Status::IOError("cannot open " + path);
-  std::byte header[kHeaderBytesV4];  // the largest header of any version
+  std::byte header[kHeaderBytesV4];
   size_t got = std::fread(header, 1, sizeof(header), f);
   std::fseek(f, 0, SEEK_END);
   long end = std::ftell(f);
@@ -629,25 +431,16 @@ Result<FormatInfo> InspectFile(const std::string& path) {
   info.version = raw->version;
   info.flags = raw->flags;
   info.file_bytes = end > 0 ? static_cast<uint64_t>(end) : 0;
-  size_t num_sections, table_at, header_bytes;
-  if (raw->version == kFormatVersion) {
-    num_sections = kNumSections;
-    table_at = 16;
-    header_bytes = kHeaderBytes;
-  } else if (raw->version == kFormatVersionV4) {
-    num_sections = kNumSectionsV4;
-    table_at = 24;
-    header_bytes = kHeaderBytesV4;
-  } else {
+  if (raw->version != kFormatVersionV4) {
     return info;  // no section table this build knows
   }
-  if (got < header_bytes) {
+  if (got < kHeaderBytesV4) {
     return Status::Corruption("truncated header in " + path);
   }
-  info.sections.resize(num_sections);
-  for (size_t s = 0; s < num_sections; ++s) {
-    info.sections[s].offset = GetU64(header + table_at + s * 16);
-    info.sections[s].length = GetU64(header + table_at + s * 16 + 8);
+  info.sections.resize(kNumSectionsV4);
+  for (size_t s = 0; s < kNumSectionsV4; ++s) {
+    info.sections[s].offset = GetU64(header + 24 + s * 16);
+    info.sections[s].length = GetU64(header + 24 + s * 16 + 8);
   }
   return info;
 }

@@ -1,37 +1,22 @@
-// On-disk LIN/LOUT file format (versions 3 and 4) — encode, decode,
+// On-disk LIN/LOUT file format (version 4) — encode, decode,
 // validate.
 //
 // This header is the single in-code definition of the format; the
-// byte-level specification (including the v1/v2 history and the error
+// byte-level specification (including the v1-v3 history and the error
 // contract) lives in docs/FILE_FORMAT.md and MUST be updated in the
 // same change as this file.
 //
-// Layout of a v3 file (all integers little-endian):
-//
-//   header   16 bytes   magic "HOPI", version u32, flags u32,
-//                       header_bytes u32 (= kHeaderBytes)
-//   table    8 x 16 B   {offset u64, length u64} per Section, byte
-//                       offsets from the start of the file
-//   sections ...        see Section; every section starts 8-aligned
-//                       (zero padding between sections)
-//   trailer  8 bytes    CRC-32 u32 over bytes [0, size-8), then the
-//                       trailer magic "IPOH"
-//
-// Forward label sections pack rows as (center u32, dist u32) pairs —
-// bit-identical to twohop::LabelEntry — so a mapped reader can serve a
-// node's label as a borrowed span without any row conversion. The
-// per-run directory maps a key (id for forward runs, center id for
-// backward runs) to its row range.
-//
-// A v4 file keeps the same envelope (magic, flags, 8-aligned sections,
-// whole-file checksum trailer) but stores label rows block-compressed
-// (storage/compress.h) and widens the header to 24 bytes:
+// Layout (all integers little-endian):
 //
 //   header   24 bytes   magic "HOPI", version u32 (=4), flags u32,
 //                       header_bytes u32 (= kHeaderBytesV4),
 //                       meta_crc u32, reserved u32 (zero)
-//   table    12 x 16 B  {offset u64, length u64} per SectionV4
-//   sections ...        4 label sections x (dir, block table, blob);
+//   table    12 x 16 B  {offset u64, length u64} per SectionV4, byte
+//                       offsets from the start of the file
+//   sections ...        4 label sections x (dir, block table, blob),
+//                       label rows block-compressed
+//                       (storage/compress.h); every section starts
+//                       8-aligned (zero padding between sections).
 //                       ALL dirs and block tables come before ANY
 //                       blob, so `meta_crc` — a CRC-32 over bytes
 //                       [0, first blob offset) with its own field
@@ -40,10 +25,11 @@
 //                       lazy open (skip the whole-file checksum, pay
 //                       per-block CRCs at decode time) safe for
 //                       covers bigger than RAM.
-//   trailer  8 bytes    same as v3
+//   trailer  8 bytes    CRC-32 u32 over bytes [0, size-8), then the
+//                       trailer magic "IPOH"
 //
 // Decoding never trusts a field before validating it: magic/version/
-// flags first, then a checksum (the whole-file trailer, or for lazy v4
+// flags first, then a checksum (the whole-file trailer, or for lazy
 // opens the metadata CRC now and per-block CRCs at decode), then
 // section bounds and sortedness. A torn or bit-flipped file surfaces
 // as Status::Corruption — never a crash or silently wrong rows.
@@ -55,9 +41,7 @@
 #include <string>
 #include <vector>
 
-#include "graph/digraph.h"
 #include "storage/compress.h"
-#include "twohop/cover.h"
 #include "util/result.h"
 
 namespace hopi::storage {
@@ -66,45 +50,17 @@ struct TableRow;  // linlout.h
 
 inline constexpr char kMagic[4] = {'H', 'O', 'P', 'I'};
 inline constexpr char kTrailerMagic[4] = {'I', 'P', 'O', 'H'};
-/// v3: raw LabelEntry rows, zero-copy mappable.
-inline constexpr uint32_t kFormatVersion = 3;
-/// v4: block-compressed rows (storage/compress.h), decoded lazily.
+/// The one format version this build reads and writes: block-
+/// compressed rows (storage/compress.h), decoded lazily.
 inline constexpr uint32_t kFormatVersionV4 = 4;
 inline constexpr uint32_t kFlagDistance = 1u << 0;
 inline constexpr uint32_t kKnownFlags = kFlagDistance;
-
-/// The eight sections of a v3 file, in file order.
-enum Section : size_t {
-  kLinDir = 0,    // DirEntry per node with LIN rows, sorted by id
-  kLinRows,       // LabelEntry rows, grouped by node, sorted by center
-  kLoutDir,       // DirEntry per node with LOUT rows, sorted by id
-  kLoutRows,      // LabelEntry rows, grouped by node, sorted by center
-  kLinBwdDir,     // DirEntry per center in LIN, sorted by center
-  kLinBwdIds,     // u32 node ids, grouped by center, sorted
-  kLoutBwdDir,    // DirEntry per center in LOUT, sorted by center
-  kLoutBwdIds,    // u32 node ids, grouped by center, sorted
-  kNumSections
-};
-
-/// One directory entry: `count` rows of `key` starting at element index
-/// `begin` of the paired rows/ids section. Entries partition their rows
-/// section in order (begin values are cumulative counts).
-struct DirEntry {
-  uint32_t key;
-  uint32_t count;
-  uint64_t begin;
-};
-static_assert(sizeof(DirEntry) == 16 && alignof(DirEntry) == 8);
-static_assert(sizeof(twohop::LabelEntry) == 8 &&
-                  alignof(twohop::LabelEntry) == 4,
-              "forward row sections alias twohop::LabelEntry");
 
 struct SectionRange {
   uint64_t offset = 0;  // byte offset from the start of the file
   uint64_t length = 0;  // byte length (excludes inter-section padding)
 };
 
-inline constexpr size_t kHeaderBytes = 16 + kNumSections * 16;
 inline constexpr size_t kTrailerBytes = 8;
 
 /// The twelve sections of a v4 file, in file order. Structure-bearing
@@ -128,17 +84,6 @@ enum SectionV4 : size_t {
 
 inline constexpr size_t kHeaderBytesV4 = 24 + kNumSectionsV4 * 16;
 
-/// Typed, validated view over a v3 file image. Spans alias the image —
-/// they are valid exactly as long as the underlying bytes (the mmap or
-/// the heap buffer) stay alive.
-struct FileView {
-  uint32_t flags = 0;
-  bool with_distance = false;
-  std::span<const DirEntry> lin_dir, lout_dir, lin_bwd_dir, lout_bwd_dir;
-  std::span<const twohop::LabelEntry> lin_rows, lout_rows;
-  std::span<const uint32_t> lin_bwd_ids, lout_bwd_ids;
-};
-
 /// One label section of a v4 file: the directory and block table
 /// (metadata, CRC-sealed at open) plus the compressed blob (sealed
 /// per block, decoded on demand). Spans alias the file image.
@@ -155,40 +100,22 @@ struct LabelSectionView {
   }
 };
 
-/// Typed, validated view over a v4 file image. Same lifetime contract
-/// as FileView: valid as long as the underlying bytes stay alive.
+/// Typed, validated view over a v4 file image. Spans alias the image —
+/// they are valid exactly as long as the underlying bytes (the mmap or
+/// the heap buffer) stay alive.
 struct FileViewV4 {
   uint32_t flags = 0;
   bool with_distance = false;
   LabelSectionView lin, lout, lin_bwd, lout_bwd;
 };
 
-/// Magic/version/flags of any HOPI LIN/LOUT file (no version policy —
-/// callers decide which versions they accept). Errors: Corruption for
-/// a short image or foreign magic, Unsupported for the pre-versioned
-/// v1 layout ("HOPILL01").
-struct RawHeader {
-  uint32_t version = 0;
-  uint32_t flags = 0;
-};
-Result<RawHeader> ReadRawHeader(std::span<const std::byte> image,
-                                const std::string& path);
-
-/// Full v3 decode: checksum, section table bounds, directory/row
-/// sortedness and cross-section consistency. The returned view aliases
-/// `image`. Errors: Corruption (torn/bit-flipped/inconsistent file),
-/// Unsupported (not version 3).
-Result<FileView> ParseV3(std::span<const std::byte> image,
-                         const std::string& path);
-
 struct ParseV4Options {
-  /// Verify the whole-file trailer checksum at parse time (the v3
-  /// guarantee: after Open, no byte of the file is untrusted). Turning
-  /// it off is the lazy open for covers bigger than RAM: the metadata
-  /// CRC is still verified here — every dir/block-table field is
-  /// trusted — but blob bytes are only checked by their per-block CRC
-  /// when a block is first decoded, so Open never faults in the label
-  /// data.
+  /// Verify the whole-file trailer checksum at parse time (after
+  /// Open, no byte of the file is untrusted). Turning it off is the
+  /// lazy open for covers bigger than RAM: the metadata CRC is still
+  /// verified here — every dir/block-table field is trusted — but blob
+  /// bytes are only checked by their per-block CRC when a block is
+  /// first decoded, so Open never faults in the label data.
   bool verify_file_checksum = true;
 };
 
@@ -196,24 +123,17 @@ struct ParseV4Options {
 /// table bounds, directory sortedness, block-table tiling (blocks
 /// partition their dir and blob exactly) and cross-section entry
 /// totals. The returned view aliases `image`. Errors: Corruption,
-/// Unsupported (not version 4).
+/// Unsupported (v1 layout or any version but 4 — the message names the
+/// version and says to rebuild the store from the cover).
 Result<FileViewV4> ParseV4(std::span<const std::byte> image,
                            const std::string& path,
                            ParseV4Options options = {});
 
-/// Serializes the four sorted runs into a complete v3 file image
-/// (header, sections, checksum trailer). The forward runs must be
-/// sorted by (id, center), the backward runs by (center, id) — exactly
-/// the invariant LinLoutStore maintains.
-std::vector<std::byte> BuildFileImage(std::span<const TableRow> lin_fwd,
-                                      std::span<const TableRow> lout_fwd,
-                                      std::span<const TableRow> lin_bwd,
-                                      std::span<const TableRow> lout_bwd,
-                                      bool with_distance);
-
 /// Serializes the four sorted runs into a complete v4 file image:
 /// block-compressed label sections (storage/compress.h), the metadata
-/// CRC, and the same whole-file checksum trailer as v3.
+/// CRC, and the whole-file checksum trailer. The forward runs must be
+/// sorted by (id, center), the backward runs by (center, id) — exactly
+/// the invariant LinLoutStore maintains.
 std::vector<std::byte> BuildFileImageV4(std::span<const TableRow> lin_fwd,
                                         std::span<const TableRow> lout_fwd,
                                         std::span<const TableRow> lin_bwd,
@@ -238,28 +158,10 @@ Status AtomicWriteFile(const std::string& path,
 /// format validation.
 Result<std::vector<std::byte>> ReadFileImage(const std::string& path);
 
-/// Binary search of a directory; returns the row span for `key` (empty
-/// when absent). `Rows` is twohop::LabelEntry or uint32_t.
-template <typename Rows>
-std::span<const Rows> LookupRows(std::span<const DirEntry> dir,
-                                 std::span<const Rows> rows, uint32_t key) {
-  size_t lo = 0, hi = dir.size();
-  while (lo < hi) {
-    size_t mid = lo + (hi - lo) / 2;
-    if (dir[mid].key < key) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
-  }
-  if (lo == dir.size() || dir[lo].key != key) return {};
-  return rows.subspan(dir[lo].begin, dir[lo].count);
-}
-
 /// Header introspection for tools and the torn-write tests: reads just
-/// the header + section table of a v3/v4 file (no checksum pass).
-/// `sections` holds kNumSections entries for v3, kNumSectionsV4 for
-/// v4, and is empty for any other version.
+/// the header + section table (no checksum pass). `sections` holds
+/// kNumSectionsV4 entries for a v4 file and is empty for any other
+/// version.
 struct FormatInfo {
   uint32_t version = 0;
   uint32_t flags = 0;

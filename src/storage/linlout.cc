@@ -8,7 +8,7 @@ namespace hopi::storage {
 
 // On-disk layout: storage/format.h (constants + codec) and
 // docs/FILE_FORMAT.md (byte-level spec). This file only lays the cover
-// out as sorted runs and picks the version to write.
+// out as sorted runs.
 
 LinLoutStore LinLoutStore::FromCover(const twohop::TwoHopCover& cover,
                                      bool with_distance) {
@@ -42,17 +42,11 @@ uint64_t LinLoutStore::StorageIntegers() const {
 
 Status LinLoutStore::WriteToFile(const std::string& path,
                                  const StoreWriteOptions& options) const {
-  if (options.format_version == kFormatVersion) {
-    return AtomicWriteFile(
-        path, BuildFileImage(lin_fwd_, lout_fwd_, lin_bwd_, lout_bwd_,
-                             with_distance_));
-  }
   if (options.format_version != kFormatVersionV4) {
     return Status::InvalidArgument(
         "cannot write LIN/LOUT format version " +
         std::to_string(options.format_version) + "; this build writes " +
-        std::to_string(kFormatVersion) + " and " +
-        std::to_string(kFormatVersionV4));
+        std::to_string(kFormatVersionV4) + " only");
   }
   return AtomicWriteFile(
       path, BuildFileImageV4(lin_fwd_, lout_fwd_, lin_bwd_, lout_bwd_,

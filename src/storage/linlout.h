@@ -28,11 +28,11 @@ namespace hopi::storage {
 
 /// Writer knobs for WriteToFile.
 struct StoreWriteOptions {
-  /// kFormatVersion (3, raw rows — the zero-copy mmap layout) or
-  /// kFormatVersionV4 (4, block-compressed rows — smaller files,
-  /// decoded lazily by MappedLinLoutStore).
+  /// The version to write. This build writes only kFormatVersionV4
+  /// (block-compressed rows, decoded lazily by MappedLinLoutStore);
+  /// any other value makes WriteToFile return InvalidArgument.
   uint32_t format_version = 4;
-  /// Block sizing for v4; ignored when writing v3.
+  /// Block sizing.
   CompressOptions compress;
 };
 
@@ -66,9 +66,8 @@ class LinLoutStore {
   // ---- persistence ----
   //
   // Files use the versioned on-disk format defined in storage/format.h
-  // and specified byte-by-byte in docs/FILE_FORMAT.md: v4
-  // (block-compressed rows) by default, or v3 (raw rows + section
-  // table + trailing CRC-32, the zero-copy mmap layout) on request.
+  // and specified byte-by-byte in docs/FILE_FORMAT.md: v4, with
+  // block-compressed rows, a section table and a trailing CRC-32.
   // Writes are crash-safe: the image is staged in a sibling temp file,
   // fsynced, and atomically renamed into place, so readers see either
   // the old file or the new one — never a torn mix. Errors:

@@ -19,15 +19,11 @@ uint64_t MakeHandle(uint64_t group, uint64_t block_index) {
   return (group << 32) | block_index;
 }
 
-/// An empty label (the summary rejects every probe outright).
-twohop::JoinView EmptyView() {
-  return twohop::JoinView::FromEntries(nullptr, 0);
-}
-
 /// `key`'s row of a decoded block; empty when the block lacks it.
 twohop::JoinView RowView(const DecodedBlock& block, uint32_t key) {
   int64_t r = block.RowIndexFor(key);
-  return r < 0 ? EmptyView() : block.JoinRow(static_cast<size_t>(r));
+  return r < 0 ? twohop::JoinView::Empty()
+               : block.JoinRow(static_cast<size_t>(r));
 }
 
 /// Caches block decodes within one scalar query (Descendants probes
@@ -75,45 +71,27 @@ Result<MappedLinLoutStore> MappedLinLoutStore::Open(
     image = store.buffer_;
   }
   store.file_bytes_ = image.size();
-  HOPI_ASSIGN_OR_RETURN(RawHeader header, ReadRawHeader(image, path));
-  if (header.version != kFormatVersion && header.version != kFormatVersionV4) {
-    return Status::Unsupported(
-        "LIN/LOUT file " + path + " has format version " +
-        std::to_string(header.version) + "; this build reads versions " +
-        std::to_string(kFormatVersion) + " and " +
-        std::to_string(kFormatVersionV4) +
-        " — rebuild the store from the cover");
-  }
-  if (header.version == kFormatVersionV4) {
-    ParseV4Options parse_options;
-    parse_options.verify_file_checksum = options.verify_file_checksum;
-    HOPI_ASSIGN_OR_RETURN(store.view4_,
-                          ParseV4(image, path, parse_options));
-    store.version_ = kFormatVersionV4;
-    store.num_lin_entries_ = store.view4_.lin.TotalEntries();
-    store.num_lout_entries_ = store.view4_.lout.TotalEntries();
-    return store;
-  }
-  HOPI_ASSIGN_OR_RETURN(store.view_, ParseV3(image, path));
-  store.version_ = kFormatVersion;
-  store.num_lin_entries_ = store.view_.lin_rows.size();
-  store.num_lout_entries_ = store.view_.lout_rows.size();
+  ParseV4Options parse_options;
+  parse_options.verify_file_checksum = options.verify_file_checksum;
+  HOPI_ASSIGN_OR_RETURN(store.view_, ParseV4(image, path, parse_options));
+  store.num_lin_entries_ = store.view_.lin.TotalEntries();
+  store.num_lout_entries_ = store.view_.lout.TotalEntries();
   return store;
 }
 
-// ---- v4 block access ----
+// ---- block access ----
 
 const LabelSectionView* MappedLinLoutStore::SectionForGroup(
     uint64_t group) const {
   switch (group) {
     case kGroupLin:
-      return &view4_.lin;
+      return &view_.lin;
     case kGroupLout:
-      return &view4_.lout;
+      return &view_.lout;
     case kGroupLinBwd:
-      return &view4_.lin_bwd;
+      return &view_.lin_bwd;
     case kGroupLoutBwd:
-      return &view4_.lout_bwd;
+      return &view_.lout_bwd;
     default:
       return nullptr;
   }
@@ -121,7 +99,6 @@ const LabelSectionView* MappedLinLoutStore::SectionForGroup(
 
 std::optional<uint64_t> MappedLinLoutStore::FindRow(uint64_t group,
                                                    uint32_t key) const {
-  if (!compressed()) return std::nullopt;
   const LabelSectionView* section = SectionForGroup(group);
   // Directory lookup: is there a row for this key at all?
   size_t lo = 0, hi = section->dir.size();
@@ -161,10 +138,6 @@ std::optional<uint64_t> MappedLinLoutStore::LoutBlockHandle(NodeId id) const {
 
 Result<std::shared_ptr<const DecodedBlock>> MappedLinLoutStore::DecodeBlock(
     uint64_t handle) const {
-  if (!compressed()) {
-    return Status::InvalidArgument(
-        "block handles only exist for v4 (compressed) stores");
-  }
   const uint64_t group = handle >> 32;
   const uint64_t index = handle & 0xFFFFFFFFu;
   const LabelSectionView* section = SectionForGroup(group);
@@ -174,7 +147,7 @@ Result<std::shared_ptr<const DecodedBlock>> MappedLinLoutStore::DecodeBlock(
   }
   // Backward sections are dist-less regardless of the store flag.
   const bool with_distance =
-      view4_.with_distance && (group == kGroupLin || group == kGroupLout);
+      view_.with_distance && (group == kGroupLin || group == kGroupLout);
   Result<DecodedBlock> decoded = DecodeLabelBlock(
       section->blob, section->dir, section->blocks[index], with_distance);
   if (!decoded.ok()) {
@@ -189,13 +162,8 @@ Result<std::shared_ptr<const DecodedBlock>> MappedLinLoutStore::DecodeBlock(
 
 Result<PinnedJoin> MappedLinLoutStore::DecodeForwardRow(uint64_t group,
                                                         NodeId id) const {
-  if (!compressed()) {
-    auto rows = group == kGroupLin ? LinSpan(id) : LoutSpan(id);
-    return PinnedJoin{twohop::JoinView::FromEntries(rows.data(), rows.size()),
-                      nullptr};
-  }
   std::optional<uint64_t> handle = FindRow(group, id);
-  if (!handle) return PinnedJoin{EmptyView(), nullptr};
+  if (!handle) return PinnedJoin{twohop::JoinView::Empty(), nullptr};
   HOPI_ASSIGN_OR_RETURN(std::shared_ptr<const DecodedBlock> block,
                         DecodeBlock(*handle));
   twohop::JoinView view = RowView(*block, id);
@@ -211,7 +179,6 @@ Result<PinnedJoin> MappedLinLoutStore::DecodeLoutRow(NodeId id) const {
 }
 
 Status MappedLinLoutStore::VerifyBlocks() const {
-  if (!compressed()) return Status::OK();
   for (uint64_t group = 0; group < 4; ++group) {
     const LabelSectionView* section = SectionForGroup(group);
     for (size_t i = 0; i < section->blocks.size(); ++i) {
@@ -248,21 +215,12 @@ std::vector<NodeId> MappedLinLoutStore::Expand(NodeId id,
   // descendants) or LOUT (for ancestors) mentions it.
   LocalBlockCache blocks(this);
   auto backward_row = [&](NodeId center) -> twohop::JoinView {
-    if (!compressed()) {
-      std::span<const uint32_t> ids =
-          descendants
-              ? LookupRows(view_.lin_bwd_dir, view_.lin_bwd_ids, center)
-              : LookupRows(view_.lout_bwd_dir, view_.lout_bwd_ids, center);
-      twohop::JoinView v;
-      v.centers = ids.data();
-      v.n = ids.size();
-      return v;
-    }
     std::optional<uint64_t> handle =
         FindRow(descendants ? kGroupLinBwd : kGroupLoutBwd, center);
-    if (!handle) return EmptyView();
+    if (!handle) return twohop::JoinView::Empty();
     const DecodedBlock* block = blocks.Get(*handle);
-    return block == nullptr ? EmptyView() : RowView(*block, center);
+    return block == nullptr ? twohop::JoinView::Empty()
+                            : RowView(*block, center);
   };
   std::vector<NodeId> result;
   auto forward = descendants ? DecodeLoutRow(id) : DecodeLinRow(id);

@@ -1,33 +1,24 @@
-// The one reader for LIN/LOUT files (v3 + v4 formats): maps the file
-// read-only and serves queries off the page cache. What that looks
-// like depends on the format version:
+// The one reader for LIN/LOUT files: maps the file read-only and
+// serves queries off the page cache.
 //
-//   v3 (raw rows)  — the forward sections are stored as (center, dist)
-//     pairs bit-identical to twohop::LabelEntry, so LinSpan/LoutSpan
-//     return borrowed spans over the mapping and the QueryEngine batch
-//     path joins them as strided views without a single row copy
-//     (engine::MappedStoreBackend wires this into the
-//     ReachabilityBackend borrow hook).
-//
-//   v4 (block-compressed rows) — label rows live in compressed blocks
-//     (storage/compress.h) and are decoded on demand: LinBlockHandle/
-//     LoutBlockHandle name the block holding a node's row, DecodeBlock
-//     materializes it as a shared, immutable DecodedBlock, and
-//     DecodeLinRow/DecodeLoutRow pin one row. The engine caches the
-//     decoded blocks by byte budget (engine/label_cache.h), so hot
-//     rows stay as cheap as v3 borrows while the file itself can be
-//     far bigger than RAM — Open touches only the metadata sections,
-//     never the blobs.
+// Label rows live in compressed blocks (storage/compress.h) and are
+// decoded on demand: LinBlockHandle/LoutBlockHandle name the block
+// holding a node's row, DecodeBlock materializes it as a shared,
+// immutable DecodedBlock, and DecodeLinRow/DecodeLoutRow pin one row.
+// The engine caches the decoded blocks by byte budget
+// (engine/label_cache.h), so hot rows stay cheap while the file itself
+// can be far bigger than RAM — Open touches only the metadata
+// sections, never the blobs.
 //
 // Open() validates before any query can dereference: header, section
 // bounds, directory sortedness, and — per MappedOpenOptions — either
 // the whole-file CRC-32 (the default; decode can then only fail if
-// the file is tampered with after Open) or, for v4 lazy opens, the
+// the file is tampered with after Open) or, for lazy opens, the
 // metadata CRC now plus each block's CRC at first decode. A torn or
 // bit-flipped file fails with Status::Corruption; decode-time
 // corruption surfaces through the Result-returning accessors, while
-// the infallible conveniences (TestConnection, LinSpan, ...) degrade
-// to "no rows" — never a crash or silently wrong rows.
+// the infallible conveniences (TestConnection, Descendants, ...)
+// degrade to "no rows" — never a crash or silently wrong rows.
 //
 // On platforms without mmap (or when the kernel refuses the map, or
 // the caller asks for it) Open falls back to one buffered read of the
@@ -42,7 +33,6 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -60,11 +50,10 @@ struct MappedOpenOptions {
   /// where mmap is available (used by tests and benchmarks to compare
   /// the two modes; queries behave identically).
   bool prefer_mmap = true;
-  /// When false, a v4 open skips the whole-file checksum: the metadata
-  /// CRC is still verified (structure is always trusted-after-check)
-  /// but blob bytes wait for their per-block CRC at first decode — the
-  /// lazy open for covers bigger than RAM. Ignored for v3, which has
-  /// no per-block checksums to fall back on.
+  /// When false, Open skips the whole-file checksum: the metadata CRC
+  /// is still verified (structure is always trusted-after-check) but
+  /// blob bytes wait for their per-block CRC at first decode — the
+  /// lazy open for covers bigger than RAM.
   bool verify_file_checksum = true;
 };
 
@@ -72,8 +61,8 @@ class MappedLinLoutStore {
  public:
   /// Opens and validates `path`. Errors: IOError (missing/unreadable
   /// file), Corruption (torn write, checksum mismatch, inconsistent
-  /// sections), Unsupported (any version but 3 and 4 — rebuild such a
-  /// store from its cover).
+  /// sections), Unsupported (any version but 4, the v3 raw-row layout
+  /// included — rebuild such a store from its cover).
   static Result<MappedLinLoutStore> Open(const std::string& path,
                                          MappedOpenOptions options = {});
 
@@ -94,22 +83,7 @@ class MappedLinLoutStore {
   /// LOUT sections.
   std::vector<NodeId> Ancestors(NodeId id) const;
 
-  // ---- zero-copy label access (v3 stores) ----
-
-  /// LIN(id) / LOUT(id) as spans borrowed from the file image, sorted
-  /// by center; empty for nodes without rows. Valid for the lifetime
-  /// of this store. Precondition: !compressed() — a v4 store has no
-  /// raw rows to borrow and returns empty (use the block API below).
-  std::span<const twohop::LabelEntry> LinSpan(NodeId id) const {
-    if (compressed()) return {};
-    return LookupRows(view_.lin_dir, view_.lin_rows, id);
-  }
-  std::span<const twohop::LabelEntry> LoutSpan(NodeId id) const {
-    if (compressed()) return {};
-    return LookupRows(view_.lout_dir, view_.lout_rows, id);
-  }
-
-  // ---- block-wise label access (v4 stores) ----
+  // ---- block-wise label access ----
   //
   // A block handle names one compressed block: (section group << 32) |
   // block index, where the group is 0=LIN, 1=LOUT, 2=backward LIN,
@@ -117,7 +91,7 @@ class MappedLinLoutStore {
   // store's lifetime — the engine uses them as cache keys.
 
   /// Handle of the block holding LIN(id) / LOUT(id); nullopt when the
-  /// node has no rows on that side (or the store is not compressed).
+  /// node has no rows on that side.
   std::optional<uint64_t> LinBlockHandle(NodeId id) const;
   std::optional<uint64_t> LoutBlockHandle(NodeId id) const;
 
@@ -127,16 +101,14 @@ class MappedLinLoutStore {
   Result<std::shared_ptr<const DecodedBlock>> DecodeBlock(
       uint64_t handle) const;
 
-  /// Checked row access: LIN(id) / LOUT(id) as a kernel view — for v4
-  /// the decoded row pinned by its block, for v3 a strided view into
-  /// the image (null pin, store lifetime). A node without rows yields
-  /// an engaged, empty view.
+  /// Checked row access: LIN(id) / LOUT(id) as a kernel view, the
+  /// decoded row pinned by its block. A node without rows yields an
+  /// engaged, empty view (null pin).
   Result<PinnedJoin> DecodeLinRow(NodeId id) const;
   Result<PinnedJoin> DecodeLoutRow(NodeId id) const;
 
   /// Decodes every block of every section once (discarding the rows):
-  /// the full-integrity sweep a lazy open defers. OK for v3 stores
-  /// (Open already verified everything).
+  /// the full-integrity sweep a lazy open defers.
   Status VerifyBlocks() const;
 
   // ---- storage accounting (as LinLoutStore counts it) ----
@@ -145,14 +117,8 @@ class MappedLinLoutStore {
   uint64_t StorageIntegers() const {
     return NumEntries() * (2 + (with_distance() ? 1 : 0)) * 2;
   }
-  bool with_distance() const {
-    return compressed() ? view4_.with_distance : view_.with_distance;
-  }
+  bool with_distance() const { return view_.with_distance; }
 
-  /// Format version this store was opened from (3 or 4).
-  uint32_t format_version() const { return version_; }
-  /// True for v4 stores (rows live in compressed blocks).
-  bool compressed() const { return version_ == kFormatVersionV4; }
   /// On-disk size (bytes/entry accounting in the storage bench).
   uint64_t file_bytes() const { return file_bytes_; }
 
@@ -163,7 +129,7 @@ class MappedLinLoutStore {
  private:
   MappedLinLoutStore() = default;
 
-  /// The four v4 label sections by handle group (0..3).
+  /// The four label sections by handle group (0..3).
   const LabelSectionView* SectionForGroup(uint64_t group) const;
   /// Handle of the block holding `key`'s row in `group`'s section;
   /// nullopt when the key has no row there.
@@ -176,13 +142,11 @@ class MappedLinLoutStore {
   /// (forward LIN row, backward LOUT rows) of `id`, sorted.
   std::vector<NodeId> Expand(NodeId id, bool descendants) const;
 
-  // Exactly one of map_/buffer_ backs the views; both keep their data
-  // pointer stable under move, so the spans survive moves.
+  // Exactly one of map_/buffer_ backs the view; both keep their data
+  // pointer stable under move, so its spans survive moves.
   std::optional<MappedFile> map_;
   std::vector<std::byte> buffer_;
-  FileView view_;      // v3
-  FileViewV4 view4_;   // v4
-  uint32_t version_ = kFormatVersion;
+  FileViewV4 view_;
   uint64_t num_lin_entries_ = 0;
   uint64_t num_lout_entries_ = 0;
   uint64_t file_bytes_ = 0;

@@ -25,9 +25,9 @@ namespace {
 // Shared scaffolding
 // ---------------------------------------------------------------------------
 
-inline uint32_t C(const JoinView& v, size_t i) { return v.centers[i * v.stride]; }
+inline uint32_t C(const JoinView& v, size_t i) { return v.centers[i]; }
 inline uint32_t D(const JoinView& v, size_t i) {
-  return v.dists == nullptr ? 0 : v.dists[i * v.stride];
+  return v.dists == nullptr ? 0 : v.dists[i];
 }
 
 inline void Consider(LabelJoinResult* r, uint32_t d) {
@@ -143,10 +143,10 @@ inline void MergeWindow(const JoinView& lout, const JoinView& lin, size_t i,
   }
 }
 
-/// 4-wide block-compare intersection (packed views only): each round
-/// compares one 4-block of lout against all four rotations of one
-/// 4-block of lin — all 16 pairs — then advances whichever block's max
-/// is smaller. Remainders fall through to the scalar merge.
+/// 4-wide block-compare intersection: each round compares one 4-block
+/// of lout against all four rotations of one 4-block of lin — all 16
+/// pairs — then advances whichever block's max is smaller. Remainders
+/// fall through to the scalar merge.
 __attribute__((target("sse2"))) void MergeSSE2(const JoinView& lout,
                                                const JoinView& lin,
                                                bool want_distance,
@@ -336,7 +336,7 @@ std::vector<JoinKernel> SupportedJoinKernels() {
 }
 
 JoinKernel ResolveJoinKernel(JoinKernel requested, size_t lout_n,
-                             size_t lin_n, bool packed) {
+                             size_t lin_n) {
   JoinKernel k =
       requested != JoinKernel::kAuto ? requested : ForcedJoinKernel();
   size_t small = lout_n <= lin_n ? lout_n : lin_n;
@@ -344,19 +344,17 @@ JoinKernel ResolveJoinKernel(JoinKernel requested, size_t lout_n,
   if (k == JoinKernel::kAuto) {
     if (small == 0) return JoinKernel::kScalar;
     size_t ratio = large / small;
-    if (packed && large >= kSimdMinLarge && (HaveAVX2() || HaveSSE2())) {
+    if (large >= kSimdMinLarge && (HaveAVX2() || HaveSSE2())) {
       if (ratio >= kGallopRatioSimd) return JoinKernel::kGallop;
       return HaveAVX2() ? JoinKernel::kAVX2 : JoinKernel::kSSE2;
     }
     if (ratio >= kGallopRatio) return JoinKernel::kGallop;
     return JoinKernel::kScalar;
   }
-  // Forced kernels degrade to the best runnable one: missing ISA or a
-  // strided view steps AVX2 -> SSE2 -> scalar.
-  if (k == JoinKernel::kAVX2 && !(packed && HaveAVX2())) k = JoinKernel::kSSE2;
-  if (k == JoinKernel::kSSE2 && !(packed && HaveSSE2())) {
-    k = JoinKernel::kScalar;
-  }
+  // Forced kernels degrade to the best runnable one: a missing ISA
+  // steps AVX2 -> SSE2 -> scalar.
+  if (k == JoinKernel::kAVX2 && !HaveAVX2()) k = JoinKernel::kSSE2;
+  if (k == JoinKernel::kSSE2 && !HaveSSE2()) k = JoinKernel::kScalar;
   return k;
 }
 
@@ -394,8 +392,7 @@ LabelJoinResult JoinViews(NodeId u, NodeId v, const JoinView& lout,
       C(lout, lout.n - 1) < C(lin, 0) || C(lin, lin.n - 1) < C(lout, 0)) {
     return result;
   }
-  bool packed = lout.stride == 1 && lin.stride == 1;
-  switch (ResolveJoinKernel(kernel, lout.n, lin.n, packed)) {
+  switch (ResolveJoinKernel(kernel, lout.n, lin.n)) {
     case JoinKernel::kGallop:
       MergeGallop(lout, lin, want_distance, &result);
       break;

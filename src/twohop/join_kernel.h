@@ -19,7 +19,7 @@
 //                first-match early-out when distances are not wanted.
 //   layout     — kernels run over twohop::JoinView (join_view.h):
 //                packed columns (TwoHopCover labels, DecodedBlock
-//                rows), or stride-2 walks over mmapped v3 file rows.
+//                rows).
 //   prefilter  — each view carries an 8-byte LabelSummary; a probe
 //                whose summaries prove disjointness (including the
 //                self-entry memberships) is rejected in O(1) before
@@ -29,10 +29,9 @@
 // argument, else (b) the process-wide force (HOPI_JOIN_KERNEL env var
 // or SetForcedJoinKernel), else (c) a size-ratio heuristic over the
 // CPU features util::CpuInfo() detected. A kernel the host cannot run
-// (missing ISA, or SIMD requested for strided views) degrades to the
-// best kernel that can — forcing "avx2" on an SSE-only box runs SSE2,
-// then scalar. Forcing is how the CI matrix pins each implementation
-// without special test builds.
+// (missing ISA) degrades to the best kernel that can — forcing "avx2"
+// on an SSE-only box runs SSE2, then scalar. Forcing is how the CI
+// matrix pins each implementation without special test builds.
 #pragma once
 
 #include <cstddef>
@@ -50,10 +49,10 @@ namespace hopi::twohop {
 
 enum class JoinKernel : uint8_t {
   kAuto = 0,   // heuristic dispatch (the default everywhere)
-  kScalar,     // two-pointer merge, any stride
-  kGallop,     // exponential search from the smaller side, any stride
-  kSSE2,       // 4-wide block-compare, packed views only
-  kAVX2,       // 8-wide block-compare, packed views only
+  kScalar,     // two-pointer merge
+  kGallop,     // exponential search from the smaller side
+  kSSE2,       // 4-wide block-compare
+  kAVX2,       // 8-wide block-compare
 };
 
 /// "auto", "scalar", "gallop", "sse2", "avx2" (as HOPI_JOIN_KERNEL and
@@ -70,21 +69,21 @@ std::string_view JoinKernelName(JoinKernel kernel);
 JoinKernel ForcedJoinKernel();
 void SetForcedJoinKernel(JoinKernel kernel);
 
-/// True when this process can execute `kernel` on packed views (ISA
-/// present and the variant was compiled in). kAuto/kScalar/kGallop are
-/// always true.
+/// True when this process can execute `kernel` (ISA present and the
+/// variant was compiled in). kAuto/kScalar/kGallop are always true.
 bool JoinKernelSupported(JoinKernel kernel);
 
 /// Every kernel JoinKernelSupported() admits, scalar first — the
 /// rotation order for parity tests and the bench sweep.
 std::vector<JoinKernel> SupportedJoinKernels();
 
-/// The kernel JoinViews would actually run for this shape: `requested`
-/// (or the process force when kAuto) clamped to ISA/stride support,
-/// with the size-ratio heuristic deciding genuine autos. Exposed so
-/// tests can pin the dispatch rules and the bench can label its rows.
+/// The kernel JoinViews would actually run for these label sizes:
+/// `requested` (or the process force when kAuto) clamped to ISA
+/// support, with the size-ratio heuristic deciding genuine autos.
+/// Exposed so tests can pin the dispatch rules and the bench can label
+/// its rows.
 JoinKernel ResolveJoinKernel(JoinKernel requested, size_t lout_n,
-                             size_t lin_n, bool packed);
+                             size_t lin_n);
 
 /// The 2-hop join of Lout(u) and Lin(v) under the implicit-self-entry
 /// rule above, through the summary prefilter and the dispatched

@@ -9,7 +9,7 @@
 //
 // A JoinView is a borrowed, read-only view: whoever produced it owns
 // the arrays (a cover's label columns, a decoded block's packed
-// columns, an mmapped file image) and the view must not outlive them.
+// columns) and the view must not outlive them.
 #pragma once
 
 #include <algorithm>
@@ -22,9 +22,8 @@ namespace hopi::twohop {
 /// One label entry as a value: a center node plus the shortest distance
 /// between the labeled node and the center (0 when distances are not
 /// tracked). Labels are stored column-wise and read through JoinView;
-/// this pair is what walking a view yields, the row of a v3 file's
-/// forward sections, the v4 encoder's input, and the scratch shape of
-/// label maintenance.
+/// this pair is what walking a view yields, the v4 encoder's input,
+/// and the scratch shape of label maintenance.
 struct LabelEntry {
   uint32_t center;
   uint32_t dist;
@@ -46,10 +45,10 @@ struct LabelEntry {
 /// false positive — the kernel then runs and answers exactly), but
 /// never false for one that is. Two sentinels bound the lattice: an
 /// Empty() summary (no centers) rejects everything, and an Unknown()
-/// summary (producer has no summary, e.g. a raw mmapped v3 row)
-/// rejects nothing. The min/max bytes only discriminate once center
-/// ids exceed 2^24; below that they are 0 on both sides and the Bloom
-/// word carries the filter alone.
+/// summary (the default of a view built without one) rejects nothing.
+/// The min/max bytes only discriminate once center ids exceed 2^24;
+/// below that they are 0 on both sides and the Bloom word carries the
+/// filter alone.
 struct LabelSummary {
   static constexpr uint64_t kBloomMask = (uint64_t{1} << 48) - 1;
   /// Bloom empty, min byte 0xFF > max byte 0: intersects nothing.
@@ -110,15 +109,10 @@ struct LabelSummary {
 };
 
 /// One label as the kernels see it: `n` centers sorted ascending and
-/// unique, their distances, and the label's summary. Two layouts share
-/// the type via `stride` (measured in uint32 words):
-///
-///   stride 1 — packed structure-of-arrays columns (a cover's labels,
-///              a DecodedBlock's rows). This is the layout the SIMD
-///              kernels require.
-///   stride 2 — LabelEntry rows read in place from a mmapped v3 file.
-///              Scalar and galloping kernels handle any stride;
-///              dispatch never routes these to SIMD.
+/// unique in one packed column, their distances in a parallel column,
+/// and the label's summary. Every producer (a cover's labels, a
+/// DecodedBlock's rows) lends packed structure-of-arrays columns, the
+/// layout the SIMD kernels require.
 ///
 /// `dists == nullptr` means every distance is 0 (backward rows) —
 /// center(i)/dist_at(i), or walking the view as LabelEntry values, are
@@ -127,26 +121,17 @@ struct JoinView {
   const uint32_t* centers = nullptr;
   const uint32_t* dists = nullptr;
   size_t n = 0;
-  size_t stride = 1;
   LabelSummary summary = LabelSummary::Unknown();
 
-  uint32_t center(size_t i) const { return centers[i * stride]; }
+  uint32_t center(size_t i) const { return centers[i]; }
   uint32_t dist_at(size_t i) const {
-    return dists == nullptr ? 0 : dists[i * stride];
+    return dists == nullptr ? 0 : dists[i];
   }
 
-  /// Adapts sorted LabelEntry rows stored in place (a v3 file image)
-  /// as a strided view. The summary is Unknown: the file keeps none.
-  static JoinView FromEntries(const LabelEntry* e, size_t n) {
+  /// A label with no centers, whose summary rejects every probe.
+  static JoinView Empty() {
     JoinView v;
-    v.n = n;
-    v.stride = sizeof(LabelEntry) / sizeof(uint32_t);
-    if (n == 0) {
-      v.summary = LabelSummary::Empty();
-    } else {
-      v.centers = &e->center;
-      v.dists = &e->dist;
-    }
+    v.summary = LabelSummary::Empty();
     return v;
   }
 
@@ -162,14 +147,10 @@ struct JoinView {
 
     Iterator() = default;
     Iterator(const JoinView& view, size_t i)
-        : centers_(view.centers),
-          dists_(view.dists),
-          stride_(view.stride),
-          i_(i) {}
+        : centers_(view.centers), dists_(view.dists), i_(i) {}
 
     LabelEntry operator*() const {
-      return {centers_[i_ * stride_],
-              dists_ == nullptr ? 0 : dists_[i_ * stride_]};
+      return {centers_[i_], dists_ == nullptr ? 0 : dists_[i_]};
     }
     Iterator& operator++() {
       ++i_;
@@ -187,7 +168,6 @@ struct JoinView {
    private:
     const uint32_t* centers_ = nullptr;
     const uint32_t* dists_ = nullptr;
-    size_t stride_ = 1;
     size_t i_ = 0;
   };
 

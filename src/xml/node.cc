@@ -2,6 +2,18 @@
 
 namespace hopi::xml {
 
+Element::~Element() {
+  // Each descendant gives up its children to `pending` before it is
+  // destroyed, so it dies childless and no destructor recurses.
+  std::vector<std::unique_ptr<Element>> pending = std::move(children_);
+  while (!pending.empty()) {
+    std::unique_ptr<Element> e = std::move(pending.back());
+    pending.pop_back();
+    for (auto& c : e->children_) pending.push_back(std::move(c));
+    e->children_.clear();
+  }
+}
+
 const std::string* Element::FindAttribute(std::string_view name) const {
   for (const Attribute& a : attributes_) {
     if (a.name == name) return &a.value;
@@ -15,8 +27,14 @@ Element* Element::AddChild(std::unique_ptr<Element> child) {
 }
 
 size_t Element::SubtreeSize() const {
-  size_t n = 1;
-  for (const auto& c : children_) n += c->SubtreeSize();
+  size_t n = 0;
+  std::vector<const Element*> stack = {this};
+  while (!stack.empty()) {
+    const Element* e = stack.back();
+    stack.pop_back();
+    ++n;
+    for (const auto& c : e->children_) stack.push_back(c.get());
+  }
   return n;
 }
 

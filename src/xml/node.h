@@ -21,10 +21,15 @@ struct Attribute {
   std::string value;
 };
 
-/// An XML element. Owns its children.
+/// An XML element. Owns its children. Destruction and SubtreeSize walk
+/// the subtree with an explicit stack, so a document nested deeper than
+/// the call stack allows is as safe to drop as it is to parse.
 class Element {
  public:
   explicit Element(std::string tag) : tag_(std::move(tag)) {}
+  Element(const Element&) = delete;
+  Element& operator=(const Element&) = delete;
+  ~Element();
 
   const std::string& tag() const { return tag_; }
 
@@ -47,13 +52,6 @@ class Element {
 
   /// Number of elements in this subtree including this element.
   size_t SubtreeSize() const;
-
-  /// Depth-first (pre-order) visit of the subtree.
-  template <typename Fn>
-  void Visit(Fn&& fn) const {
-    fn(*this);
-    for (const auto& c : children_) c->Visit(fn);
-  }
 
  private:
   std::string tag_;

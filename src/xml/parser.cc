@@ -2,7 +2,7 @@
 
 #include <cassert>
 #include <cctype>
-#include <cstdlib>
+#include <charconv>
 #include <optional>
 #include <sstream>
 
@@ -99,16 +99,18 @@ Status DecodeText(Cursor* c, std::string_view raw, std::string* out) {
     } else if (ent == "apos") {
       out->push_back('\'');
     } else if (!ent.empty() && ent[0] == '#') {
-      long code = ent[1] == 'x' || ent[1] == 'X'
-                      ? std::strtol(std::string(ent.substr(2)).c_str(),
-                                    nullptr, 16)
-                      : std::strtol(std::string(ent.substr(1)).c_str(),
-                                    nullptr, 10);
-      if (code <= 0 || code > 0x10FFFF) {
-        return ParseError(*c, "bad character reference");
+      // "#" then decimal digits, or "#x" then hex digits: at least one
+      // digit, and nothing else before the ';'.
+      const bool hex = ent.size() > 1 && (ent[1] == 'x' || ent[1] == 'X');
+      std::string_view digits = ent.substr(hex ? 2 : 1);
+      const char* end = digits.data() + digits.size();
+      uint32_t cp = 0;
+      auto [stop, ec] = std::from_chars(digits.data(), end, cp, hex ? 16 : 10);
+      if (ec != std::errc() || stop != end || cp == 0 || cp > 0x10FFFF) {
+        return ParseError(*c, "bad character reference &" +
+                                  std::string(ent) + ";");
       }
       // UTF-8 encode.
-      unsigned cp = static_cast<unsigned>(code);
       if (cp < 0x80) {
         out->push_back(static_cast<char>(cp));
       } else if (cp < 0x800) {

@@ -836,10 +836,10 @@ TEST(EnginePoolStressTest, ConcurrentBatchesAndSwapsServeConsistentSnapshots) {
   EXPECT_GE(stats.swaps, 1u);
 }
 
-// Swapping between backend *kinds* (hopi cover -> v4 file -> v3 file)
-// while serving: the label route (borrow from the cover, block cache,
-// borrow from the file image) changes under the clients' feet, answers
-// must not.
+// Swapping between backend *kinds* (hopi cover -> file with tiny blocks,
+// mapped -> file with default blocks, buffered) while serving: the
+// label route (borrow from the cover, or the block cache over either
+// file image) changes under the clients' feet, answers must not.
 TEST(EnginePoolStressTest, SwapAcrossBackendKindsKeepsAnswers) {
   Collection c = hopi::testing::RandomCollection(5, 6, 10, 99);
   HopiIndex index = MustBuild(&c);
@@ -849,14 +849,13 @@ TEST(EnginePoolStressTest, SwapAcrossBackendKindsKeepsAnswers) {
       storage::LinLoutStore::FromCover(index.cover(), false);
   std::string path = ::testing::TempDir() + "hopi_pool_swap_kinds.bin";
   std::string v4_path = ::testing::TempDir() + "hopi_pool_swap_kinds_v4.bin";
-  storage::StoreWriteOptions v3_options;
-  v3_options.format_version = storage::kFormatVersion;
-  ASSERT_TRUE(store.WriteToFile(path, v3_options).ok());
+  ASSERT_TRUE(store.WriteToFile(path).ok());
   storage::StoreWriteOptions v4_options;
   v4_options.compress.target_block_bytes = 256;
   ASSERT_TRUE(store.WriteToFile(v4_path, v4_options).ok());
-  auto open = [](const std::string& file) {
-    auto opened = storage::MappedLinLoutStore::Open(file);
+  auto open = [](const std::string& file, bool prefer_mmap) {
+    auto opened =
+        storage::MappedLinLoutStore::Open(file, {.prefer_mmap = prefer_mmap});
     EXPECT_TRUE(opened.ok()) << opened.status();
     return std::make_shared<const storage::MappedLinLoutStore>(
         std::move(opened).value());
@@ -865,10 +864,10 @@ TEST(EnginePoolStressTest, SwapAcrossBackendKindsKeepsAnswers) {
       hopi_snapshot, &hopi_snapshot->collection());
   // The rotated snapshots share the frozen collection, so they can
   // also share its tag index (built once by Freeze).
-  auto v4_snapshot = BackendSnapshot::OfMappedStore(collection, open(v4_path),
-                                                    hopi_snapshot->tags());
+  auto v4_snapshot = BackendSnapshot::OfMappedStore(
+      collection, open(v4_path, true), hopi_snapshot->tags());
   auto mapped_snapshot = BackendSnapshot::OfMappedStore(
-      collection, open(path), hopi_snapshot->tags());
+      collection, open(path, false), hopi_snapshot->tags());
 
   const auto n = static_cast<NodeId>(c.NumElements());
   std::vector<bool> matrix(static_cast<size_t>(n) * n);

@@ -23,8 +23,9 @@ using collection::Collection;
 
 /// One distance-aware index over a small DBLP-like collection, exposed
 /// through all four backends (the mapped stores are round-tripped
-/// through actual v3 and v4 files, so this suite also proves both
-/// on-disk formats preserve every query shape).
+/// through two actual files, one with default blocks opened buffered
+/// and one with tiny blocks opened mapped, so this suite also proves
+/// the on-disk format preserves every query shape in both open modes).
 class BackendParityFixture : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -39,16 +40,15 @@ class BackendParityFixture : public ::testing::Test {
     closure_ = std::make_unique<TransitiveClosureIndex>(
         TransitiveClosureIndex::Build(c_.ElementGraph(), true));
     store_path_ = ::testing::TempDir() + "hopi_engine_parity.bin";
-    storage::StoreWriteOptions v3_options;
-    v3_options.format_version = storage::kFormatVersion;
-    ASSERT_TRUE(store.WriteToFile(store_path_, v3_options).ok());
-    auto mapped = storage::MappedLinLoutStore::Open(store_path_);
+    ASSERT_TRUE(store.WriteToFile(store_path_).ok());
+    auto mapped = storage::MappedLinLoutStore::Open(store_path_,
+                                                    {.prefer_mmap = false});
     ASSERT_TRUE(mapped.ok()) << mapped.status();
     mapped_store_ = std::make_unique<storage::MappedLinLoutStore>(
         std::move(mapped).value());
-    // The same cover as a block-compressed v4 file. Tiny blocks force a
-    // multi-block layout even on this test-sized cover, so block
-    // routing and the cluster split actually get exercised.
+    // The same cover again, mapped. Tiny blocks force a multi-block
+    // layout even on this test-sized cover, so block routing and the
+    // cluster split actually get exercised.
     v4_path_ = ::testing::TempDir() + "hopi_engine_parity_v4.bin";
     storage::StoreWriteOptions v4_options;
     v4_options.compress.target_block_bytes = 256;
@@ -58,7 +58,7 @@ class BackendParityFixture : public ::testing::Test {
     ASSERT_TRUE(mapped_v4.ok()) << mapped_v4.status();
     mapped_v4_store_ = std::make_unique<storage::MappedLinLoutStore>(
         std::move(mapped_v4).value());
-    ASSERT_TRUE(mapped_v4_store_->compressed());
+    ASSERT_TRUE(mapped_v4_store_->mapped());
     backends_.push_back(std::make_unique<HopiIndexBackend>(*index_));
     backends_.push_back(std::make_unique<ClosureBackend>(*closure_, true));
     backends_.push_back(std::make_unique<MappedStoreBackend>(*mapped_store_));
@@ -329,27 +329,6 @@ TEST_F(QueryEngineFixture, RepeatedBatchServedFromLabelCache) {
   EXPECT_EQ(second.stats.blocks_decoded, 0u);
   EXPECT_GT(second.stats.cache_hits, 0u);
   EXPECT_EQ(second.reachable, first.reachable);
-}
-
-TEST_F(QueryEngineFixture, MappedBackendBorrowsSpansZeroCopy) {
-  QueryEngine& engine = *engines_[2];  // mmap-backed v3 store
-  std::vector<NodePair> pairs;
-  for (int rep = 0; rep < 10; ++rep) {
-    for (NodeId v = 0; v < 20; ++v) pairs.push_back({0, v});
-  }
-  BatchResponse r = engine.Batch({.pairs = pairs});
-  EXPECT_EQ(r.stats.unique_probes, 20u);
-  // Labels are lent as spans over the file image: no cache traffic, no
-  // backend probes, two borrows per non-reflexive unique pair — the
-  // same profile as the in-memory cover, straight off disk.
-  EXPECT_EQ(r.stats.labels_borrowed, 2u * 19u);
-  EXPECT_EQ(r.stats.cache_hits + r.stats.cache_misses, 0u);
-  EXPECT_EQ(r.stats.backend_probes, 0u);
-  EXPECT_EQ(engine.label_cache().size(), 0u);
-  for (size_t i = 0; i < pairs.size(); ++i) {
-    EXPECT_EQ(r.reachable[i],
-              engine.backend().IsReachable(pairs[i].first, pairs[i].second));
-  }
 }
 
 TEST_F(QueryEngineFixture, MappedV4BackendDecodesBlocksThroughCache) {

@@ -1,15 +1,14 @@
-// Randomized corruption harness for the LIN/LOUT on-disk formats.
+// Randomized corruption harness for the LIN/LOUT on-disk format.
 //
-// Writes pristine v3 and v4 files, then attacks them with seeded
-// bit-flips and truncations: at every section boundary, at every v4
-// block boundary, and at hundreds of random offsets. The contract
-// under test is two-sided:
+// Writes a pristine file, then attacks it with seeded bit-flips and
+// truncations: at every section boundary, at every block boundary, and
+// at hundreds of random offsets. The contract under test is two-sided:
 //
 //   * The verified open (MappedLinLoutStore::Open's default, in both
 //     the mmap and the buffered mode) must REJECT every damaged file
 //     with Corruption or Unsupported — never crash, never serve
 //     garbage.
-//   * The lazy v4 open (verify_file_checksum = false) may accept a
+//   * The lazy open (verify_file_checksum = false) may accept a
 //     file whose blobs are damaged; it must then stay memory-safe
 //     under arbitrary probing, and the damage must surface as
 //     Status::Corruption from VerifyBlocks()/decode — never a crash.
@@ -35,14 +34,14 @@ namespace {
 
 constexpr uint64_t kSeed = 20260808;
 
-/// A pristine store + its serialized image, in the requested version.
+/// A pristine store + its serialized image.
 struct Victim {
   LinLoutStore store = LinLoutStore::FromCover(twohop::TwoHopCover(0), false);
   std::vector<std::byte> image;
   size_t num_nodes = 0;
 };
 
-Victim MakeVictim(uint32_t version, const std::string& path) {
+Victim MakeVictim(const std::string& path) {
   Digraph g = hopi::testing::RandomDag(60, 2.5, kSeed);
   twohop::CoverBuildOptions cover_options;
   cover_options.with_distance = true;
@@ -52,7 +51,6 @@ Victim MakeVictim(uint32_t version, const std::string& path) {
   victim.store = LinLoutStore::FromCover(*cover, true);
   victim.num_nodes = cover->NumNodes();
   StoreWriteOptions options;
-  options.format_version = version;
   // Small blocks: many per-block CRC domains and block boundaries.
   options.compress.target_block_bytes = 128;
   options.compress.cluster_split_bytes = 32;
@@ -114,56 +112,48 @@ class FormatFuzzTest : public ::testing::Test {
 };
 
 TEST_F(FormatFuzzTest, RandomBitFlipsAreRejectedByVerifiedReaders) {
-  for (uint32_t version : {kFormatVersion, kFormatVersionV4}) {
-    Victim victim = MakeVictim(version, path_);
-    Rng rng(kSeed ^ version);
-    for (int round = 0; round < 300; ++round) {
-      uint64_t offset = rng.NextBounded(victim.image.size());
-      std::byte mask{static_cast<unsigned char>(1u << rng.NextBounded(8))};
-      std::vector<std::byte> mutant = victim.image;
-      mutant[offset] ^= mask;
-      WriteBytes(path_, mutant);
-      ExpectVerifiedReadersReject(
-          path_, std::string("v").append(std::to_string(version)) +
-                     " flip at offset " + std::to_string(offset));
-    }
+  Victim victim = MakeVictim(path_);
+  Rng rng(kSeed ^ kFormatVersionV4);
+  for (int round = 0; round < 300; ++round) {
+    uint64_t offset = rng.NextBounded(victim.image.size());
+    std::byte mask{static_cast<unsigned char>(1u << rng.NextBounded(8))};
+    std::vector<std::byte> mutant = victim.image;
+    mutant[offset] ^= mask;
+    WriteBytes(path_, mutant);
+    ExpectVerifiedReadersReject(path_,
+                                "flip at offset " + std::to_string(offset));
   }
 }
 
 TEST_F(FormatFuzzTest, RandomTruncationsAreRejectedEverywhere) {
-  for (uint32_t version : {kFormatVersion, kFormatVersionV4}) {
-    Victim victim = MakeVictim(version, path_);
-    auto info = InspectFile(path_);
-    ASSERT_TRUE(info.ok()) << info.status();
-    // Every section boundary, plus random interior cuts.
-    std::vector<uint64_t> cuts = {0, 1, 4, victim.image.size() - 1};
-    for (const SectionRange& s : info->sections) {
-      cuts.push_back(s.offset);
-      cuts.push_back(s.offset + s.length);
-    }
-    Rng rng(kSeed * 31 + version);
-    for (int round = 0; round < 100; ++round) {
-      cuts.push_back(rng.NextBounded(victim.image.size()));
-    }
-    for (uint64_t cut : cuts) {
-      ASSERT_LT(cut, victim.image.size());
-      WriteBytes(path_, std::span(victim.image).first(cut));
-      std::string what = std::string("v").append(std::to_string(version)) +
-                         " cut at " + std::to_string(cut);
-      ExpectVerifiedReadersReject(path_, what);
-      if (version == kFormatVersionV4) {
-        // Truncation always removes trailer or metadata bytes — even
-        // the lazy open must catch it.
-        auto lazy =
-            MappedLinLoutStore::Open(path_, {.verify_file_checksum = false});
-        EXPECT_FALSE(lazy.ok()) << what << ": lazy open accepted";
-      }
-    }
+  Victim victim = MakeVictim(path_);
+  auto info = InspectFile(path_);
+  ASSERT_TRUE(info.ok()) << info.status();
+  // Every section boundary, plus random interior cuts.
+  std::vector<uint64_t> cuts = {0, 1, 4, victim.image.size() - 1};
+  for (const SectionRange& s : info->sections) {
+    cuts.push_back(s.offset);
+    cuts.push_back(s.offset + s.length);
+  }
+  Rng rng(kSeed * 31 + kFormatVersionV4);
+  for (int round = 0; round < 100; ++round) {
+    cuts.push_back(rng.NextBounded(victim.image.size()));
+  }
+  for (uint64_t cut : cuts) {
+    ASSERT_LT(cut, victim.image.size());
+    WriteBytes(path_, std::span(victim.image).first(cut));
+    std::string what = "cut at " + std::to_string(cut);
+    ExpectVerifiedReadersReject(path_, what);
+    // Truncation always removes trailer or metadata bytes — even the
+    // lazy open must catch it.
+    auto lazy =
+        MappedLinLoutStore::Open(path_, {.verify_file_checksum = false});
+    EXPECT_FALSE(lazy.ok()) << what << ": lazy open accepted";
   }
 }
 
 TEST_F(FormatFuzzTest, EveryV4BlockBoundaryFlipIsCaughtAtDecode) {
-  Victim victim = MakeVictim(kFormatVersionV4, path_);
+  Victim victim = MakeVictim(path_);
   auto info = InspectFile(path_);
   ASSERT_TRUE(info.ok()) << info.status();
   auto view = ParseV4(victim.image, path_);
@@ -201,7 +191,7 @@ TEST_F(FormatFuzzTest, EveryV4BlockBoundaryFlipIsCaughtAtDecode) {
 }
 
 TEST_F(FormatFuzzTest, LazyV4OpenNeverCrashesOnArbitraryDamage) {
-  Victim victim = MakeVictim(kFormatVersionV4, path_);
+  Victim victim = MakeVictim(path_);
   Rng rng(kSeed * 77);
   size_t accepted = 0;
   for (int round = 0; round < 300; ++round) {

@@ -1,6 +1,6 @@
 // Property suite for the vectorized join kernels (twohop/join_kernel.h):
-// every kernel, over packed and strided views, must be bit-identical to
-// the scalar reference JoinLabelRanges (kept here as the golden model)
+// every kernel, with and without a label summary, must be bit-identical
+// to the scalar reference JoinLabelRanges (kept here as the golden model)
 // on randomized and adversarial label shapes — empties, singletons,
 // all-shared sets, interleaved disjoint sets, UINT32_MAX boundary
 // centers, wrapping distance sums, want_distance on and off. Plus the
@@ -110,47 +110,24 @@ struct Packed {
   }
 };
 
-/// A 3-word-stride entry (id, center, dist) — exercises the general
-/// strided-view path beyond the stride 2 of v3 file rows.
-struct WideEntry {
-  uint32_t id;
-  uint32_t center;
-  uint32_t dist;
-};
-
-std::vector<WideEntry> Widen(const Entries& entries) {
-  std::vector<WideEntry> wide;
-  for (const LabelEntry& e : entries) wide.push_back({0, e.center, e.dist});
-  return wide;
-}
-
-JoinView WideView(const std::vector<WideEntry>& wide) {
-  JoinView v = JoinView::FromEntries(nullptr, 0);
-  if (wide.empty()) return v;
-  v.centers = &wide[0].center;
-  v.dists = &wide[0].dist;
-  v.n = wide.size();
-  v.stride = sizeof(WideEntry) / sizeof(uint32_t);
+/// The same columns without a summary: the prefilter rejects nothing,
+/// so every probe reaches the self-entry searches and the kernels.
+JoinView Unsummarized(JoinView v) {
   v.summary = LabelSummary::Unknown();
   return v;
 }
 
-/// Asserts every supported kernel, over every layout, matches the
-/// scalar reference for this probe.
+/// Asserts every supported kernel, with and without summaries, matches
+/// the scalar reference for this probe.
 void ExpectAllKernelsMatch(NodeId u, NodeId v, const Entries& lout,
                            const Entries& lin, bool want_distance) {
   LabelJoinResult golden = ReferenceJoin(u, v, lout, lin, want_distance);
   Packed pout(lout), pin(lin);
-  std::vector<WideEntry> wout = Widen(lout), win = Widen(lin);
-  JoinView strided_out = JoinView::FromEntries(lout.data(), lout.size());
-  JoinView strided_in = JoinView::FromEntries(lin.data(), lin.size());
-  JoinView wide_out = WideView(wout);
-  JoinView wide_in = WideView(win);
   for (JoinKernel k : SupportedJoinKernels()) {
     for (auto [o, i, layout] :
-         {std::tuple{pout.View(), pin.View(), "packed"},
-          std::tuple{strided_out, strided_in, "stride2"},
-          std::tuple{wide_out, wide_in, "stride3"}}) {
+         {std::tuple{pout.View(), pin.View(), "summarized"},
+          std::tuple{Unsummarized(pout.View()), Unsummarized(pin.View()),
+                     "unsummarized"}}) {
       LabelJoinResult got = JoinViews(u, v, o, i, want_distance, k);
       EXPECT_EQ(golden.connected, got.connected)
           << JoinKernelName(k) << " " << layout << " u=" << u << " v=" << v
@@ -312,40 +289,31 @@ TEST(JoinKernelTest, DispatchHeuristics) {
   // Neutralize any force for the duration of these assertions.
   JoinKernel saved = ForcedJoinKernel();
   SetForcedJoinKernel(JoinKernel::kAuto);
-  // Without SIMD in play (strided view), a 16x ratio gallops.
-  EXPECT_EQ(JoinKernel::kGallop,
-            ResolveJoinKernel(JoinKernel::kAuto, 64, 4, /*packed=*/false));
-  // With a SIMD merge available the gallop crossover moves out to 128x:
-  // 16x skew stays on the block merge, 128x gallops.
-  if (util::CpuInfo().sse2 || util::CpuInfo().avx2) {
+  const bool simd = util::CpuInfo().sse2 || util::CpuInfo().avx2;
+  if (simd) {
+    // With a SIMD merge available the gallop crossover moves out to
+    // 128x: 16x skew stays on the block merge, 128x gallops.
     EXPECT_NE(JoinKernel::kGallop,
-              ResolveJoinKernel(JoinKernel::kAuto, 4, 64, /*packed=*/true));
+              ResolveJoinKernel(JoinKernel::kAuto, 4, 64));
     EXPECT_EQ(JoinKernel::kGallop,
-              ResolveJoinKernel(JoinKernel::kAuto, 4, 512, /*packed=*/true));
+              ResolveJoinKernel(JoinKernel::kAuto, 4, 512));
+  } else {
+    // Without SIMD on the host (non-x86 builds), a 16x ratio gallops.
+    EXPECT_EQ(JoinKernel::kGallop,
+              ResolveJoinKernel(JoinKernel::kAuto, 64, 4));
   }
   // Empty side: scalar (nothing to vectorize).
-  EXPECT_EQ(JoinKernel::kScalar,
-            ResolveJoinKernel(JoinKernel::kAuto, 0, 64, /*packed=*/true));
-  // Balanced packed sets pick the widest available SIMD.
-  JoinKernel balanced =
-      ResolveJoinKernel(JoinKernel::kAuto, 32, 32, /*packed=*/true);
-  if (util::CpuInfo().avx2) {
-    EXPECT_EQ(JoinKernel::kAVX2, balanced);
-  } else if (util::CpuInfo().sse2) {
-    EXPECT_EQ(JoinKernel::kSSE2, balanced);
-  } else {
-    EXPECT_EQ(JoinKernel::kScalar, balanced);
-  }
-  // Strided views never dispatch to SIMD.
-  JoinKernel strided =
-      ResolveJoinKernel(JoinKernel::kAuto, 32, 32, /*packed=*/false);
-  EXPECT_EQ(JoinKernel::kScalar, strided);
-  // Forced SIMD on a strided view degrades down the ladder.
-  EXPECT_EQ(JoinKernel::kScalar,
-            ResolveJoinKernel(JoinKernel::kAVX2, 32, 32, /*packed=*/false));
+  EXPECT_EQ(JoinKernel::kScalar, ResolveJoinKernel(JoinKernel::kAuto, 0, 64));
+  // Balanced sets pick the widest available SIMD, and a forced AVX2
+  // degrades down the same ladder on a host that lacks it.
+  JoinKernel widest = util::CpuInfo().avx2   ? JoinKernel::kAVX2
+                      : util::CpuInfo().sse2 ? JoinKernel::kSSE2
+                                             : JoinKernel::kScalar;
+  EXPECT_EQ(widest, ResolveJoinKernel(JoinKernel::kAuto, 32, 32));
+  EXPECT_EQ(widest, ResolveJoinKernel(JoinKernel::kAVX2, 32, 32));
   // Forced gallop is honored regardless of shape.
   EXPECT_EQ(JoinKernel::kGallop,
-            ResolveJoinKernel(JoinKernel::kGallop, 32, 32, /*packed=*/true));
+            ResolveJoinKernel(JoinKernel::kGallop, 32, 32));
   SetForcedJoinKernel(saved);
 }
 
@@ -353,8 +321,7 @@ TEST(JoinKernelTest, ForcedKernelIsProcessWide) {
   JoinKernel saved = ForcedJoinKernel();
   SetForcedJoinKernel(JoinKernel::kGallop);
   EXPECT_EQ(JoinKernel::kGallop, ForcedJoinKernel());
-  EXPECT_EQ(JoinKernel::kGallop,
-            ResolveJoinKernel(JoinKernel::kAuto, 32, 32, /*packed=*/true));
+  EXPECT_EQ(JoinKernel::kGallop, ResolveJoinKernel(JoinKernel::kAuto, 32, 32));
   SetForcedJoinKernel(JoinKernel::kAuto);
   EXPECT_EQ(JoinKernel::kAuto, ForcedJoinKernel());
   SetForcedJoinKernel(saved);

@@ -1,5 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <string>
+#include <string_view>
+
+#include "datagen/dblp.h"
+#include "util/rng.h"
 #include "xml/parser.h"
 
 namespace hopi::xml {
@@ -85,18 +91,89 @@ TEST(XmlParserTest, UnknownEntityRejected) {
   EXPECT_FALSE(ParseDocument("<a>&nope;</a>", "x").ok());
 }
 
+TEST(XmlParserTest, MalformedCharacterReferencesRejected) {
+  // A character reference needs at least one digit, and every
+  // character before the ';' must be a digit of its base.
+  for (const char* input :
+       {"<a>&#;</a>", "<a>&#x;</a>", "<a>&#65zz;</a>", "<a>&#x41g;</a>",
+        "<a>&#+65;</a>", "<a>&# 65;</a>", "<a>&#-65;</a>", "<a>&#0;</a>",
+        "<a>&#x110000;</a>", "<a>&#99999999999999999999;</a>",
+        "<a b=\"&#;\"/>"}) {
+    auto doc = ParseDocument(input, "x");
+    EXPECT_TRUE(doc.status().IsCorruption()) << input << ": " << doc.status();
+  }
+  auto doc = ParseDocument("<a>&#x10FFFF;&#X41;&#0065;</a>", "x");
+  ASSERT_TRUE(doc.ok()) << doc.status();
+  EXPECT_EQ(doc->root->text(), "\xF4\x8F\xBF\xBF" "AA");
+}
+
 TEST(XmlParserTest, TextOutsideRootRejected) {
   EXPECT_FALSE(ParseDocument("stray<a/>", "x").ok());
 }
 
 TEST(XmlParserTest, DeeplyNestedNoOverflow) {
+  // Deep enough to overflow the call stack of any walk that recurses
+  // once per level: parsing, SubtreeSize and destruction must all
+  // iterate. (Serialize indents by depth, so its output would be
+  // quadratic in it; it stays out of this test.)
   std::string input;
-  const int depth = 50000;
+  const int depth = 400000;
   for (int i = 0; i < depth; ++i) input += "<d>";
   for (int i = 0; i < depth; ++i) input += "</d>";
   auto doc = ParseDocument(input, "deep.xml");
   ASSERT_TRUE(doc.ok());
   EXPECT_EQ(doc->root->SubtreeSize(), static_cast<size_t>(depth));
+}
+
+TEST(XmlParserTest, SeededMutationsParseOrReportCorruption) {
+  // Truncations, bit flips and splices of the tokens the parser treats
+  // specially, over generated DBLP records: every input must parse or
+  // fail with Corruption — never crash, hang, or read out of bounds
+  // (the sanitizer CI leg runs this with bounds-checked containers).
+  static constexpr std::string_view kTokens[] = {
+      "&#",  "&#x", "&#;", "&#x;", "&#65zz;", "&",   "&amp;", ";",
+      "<",   ">",   "</",  "/>",   "<!--",    "-->", "<![CDATA[",
+      "]]>", "<?",  "?>",  "<!",   "=",       "\"",  "'",     "<d>",
+      "</d>"};
+  datagen::DblpConfig config;
+  Rng rng(20261018);
+  size_t parsed = 0, corrupt = 0;
+  for (size_t d = 0; d < 20; ++d) {
+    Rng doc_rng(d);
+    const std::string text =
+        Serialize(*datagen::GenerateDblpDocument(config, d, &doc_rng).root);
+    ASSERT_TRUE(ParseDocument(text, "pristine.xml").ok());
+    for (int round = 0; round < 500; ++round) {
+      std::string input = text;
+      for (uint64_t m = 1 + rng.NextBounded(3); m > 0; --m) {
+        switch (rng.NextBounded(3)) {
+          case 0:
+            input.resize(rng.NextBounded(input.size() + 1));
+            break;
+          case 1:
+            if (!input.empty()) {
+              input[rng.NextBounded(input.size())] ^=
+                  static_cast<char>(1u << rng.NextBounded(8));
+            }
+            break;
+          default:
+            input.insert(rng.NextBounded(input.size() + 1),
+                         kTokens[rng.NextBounded(std::size(kTokens))]);
+        }
+      }
+      auto doc = ParseDocument(input, "fuzz.xml");
+      if (doc.ok()) {
+        ++parsed;
+      } else {
+        ++corrupt;
+        EXPECT_TRUE(doc.status().IsCorruption())
+            << "doc " << d << " round " << round << ": " << doc.status();
+      }
+    }
+  }
+  // The mutations exercised both outcomes.
+  EXPECT_GT(parsed, 0u);
+  EXPECT_GT(corrupt, 0u);
 }
 
 TEST(XmlSerializeTest, RoundTrip) {
