@@ -4,6 +4,8 @@
 //     kUnassignedShard, a single-partition collection short-circuits to
 //     one shard (everything direct), and the router's precomputed probe
 //     sets are exactly the route tables' endpoint sets.
+//   - Digest pins of whole shard plans (every shard cover, the route
+//     tables, the plan stats), identical at 1 and 2 build threads.
 //   - ComposeThreeLegs against hand-computed min-plus fixtures — the
 //     merge layer's math with no engine, no threads, no randomness.
 //   - Distance batches over a plain shard are a typed Unsupported
@@ -235,6 +237,80 @@ TEST(ShardRouterTest, ProbeSetsAreExactlyTheRouteEndpointSets) {
                 std::vector<NodeId>(targets.begin(), targets.end()));
       EXPECT_TRUE(std::is_sorted(probes.sources.begin(), probes.sources.end()));
       EXPECT_TRUE(std::is_sorted(probes.targets.begin(), probes.targets.end()));
+    }
+  }
+}
+
+/// Fingerprint of a whole shard plan: the shard count, every shard's
+/// cover (CoverDigest), every route table in table order, then the
+/// ShardPlanStats fields.
+uint64_t ShardPlanDigest(const ShardPlan& plan) {
+  testing::Fnv1a fnv;
+  fnv.Mix(plan.num_shards);
+  for (const auto& index : plan.indexes) {
+    fnv.Mix(testing::CoverDigest(index->cover()));
+  }
+  for (const std::vector<ShardRoute>& table : plan.routes) {
+    fnv.Mix(table.size());
+    for (const ShardRoute& r : table) {
+      fnv.Mix(r.source);
+      fnv.Mix(r.target);
+      fnv.Mix(r.dist);
+    }
+  }
+  const ShardPlanStats& s = plan.stats;
+  for (uint64_t field :
+       {s.num_partitions, s.cross_shard_links, s.skeleton_entries,
+        s.cross_shard_routes, s.same_shard_routes, s.augmented_labels,
+        s.psg_nodes, s.psg_edges}) {
+    fnv.Mix(field);
+  }
+  return fnv.value();
+}
+
+// Bit identity of the shard plan, per collection, mode and shard count.
+// The DBLP collection is cut into multi-document partitions, so shards
+// join intra-shard links; the chain has one document per partition, so
+// with 2 shards its skip links stay inside a shard. Each plan is built
+// at 1 and 2 threads: the thread budget goes inside each partition's
+// cover build and must not change the plan.
+TEST(ShardPlanTest, PlanDigestsArePinned) {
+  struct Pin {
+    bool dblp;
+    size_t num_shards;
+    bool with_distance;
+    uint64_t digest;
+  };
+  const Pin pins[] = {
+      {true, 2, false, 0xfb380fbf43a0f0a8ULL},
+      {true, 3, false, 0xbb03da76ba8c6094ULL},
+      {true, 2, true, 0xdec41996297b4af6ULL},
+      {true, 3, true, 0x9edd98d5c3d754e1ULL},
+      {false, 2, false, 0xdd363e91c788a6e2ULL},
+      {false, 3, false, 0x9af545b06af4188cULL},
+      {false, 2, true, 0x9df75242e4d4d10aULL},
+      {false, 3, true, 0x29322ce03afe975bULL},
+  };
+  for (const Pin& pin : pins) {
+    for (size_t threads : {1, 2}) {
+      Collection c =
+          pin.dblp ? testing::SmallDblp(60, 101) : ChainCollection(12, 3, 2);
+      ShardPlanOptions options;
+      options.num_shards = pin.num_shards;
+      options.with_distance = pin.with_distance;
+      options.num_threads = threads;
+      if (pin.dblp) {
+        options.partition.max_connections = 3000;
+      } else {
+        options.partition.strategy =
+            partition::PartitionStrategy::kDocPerPartition;
+      }
+      auto plan = BuildShardPlan(&c, options);
+      ASSERT_TRUE(plan.ok()) << plan.status();
+      EXPECT_EQ(ShardPlanDigest(*plan), pin.digest)
+          << (pin.dblp ? "dblp" : "chain") << " shards " << pin.num_shards
+          << (pin.with_distance ? " distance" : " plain") << " threads "
+          << threads << ": 0x" << std::hex << ShardPlanDigest(*plan);
     }
   }
 }
