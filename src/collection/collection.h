@@ -123,10 +123,6 @@ class Collection {
   /// Number of intra-document links (sum of |L_I(d)|).
   size_t NumIntraLinks() const { return links_.size() - num_inter_links_; }
 
-  bool IsInterLink(const Link& l) const {
-    return DocOf(l.source) != DocOf(l.target);
-  }
-
   // ---- tree-derived statistics (paper Sec 4.3) ----
 
   /// Number of proper ancestors of `element` within its document tree

@@ -263,14 +263,6 @@ std::shared_ptr<const DeltaState> DeltaState::RebaseAfter(
   return s;
 }
 
-Status DeltaState::Replay(collection::Collection* collection) const {
-  for (const Mutation& m : ops_) {
-    Status st = ApplyMutationToCollection(m, collection);
-    if (!st.ok()) return st;
-  }
-  return Status::OK();
-}
-
 std::span<const Mutation> DeltaState::OpsAfter(uint64_t g) const {
   if (g >= generation_) return {};
   uint64_t want = generation_ - g;  // number of trailing ops to keep

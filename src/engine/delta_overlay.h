@@ -130,10 +130,6 @@ class DeltaState {
                                                 size_t base_elements,
                                                 size_t base_documents) const;
 
-  /// Replays every retained op, in order, onto `collection` (which must
-  /// be a copy of this delta's base).
-  Status Replay(collection::Collection* collection) const;
-
   /// Retained ops with generation > `g` (a suffix of the op log; views
   /// into this state, valid while it lives).
   std::span<const Mutation> OpsAfter(uint64_t g) const;

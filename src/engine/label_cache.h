@@ -61,14 +61,6 @@ class LabelCache {
     uint64_t blocks_decoded = 0;
     /// Lifetime nanoseconds spent in those decodes.
     uint64_t decode_nanos = 0;
-
-    /// Fraction of lookups served from the cache (0 when idle).
-    double HitRate() const {
-      uint64_t lookups = hits + misses;
-      return lookups == 0 ? 0.0
-                          : static_cast<double>(hits) /
-                                static_cast<double>(lookups);
-    }
   };
 
   /// `byte_budget` caps the resident ApproxBytes total. 0 disables

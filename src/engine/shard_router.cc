@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <map>
 
 #include "graph/subgraph.h"
 #include "hopi/join.h"
@@ -48,87 +47,6 @@ std::vector<uint32_t> AssignPartitionsToShards(
   return shard_of_part;
 }
 
-/// Folds one shard's same-shard skeleton routes into its cover — the
-/// H-bar/H-hat merge of hopi/join.cc step 3, restricted to routes whose
-/// endpoints both live in the shard. After this, paths that leave the
-/// shard and return are in the labels and direct same-shard routing is
-/// exact (every added entry is a true path length, so the cover join can
-/// only report real connections). Ancestor/descendant sets and leg
-/// distances are snapshotted BEFORE anything is applied, exactly as the
-/// join does.
-uint64_t AugmentShardCover(const std::vector<ShardRoute>& same_shard,
-                           bool with_distance,
-                           twohop::IndexedCover* cover) {
-  if (same_shard.empty()) return 0;
-  uint64_t added = 0;
-
-  // Group routes by source; all endpoints are in-shard by construction,
-  // so the cover's ancestor/descendant sets need no membership filter.
-  std::map<NodeId, std::vector<std::pair<NodeId, uint32_t>>> by_source;
-  for (const ShardRoute& r : same_shard) {
-    by_source[r.source].push_back({r.target, r.dist});
-  }
-
-  struct AncestorTask {
-    NodeId ancestor;
-    uint32_t dist_to_source;
-    const std::vector<std::pair<NodeId, uint32_t>>* targets;
-  };
-  std::vector<AncestorTask> ancestor_tasks;
-  for (const auto& [s, targets] : by_source) {
-    ancestor_tasks.push_back({s, 0, &targets});
-    for (NodeId a : cover->Ancestors(s)) {
-      uint32_t d = 0;
-      if (with_distance) {
-        auto dd = cover->cover().Distance(a, s);
-        assert(dd.has_value());
-        d = *dd;
-      }
-      ancestor_tasks.push_back({a, d, &targets});
-    }
-  }
-
-  struct DescendantTask {
-    NodeId descendant;
-    NodeId target;
-    uint32_t dist;
-  };
-  std::vector<DescendantTask> descendant_tasks;
-  std::vector<NodeId> distinct_targets;
-  for (const ShardRoute& r : same_shard) distinct_targets.push_back(r.target);
-  std::sort(distinct_targets.begin(), distinct_targets.end());
-  distinct_targets.erase(
-      std::unique(distinct_targets.begin(), distinct_targets.end()),
-      distinct_targets.end());
-  for (NodeId t : distinct_targets) {
-    for (NodeId d : cover->Descendants(t)) {
-      uint32_t dist = 0;
-      if (with_distance) {
-        auto dd = cover->cover().Distance(t, d);
-        assert(dd.has_value());
-        dist = *dd;
-      }
-      descendant_tasks.push_back({d, t, dist});
-    }
-  }
-
-  for (const AncestorTask& task : ancestor_tasks) {
-    for (const auto& [t, d] : *task.targets) {
-      if (cover->AddOut(task.ancestor, t,
-                        with_distance ? task.dist_to_source + d : 0)) {
-        ++added;
-      }
-    }
-  }
-  for (const DescendantTask& task : descendant_tasks) {
-    if (cover->AddIn(task.descendant, task.target,
-                     with_distance ? task.dist : 0)) {
-      ++added;
-    }
-  }
-  return added;
-}
-
 }  // namespace
 
 Result<ShardPlan> BuildShardPlan(collection::Collection* collection,
@@ -170,20 +88,17 @@ Result<ShardPlan> BuildShardPlan(collection::Collection* collection,
     }
   }
 
-  // --- Step 3: per-shard covers (global element ids) ---
+  // --- Step 3: one cover over every partition (global element ids) ---
   // Per partition: induced subgraph + local 2-hop cover (the hopi/build.cc
-  // covers phase), translated into the owning shard's global-id cover;
-  // then the intra-shard cross links are joined recursively, giving each
-  // shard a cover that is exact for paths staying inside it.
+  // covers phase), translated into global ids; then every intra-shard
+  // cross link is joined recursively in one pass, giving a cover that is
+  // exact for paths staying inside a shard. Cross-shard links are set
+  // aside for the skeleton.
   twohop::CoverBuildOptions cover_options;
   cover_options.with_distance = options.with_distance;
   cover_options.num_threads = std::max<size_t>(options.num_threads, 1);
 
-  std::vector<twohop::TwoHopCover> shard_unified;
-  shard_unified.reserve(n);
-  for (size_t s = 0; s < n; ++s) {
-    shard_unified.emplace_back(collection->NumElements());
-  }
+  twohop::TwoHopCover unified(collection->NumElements());
   for (size_t p = 0; p < num_parts; ++p) {
     std::vector<NodeId> elements;
     for (collection::DocId d : plan.partitioning.partitions[p]) {
@@ -194,7 +109,6 @@ Result<ShardPlan> BuildShardPlan(collection::Collection* collection,
         BuildInducedSubgraph(collection->ElementGraph(), elements);
     auto cover = twohop::BuildCover(sub.graph, cover_options);
     if (!cover.ok()) return cover.status();
-    twohop::TwoHopCover& unified = shard_unified[shard_of_part[p]];
     for (NodeId local = 0; local < cover->NumNodes(); ++local) {
       NodeId global = sub.Global(local);
       for (twohop::LabelEntry e : cover->In(local)) {
@@ -205,38 +119,20 @@ Result<ShardPlan> BuildShardPlan(collection::Collection* collection,
       }
     }
   }
+  twohop::IndexedCover cover(std::move(unified));
 
+  partition::Partitioning intra_shard;
+  intra_shard.partitions = plan.partitioning.partitions;
+  intra_shard.part_of = plan.partitioning.part_of;
   std::vector<collection::Link> cross_shard_links;
-  std::vector<twohop::IndexedCover> shard_covers;
-  shard_covers.reserve(n);
-  for (size_t s = 0; s < n; ++s) {
-    shard_covers.emplace_back(std::move(shard_unified[s]));
+  for (const collection::Link& l : plan.partitioning.cross_links) {
+    uint32_t a = plan.shard_of_element[l.source];
+    uint32_t b = plan.shard_of_element[l.target];
+    assert(a != kUnassignedShard && b != kUnassignedShard);
+    (a == b ? intra_shard.cross_links : cross_shard_links).push_back(l);
   }
-  {
-    // Intra-shard joins: the original partitioning restricted to the
-    // links whose endpoints share a shard. Cross-shard links are set
-    // aside for the skeleton.
-    std::vector<std::vector<collection::Link>> intra(n);
-    for (const collection::Link& l : plan.partitioning.cross_links) {
-      uint32_t a = plan.shard_of_element[l.source];
-      uint32_t b = plan.shard_of_element[l.target];
-      assert(a != kUnassignedShard && b != kUnassignedShard);
-      if (a == b) {
-        intra[a].push_back(l);
-      } else {
-        cross_shard_links.push_back(l);
-      }
-    }
-    for (size_t s = 0; s < n; ++s) {
-      partition::Partitioning shard_view;
-      shard_view.partitions = plan.partitioning.partitions;
-      shard_view.part_of = plan.partitioning.part_of;
-      shard_view.cross_links = std::move(intra[s]);
-      HOPI_RETURN_NOT_OK(JoinCoversRecursive(*collection, shard_view,
-                                             options.with_distance,
-                                             &shard_covers[s]));
-    }
-  }
+  HOPI_RETURN_NOT_OK(JoinCoversRecursive(*collection, intra_shard,
+                                         options.with_distance, &cover));
   plan.stats.cross_shard_links = cross_shard_links.size();
 
   // --- Step 4: the shard-level skeleton ---
@@ -246,52 +142,40 @@ Result<ShardPlan> BuildShardPlan(collection::Collection* collection,
   // distance. Its H-bar cover is the complete route table: the PSG
   // shortest distance s -> t equals the true element-graph shortest
   // distance over paths that leave s's shard at s and enter t's shard at
-  // t (decompose any such path at every cross-shard crossing).
+  // t (decompose any such path at every cross-shard crossing). Routes
+  // between shards go to the tables; routes that start and end in one
+  // shard are folded into the cover by the join's own H-bar/H-hat merge.
+  // Every cover path stays inside one shard, so the merge keeps every
+  // ancestor and descendant.
   plan.routes.assign(n * n, {});
-  std::vector<std::vector<ShardRoute>> same_shard(n);
   if (!cross_shard_links.empty()) {
     partition::Partitioning shard_partitioning;
     shard_partitioning.partitions = plan.docs_of_shard;
     shard_partitioning.part_of = plan.shard_of_doc;
-    shard_partitioning.cross_links = cross_shard_links;
-
-    twohop::TwoHopCover combined(collection->NumElements());
-    for (size_t s = 0; s < n; ++s) {
-      const twohop::TwoHopCover& c = shard_covers[s].cover();
-      for (NodeId v = 0; v < c.NumNodes(); ++v) {
-        for (twohop::LabelEntry e : c.In(v)) {
-          combined.AddIn(v, e.center, e.dist);
-        }
-        for (twohop::LabelEntry e : c.Out(v)) {
-          combined.AddOut(v, e.center, e.dist);
-        }
-      }
-    }
-    twohop::IndexedCover combined_indexed(std::move(combined));
+    shard_partitioning.cross_links = std::move(cross_shard_links);
     partition::PartitionSkeletonGraph psg = partition::BuildPsg(
-        *collection, shard_partitioning, combined_indexed,
-        options.with_distance);
+        *collection, shard_partitioning, cover, options.with_distance);
     plan.stats.psg_nodes = psg.graph.NumNodes();
     plan.stats.psg_edges = psg.graph.NumEdges();
 
     JoinOptions join_options;
     join_options.psg_partition_cap = options.psg_partition_cap;
-    std::vector<SkeletonRow> rows = ComputeSkeletonCover(psg, join_options);
-
-    for (const SkeletonRow& row : rows) {
+    std::vector<SkeletonRow> same_shard;
+    for (const SkeletonRow& row : ComputeSkeletonCover(psg, join_options)) {
       uint32_t a = plan.shard_of_element[row.source];
+      SkeletonRow folded{row.source, {}};
       for (const SkeletonTarget& t : row.targets) {
         uint32_t b = plan.shard_of_element[t.target];
         ++plan.stats.skeleton_entries;
-        ShardRoute route{row.source, t.target, t.dist};
         if (a == b) {
-          same_shard[a].push_back(route);
+          folded.targets.push_back(t);
           ++plan.stats.same_shard_routes;
         } else {
-          plan.routes[a * n + b].push_back(route);
+          plan.routes[a * n + b].push_back({row.source, t.target, t.dist});
           ++plan.stats.cross_shard_routes;
         }
       }
+      if (!folded.targets.empty()) same_shard.push_back(std::move(folded));
     }
     for (auto& table : plan.routes) {
       std::sort(table.begin(), table.end(),
@@ -300,21 +184,32 @@ Result<ShardPlan> BuildShardPlan(collection::Collection* collection,
                   return x.target < y.target;
                 });
     }
+    JoinStats merged;
+    MergeSkeletonCover(
+        same_shard, options.with_distance,
+        [](NodeId, NodeId) { return true; }, &cover, &merged);
+    plan.stats.augmented_labels = merged.hbar_entries + merged.hhat_entries;
   }
 
-  // --- Step 5: fold same-shard routes into the shard covers ---
-  for (size_t s = 0; s < n; ++s) {
-    plan.stats.augmented_labels +=
-        AugmentShardCover(same_shard[s], options.with_distance,
-                          &shard_covers[s]);
+  // --- Step 5: split the cover into one index per shard ---
+  // Each node's labels move into its shard's cover; elements of dead
+  // documents carry none.
+  std::vector<twohop::TwoHopCover> shard_covers(
+      n, twohop::TwoHopCover(collection->NumElements()));
+  twohop::TwoHopCover* global = cover.mutable_cover();
+  for (NodeId v = 0; v < global->NumNodes(); ++v) {
+    uint32_t s = plan.shard_of_element[v];
+    if (s == kUnassignedShard) continue;
+    twohop::JoinView in = global->In(v);
+    twohop::JoinView out = global->Out(v);
+    shard_covers[s].SetIn(v, {in.begin(), in.end()});
+    shard_covers[s].SetOut(v, {out.begin(), out.end()});
+    global->ClearNode(v);
   }
-
-  // --- Step 6: freeze each shard cover into an index ---
   plan.indexes.reserve(n);
   for (size_t s = 0; s < n; ++s) {
     plan.indexes.push_back(std::make_shared<const HopiIndex>(
-        collection, std::move(*shard_covers[s].mutable_cover()),
-        options.with_distance));
+        collection, std::move(shard_covers[s]), options.with_distance));
   }
   return plan;
 }

@@ -3,25 +3,27 @@
 //
 // The ROADMAP names the document partitioning (Sec 3.3) as the natural
 // shard key. A ShardPlan groups the partitions of one PartitionCollection
-// run into N shard units and builds, per shard, a self-contained 2-hop
-// cover over that shard's documents (per-partition covers joined with
-// JoinCoversRecursive restricted to intra-shard cross links — the same
-// pipeline hopi/build.cc runs, stopped one level early). Reachability
-// ACROSS shards is carried by the shard-level skeleton: the PSG over the
-// cross-SHARD links (partition/psg.h with "partition" = shard) and its
-// H-bar cover (hopi/join.h ComputeSkeletonCover), kept in the router as
-// route tables — (source, target, dist) triples meaning "leaving the
-// source's shard at `source` reaches `target` in the target's shard after
-// `dist` edges".
+// run into N shard units and runs the pipeline hopi/build.cc runs, one
+// level up, on one cover in global element ids: every partition's cover
+// goes into it, and one JoinCoversRecursive joins every intra-shard
+// cross link, so each shard's part of the cover is exact for paths that
+// stay inside the shard. Reachability ACROSS shards is carried by the
+// shard-level skeleton: the PSG over the cross-SHARD links
+// (partition/psg.h with "partition" = shard, built over the same cover)
+// and its H-bar cover (hopi/join.h ComputeSkeletonCover), kept in the
+// router as route tables — (source, target, dist) triples meaning
+// "leaving the source's shard at `source` reaches `target` in the
+// target's shard after `dist` edges". Finally each node's labels move
+// into its shard's HopiIndex.
 //
 // Probe composition (exactly how hopi/join.cc composes partition covers):
 //
-//   same shard   dist(u,v) = shard-local cover answer. The plan
-//                pre-applies every SAME-shard skeleton route to the
-//                shard's cover (the H-bar/H-hat merge of Sec 4.1,
-//                restricted to routes that start and end in the shard),
-//                so paths that leave the shard and come back are already
-//                in the labels and direct routing stays exact.
+//   same shard   dist(u,v) = shard-local cover answer. Before the split,
+//                the plan applies every SAME-shard skeleton route to the
+//                cover with the join's own H-bar/H-hat merge
+//                (hopi/join.h MergeSkeletonCover), so paths that leave
+//                the shard and come back are already in the labels and
+//                direct routing stays exact.
 //   cross shard  dist(u,v) = min over routes (s,t) of
 //                  dist_shard(u)(u,s) + dist_psg(s,t) + dist_shard(v)(t,v)
 //                — min-plus over the three legs. Decomposing any u->v
@@ -70,7 +72,8 @@ struct ShardPlanOptions {
   bool with_distance = false;
   /// Document partitioning knobs (the shard key comes from this run).
   partition::PartitionOptions partition;
-  /// Thread budget for the per-partition cover builds.
+  /// Threads inside each partition's cover build (partitions are built
+  /// one after another). The plan is the same for every value.
   size_t num_threads = 1;
   /// Sec 4.1 recursive PSG split cap for the shard-level skeleton
   /// (0 = traverse the skeleton PSG whole).

@@ -32,12 +32,10 @@ struct FreezeHolder {
 
 BackendSnapshot::BackendSnapshot(
     std::shared_ptr<const collection::Collection> collection,
-    std::string_view backend_name,
     std::function<std::unique_ptr<ReachabilityBackend>()> make_backend,
     std::shared_ptr<const void> keepalive,
     std::shared_ptr<const query::TagIndex> tags)
     : version_(NextVersion()),
-      backend_name_(backend_name),
       collection_(std::move(collection)),
       tags_(tags ? std::move(tags)
                  : std::make_shared<query::TagIndex>(*collection_)),
@@ -51,7 +49,7 @@ std::shared_ptr<const BackendSnapshot> BackendSnapshot::OfIndex(
   auto collection = std::shared_ptr<const collection::Collection>(
       index, raw->collection());
   return std::shared_ptr<const BackendSnapshot>(new BackendSnapshot(
-      std::move(collection), "hopi",
+      std::move(collection),
       [raw] { return std::make_unique<HopiIndexBackend>(*raw); },
       std::move(index), std::move(tags)));
 }
@@ -62,23 +60,9 @@ std::shared_ptr<const BackendSnapshot> BackendSnapshot::OfMappedStore(
     std::shared_ptr<const query::TagIndex> tags) {
   const storage::MappedLinLoutStore* raw = store.get();
   return std::shared_ptr<const BackendSnapshot>(new BackendSnapshot(
-      std::move(collection), "mapped",
+      std::move(collection),
       [raw] { return std::make_unique<MappedStoreBackend>(*raw); },
       std::move(store), std::move(tags)));
-}
-
-std::shared_ptr<const BackendSnapshot> BackendSnapshot::OfClosure(
-    std::shared_ptr<const collection::Collection> collection,
-    std::shared_ptr<const TransitiveClosureIndex> closure,
-    bool with_distance,
-    std::shared_ptr<const query::TagIndex> tags) {
-  const TransitiveClosureIndex* raw = closure.get();
-  return std::shared_ptr<const BackendSnapshot>(new BackendSnapshot(
-      std::move(collection), "closure",
-      [raw, with_distance] {
-        return std::make_unique<ClosureBackend>(*raw, with_distance);
-      },
-      std::move(closure), std::move(tags)));
 }
 
 std::shared_ptr<const BackendSnapshot> BackendSnapshot::Freeze(
@@ -89,7 +73,7 @@ std::shared_ptr<const BackendSnapshot> BackendSnapshot::Freeze(
   auto collection = std::shared_ptr<const collection::Collection>(
       holder, &holder->collection);
   return std::shared_ptr<const BackendSnapshot>(new BackendSnapshot(
-      std::move(collection), "hopi",
+      std::move(collection),
       [raw] { return std::make_unique<HopiIndexBackend>(*raw); },
       std::move(holder), nullptr));
 }

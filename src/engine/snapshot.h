@@ -5,8 +5,8 @@
 // mutates a *different*, private copy — HopiIndex's incremental
 // operations rewrite labels in place and are not safe to run under
 // concurrent readers. The snapshot is the hand-off object between the
-// two worlds: it bundles an access path (any of the three
-// ReachabilityBackend adapters), the collection it indexes, and a
+// two worlds: it bundles an access path (the in-memory cover or the
+// LIN/LOUT file reader), the collection it indexes, and a
 // pre-built tag index, all frozen at creation, under one
 // std::shared_ptr<const BackendSnapshot>. Publication is RCU-style:
 // EnginePool::Swap() stores the new shared_ptr; readers that grabbed
@@ -29,12 +29,10 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <string_view>
 #include <utility>
 
 #include "collection/collection.h"
 #include "engine/backend.h"
-#include "hopi/baseline.h"
 #include "hopi/index.h"
 #include "query/tag_index.h"
 #include "storage/mapped_linlout.h"
@@ -52,7 +50,7 @@ std::shared_ptr<const T> Unowned(const T& object) {
 
 class BackendSnapshot {
  public:
-  // ---- factories over the three access paths ----
+  // ---- factories over the two access paths ----
   //
   // Each shares ownership of the wrapped object(s) and builds the
   // snapshot's tag index eagerly (O(collection), paid once per
@@ -77,14 +75,6 @@ class BackendSnapshot {
       std::shared_ptr<const storage::MappedLinLoutStore> store,
       std::shared_ptr<const query::TagIndex> tags = nullptr);
 
-  /// Materialized transitive-closure baseline. `with_distance` must
-  /// match the flag the closure was built with.
-  static std::shared_ptr<const BackendSnapshot> OfClosure(
-      std::shared_ptr<const collection::Collection> collection,
-      std::shared_ptr<const TransitiveClosureIndex> closure,
-      bool with_distance,
-      std::shared_ptr<const query::TagIndex> tags = nullptr);
-
   /// Deep-copies `index` (cover + collection) into a self-contained
   /// snapshot. This is the maintenance hand-off: the source index may
   /// be freely mutated — or destroyed — afterwards. O(index size).
@@ -100,9 +90,6 @@ class BackendSnapshot {
   /// a client (or the stress test) can match answers to index states
   /// across Swaps.
   uint64_t version() const { return version_; }
-
-  /// Name of the wrapped access path ("hopi", "mapped", "closure").
-  std::string_view BackendName() const { return backend_name_; }
 
   const collection::Collection& collection() const { return *collection_; }
 
@@ -120,19 +107,17 @@ class BackendSnapshot {
 
  private:
   BackendSnapshot(std::shared_ptr<const collection::Collection> collection,
-                  std::string_view backend_name,
                   std::function<std::unique_ptr<ReachabilityBackend>()>
                       make_backend,
                   std::shared_ptr<const void> keepalive,
                   std::shared_ptr<const query::TagIndex> tags);
 
   uint64_t version_;
-  std::string_view backend_name_;
   std::shared_ptr<const collection::Collection> collection_;
   std::shared_ptr<const query::TagIndex> tags_;
   std::function<std::unique_ptr<ReachabilityBackend>()> make_backend_;
   // Owns whatever the backend factory captures raw pointers into (the
-  // index / store / closure, or Freeze's private copies).
+  // index / store, or Freeze's private copies).
   std::shared_ptr<const void> keepalive_;
 };
 

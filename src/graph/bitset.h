@@ -47,8 +47,6 @@ class DynamicBitset {
     return was_set;
   }
 
-  void ClearAll() { words_.assign(words_.size(), 0); }
-
   /// this |= other. Returns the number of newly set bits.
   size_t UnionWith(const DynamicBitset& other) {
     if (other.words_.size() > words_.size()) {
@@ -79,13 +77,6 @@ class DynamicBitset {
     size_t c = 0;
     for (uint64_t w : words_) c += static_cast<size_t>(std::popcount(w));
     return c;
-  }
-
-  bool Any() const {
-    for (uint64_t w : words_) {
-      if (w != 0) return true;
-    }
-    return false;
   }
 
   /// True iff this and other share a set bit.

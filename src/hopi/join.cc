@@ -278,6 +278,81 @@ uint64_t MergeLink(NodeId u, NodeId v, bool with_distance,
   return added;
 }
 
+void MergeSkeletonCover(const std::vector<SkeletonRow>& rows,
+                        bool with_distance, const MergeKeep& keep,
+                        twohop::IndexedCover* cover, JoinStats* stats) {
+  // H-hat for row sources: every kept ancestor a of s inherits the row at
+  // dist(a, s) + dist_psg(s, t). Snapshot before any entry lands.
+  struct AncestorTask {
+    NodeId ancestor;
+    uint32_t dist_to_source;
+    const SkeletonRow* row;
+  };
+  std::vector<AncestorTask> ancestor_tasks;
+  std::vector<NodeId> targets;
+  for (const SkeletonRow& row : rows) {
+    for (NodeId a : cover->Ancestors(row.source)) {
+      if (!keep(a, row.source)) continue;
+      uint32_t d = 0;
+      if (with_distance) {
+        auto dd = cover->cover().Distance(a, row.source);
+        assert(dd.has_value());
+        d = *dd;
+      }
+      ancestor_tasks.push_back({a, d, &row});
+    }
+    for (const SkeletonTarget& e : row.targets) targets.push_back(e.target);
+  }
+
+  // H-hat for row targets: every kept descendant d of t gains t in Lin(d)
+  // at dist(t, d).
+  std::sort(targets.begin(), targets.end());
+  targets.erase(std::unique(targets.begin(), targets.end()), targets.end());
+  struct DescendantTask {
+    NodeId descendant;
+    NodeId target;
+    uint32_t dist;
+  };
+  std::vector<DescendantTask> descendant_tasks;
+  for (NodeId t : targets) {
+    for (NodeId d : cover->Descendants(t)) {
+      if (!keep(d, t)) continue;
+      uint32_t dist = 0;
+      if (with_distance) {
+        auto dd = cover->cover().Distance(t, d);
+        assert(dd.has_value());
+        dist = *dd;
+      }
+      descendant_tasks.push_back({d, t, dist});
+    }
+  }
+
+  // Apply H-bar (source labels)...
+  for (const SkeletonRow& row : rows) {
+    for (const SkeletonTarget& e : row.targets) {
+      if (cover->AddOut(row.source, e.target, with_distance ? e.dist : 0)) {
+        ++stats->hbar_entries;
+      }
+    }
+  }
+  // ...then H-hat for ancestors...
+  for (const AncestorTask& task : ancestor_tasks) {
+    for (const SkeletonTarget& e : task.row->targets) {
+      if (cover->AddOut(task.ancestor, e.target,
+                        with_distance ? task.dist_to_source + e.dist : 0)) {
+        ++stats->hhat_entries;
+      }
+    }
+  }
+  // ...then H-hat for descendants of targets.
+  for (const DescendantTask& task : descendant_tasks) {
+    if (cover->AddIn(task.descendant, task.target,
+                     with_distance ? task.dist : 0)) {
+      ++stats->hhat_entries;
+    }
+  }
+}
+
 Status JoinCoversIncremental(const collection::Collection& collection,
                              const partition::Partitioning& partitioning,
                              bool with_distance,
@@ -321,86 +396,13 @@ Status JoinCoversRecursive(const collection::Collection& collection,
   std::vector<SkeletonRow> hbar =
       ComputeSkeletonCover(psg, options, &stats->psg_partitions);
 
-  // Step 3a: H-hat for link sources — every within-partition ancestor a of
-  // s inherits H-bar_out(s), at distance dist(a,s) + dist_psg(s,t).
-  // Ancestor sets and distances are taken from the covers before any H-bar
-  // entry lands, so snapshot them first.
-  struct AncestorTask {
-    NodeId ancestor;
-    uint32_t dist_to_source;  // dist(a, s); 0 for a == s
-    size_t hbar_index;
+  // Step 3: H-bar, then H-hat to within-partition ancestors of link
+  // sources and descendants of link targets.
+  auto same_partition = [&](NodeId node, NodeId endpoint) {
+    return partitioning.part_of[collection.DocOf(node)] ==
+           partitioning.part_of[collection.DocOf(endpoint)];
   };
-  std::vector<AncestorTask> tasks;
-  for (size_t i = 0; i < hbar.size(); ++i) {
-    NodeId s_elem = hbar[i].source;
-    uint32_t s_part =
-        partitioning.part_of[collection.DocOf(s_elem)];
-    tasks.push_back({s_elem, 0, i});
-    for (NodeId a : cover->Ancestors(s_elem)) {
-      if (partitioning.part_of[collection.DocOf(a)] != s_part) continue;
-      uint32_t d = 0;
-      if (with_distance) {
-        auto dd = cover->cover().Distance(a, s_elem);
-        assert(dd.has_value());
-        d = *dd;
-      }
-      tasks.push_back({a, d, i});
-    }
-  }
-
-  // Step 3b: H-hat for link targets — every within-partition descendant d
-  // of t gains t in Lin(d) at distance dist(t, d). Snapshot before
-  // applying anything.
-  struct DescendantTask {
-    NodeId descendant;
-    NodeId target_element;
-    uint32_t dist;
-  };
-  std::vector<DescendantTask> desc_tasks;
-  for (NodeId t = 0; t < psg.graph.NumNodes(); ++t) {
-    if (!psg.is_target[t]) continue;
-    NodeId t_elem = psg.to_element[t];
-    uint32_t t_part = partitioning.part_of[collection.DocOf(t_elem)];
-    for (NodeId d : cover->Descendants(t_elem)) {
-      if (partitioning.part_of[collection.DocOf(d)] != t_part) continue;
-      uint32_t dist = 0;
-      if (with_distance) {
-        auto dd = cover->cover().Distance(t_elem, d);
-        assert(dd.has_value());
-        dist = *dd;
-      }
-      desc_tasks.push_back({d, t_elem, dist});
-    }
-  }
-
-  // Apply H-bar (source labels)...
-  for (const SkeletonRow& row : hbar) {
-    for (const SkeletonTarget& e : row.targets) {
-      if (cover->AddOut(row.source, e.target, with_distance ? e.dist : 0)) {
-        ++stats->hbar_entries;
-      }
-    }
-  }
-  // ...then H-hat for ancestors...
-  for (const AncestorTask& task : tasks) {
-    if (task.dist_to_source == 0 &&
-        task.ancestor == hbar[task.hbar_index].source) {
-      continue;  // the source itself already carries H-bar
-    }
-    for (const SkeletonTarget& e : hbar[task.hbar_index].targets) {
-      if (cover->AddOut(task.ancestor, e.target,
-                        with_distance ? task.dist_to_source + e.dist : 0)) {
-        ++stats->hhat_entries;
-      }
-    }
-  }
-  // ...then H-hat for descendants of targets.
-  for (const DescendantTask& task : desc_tasks) {
-    if (cover->AddIn(task.descendant, task.target_element,
-                     with_distance ? task.dist : 0)) {
-      ++stats->hhat_entries;
-    }
-  }
+  MergeSkeletonCover(hbar, with_distance, same_partition, cover, stats);
   stats->label_additions = stats->hbar_entries + stats->hhat_entries;
   return Status::OK();
 }

@@ -15,6 +15,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "collection/collection.h"
@@ -95,5 +96,22 @@ struct SkeletonRow {
 std::vector<SkeletonRow> ComputeSkeletonCover(
     const partition::PartitionSkeletonGraph& psg,
     const JoinOptions& options = {}, uint64_t* psg_partitions = nullptr);
+
+/// Which ancestors of a row source, and which descendants of a row
+/// target, take part in the H-hat copy: keep(node, endpoint).
+using MergeKeep = std::function<bool(NodeId node, NodeId endpoint)>;
+
+/// Step 3 of JoinCoversRecursive, the H-bar/H-hat merge (Sec 4.1): every
+/// row source s gains its row in Lout (H-bar); every ancestor a of s with
+/// keep(a, s) inherits the row at dist(a, s) + dist(s, t), and every
+/// descendant d of a row target t with keep(d, t) gains t in Lin at
+/// dist(t, d) (H-hat). Ancestor and descendant sets and their distances
+/// are read from the cover before anything is applied. The join keeps
+/// nodes of the endpoint's partition; BuildShardPlan folds its same-shard
+/// routes with keep = always. Adds the new entries to
+/// stats->hbar_entries and stats->hhat_entries.
+void MergeSkeletonCover(const std::vector<SkeletonRow>& rows,
+                        bool with_distance, const MergeKeep& keep,
+                        twohop::IndexedCover* cover, JoinStats* stats);
 
 }  // namespace hopi

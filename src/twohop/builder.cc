@@ -8,6 +8,7 @@
 #include <utility>
 
 #include "graph/bitset.h"
+#include "graph/closure.h"
 #include "graph/traversal.h"
 #include "twohop/center_graph.h"
 #include "util/rng.h"
@@ -21,11 +22,23 @@ namespace {
 /// The set T' of not-yet-covered connections, as per-source bitset rows.
 class UncoveredSet {
  public:
+  /// Plain mode: T' starts as the closure's descendant rows.
   explicit UncoveredSet(const TransitiveClosure& tc) {
     rows_.reserve(tc.NumNodes());
     for (NodeId u = 0; u < tc.NumNodes(); ++u) {
       rows_.push_back(tc.DescendantsRow(u));  // copy
       count_ += rows_.back().Count();
+    }
+  }
+
+  /// Distance mode: T' starts as the distance closure's rows, the same
+  /// connection set.
+  explicit UncoveredSet(const DistanceClosure& dc) {
+    rows_.reserve(dc.NumNodes());
+    for (NodeId u = 0; u < dc.NumNodes(); ++u) {
+      DynamicBitset& row = rows_.emplace_back(dc.NumNodes());
+      for (const DistConnection& c : dc.Row(u)) row.Set(c.node);
+      count_ += dc.Row(u).size();
     }
   }
 
@@ -58,14 +71,15 @@ struct Side {
 };
 
 /// Builds the ancestor side (Anc(w) + w) and descendant side (Desc(w) + w)
-/// of w's center graph.
-void BuildSides(const TransitiveClosure& tc, const DistanceClosure* dc,
-                bool with_distance, NodeId w, Side* in_side, Side* out_side) {
+/// of w's center graph, from the distance closure `dc` in distance mode
+/// and from the closure `tc` otherwise.
+void BuildSides(const TransitiveClosure* tc, const DistanceClosure* dc,
+                NodeId w, Side* in_side, Side* out_side) {
   in_side->nodes.clear();
   in_side->dists.clear();
   out_side->nodes.clear();
   out_side->dists.clear();
-  if (with_distance) {
+  if (dc != nullptr) {
     for (const DistConnection& c : dc->ReverseRow(w)) {
       in_side->nodes.push_back(c.node);
       in_side->dists.push_back(c.dist);
@@ -79,13 +93,13 @@ void BuildSides(const TransitiveClosure& tc, const DistanceClosure* dc,
     out_side->nodes.push_back(w);
     out_side->dists.push_back(0);
   } else {
-    tc.AncestorsRow(w).ForEach([&](size_t u) {
+    tc->AncestorsRow(w).ForEach([&](size_t u) {
       in_side->nodes.push_back(static_cast<NodeId>(u));
       in_side->dists.push_back(0);
     });
     in_side->nodes.push_back(w);
     in_side->dists.push_back(0);
-    tc.DescendantsRow(w).ForEach([&](size_t v) {
+    tc->DescendantsRow(w).ForEach([&](size_t v) {
       out_side->nodes.push_back(static_cast<NodeId>(v));
       out_side->dists.push_back(0);
     });
@@ -306,25 +320,25 @@ struct CachedEval {
 
 /// The staged cover-construction pipeline (see builder.h for the stage
 /// overview and the determinism argument). One instance per build; the
-/// pool (if any) lives as long as the pipeline.
+/// pool (if any) lives as long as the pipeline. It reads one closure:
+/// `tc` in plain mode, `dc` in distance mode; the other is null.
 class CoverBuildPipeline {
  public:
-  CoverBuildPipeline(const TransitiveClosure& tc, const DistanceClosure* dc,
+  CoverBuildPipeline(const TransitiveClosure* tc, const DistanceClosure* dc,
                      const CoverBuildOptions& options, CoverBuildStats* stats)
       : tc_(tc),
         dc_(dc),
         options_(options),
         stats_(stats),
-        n_(tc.NumNodes()),
+        n_(dc != nullptr ? dc->NumNodes() : tc->NumNodes()),
         cover_(n_),
-        uncovered_(tc) {
+        uncovered_(dc != nullptr ? UncoveredSet(*dc) : UncoveredSet(*tc)) {
     if (options_.num_threads > 1) {
       pool_ = std::make_unique<ThreadPool>(options_.num_threads);
     }
     size_t workers = pool_ ? pool_->NumWorkers() : 1;
     scratch_.reserve(workers);
-    const DistanceClosure* walk_dc = options_.with_distance ? dc_ : nullptr;
-    for (size_t i = 0; i < workers; ++i) scratch_.emplace_back(n_, walk_dc);
+    for (size_t i = 0; i < workers; ++i) scratch_.emplace_back(n_, dc_);
     batch_limit_ = options_.speculation_batch > 0 ? options_.speculation_batch
                                                   : workers;
   }
@@ -344,8 +358,7 @@ class CoverBuildPipeline {
     for (NodeId w : options_.preselect_centers) {
       if (uncovered_.count() == 0) break;
       assert(w < n_);
-      BuildSides(tc_, dc_, options_.with_distance, w, &s.in_side,
-                 &s.out_side);
+      BuildSides(tc_, dc_, w, &s.in_side, &s.out_side);
       // Use only nodes that still have an uncovered pair through w — the
       // point of preselection is fewer redundant entries, not more.
       std::vector<uint32_t> in_chosen, out_chosen;
@@ -379,8 +392,8 @@ class CoverBuildPipeline {
             options_.density_confidence, &node_rng);
       } else {
         priorities[w] = PlainInitialPriority(
-            tc_.AncestorsRow(static_cast<NodeId>(w)).Count(),
-            tc_.DescendantsRow(static_cast<NodeId>(w)).Count());
+            tc_->AncestorsRow(static_cast<NodeId>(w)).Count(),
+            tc_->DescendantsRow(static_cast<NodeId>(w)).Count());
       }
       return Status::OK();
     };
@@ -435,8 +448,7 @@ class CoverBuildPipeline {
       // rebuilt (pure in w, O(|Anc|+|Desc|)) rather than cached — the
       // chosen vertex indices refer to their deterministic order.
       EvalScratch& s = scratch_[0];
-      BuildSides(tc_, dc_, options_.with_distance, w, &s.in_side,
-                 &s.out_side);
+      BuildSides(tc_, dc_, w, &s.in_side, &s.out_side);
       uint64_t covered =
           ApplyCenter(w, s.in_side, s.out_side, ds.in_vertices,
                       ds.out_vertices, &s.cg_builder, &uncovered_, &cover_);
@@ -494,8 +506,7 @@ class CoverBuildPipeline {
     auto eval_one = [&](size_t idx, size_t worker) {
       NodeId w = eval_nodes_[idx];
       EvalScratch& s = scratch_[worker];
-      BuildSides(tc_, dc_, options_.with_distance, w, &s.in_side,
-                 &s.out_side);
+      BuildSides(tc_, dc_, w, &s.in_side, &s.out_side);
       BipartiteGraph cg =
           s.cg_builder.Build(uncovered_, s.in_side, s.out_side);
       CachedEval& e = cache_[w];
@@ -520,7 +531,7 @@ class CoverBuildPipeline {
     return status;
   }
 
-  const TransitiveClosure& tc_;
+  const TransitiveClosure* tc_;
   const DistanceClosure* dc_;
   const CoverBuildOptions& options_;
   CoverBuildStats* stats_;
@@ -543,30 +554,18 @@ class CoverBuildPipeline {
 
 }  // namespace
 
-Result<TwoHopCover> BuildCoverFromClosure(const TransitiveClosure& tc,
-                                          const DistanceClosure* dc,
-                                          const CoverBuildOptions& options,
-                                          CoverBuildStats* stats) {
-  if (options.with_distance && dc == nullptr) {
-    return Status::InvalidArgument(
-        "distance-aware build requires a DistanceClosure");
-  }
-  CoverBuildStats local_stats;
-  if (stats == nullptr) stats = &local_stats;
-  CoverBuildPipeline pipeline(tc, dc, options, stats);
-  return pipeline.Run();
-}
-
 Result<TwoHopCover> BuildCover(const Digraph& g,
                                const CoverBuildOptions& options,
                                CoverBuildStats* stats) {
-  auto tc = TransitiveClosure::Build(g);
-  if (!tc.ok()) return tc.status();
+  CoverBuildStats local_stats;
+  if (stats == nullptr) stats = &local_stats;
   if (options.with_distance) {
     DistanceClosure dc = DistanceClosure::Build(g);
-    return BuildCoverFromClosure(*tc, &dc, options, stats);
+    return CoverBuildPipeline(nullptr, &dc, options, stats).Run();
   }
-  return BuildCoverFromClosure(*tc, nullptr, options, stats);
+  auto tc = TransitiveClosure::Build(g);
+  if (!tc.ok()) return tc.status();
+  return CoverBuildPipeline(&*tc, nullptr, options, stats).Run();
 }
 
 Status ValidateCover(const TwoHopCover& cover, const Digraph& g,

@@ -44,7 +44,6 @@
 #include <optional>
 #include <vector>
 
-#include "graph/closure.h"
 #include "graph/digraph.h"
 #include "twohop/cover.h"
 #include "util/result.h"
@@ -97,18 +96,12 @@ struct CoverBuildStats {
   uint64_t speculative_wasted = 0;
 };
 
-/// Builds a 2-hop cover for all connections of `g`. Computes the closure
-/// internally (and the distance closure in distance mode).
+/// Builds a 2-hop cover for all connections of `g`. Computes one closure
+/// internally: the transitive closure in plain mode, the distance closure
+/// in distance mode.
 Result<TwoHopCover> BuildCover(const Digraph& g,
                                const CoverBuildOptions& options = {},
                                CoverBuildStats* stats = nullptr);
-
-/// As above but with a precomputed closure (callers that already paid for
-/// it, e.g. the partitioner). `dc` is required iff options.with_distance.
-Result<TwoHopCover> BuildCoverFromClosure(const TransitiveClosure& tc,
-                                          const DistanceClosure* dc,
-                                          const CoverBuildOptions& options,
-                                          CoverBuildStats* stats = nullptr);
 
 /// Exhaustive cover correctness check against the closure (test oracle):
 /// verifies completeness (every connection covered), soundness (no

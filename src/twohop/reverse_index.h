@@ -38,15 +38,6 @@ class IndexedCover {
   bool AddIn(NodeId v, NodeId center, uint32_t dist = 0);
   bool AddOut(NodeId u, NodeId center, uint32_t dist = 0);
 
-  /// Nodes whose Lin mentions `center` (strictly: center itself excluded).
-  const std::vector<NodeId>& InMentions(NodeId center) const {
-    return rin_[center];
-  }
-  /// Nodes whose Lout mentions `center`.
-  const std::vector<NodeId>& OutMentions(NodeId center) const {
-    return rout_[center];
-  }
-
   /// All strict ancestors of u according to the cover (nodes a != u with
   /// a ->* u). Sorted ascending.
   std::vector<NodeId> Ancestors(NodeId u) const;

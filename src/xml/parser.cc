@@ -76,6 +76,14 @@ std::string ParseName(Cursor* c) {
   return name;
 }
 
+/// The XML 1.0 Char production: #x9 | #xA | #xD | [#x20-#xD7FF] |
+/// [#xE000-#xFFFD] | [#x10000-#x10FFFF].
+bool IsXmlChar(uint32_t cp) {
+  if (cp < 0x20) return cp == 0x9 || cp == 0xA || cp == 0xD;
+  return cp <= 0xD7FF || (cp >= 0xE000 && cp <= 0xFFFD) ||
+         (cp >= 0x10000 && cp <= 0x10FFFF);
+}
+
 /// Decodes entity and character references in raw text.
 Status DecodeText(Cursor* c, std::string_view raw, std::string* out) {
   for (size_t i = 0; i < raw.size(); ++i) {
@@ -106,7 +114,7 @@ Status DecodeText(Cursor* c, std::string_view raw, std::string* out) {
       const char* end = digits.data() + digits.size();
       uint32_t cp = 0;
       auto [stop, ec] = std::from_chars(digits.data(), end, cp, hex ? 16 : 10);
-      if (ec != std::errc() || stop != end || cp == 0 || cp > 0x10FFFF) {
+      if (ec != std::errc() || stop != end || !IsXmlChar(cp)) {
         return ParseError(*c, "bad character reference &" +
                                   std::string(ent) + ";");
       }

@@ -277,15 +277,6 @@ TEST(CoverBuilderDistanceTest, LongChainDistances) {
   EXPECT_EQ(*cover->Distance(5, 6), 1u);
 }
 
-TEST(CoverBuilderTest, BuildFromPrecomputedClosure) {
-  Digraph g = testing::RandomDag(30, 2.0, 77);
-  auto tc = TransitiveClosure::Build(g);
-  ASSERT_TRUE(tc.ok());
-  auto cover = BuildCoverFromClosure(*tc, nullptr, {});
-  ASSERT_TRUE(cover.ok());
-  EXPECT_TRUE(ValidateCover(*cover, g).ok());
-}
-
 // ---- Parallel build determinism (the snapshot/commit protocol must
 // reproduce the sequential build bit for bit) ----
 
@@ -392,17 +383,6 @@ INSTANTIATE_TEST_SUITE_P(PlainAndDistance, CoverBuilderParallelParity,
                          [](const ::testing::TestParamInfo<bool>& info) {
                            return info.param ? "Distance" : "Plain";
                          });
-
-TEST(CoverBuilderTest, DistanceModeRequiresDistanceClosure) {
-  Digraph g(2);
-  g.AddEdge(0, 1);
-  auto tc = TransitiveClosure::Build(g);
-  ASSERT_TRUE(tc.ok());
-  CoverBuildOptions options;
-  options.with_distance = true;
-  auto cover = BuildCoverFromClosure(*tc, nullptr, options);
-  EXPECT_TRUE(cover.status().IsInvalidArgument());
-}
 
 }  // namespace
 }  // namespace hopi::twohop

@@ -92,19 +92,29 @@ TEST(XmlParserTest, UnknownEntityRejected) {
 }
 
 TEST(XmlParserTest, MalformedCharacterReferencesRejected) {
-  // A character reference needs at least one digit, and every
-  // character before the ';' must be a digit of its base.
+  // A character reference needs at least one digit, every character
+  // before the ';' must be a digit of its base, and the code point must
+  // be a Char: #x9 | #xA | #xD | [#x20-#xD7FF] | [#xE000-#xFFFD] |
+  // [#x10000-#x10FFFF] (no controls, surrogates, #xFFFE or #xFFFF).
   for (const char* input :
        {"<a>&#;</a>", "<a>&#x;</a>", "<a>&#65zz;</a>", "<a>&#x41g;</a>",
         "<a>&#+65;</a>", "<a>&# 65;</a>", "<a>&#-65;</a>", "<a>&#0;</a>",
         "<a>&#x110000;</a>", "<a>&#99999999999999999999;</a>",
-        "<a b=\"&#;\"/>"}) {
+        "<a b=\"&#;\"/>", "<a>&#xD800;</a>", "<a>&#xDFFF;</a>",
+        "<a>&#1;</a>", "<a>&#x1F;</a>", "<a>&#xFFFE;</a>",
+        "<a>&#xFFFF;</a>"}) {
     auto doc = ParseDocument(input, "x");
     EXPECT_TRUE(doc.status().IsCorruption()) << input << ": " << doc.status();
   }
   auto doc = ParseDocument("<a>&#x10FFFF;&#X41;&#0065;</a>", "x");
   ASSERT_TRUE(doc.ok()) << doc.status();
   EXPECT_EQ(doc->root->text(), "\xF4\x8F\xBF\xBF" "AA");
+  // The edges of every Char range still decode.
+  doc = ParseDocument(
+      "<a>&#9;&#xA;&#xD;&#xD7FF;&#xE000;&#xFFFD;&#x10000;</a>", "x");
+  ASSERT_TRUE(doc.ok()) << doc.status();
+  EXPECT_EQ(doc->root->text(), "\t\n\r" "\xED\x9F\xBF" "\xEE\x80\x80"
+                               "\xEF\xBF\xBD" "\xF0\x90\x80\x80");
 }
 
 TEST(XmlParserTest, TextOutsideRootRejected) {
