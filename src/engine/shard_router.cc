@@ -59,23 +59,23 @@ Result<ShardPlan> BuildShardPlan(collection::Collection* collection,
   plan.with_distance = options.with_distance;
 
   // --- Step 1: document partitioning (the shard key) ---
-  auto partitioning =
+  auto partitioned =
       partition::PartitionCollection(*collection, options.partition);
-  if (!partitioning.ok()) return partitioning.status();
-  plan.partitioning = std::move(partitioning).value();
-  const size_t num_parts = plan.partitioning.NumPartitions();
+  if (!partitioned.ok()) return partitioned.status();
+  partition::Partitioning partitioning = std::move(partitioned).value();
+  const size_t num_parts = partitioning.NumPartitions();
   plan.stats.num_partitions = num_parts;
 
   // --- Step 2: partitions -> shards, balanced by element count ---
   plan.num_shards = std::min(options.num_shards, std::max<size_t>(num_parts, 1));
   const size_t n = plan.num_shards;
   std::vector<uint32_t> shard_of_part =
-      AssignPartitionsToShards(*collection, plan.partitioning, n);
+      AssignPartitionsToShards(*collection, partitioning, n);
 
   plan.shard_of_doc.assign(collection->NumDocuments(), kUnassignedShard);
   plan.docs_of_shard.assign(n, {});
   for (size_t p = 0; p < num_parts; ++p) {
-    for (collection::DocId d : plan.partitioning.partitions[p]) {
+    for (collection::DocId d : partitioning.partitions[p]) {
       plan.shard_of_doc[d] = shard_of_part[p];
       plan.docs_of_shard[shard_of_part[p]].push_back(d);
     }
@@ -101,7 +101,7 @@ Result<ShardPlan> BuildShardPlan(collection::Collection* collection,
   twohop::TwoHopCover unified(collection->NumElements());
   for (size_t p = 0; p < num_parts; ++p) {
     std::vector<NodeId> elements;
-    for (collection::DocId d : plan.partitioning.partitions[p]) {
+    for (collection::DocId d : partitioning.partitions[p]) {
       const auto& els = collection->ElementsOf(d);
       elements.insert(elements.end(), els.begin(), els.end());
     }
@@ -121,17 +121,16 @@ Result<ShardPlan> BuildShardPlan(collection::Collection* collection,
   }
   twohop::IndexedCover cover(std::move(unified));
 
-  partition::Partitioning intra_shard;
-  intra_shard.partitions = plan.partitioning.partitions;
-  intra_shard.part_of = plan.partitioning.part_of;
+  std::vector<collection::Link> intra_shard_links;
   std::vector<collection::Link> cross_shard_links;
-  for (const collection::Link& l : plan.partitioning.cross_links) {
+  for (const collection::Link& l : partitioning.cross_links) {
     uint32_t a = plan.shard_of_element[l.source];
     uint32_t b = plan.shard_of_element[l.target];
     assert(a != kUnassignedShard && b != kUnassignedShard);
-    (a == b ? intra_shard.cross_links : cross_shard_links).push_back(l);
+    (a == b ? intra_shard_links : cross_shard_links).push_back(l);
   }
-  HOPI_RETURN_NOT_OK(JoinCoversRecursive(*collection, intra_shard,
+  partitioning.cross_links = std::move(intra_shard_links);
+  HOPI_RETURN_NOT_OK(JoinCoversRecursive(*collection, partitioning,
                                          options.with_distance, &cover));
   plan.stats.cross_shard_links = cross_shard_links.size();
 
@@ -144,9 +143,9 @@ Result<ShardPlan> BuildShardPlan(collection::Collection* collection,
   // distance over paths that leave s's shard at s and enter t's shard at
   // t (decompose any such path at every cross-shard crossing). Routes
   // between shards go to the tables; routes that start and end in one
-  // shard are folded into the cover by the join's own H-bar/H-hat merge.
-  // Every cover path stays inside one shard, so the merge keeps every
-  // ancestor and descendant.
+  // shard are folded into the cover by the join's own H-bar/H-hat merge:
+  // every path the cover knows stays inside one shard, as the merge
+  // requires.
   plan.routes.assign(n * n, {});
   if (!cross_shard_links.empty()) {
     partition::Partitioning shard_partitioning;
@@ -185,9 +184,7 @@ Result<ShardPlan> BuildShardPlan(collection::Collection* collection,
                 });
     }
     JoinStats merged;
-    MergeSkeletonCover(
-        same_shard, options.with_distance,
-        [](NodeId, NodeId) { return true; }, &cover, &merged);
+    MergeSkeletonCover(same_shard, options.with_distance, &cover, &merged);
     plan.stats.augmented_labels = merged.hbar_entries + merged.hhat_entries;
   }
 

@@ -99,8 +99,6 @@ struct ShardPlan {
   size_t num_shards = 0;
   bool with_distance = false;
 
-  /// Document partitioning the shards were cut from.
-  partition::Partitioning partitioning;
   /// doc -> shard (kUnassignedShard for dead docs).
   std::vector<uint32_t> shard_of_doc;
   /// element -> shard (kUnassignedShard for elements of dead docs).

@@ -279,9 +279,9 @@ uint64_t MergeLink(NodeId u, NodeId v, bool with_distance,
 }
 
 void MergeSkeletonCover(const std::vector<SkeletonRow>& rows,
-                        bool with_distance, const MergeKeep& keep,
-                        twohop::IndexedCover* cover, JoinStats* stats) {
-  // H-hat for row sources: every kept ancestor a of s inherits the row at
+                        bool with_distance, twohop::IndexedCover* cover,
+                        JoinStats* stats) {
+  // H-hat for row sources: every ancestor a of s inherits the row at
   // dist(a, s) + dist_psg(s, t). Snapshot before any entry lands.
   struct AncestorTask {
     NodeId ancestor;
@@ -292,7 +292,6 @@ void MergeSkeletonCover(const std::vector<SkeletonRow>& rows,
   std::vector<NodeId> targets;
   for (const SkeletonRow& row : rows) {
     for (NodeId a : cover->Ancestors(row.source)) {
-      if (!keep(a, row.source)) continue;
       uint32_t d = 0;
       if (with_distance) {
         auto dd = cover->cover().Distance(a, row.source);
@@ -304,7 +303,7 @@ void MergeSkeletonCover(const std::vector<SkeletonRow>& rows,
     for (const SkeletonTarget& e : row.targets) targets.push_back(e.target);
   }
 
-  // H-hat for row targets: every kept descendant d of t gains t in Lin(d)
+  // H-hat for row targets: every descendant d of t gains t in Lin(d)
   // at dist(t, d).
   std::sort(targets.begin(), targets.end());
   targets.erase(std::unique(targets.begin(), targets.end()), targets.end());
@@ -316,7 +315,6 @@ void MergeSkeletonCover(const std::vector<SkeletonRow>& rows,
   std::vector<DescendantTask> descendant_tasks;
   for (NodeId t : targets) {
     for (NodeId d : cover->Descendants(t)) {
-      if (!keep(d, t)) continue;
       uint32_t dist = 0;
       if (with_distance) {
         auto dd = cover->cover().Distance(t, d);
@@ -396,13 +394,10 @@ Status JoinCoversRecursive(const collection::Collection& collection,
   std::vector<SkeletonRow> hbar =
       ComputeSkeletonCover(psg, options, &stats->psg_partitions);
 
-  // Step 3: H-bar, then H-hat to within-partition ancestors of link
-  // sources and descendants of link targets.
-  auto same_partition = [&](NodeId node, NodeId endpoint) {
-    return partitioning.part_of[collection.DocOf(node)] ==
-           partitioning.part_of[collection.DocOf(endpoint)];
-  };
-  MergeSkeletonCover(hbar, with_distance, same_partition, cover, stats);
+  // Step 3: H-bar, then H-hat to the ancestors of link sources and the
+  // descendants of link targets. The cover still holds only the partition
+  // covers, so all of them lie in the endpoint's partition.
+  MergeSkeletonCover(hbar, with_distance, cover, stats);
   stats->label_additions = stats->hbar_entries + stats->hhat_entries;
   return Status::OK();
 }

@@ -15,7 +15,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "collection/collection.h"
@@ -88,8 +87,8 @@ struct SkeletonRow {
 /// Computes the H-bar skeleton cover over an already-built PSG: for every
 /// cross-link source s, the set of cross-link targets it reaches and the
 /// PSG shortest distance to each. This is the reusable core of
-/// JoinCoversRecursive's step 2 — the sharded serving router consumes the
-/// rows directly instead of folding them into one unified cover. Honors
+/// JoinCoversRecursive's step 2 — the sharded serving router keeps its
+/// cross-shard rows as route tables and merges the rest. Honors
 /// JoinOptions::psg_partition_cap (the Sec 4.1 recursive PSG split);
 /// `psg_partitions` (optional) reports how many PSG partitions were used
 /// (1 = traversed whole).
@@ -97,21 +96,18 @@ std::vector<SkeletonRow> ComputeSkeletonCover(
     const partition::PartitionSkeletonGraph& psg,
     const JoinOptions& options = {}, uint64_t* psg_partitions = nullptr);
 
-/// Which ancestors of a row source, and which descendants of a row
-/// target, take part in the H-hat copy: keep(node, endpoint).
-using MergeKeep = std::function<bool(NodeId node, NodeId endpoint)>;
-
 /// Step 3 of JoinCoversRecursive, the H-bar/H-hat merge (Sec 4.1): every
-/// row source s gains its row in Lout (H-bar); every ancestor a of s with
-/// keep(a, s) inherits the row at dist(a, s) + dist(s, t), and every
-/// descendant d of a row target t with keep(d, t) gains t in Lin at
-/// dist(t, d) (H-hat). Ancestor and descendant sets and their distances
-/// are read from the cover before anything is applied. The join keeps
-/// nodes of the endpoint's partition; BuildShardPlan folds its same-shard
-/// routes with keep = always. Adds the new entries to
+/// row source s gains its row in Lout (H-bar); every ancestor a of s
+/// inherits the row at dist(a, s) + dist(s, t), and every descendant d of
+/// a row target t gains t in Lin at dist(t, d) (H-hat). Ancestor and
+/// descendant sets and their distances are read from the cover before
+/// anything is applied. Precondition: the cover knows only paths inside
+/// one partition (the join) or one shard (BuildShardPlan's same-shard
+/// routes), so every ancestor and descendant it returns lies in the
+/// endpoint's partition or shard. Adds the new entries to
 /// stats->hbar_entries and stats->hhat_entries.
 void MergeSkeletonCover(const std::vector<SkeletonRow>& rows,
-                        bool with_distance, const MergeKeep& keep,
-                        twohop::IndexedCover* cover, JoinStats* stats);
+                        bool with_distance, twohop::IndexedCover* cover,
+                        JoinStats* stats);
 
 }  // namespace hopi

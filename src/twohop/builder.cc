@@ -385,7 +385,7 @@ class CoverBuildPipeline {
     std::vector<double> priorities(n_, 0.0);
     const Rng base(options_.sample_seed);
     auto seed_one = [&](size_t w) {
-      if (options_.with_distance) {
+      if (dc_ != nullptr) {
         Rng node_rng = base.Fork(w);
         priorities[w] = DistanceInitialPriority(
             *dc_, static_cast<NodeId>(w), options_.max_density_samples,
