@@ -108,29 +108,36 @@ void EnginePool::Shutdown() {
   });
 }
 
+Status EnginePool::AdmitLocked(const char* what) {
+  if (closed_) {
+    return Status::FailedPrecondition(std::string(what) +
+                                      " on a shut-down EnginePool");
+  }
+  size_t executing = workers_.size() - idle_.size();
+  if (!admission_.Admit(queue_.size() + executing)) {
+    ++sheds_;
+    return Status::ResourceExhausted(
+        std::string(what) + " shed: pending load over the high watermark");
+  }
+  return Status::OK();
+}
+
+Status EnginePool::QueueLocked(Job job, const char* what) {
+  if (queue_limit_ != 0 && queue_.size() >= queue_limit_) {
+    ++sheds_;
+    return Status::ResourceExhausted(std::string(what) +
+                                     " shed: work queue at capacity");
+  }
+  queue_.push_back(std::move(job));
+  return Status::OK();
+}
+
 Status EnginePool::Enqueue(Job job, const char* what) {
   WorkerState* worker = nullptr;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (closed_) {
-      return Status::FailedPrecondition(
-          std::string(what) + " on a shut-down EnginePool");
-    }
-    size_t executing = workers_.size() - idle_.size();
-    if (!admission_.Admit(queue_.size() + executing)) {
-      ++sheds_;
-      return Status::ResourceExhausted(
-          std::string(what) + " shed: pending load over the high watermark");
-    }
-    if (idle_.empty()) {
-      if (queue_limit_ != 0 && queue_.size() >= queue_limit_) {
-        ++sheds_;
-        return Status::ResourceExhausted(std::string(what) +
-                                         " shed: work queue at capacity");
-      }
-      queue_.push_back(std::move(job));
-      return Status::OK();
-    }
+    HOPI_RETURN_NOT_OK(AdmitLocked(what));
+    if (idle_.empty()) return QueueLocked(std::move(job), what);
     worker = idle_.back();
     idle_.pop_back();
     worker->handoff = std::move(job);
@@ -139,46 +146,94 @@ Status EnginePool::Enqueue(Job job, const char* what) {
   return Status::OK();
 }
 
+void EnginePool::EndLoan(WorkerState* ws) {
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    ws->on_loan = false;
+    if (!queue_.empty()) {
+      ws->handoff = std::move(queue_.front());
+      queue_.pop_front();
+    } else {
+      idle_.push_back(ws);
+      // A parked worker needs no signal, unless Shutdown came during
+      // the loan: then it is waiting to exit.
+      if (!closed_) return;
+    }
+  }
+  ws->wake.notify_one();
+}
+
 template <typename Request, typename Response>
-Status EnginePool::Submit(Request request,
-                          std::function<void(Result<Response>)> on_done,
-                          const char* what) {
+void EnginePool::ServeAndDeliver(
+    WorkerState& ws, const Request& request,
+    const std::function<void(Result<Response>)>& on_done) {
+  // A throw (rebind allocation, backend fault, bad_alloc on a huge
+  // batch) fails this one request instead of escaping the thread body
+  // and terminating the process.
+  auto serve = [&]() -> Result<Response> {
+    try {
+      return Serve(ws, request);
+    } catch (...) {
+      return Status::Internal("serving worker failed: " +
+                              DescribeCurrentException());
+    }
+  };
+  try {
+    on_done(serve());
+  } catch (...) {
+    // Callbacks must not throw; swallowing here keeps the serving
+    // thread alive (contract documented on SubmitBatch).
+  }
+}
+
+template <typename Request, typename Response>
+EnginePool::Job EnginePool::MakeJob(
+    Request request, std::function<void(Result<Response>)> on_done) {
   assert(on_done && "EnginePool submissions require a callback");
-  return Enqueue(
-      [this, request = std::move(request),
-       on_done = std::move(on_done)](WorkerState& ws) {
-        // The exception barrier: a throw (rebind allocation, backend
-        // fault, bad_alloc on a huge batch) fails this one request
-        // instead of escaping the thread body and terminating the
-        // process.
-        auto serve = [&]() -> Result<Response> {
-          try {
-            return Serve(ws, request);
-          } catch (...) {
-            return Status::Internal("serving worker failed: " +
-                                    DescribeCurrentException());
-          }
-        };
-        try {
-          on_done(serve());
-        } catch (...) {
-          // Callbacks must not throw; swallowing here keeps the worker
-          // alive (contract documented on SubmitBatch).
-        }
-      },
-      what);
+  return [this, request = std::move(request),
+          on_done = std::move(on_done)](WorkerState& ws) {
+    ServeAndDeliver(ws, request, on_done);
+  };
 }
 
 Status EnginePool::SubmitBatch(
     BatchRequest request,
     std::function<void(Result<PoolBatchResponse>)> on_done) {
-  return Submit(std::move(request), std::move(on_done), "SubmitBatch");
+  return Enqueue(MakeJob(std::move(request), std::move(on_done)),
+                 "SubmitBatch");
+}
+
+Status EnginePool::ServeBatch(
+    BatchRequest request,
+    std::function<void(Result<PoolBatchResponse>)> on_done) {
+  assert(on_done && "EnginePool submissions require a callback");
+  std::shared_ptr<const ServingState> state = State();
+  if (request.pairs.size() > kMaxInlinePairs ||
+      !state->snapshot->memory_resident() || !state->delta->empty()) {
+    return SubmitBatch(std::move(request), std::move(on_done));
+  }
+  WorkerState* ws = nullptr;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    HOPI_RETURN_NOT_OK(AdmitLocked("ServeBatch"));
+    if (idle_.empty()) {
+      return QueueLocked(MakeJob(std::move(request), std::move(on_done)),
+                         "ServeBatch");
+    }
+    ws = idle_.back();
+    idle_.pop_back();
+    ws->on_loan = true;
+  }
+  ServeAndDeliver(*ws, request, on_done);
+  EndLoan(ws);
+  return Status::OK();
 }
 
 Status EnginePool::SubmitQuery(
     PathQueryRequest request,
     std::function<void(Result<PoolPathResponse>)> on_done) {
-  return Submit(std::move(request), std::move(on_done), "SubmitQuery");
+  return Enqueue(MakeJob(std::move(request), std::move(on_done)),
+                 "SubmitQuery");
 }
 
 Result<std::future<PoolBatchResponse>> EnginePool::SubmitBatch(
@@ -526,8 +581,11 @@ void EnginePool::WorkerLoop(WorkerState& ws) {
   std::unique_lock<std::mutex> lock(mu_);
   for (;;) {
     // Listed in idle_ (by the constructor or at the end of the last
-    // turn): only a hand-off or Shutdown signals this worker.
-    ws.wake.wait(lock, [&] { return ws.handoff != nullptr || closed_; });
+    // turn) or on loan to a ServeBatch caller: only a hand-off or
+    // Shutdown signals this worker, and it never exits mid-loan.
+    ws.wake.wait(lock, [&] {
+      return ws.handoff != nullptr || (closed_ && !ws.on_loan);
+    });
     if (ws.handoff == nullptr) break;  // closed, and the queue is empty
     Job job = std::exchange(ws.handoff, nullptr);
     while (job != nullptr) {

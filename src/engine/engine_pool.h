@@ -2,16 +2,42 @@
 //
 // The ROADMAP's async-serving item, concretely: N long-lived serving
 // workers, each owning one QueryEngine (and therefore one private
-// LabelCache — caches stay thread-local and lock-free), all bound to
-// one shared immutable BackendSnapshot. Work (batched reachability,
-// path queries) enters one FIFO under one mutex: a request that arrives
-// while a worker is idle is handed straight to that worker, through the
-// worker's own slot and condition variable, and otherwise waits in the
-// queue, which every worker empties before it goes idle again. So no
-// request waits while a worker idles, and a worker is signalled only
-// when a job waits in its slot.
+// LabelCache — caches stay lock-free because one thread at a time
+// serves through a worker), all bound to one shared immutable
+// BackendSnapshot. Work (batched reachability, path queries) enters one
+// FIFO under one mutex: a request that arrives while a worker is idle
+// is handed straight to that worker, through the worker's own slot and
+// condition variable, and otherwise waits in the queue, which every
+// worker empties before it goes idle again. So no request waits while a
+// worker idles, and a worker is signalled only when a job waits in its
+// slot.
 // A request is one closure that serves itself and answers through its
 // callback; the future and blocking forms wrap the callback form.
+//
+// Borrowing (ServeBatch): a caller that would otherwise only wait for
+// the answer — the network front end's event loop — serves a small
+// batch itself. ServeBatch takes the most recently idle worker off the
+// idle list, exactly as a hand-off would, and serves the batch on the
+// calling thread with that worker's engine and label cache; the
+// callback runs before ServeBatch returns. While on loan the worker
+// counts as busy for the admission gate, the queue bound and
+// PoolStats::executing, its own thread stays parked, and Shutdown lets
+// it exit (and drop its engine) only once the loan ends. At the end of
+// the loan it takes the job at the queue's head, or goes back on the
+// idle list, so an idle worker still implies an empty queue.
+// A batch is served inline only when each of its probes is a join of
+// in-memory labels, it is small, and a worker is idle. So three cases
+// take the hand-off instead:
+//   - the published state is not label joins in memory: a snapshot
+//     that is not memory_resident() (a block decode may fault file
+//     pages in, and an event loop must never wait on a disk), or a
+//     non-empty delta (an overlay probe may run a BFS, which costs
+//     microseconds, not the ~250 ns of a join; serialized on one loop,
+//     such batches lose the workers' parallelism);
+//   - the batch has more than kMaxInlinePairs pairs;
+//   - no worker is idle.
+// Path queries, the future and blocking forms and ShardedEngine's
+// sub-batches always hand off.
 //
 // Snapshot swap is RCU-style: Swap() publishes a new serving state and
 // returns immediately. Workers notice on their *next* work item, rebind
@@ -279,6 +305,24 @@ class EnginePool {
   /// full queue shed it — retry later) mean it never will.
   Status SubmitBatch(BatchRequest request,
                      std::function<void(Result<PoolBatchResponse>)> on_done);
+  /// Most pairs ServeBatch serves on the calling thread. It bounds how
+  /// long one inline batch holds its caller's event loop: at ~250 ns
+  /// per probe over borrowed in-memory labels, 256 pairs stall every
+  /// other connection on that loop for ~64 µs, where one batch of
+  /// WireLimits::max_pairs (65,536) would stall them for ≥16 ms.
+  static constexpr size_t kMaxInlinePairs = 256;
+
+  /// Serves a batch on the calling thread when it can, and otherwise
+  /// submits it as SubmitBatch does. It runs inline when the published
+  /// snapshot is memory_resident() with an empty delta, the batch has
+  /// at most kMaxInlinePairs pairs and a worker is idle: the caller
+  /// borrows that worker (header comment), serves the batch with its
+  /// engine and runs `on_done` before returning — so the caller must
+  /// not hold a lock `on_done` takes. Contract as SubmitBatch otherwise:
+  /// OK means `on_done` runs exactly once, on this thread or on a
+  /// worker.
+  Status ServeBatch(BatchRequest request,
+                    std::function<void(Result<PoolBatchResponse>)> on_done);
   /// Submits a path query; contract as SubmitBatch.
   Status SubmitQuery(PathQueryRequest request,
                      std::function<void(Result<PoolPathResponse>)> on_done);
@@ -359,7 +403,8 @@ class EnginePool {
   std::vector<LabelCache::Stats> WorkerCacheStats() const;
 
   /// Stops intake, serves everything already queued, joins the
-  /// workers. Idempotent; also run by the destructor.
+  /// workers (a worker on loan to ServeBatch exits once the loan ends).
+  /// Idempotent; also run by the destructor.
   void Shutdown();
 
  private:
@@ -376,9 +421,10 @@ class EnginePool {
   /// and answers through its callback.
   using Job = std::function<void(WorkerState&)>;
 
-  /// Everything one serving thread owns. Only the owning worker touches
-  /// `state`/`engine` — except that Stats readers pin the engine
-  /// under `rebind_mu` while reading its cache counters.
+  /// Everything one serving thread owns. Only the thread serving
+  /// through this worker — its own, or a ServeBatch caller that
+  /// borrowed it — touches `state`/`engine`, except that Stats readers
+  /// pin the engine under `rebind_mu` while reading its cache counters.
   struct WorkerState {
     size_t index = 0;
     std::thread thread;
@@ -386,6 +432,9 @@ class EnginePool {
     /// worker off idle_ puts the job here, then signals `wake`, which
     /// only this worker waits on.
     Job handoff;
+    /// Guarded by mu_: a ServeBatch caller is serving through this
+    /// worker, whose thread must not exit until the loan ends.
+    bool on_loan = false;
     std::condition_variable wake;
     std::mutex rebind_mu;
     std::shared_ptr<const ServingState> state;
@@ -418,14 +467,28 @@ class EnginePool {
   /// Serve one request on worker `ws` and count it in its stats.
   PoolBatchResponse Serve(WorkerState& ws, const BatchRequest& request);
   PoolPathResponse Serve(WorkerState& ws, const PathQueryRequest& request);
-  /// Wraps a request and its callback into a Job and enqueues it.
+  /// Serves `request` on `ws` and hands the answer to `on_done`. The
+  /// pool's one exception barrier: a throw from serving becomes an
+  /// Internal error Result, and one from `on_done` is swallowed.
   template <typename Request, typename Response>
-  Status Submit(Request request,
-                std::function<void(Result<Response>)> on_done,
-                const char* what);
+  void ServeAndDeliver(WorkerState& ws, const Request& request,
+                       const std::function<void(Result<Response>)>& on_done);
+  /// Wraps a request and its callback into a Job.
+  template <typename Request, typename Response>
+  Job MakeJob(Request request, std::function<void(Result<Response>)> on_done);
+  /// Caller holds mu_. The admission gate every submission passes
+  /// first: FailedPrecondition after Shutdown, ResourceExhausted (and a
+  /// shed counted) over the high watermark.
+  Status AdmitLocked(const char* what);
+  /// Caller holds mu_ and found no worker idle: a bounded push onto the
+  /// queue.
+  Status QueueLocked(Job job, const char* what);
   /// Shared submission tail: admission gate, then hand-off to an idle
   /// worker or a bounded push onto the queue.
   Status Enqueue(Job job, const char* what);
+  /// Ends a ServeBatch loan: the worker takes the job at the queue's
+  /// head, or goes back on the idle list.
+  void EndLoan(WorkerState* ws);
 
   /// The published serving state (never null).
   std::shared_ptr<const ServingState> State() const;

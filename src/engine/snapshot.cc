@@ -34,8 +34,9 @@ BackendSnapshot::BackendSnapshot(
     std::shared_ptr<const collection::Collection> collection,
     std::function<std::unique_ptr<ReachabilityBackend>()> make_backend,
     std::shared_ptr<const void> keepalive,
-    std::shared_ptr<const query::TagIndex> tags)
+    std::shared_ptr<const query::TagIndex> tags, bool memory_resident)
     : version_(NextVersion()),
+      memory_resident_(memory_resident),
       collection_(std::move(collection)),
       tags_(tags ? std::move(tags)
                  : std::make_shared<query::TagIndex>(*collection_)),
@@ -51,7 +52,7 @@ std::shared_ptr<const BackendSnapshot> BackendSnapshot::OfIndex(
   return std::shared_ptr<const BackendSnapshot>(new BackendSnapshot(
       std::move(collection),
       [raw] { return std::make_unique<HopiIndexBackend>(*raw); },
-      std::move(index), std::move(tags)));
+      std::move(index), std::move(tags), /*memory_resident=*/true));
 }
 
 std::shared_ptr<const BackendSnapshot> BackendSnapshot::OfMappedStore(
@@ -62,7 +63,7 @@ std::shared_ptr<const BackendSnapshot> BackendSnapshot::OfMappedStore(
   return std::shared_ptr<const BackendSnapshot>(new BackendSnapshot(
       std::move(collection),
       [raw] { return std::make_unique<MappedStoreBackend>(*raw); },
-      std::move(store), std::move(tags)));
+      std::move(store), std::move(tags), /*memory_resident=*/false));
 }
 
 std::shared_ptr<const BackendSnapshot> BackendSnapshot::Freeze(
@@ -75,7 +76,7 @@ std::shared_ptr<const BackendSnapshot> BackendSnapshot::Freeze(
   return std::shared_ptr<const BackendSnapshot>(new BackendSnapshot(
       std::move(collection),
       [raw] { return std::make_unique<HopiIndexBackend>(*raw); },
-      std::move(holder), nullptr));
+      std::move(holder), nullptr, /*memory_resident=*/true));
 }
 
 }  // namespace hopi::engine

@@ -105,14 +105,22 @@ class BackendSnapshot {
     return make_backend_();
   }
 
+  /// True when every label read is a read of process memory (OfIndex,
+  /// Freeze); false for OfMappedStore, whose block decodes can fault
+  /// file pages in. EnginePool::ServeBatch serves only memory-resident
+  /// snapshots on the caller's thread.
+  bool memory_resident() const { return memory_resident_; }
+
  private:
   BackendSnapshot(std::shared_ptr<const collection::Collection> collection,
                   std::function<std::unique_ptr<ReachabilityBackend>()>
                       make_backend,
                   std::shared_ptr<const void> keepalive,
-                  std::shared_ptr<const query::TagIndex> tags);
+                  std::shared_ptr<const query::TagIndex> tags,
+                  bool memory_resident);
 
   uint64_t version_;
+  bool memory_resident_;
   std::shared_ptr<const collection::Collection> collection_;
   std::shared_ptr<const query::TagIndex> tags_;
   std::function<std::unique_ptr<ReachabilityBackend>()> make_backend_;

@@ -11,6 +11,7 @@
 
 #include <cerrno>
 #include <cstring>
+#include <optional>
 #include <unordered_map>
 #include <utility>
 
@@ -26,6 +27,18 @@ constexpr int kListenBacklog = 512;
 Status Errno(const std::string& what) {
   return Status::IOError(what + ": " + std::strerror(errno));
 }
+
+/// Where Pump catches a response the handler fires before it returns.
+/// Pump points the IO thread's slot at the connection it dispatches for
+/// the length of the handler call; a Send on any other thread, or for
+/// any other connection, finds no match and takes the mailbox.
+struct InlineSlot {
+  const void* queue = nullptr;  // the connection's IO queue
+  uint64_t conn_id = 0;
+  std::optional<HttpResponse> response;
+};
+
+thread_local InlineSlot* t_inline_slot = nullptr;
 
 }  // namespace
 
@@ -92,6 +105,14 @@ HttpServer::Responder::Responder(std::shared_ptr<IoQueue> queue,
 
 void HttpServer::Responder::Send(HttpResponse response) const {
   if (sent_->exchange(true)) return;  // first Send wins
+  InlineSlot* slot = t_inline_slot;
+  if (slot != nullptr && slot->queue == queue_.get() &&
+      slot->conn_id == conn_id_) {
+    // Fired inside the handler on the connection's own IO thread: Pump
+    // writes it the moment the handler returns.
+    slot->response = std::move(response);
+    return;
+  }
   {
     std::lock_guard<std::mutex> lock(queue_->mu);
     if (queue_->stopped) return;
@@ -310,10 +331,11 @@ void HttpServer::IoThreadLoop(IoLoop* loop) {
     for (int i = 0; i < ready; ++i) {
       uint64_t id = events[i].data.u64;
       if (id == kWakeConnId) {
-        // Drain the eventfd, then the mailbox.
+        // Drain the eventfd, then the mailbox. A (non-semaphore) eventfd
+        // read returns and zeroes the whole counter, so one read does.
         uint64_t counter = 0;
-        while (::read(loop->queue->wake_fd, &counter, sizeof(counter)) > 0) {
-        }
+        [[maybe_unused]] ssize_t n =
+            ::read(loop->queue->wake_fd, &counter, sizeof(counter));
         std::vector<int> new_fds;
         std::vector<std::pair<uint64_t, HttpResponse>> completions;
         bool stopped = false;
@@ -398,102 +420,127 @@ void HttpServer::HandleReadable(IoLoop* loop, Conn* conn) {
 }
 
 void HttpServer::Pump(IoLoop* loop, Conn* conn) {
-  if (conn->awaiting || conn->close_after_write) return;
-  HttpRequest request;
-  HttpError error;
-  switch (conn->parser.Next(&request, &error)) {
-    case HttpParser::Step::kNeedMore:
-      if (conn->parser.TakeContinueNeeded()) {
-        conn->out += "HTTP/1.1 100 Continue\r\n\r\n";
+  // A loop, not recursion: every response the handler completes inline
+  // lets the next pipelined request go at once, and a client may
+  // pipeline thousands.
+  while (!conn->awaiting) {
+    // Bytes the socket refused (FlushWrites paused reads for them): read
+    // and dispatch nothing more until HandleWritable drains them, so a
+    // client that pipelines without reading cannot make the server
+    // buffer its answers.
+    if (!conn->out.empty()) return;
+    HttpRequest request;
+    HttpError error;
+    switch (conn->parser.Next(&request, &error)) {
+      case HttpParser::Step::kNeedMore:
+        if (conn->parser.TakeContinueNeeded()) {
+          conn->out += "HTTP/1.1 100 Continue\r\n\r\n";
+          if (!FlushWrites(loop, conn) || !conn->out.empty()) return;
+        }
+        // Reads may still be paused from the last request.
+        UpdateInterest(loop, conn, /*want_read=*/true, conn->want_write);
+        return;
+      case HttpParser::Step::kRequest: {
+        if (conn->parser.TakeContinueNeeded()) {
+          // The body raced in with the headers; the interim response is
+          // still owed (and must precede the final one).
+          conn->out += "HTTP/1.1 100 Continue\r\n\r\n";
+        }
+        requests_.fetch_add(1, std::memory_order_relaxed);
+        conn->awaiting = true;
+        conn->keep_alive_after_response = request.keep_alive;
+        InlineSlot slot{loop->queue.get(), conn->id, std::nullopt};
+        InlineSlot* outer = std::exchange(t_inline_slot, &slot);
+        handler_(std::move(request), Responder(loop->queue, conn->id));
+        t_inline_slot = outer;
+        if (!slot.response.has_value()) {
+          // Answered later, from another thread: park the connection,
+          // reads paused, until its Responder posts back.
+          UpdateInterest(loop, conn, /*want_read=*/false, conn->want_write);
+          return;
+        }
+        if (!WriteResponse(loop, conn, std::move(*slot.response))) return;
+        break;
+      }
+      case HttpParser::Step::kError: {
+        parse_errors_.fetch_add(1, std::memory_order_relaxed);
+        HttpResponse response;
+        response.status = error.http_status;
+        response.body = JsonWire::SerializeError(error.status);
+        response.close = true;
+        conn->close_after_write = true;
+        conn->out += SerializeResponse(response);
+        responses_.fetch_add(1, std::memory_order_relaxed);
         FlushWrites(loop, conn);
+        return;
       }
-      return;
-    case HttpParser::Step::kRequest: {
-      if (conn->parser.TakeContinueNeeded()) {
-        // The body raced in with the headers; the interim response is
-        // still owed (and must precede the final one).
-        conn->out += "HTTP/1.1 100 Continue\r\n\r\n";
-      }
-      requests_.fetch_add(1, std::memory_order_relaxed);
-      conn->awaiting = true;
-      conn->keep_alive_after_response = request.keep_alive;
-      UpdateInterest(loop, conn, /*want_read=*/false, conn->want_write);
-      Responder responder(loop->queue, conn->id);
-      handler_(std::move(request), responder);
-      // The handler may have fired the responder synchronously; that
-      // completion is in the mailbox and the eventfd is hot — the loop
-      // picks it up on the next epoll_wait pass.
-      return;
-    }
-    case HttpParser::Step::kError: {
-      parse_errors_.fetch_add(1, std::memory_order_relaxed);
-      HttpResponse response;
-      response.status = error.http_status;
-      response.body = JsonWire::SerializeError(error.status);
-      response.close = true;
-      conn->close_after_write = true;
-      conn->out += SerializeResponse(response);
-      responses_.fetch_add(1, std::memory_order_relaxed);
-      UpdateInterest(loop, conn, /*want_read=*/false, conn->want_write);
-      FlushWrites(loop, conn);
-      return;
     }
   }
 }
 
-void HttpServer::CompleteResponse(IoLoop* loop, Conn* conn,
-                                  HttpResponse response) {
-  if (!conn->awaiting) return;  // defensive: unexpected double completion
+bool HttpServer::WriteResponse(IoLoop* loop, Conn* conn,
+                               HttpResponse response) {
   conn->awaiting = false;
   if (!conn->keep_alive_after_response) response.close = true;
   if (response.close) conn->close_after_write = true;
   conn->out += SerializeResponse(response);
   responses_.fetch_add(1, std::memory_order_relaxed);
-  FlushWrites(loop, conn);
-  if (loop->conns.find(conn->id) == loop->conns.end()) return;  // closed
-  if (conn->close_after_write) return;
-  UpdateInterest(loop, conn, /*want_read=*/true, conn->want_write);
+  return FlushWrites(loop, conn);
+}
+
+void HttpServer::CompleteResponse(IoLoop* loop, Conn* conn,
+                                  HttpResponse response) {
+  if (!conn->awaiting) return;  // defensive: unexpected double completion
+  if (!WriteResponse(loop, conn, std::move(response))) return;  // closed
   // Pipelined bytes may already be buffered; the socket will never
   // re-signal EPOLLIN for them.
   Pump(loop, conn);
 }
 
-void HttpServer::FlushWrites(IoLoop* loop, Conn* conn) {
+bool HttpServer::FlushWrites(IoLoop* loop, Conn* conn) {
   while (conn->out_off < conn->out.size()) {
-    ssize_t n = ::write(conn->fd, conn->out.data() + conn->out_off,
-                        conn->out.size() - conn->out_off);
+    // MSG_NOSIGNAL: a peer that reset the connection fails this write
+    // with EPIPE instead of killing the process with SIGPIPE.
+    ssize_t n = ::send(conn->fd, conn->out.data() + conn->out_off,
+                       conn->out.size() - conn->out_off, MSG_NOSIGNAL);
     if (n > 0) {
       conn->out_off += static_cast<size_t>(n);
       continue;
     }
     if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-      UpdateInterest(loop, conn, conn->want_read, /*want_write=*/true);
-      return;
+      // Park the rest under EPOLLOUT; reads pause with it (see Pump).
+      return UpdateInterest(loop, conn, /*want_read=*/false,
+                            /*want_write=*/true);
     }
     if (n < 0 && errno == EINTR) continue;
     CloseConn(loop, conn);
-    return;
+    return false;
   }
   conn->out.clear();
   conn->out_off = 0;
-  if (conn->want_write) {
-    UpdateInterest(loop, conn, conn->want_read, /*want_write=*/false);
+  if (conn->close_after_write) {
+    CloseConn(loop, conn);
+    return false;
   }
-  if (conn->close_after_write) CloseConn(loop, conn);
+  if (conn->want_write) {
+    return UpdateInterest(loop, conn, /*want_read=*/!conn->awaiting,
+                          /*want_write=*/false);
+  }
+  return true;
 }
 
 void HttpServer::HandleWritable(IoLoop* loop, Conn* conn) {
-  uint64_t id = conn->id;
-  FlushWrites(loop, conn);
-  if (loop->conns.find(id) == loop->conns.end()) return;  // closed
-  if (conn->out.empty() && !conn->awaiting && !conn->close_after_write) {
-    Pump(loop, conn);
-  }
+  if (!FlushWrites(loop, conn)) return;  // closed
+  // Once drained, serve what the client pipelined while the socket was
+  // full (Pump returns at once while bytes remain).
+  Pump(loop, conn);
 }
 
-void HttpServer::UpdateInterest(IoLoop* loop, Conn* conn, bool want_read,
+bool HttpServer::UpdateInterest(IoLoop* loop, Conn* conn, bool want_read,
                                 bool want_write) {
-  if (conn->want_read == want_read && conn->want_write == want_write) return;
+  if (conn->want_read == want_read && conn->want_write == want_write) {
+    return true;
+  }
   conn->want_read = want_read;
   conn->want_write = want_write;
   epoll_event ev{};
@@ -501,7 +548,9 @@ void HttpServer::UpdateInterest(IoLoop* loop, Conn* conn, bool want_read,
   ev.data.u64 = conn->id;
   if (::epoll_ctl(loop->epoll_fd, EPOLL_CTL_MOD, conn->fd, &ev) < 0) {
     CloseConn(loop, conn);
+    return false;
   }
+  return true;
 }
 
 void HttpServer::CloseConn(IoLoop* loop, Conn* conn) {

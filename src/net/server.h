@@ -1,6 +1,6 @@
 // HttpServer: a zero-dependency epoll HTTP/1.1 transport.
 //
-// Topology (the ISSUE's acceptor + IO-thread design):
+// Topology:
 //
 //   acceptor thread ──round-robin──▶ IO thread 0 (epoll loop)
 //     accept4 + refuse over cap      IO thread 1 (epoll loop) ...
@@ -9,23 +9,31 @@
 // connections assigned to it; connections never migrate, so all
 // per-connection state (parser, write buffer) is thread-private and
 // lock-free. The only cross-thread traffic is the IO queue: the
-// acceptor posts new fds, and Responders post finished responses, both
-// under one mutex with an eventfd wake.
+// acceptor posts new fds, and Responders fired on other threads post
+// finished responses, both under one mutex with an eventfd wake.
 //
 // The handler is invoked on the IO thread with a Responder — a small
-// completion handle that may be fired synchronously (stats, errors) or
-// carried into EnginePool's worker callback and fired from there. That
-// is what makes the loop non-blocking end to end: the IO thread never
-// waits on the engine; an admitted request parks the connection
-// (EPOLLIN paused — one request in flight per connection, responses
-// can never be reordered) until its Responder posts back.
+// completion handle fired either before the handler returns or later,
+// from another thread. A response fired inside the handler (health,
+// stats, errors, mutation receipts, and the small in-memory batches
+// EnginePool::ServeBatch serves on this thread) completes on the spot:
+// Pump writes it and goes on to the next pipelined request, with no
+// mailbox, eventfd or epoll interest change. A handler that hands its
+// Responder on (a batch for a pool worker, a path query, a sharded
+// fan-out) returns at once, and the connection is parked — EPOLLIN
+// paused, one request in flight per connection, so responses can never
+// be reordered — until the Responder posts back. So the loop runs only
+// the work a handler chooses to run inline, and never waits for a pool
+// worker to pick a request up.
 //
-// Reads, writes, and accepts are all non-blocking; short writes park
-// the remainder under EPOLLOUT. Overload behavior: beyond
-// max_connections the acceptor refuses (accept + immediate close —
-// draining the backlog beats letting SYNs time out), and request-level
-// shedding is the service layer's job (HTTP 429 via the pool's
-// admission controller).
+// Reads, writes, and accepts are all non-blocking. Short writes park
+// the remainder under EPOLLOUT, and until it drains the connection
+// reads and dispatches nothing more, so a client that pipelines
+// without reading is owed at most one buffered response. Overload
+// behavior: beyond max_connections the acceptor refuses (accept +
+// immediate close — draining the backlog beats letting SYNs time out),
+// and request-level shedding is the service layer's job (HTTP 429 via
+// the pool's admission controller).
 #pragma once
 
 #include <atomic>
@@ -73,7 +81,9 @@ class HttpServer {
   /// reaches an EnginePool callback fires it); Send is thread-safe and
   /// idempotent — the first call wins, later calls are dropped, and a
   /// Send after the connection died or the server stopped is silently
-  /// discarded (the client is gone; there is nobody to tell).
+  /// discarded (the client is gone; there is nobody to tell). A Send
+  /// made inside the handler, on the IO thread, completes there without
+  /// the mailbox.
   class Responder {
    public:
     void Send(HttpResponse response) const;
@@ -88,7 +98,8 @@ class HttpServer {
   };
 
   /// Runs on the IO thread owning the connection. Must not block; fire
-  /// the Responder now or hand it to an async completion.
+  /// the Responder now or hand it to an async completion. Whatever it
+  /// runs inline stalls every connection on the loop for as long.
   using Handler = std::function<void(HttpRequest, Responder)>;
 
   explicit HttpServer(Handler handler, HttpServerOptions options = {});
@@ -120,12 +131,22 @@ class HttpServer {
   void IoThreadLoop(IoLoop* loop);
   void HandleReadable(IoLoop* loop, Conn* conn);
   void HandleWritable(IoLoop* loop, Conn* conn);
-  /// Parses buffered bytes; dispatches at most one request (pausing
-  /// reads until its response is sent) or writes a parse reject.
+  /// Serves the buffered requests in order, in a loop: a response the
+  /// handler fires inline is written at once and the next request goes.
+  /// Stops at a request answered later (reads paused until its
+  /// Responder posts back), a parse reject, bytes the socket refused,
+  /// or the end of the buffered bytes.
   void Pump(IoLoop* loop, Conn* conn);
+  /// A response posted through the mailbox: write it, then Pump.
   void CompleteResponse(IoLoop* loop, Conn* conn, HttpResponse response);
-  void FlushWrites(IoLoop* loop, Conn* conn);
-  void UpdateInterest(IoLoop* loop, Conn* conn, bool want_read,
+  /// Serializes the awaited response and flushes it. The functions
+  /// returning bool return false when they closed the connection.
+  bool WriteResponse(IoLoop* loop, Conn* conn, HttpResponse response);
+  /// Writes what the socket takes. The rest waits under EPOLLOUT with
+  /// reads paused; once it drains, reads resume unless a request is
+  /// in flight.
+  bool FlushWrites(IoLoop* loop, Conn* conn);
+  bool UpdateInterest(IoLoop* loop, Conn* conn, bool want_read,
                       bool want_write);
   void CloseConn(IoLoop* loop, Conn* conn);
 

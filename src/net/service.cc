@@ -130,7 +130,7 @@ void ReachabilityService::HandleBatch(HttpRequest&& request,
   if (sharded_) {
     // The merge callback runs on a shard completion thread (or the
     // watchdog): serialize there and let the Responder carry the bytes
-    // back to the IO thread — same shape as the pool path below.
+    // back to the IO thread, as the pool path's hand-off does.
     Status submitted = sharded_->SubmitBatch(
         std::move(parsed).value(),
         [this, responder, started_us](engine::ShardedBatchResponse response) {
@@ -142,9 +142,11 @@ void ReachabilityService::HandleBatch(HttpRequest&& request,
     }
     return;
   }
-  // The callback runs on a serving worker: serialize there (cheap) and
-  // let the Responder carry the bytes back to the IO thread.
-  Status submitted = pool_->SubmitBatch(
+  // ServeBatch runs the callback right here, on the IO thread, when it
+  // can serve the batch inline (then the Responder completes on the
+  // spot), and otherwise on a serving worker: serialize there (cheap)
+  // and let the Responder carry the bytes back to the IO thread.
+  Status submitted = pool_->ServeBatch(
       std::move(parsed).value(),
       [this, responder, started_us](Result<engine::PoolBatchResponse> result) {
         if (!result.ok()) {

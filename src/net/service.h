@@ -3,7 +3,7 @@
 //
 // One class owns the route table and the request lifecycle:
 //
-//   POST /v1/batch  -> JsonWire::ParseBatchRequest -> pool SubmitBatch
+//   POST /v1/batch  -> JsonWire::ParseBatchRequest -> pool ServeBatch
 //   POST /v1/path   -> JsonWire::ParsePathRequest  -> pool SubmitQuery
 //   POST /v1/mutate -> JsonWire::ParseMutationRequest
 //                      -> pool ApplyMutation (gated by EnableMutations;
@@ -12,13 +12,19 @@
 //                      percentiles (answered inline)
 //   GET  /healthz   -> liveness (answered inline)
 //
-// Engine requests use the pool's callback submission: the handler
-// returns to the epoll loop immediately and the serving worker's
-// on_done serializes the result and fires the Responder — no thread
-// ever blocks on a query. Shedding falls out of the same path: a
-// refused submission (ResourceExhausted from the admission gate or a
-// full queue) is answered 429 right from the handler, which is exactly
-// why an overloaded server keeps answering /stats and 429s instead of
+// Engine requests use the pool's callback submission, and on_done
+// serializes the result and fires the Responder. A small batch of
+// in-memory label joins that finds a worker idle is served on the IO
+// thread itself (EnginePool::ServeBatch borrows that worker's engine),
+// so its response completes before the handler returns. Everything
+// else — a busy pool, a store-backed snapshot, a buffered delta, a
+// large batch, path queries, sharded fan-out — returns to the epoll
+// loop at once and is answered from a worker; no thread ever blocks
+// waiting on a query.
+// Shedding falls out of the same path: a refused submission
+// (ResourceExhausted from the admission gate or a full queue) is
+// answered 429 right from the handler, which is exactly why an
+// overloaded server keeps answering /stats and 429s instead of
 // stalling accepts.
 //
 // Per-endpoint log-bucketed latency histograms (microseconds, handler

@@ -510,7 +510,7 @@ TEST_F(EnginePoolFixture, ShutdownStillDrainsCallbackJobs) {
   EXPECT_TRUE(rejected.IsFailedPrecondition());
 }
 
-// ---- mutation + rebuild (the serve-during-rebuild write path) ----
+// ---- ServeBatch: a borrowed worker serves on the caller's thread ----
 
 // First live (u, v) pair with no current edge: an always-valid
 // insert_link against `c`. Callers mutating repeatedly keep a mirror
@@ -525,6 +525,362 @@ NodePair FindInsertableLink(const Collection& c) {
   ADD_FAILURE() << "no insertable link exists";
   return {0, 0};
 }
+
+/// A v4 file of `index`'s cover, opened as a store-backed snapshot over
+/// `c`. The caller removes `path`.
+std::shared_ptr<const BackendSnapshot> MappedSnapshot(const HopiIndex& index,
+                                                      const Collection& c,
+                                                      const std::string& path) {
+  storage::StoreWriteOptions v4_options;
+  v4_options.compress.target_block_bytes = 256;
+  EXPECT_TRUE(storage::LinLoutStore::FromCover(index.cover(), true)
+                  .WriteToFile(path, v4_options)
+                  .ok());
+  auto mapped = storage::MappedLinLoutStore::Open(path);
+  EXPECT_TRUE(mapped.ok()) << mapped.status();
+  return BackendSnapshot::OfMappedStore(
+      Unowned(c), std::make_shared<const storage::MappedLinLoutStore>(
+                      std::move(mapped).value()));
+}
+
+TEST_F(EnginePoolFixture, ServeBatchRunsInlineOnAnIdleWorker) {
+  EnginePool pool(snapshot_, {.num_threads = 2});
+  const BatchRequest request{.pairs = RandomPairs(64, 7),
+                             .want_distances = true};
+  const std::thread::id caller = std::this_thread::get_id();
+  std::optional<Result<PoolBatchResponse>> delivered;
+  std::thread::id ran_on;
+  PoolStats during;
+  Status status =
+      pool.ServeBatch(request, [&](Result<PoolBatchResponse> result) {
+        ran_on = std::this_thread::get_id();
+        during = pool.Stats();
+        delivered = std::move(result);
+      });
+  ASSERT_TRUE(status.ok()) << status;
+  ASSERT_TRUE(delivered.has_value())
+      << "the callback had not run when ServeBatch returned";
+  EXPECT_EQ(ran_on, caller);
+  ASSERT_TRUE(delivered->ok()) << delivered->status();
+  const PoolBatchResponse& response = delivered->value();
+  // Workers are listed idle in index order at construction, so the most
+  // recently idle one is the last.
+  EXPECT_EQ(response.worker, 1u);
+  EXPECT_EQ(response.snapshot_version, snapshot_->version());
+  BatchResponse expect = QueryEngine::ForIndex(*index_).Batch(request);
+  EXPECT_EQ(response.batch.reachable, expect.reachable);
+  EXPECT_EQ(response.batch.distances, expect.distances);
+  // The loan counts as a busy worker, exactly like a hand-off.
+  EXPECT_EQ(during.executing, 1u);
+  EXPECT_EQ(during.queued, 0u);
+  PoolStats after = pool.Stats();
+  EXPECT_EQ(after.batches, 1u);
+  EXPECT_EQ(after.probes, 64u);
+  EXPECT_EQ(after.executing, 0u);
+}
+
+TEST_F(EnginePoolFixture, ServeBatchQueuesBehindAStalledWorkerAndSheds) {
+  // The only worker stalls inside a hand-off's callback: ServeBatch
+  // finds nobody idle, so its batch queues and a worker thread serves
+  // it, and the watermark gate sheds exactly as it does for SubmitBatch
+  // (load = 1 executing + queued).
+  EnginePool pool(snapshot_, {.num_threads = 1,
+                              .shed_high_watermark = 3,
+                              .shed_low_watermark = 1});
+  std::promise<void> release;
+  std::shared_future<void> gate(release.get_future());
+  std::promise<void> entered;
+  ASSERT_TRUE(pool.SubmitBatch({.pairs = RandomPairs(1, 0)},
+                               [gate, &entered](Result<PoolBatchResponse>) {
+                                 entered.set_value();
+                                 gate.wait();
+                               })
+                  .ok());
+  entered.get_future().wait();
+
+  std::promise<std::thread::id> first_on;
+  std::promise<std::thread::id> second_on;
+  auto record = [](std::promise<std::thread::id>* on) {
+    return [on](Result<PoolBatchResponse> result) {
+      EXPECT_TRUE(result.ok());
+      on->set_value(std::this_thread::get_id());
+    };
+  };
+  std::future<std::thread::id> first = first_on.get_future();
+  std::future<std::thread::id> second = second_on.get_future();
+  ASSERT_TRUE(
+      pool.ServeBatch({.pairs = RandomPairs(8, 1)}, record(&first_on)).ok());
+  ASSERT_TRUE(
+      pool.ServeBatch({.pairs = RandomPairs(8, 2)}, record(&second_on)).ok());
+  EXPECT_EQ(first.wait_for(std::chrono::seconds(0)),
+            std::future_status::timeout)
+      << "a queued ServeBatch ran before a worker was free";
+  Status shed = pool.ServeBatch({.pairs = RandomPairs(8, 3)},
+                                [](Result<PoolBatchResponse>) {
+                                  ADD_FAILURE() << "a shed batch ran";
+                                });
+  EXPECT_TRUE(shed.IsResourceExhausted()) << shed;
+  PoolStats during = pool.Stats();
+  EXPECT_EQ(during.queued, 2u);
+  EXPECT_EQ(during.executing, 1u);
+  EXPECT_EQ(during.sheds, 1u);
+  EXPECT_TRUE(during.shedding);
+
+  release.set_value();
+  const std::thread::id caller = std::this_thread::get_id();
+  EXPECT_NE(first.get(), caller);
+  EXPECT_NE(second.get(), caller);
+  pool.Shutdown();
+  EXPECT_EQ(pool.Stats().batches, 3u);
+}
+
+TEST_F(EnginePoolFixture, JobQueuedDuringALoanGoesToTheBorrowedWorker) {
+  // The only worker is on loan, its borrower stalled in the callback; a
+  // batch submitted meanwhile queues, and the end of the loan hands it
+  // to that worker rather than listing the worker idle beside it.
+  EnginePool pool(snapshot_, {.num_threads = 1});
+  std::promise<void> release;
+  std::shared_future<void> gate(release.get_future());
+  std::promise<void> entered;
+  std::thread borrower([&] {
+    Status status = pool.ServeBatch({.pairs = RandomPairs(4, 1)},
+                                    [&](Result<PoolBatchResponse> result) {
+                                      EXPECT_TRUE(result.ok());
+                                      entered.set_value();
+                                      gate.wait();
+                                    });
+    EXPECT_TRUE(status.ok()) << status;
+  });
+  entered.get_future().wait();
+
+  auto queued = pool.SubmitBatch({.pairs = RandomPairs(16, 2)});
+  ASSERT_TRUE(queued.ok()) << queued.status();
+  PoolStats during = pool.Stats();
+  EXPECT_EQ(during.executing, 1u);
+  EXPECT_EQ(during.queued, 1u);
+  release.set_value();
+  borrower.join();
+
+  std::future<PoolBatchResponse> future = std::move(queued).value();
+  ASSERT_EQ(future.wait_for(std::chrono::seconds(10)),
+            std::future_status::ready)
+      << "the job queued during the loan was stranded";
+  EXPECT_EQ(future.get().worker, 0u);
+  // Then the worker goes idle, and the next small batch runs inline.
+  for (int spin = 0; spin < 10000 && pool.Stats().executing != 0; ++spin) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  bool inline_ran = false;
+  ASSERT_TRUE(pool.ServeBatch({.pairs = RandomPairs(4, 3)},
+                              [&](Result<PoolBatchResponse>) {
+                                inline_ran = true;
+                              })
+                  .ok());
+  EXPECT_TRUE(inline_ran);
+  EXPECT_EQ(pool.Stats().batches, 3u);
+}
+
+TEST_F(EnginePoolFixture, ShutdownWaitsForALoanAndKeepsItsCallback) {
+  // Deterministic half: Shutdown while the only worker is on loan must
+  // not return (its worker may not exit and drop the engine) until the
+  // loan ends, and the borrower's callback runs exactly once.
+  {
+    EnginePool pool(snapshot_, {.num_threads = 1});
+    std::promise<void> release;
+    std::shared_future<void> gate(release.get_future());
+    std::promise<void> entered;
+    std::atomic<int> delivered{0};
+    std::thread borrower([&] {
+      Status status = pool.ServeBatch({.pairs = RandomPairs(32, 1)},
+                                      [&](Result<PoolBatchResponse> result) {
+                                        EXPECT_TRUE(result.ok());
+                                        delivered.fetch_add(1);
+                                        entered.set_value();
+                                        gate.wait();
+                                      });
+      EXPECT_TRUE(status.ok()) << status;
+    });
+    entered.get_future().wait();
+    std::atomic<bool> shut{false};
+    std::thread closer([&] {
+      pool.Shutdown();
+      shut.store(true);
+    });
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    EXPECT_FALSE(shut.load()) << "Shutdown returned while a worker was on loan";
+    release.set_value();
+    borrower.join();
+    closer.join();
+    EXPECT_TRUE(shut.load());
+    EXPECT_EQ(delivered.load(), 1);
+    EXPECT_EQ(pool.Stats().batches, 1u);
+    EXPECT_TRUE(pool.ServeBatch({.pairs = RandomPairs(2, 2)},
+                                [](Result<PoolBatchResponse>) {})
+                    .IsFailedPrecondition());
+  }
+  // Racing half: two borrowers serve until Shutdown refuses them. Every
+  // accepted batch is delivered exactly once, inline or from a worker,
+  // and the sanitizer legs watch the engines under the race.
+  EnginePool pool(snapshot_, {.num_threads = 2});
+  std::atomic<uint64_t> accepted{0};
+  std::atomic<uint64_t> delivered{0};
+  std::atomic<uint64_t> failed{0};
+  const BatchRequest request{.pairs = RandomPairs(64, 5)};
+  std::vector<std::thread> borrowers;
+  for (int t = 0; t < 2; ++t) {
+    borrowers.emplace_back([&] {
+      for (;;) {
+        Status status =
+            pool.ServeBatch(request, [&](Result<PoolBatchResponse> result) {
+              if (!result.ok()) failed.fetch_add(1);
+              delivered.fetch_add(1);
+            });
+        if (!status.ok()) {
+          EXPECT_TRUE(status.IsFailedPrecondition()) << status;
+          return;
+        }
+        accepted.fetch_add(1);
+      }
+    });
+  }
+  while (delivered.load() < 500) std::this_thread::yield();
+  pool.Shutdown();
+  for (std::thread& borrower : borrowers) borrower.join();
+  EXPECT_EQ(delivered.load(), accepted.load());
+  EXPECT_EQ(failed.load(), 0u);
+  EXPECT_EQ(pool.Stats().batches, accepted.load());
+}
+
+TEST_F(EnginePoolFixture, StoreBackedDeltaAndLargeBatchesTakeTheHandOff) {
+  const std::thread::id caller = std::this_thread::get_id();
+  auto served_on = [](EnginePool* pool, BatchRequest request) {
+    std::promise<std::thread::id> on;
+    std::future<std::thread::id> future = on.get_future();
+    Status status = pool->ServeBatch(
+        std::move(request), [&on](Result<PoolBatchResponse> result) {
+          EXPECT_TRUE(result.ok());
+          on.set_value(std::this_thread::get_id());
+        });
+    EXPECT_TRUE(status.ok()) << status;
+    return future.get();
+  };
+  // A store-backed snapshot: block decodes may fault file pages in.
+  std::string path = ::testing::TempDir() + "hopi_pool_serve_mapped.bin";
+  {
+    EnginePool mapped_pool(MappedSnapshot(*index_, c_, path),
+                           {.num_threads = 1});
+    EXPECT_NE(served_on(&mapped_pool, {.pairs = RandomPairs(8, 1)}), caller);
+    EXPECT_EQ(mapped_pool.Stats().batches, 1u);
+  }
+  std::remove(path.c_str());
+
+  // A buffered delta: an overlay probe may run a BFS.
+  {
+    EnginePool delta_pool(snapshot_, {.num_threads = 1});
+    ASSERT_TRUE(delta_pool.EnableMutations(*index_).ok());
+    NodePair link = FindInsertableLink(c_);
+    ASSERT_TRUE(
+        delta_pool.ApplyMutation(Mutation::InsertLink(link.first, link.second))
+            .ok());
+    EXPECT_NE(served_on(&delta_pool, {.pairs = RandomPairs(8, 4)}), caller);
+    EXPECT_EQ(delta_pool.Stats().batches, 1u);
+  }
+
+  // In memory: exactly kMaxInlinePairs pairs run inline, one more does
+  // not.
+  EnginePool pool(snapshot_, {.num_threads = 1});
+  EXPECT_EQ(served_on(&pool, {.pairs = RandomPairs(
+                                  EnginePool::kMaxInlinePairs, 2)}),
+            caller);
+  EXPECT_NE(served_on(&pool, {.pairs = RandomPairs(
+                                  EnginePool::kMaxInlinePairs + 1, 3)}),
+            caller);
+  EXPECT_EQ(pool.Stats().batches, 2u);
+}
+
+TEST_F(EnginePoolFixture, InlineAndHandedOffBatchesRaceSwapsConsistently) {
+  // The idle list with two kinds of taker under contention: clients mix
+  // ServeBatch and SubmitBatch while another thread swaps between two
+  // snapshots that disagree on a known pair. Every answer must match
+  // the snapshot version it names.
+  std::vector<NodeId> live = hopi::testing::LiveElements(c_);
+  NodePair flipped{kInvalidNode, kInvalidNode};
+  for (NodeId u : live) {
+    for (NodeId v : live) {
+      if (u != v && !index_->IsReachable(u, v) &&
+          !c_.ElementGraph().HasEdge(u, v)) {
+        flipped = {u, v};
+        break;
+      }
+    }
+    if (flipped.first != kInvalidNode) break;
+  }
+  ASSERT_NE(flipped.first, kInvalidNode);
+  ASSERT_TRUE(index_->InsertLink(flipped.first, flipped.second).ok());
+  auto snapshot_b = BackendSnapshot::Freeze(*index_);
+
+  constexpr size_t kRequests = 16;
+  std::vector<BatchRequest> requests;
+  for (size_t i = 0; i < kRequests; ++i) {
+    BatchRequest request{.pairs = RandomPairs(48, 100 + i)};
+    request.pairs.push_back(flipped);
+    requests.push_back(std::move(request));
+  }
+  std::map<uint64_t, std::vector<std::vector<bool>>> expected;
+  for (const auto& snapshot : {snapshot_, snapshot_b}) {
+    QueryEngine reference(snapshot->collection(), snapshot->MakeBackend(),
+                          {.shared_tags = snapshot->tags()});
+    for (const BatchRequest& request : requests) {
+      expected[snapshot->version()].push_back(
+          reference.Batch(request).reachable);
+    }
+  }
+  ASSERT_NE(expected[snapshot_->version()], expected[snapshot_b->version()]);
+
+  EnginePool pool(snapshot_, {.num_threads = 2});
+  std::atomic<uint64_t> accepted{0};
+  std::atomic<uint64_t> delivered{0};
+  std::atomic<uint64_t> wrong{0};
+  auto check = [&](size_t i) {
+    return [&, i](Result<PoolBatchResponse> result) {
+      auto it = result.ok() ? expected.find(result->snapshot_version)
+                            : expected.end();
+      if (it == expected.end() || result->batch.reachable != it->second[i]) {
+        wrong.fetch_add(1);
+      }
+      delivered.fetch_add(1);
+    };
+  };
+  std::atomic<bool> done{false};
+  std::thread swapper([&] {
+    for (int s = 0; !done.load(); ++s) {
+      pool.Swap(s % 2 == 0 ? snapshot_b : snapshot_);
+      std::this_thread::yield();
+    }
+  });
+  std::vector<std::thread> clients;
+  for (int t = 0; t < 4; ++t) {
+    clients.emplace_back([&, t] {
+      Rng rng(500 + static_cast<uint64_t>(t));
+      for (int k = 0; k < 150; ++k) {
+        size_t i = rng.NextBounded(kRequests);
+        Status status = k % 2 == 0 ? pool.ServeBatch(requests[i], check(i))
+                                   : pool.SubmitBatch(requests[i], check(i));
+        ASSERT_TRUE(status.ok()) << status;
+        accepted.fetch_add(1);
+      }
+    });
+  }
+  for (std::thread& client : clients) client.join();
+  done.store(true);
+  swapper.join();
+  pool.Shutdown();
+  EXPECT_EQ(wrong.load(), 0u) << "answers disagree with their snapshot";
+  EXPECT_EQ(delivered.load(), accepted.load());
+  EXPECT_EQ(pool.Stats().batches, accepted.load());
+}
+
+// ---- mutation + rebuild (the serve-during-rebuild write path) ----
 
 TEST_F(EnginePoolFixture, MutationsRequireEnableAndValidateTyped) {
   EnginePool pool(snapshot_, {.num_threads = 1});

@@ -5,11 +5,18 @@
 // the bottom is the ISSUE's acceptance scenario: a burst wider than
 // the queue sheds with 429s, never blocks, and /stats shows the sheds
 // and latency percentiles.
+#include <arpa/inet.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <atomic>
+#include <cerrno>
+#include <chrono>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -643,6 +650,161 @@ TEST_F(ServingFixture, PipelinedRequestsGetOrderedResponses) {
   ASSERT_NE(first, std::string::npos) << *bytes;
   ASSERT_NE(second, std::string::npos);
   EXPECT_LT(first, second) << "pipelined responses out of order";
+}
+
+/// A plain blocking socket to the server, for tests that write and read
+/// it from two threads at once (BlockingHttpClient is one-at-a-time).
+class RawConnection {
+ public:
+  /// `receive_buffer` > 0 sets SO_RCVBUF before connecting, which caps
+  /// what the kernel buffers for a client that does not read.
+  explicit RawConnection(uint16_t port, int receive_buffer = 0) {
+    fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+    if (fd_ < 0) return;
+    if (receive_buffer > 0) {
+      ::setsockopt(fd_, SOL_SOCKET, SO_RCVBUF, &receive_buffer,
+                   sizeof(receive_buffer));
+    }
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(port);
+    ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+    if (::connect(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0) {
+      ::close(fd_);
+      fd_ = -1;
+    }
+  }
+  ~RawConnection() {
+    if (fd_ >= 0) ::close(fd_);
+  }
+  RawConnection(const RawConnection&) = delete;
+  RawConnection& operator=(const RawConnection&) = delete;
+
+  bool connected() const { return fd_ >= 0; }
+
+  /// Writes all of `bytes`; returns how many went out before the
+  /// connection failed or was shut down.
+  size_t SendAll(std::string_view bytes) const {
+    size_t sent = 0;
+    while (sent < bytes.size()) {
+      ssize_t n = ::send(fd_, bytes.data() + sent, bytes.size() - sent,
+                         MSG_NOSIGNAL);
+      if (n < 0 && errno == EINTR) continue;
+      if (n <= 0) break;
+      sent += static_cast<size_t>(n);
+    }
+    return sent;
+  }
+
+  /// Everything the server writes until it closes the connection.
+  std::string ReadUntilClose() const {
+    std::string out;
+    char buf[65536];
+    for (;;) {
+      ssize_t n = ::read(fd_, buf, sizeof(buf));
+      if (n < 0 && errno == EINTR) continue;
+      if (n <= 0) return out;
+      out.append(buf, static_cast<size_t>(n));
+    }
+  }
+
+  /// Unblocks a SendAll or ReadUntilClose running on another thread.
+  void Shutdown() const { ::shutdown(fd_, SHUT_RDWR); }
+
+ private:
+  int fd_ = -1;
+};
+
+TEST_F(ServingFixture, DeepPipelineIsServedInOrderWithoutRecursion) {
+  // 20,000 requests in one write, each answered inline by the handler:
+  // the server must walk them in a loop (a recursive walk would need a
+  // stack frame chain 20,000 deep) and answer all of them, in order.
+  // The last one asks to close, so its 404 must come last.
+  StartServer();
+  constexpr int kRequests = 20000;
+  std::string raw;
+  for (int i = 0; i < kRequests; ++i) raw += "GET /healthz HTTP/1.1\r\n\r\n";
+  raw += "GET /no-such-route HTTP/1.1\r\nconnection: close\r\n\r\n";
+  RawConnection conn(server_->port());
+  ASSERT_TRUE(conn.connected());
+  // Write and read at once: the server stops reading while the client
+  // leaves its answers unread, so write-then-read could deadlock.
+  size_t sent = 0;
+  std::thread writer([&] { sent = conn.SendAll(raw); });
+  std::string bytes = conn.ReadUntilClose();
+  writer.join();
+  ASSERT_EQ(sent, raw.size());
+
+  std::vector<std::string_view> statuses;
+  std::string_view rest(bytes);
+  for (size_t at = rest.find("HTTP/1.1 "); at != std::string_view::npos;
+       at = rest.find("HTTP/1.1 ", at + 1)) {
+    statuses.push_back(rest.substr(at + 9, 3));
+  }
+  ASSERT_EQ(statuses.size(), static_cast<size_t>(kRequests) + 1);
+  size_t ok = 0;
+  for (int i = 0; i < kRequests; ++i) ok += statuses[i] == "200" ? 1 : 0;
+  EXPECT_EQ(ok, static_cast<size_t>(kRequests));
+  EXPECT_EQ(statuses.back(), "404");
+}
+
+TEST_F(ServingFixture, PipelinedFloodWithoutReadingIsNotBuffered) {
+  // One client pipelines 64 want_distances batches at the wire limit
+  // (65,536 pairs each, ~40 MB) and never reads. The server may dispatch
+  // only as many as the socket buffers hold answers for, plus the one
+  // it is writing: reads and dispatch pause while a response waits to
+  // be written. Left unpaused, it reads on and buffers every answer.
+  StartServer();
+  constexpr int kBatches = 64;
+  constexpr size_t kPairs = size_t{1} << 16;
+  Rng rng(29);
+  std::string body = "{\"pairs\":[";
+  for (size_t i = 0; i < kPairs; ++i) {
+    if (i > 0) body += ',';
+    body += '[' + std::to_string(rng.NextBounded(c_.NumElements())) + ',' +
+            std::to_string(rng.NextBounded(c_.NumElements())) + ']';
+  }
+  body += "],\"want_distances\":true}";
+  const std::string request = "POST /v1/batch HTTP/1.1\r\ncontent-length: " +
+                              std::to_string(body.size()) + "\r\n\r\n" +
+                              body;
+  std::string flood;
+  flood.reserve(request.size() * kBatches);
+  for (int i = 0; i < kBatches; ++i) flood += request;
+
+  // A small receive window keeps what the kernel buffers for this client
+  // independent of the host's autotuning limits.
+  RawConnection conn(server_->port(), /*receive_buffer=*/64 * 1024);
+  ASSERT_TRUE(conn.connected());
+  std::thread writer([&] { conn.SendAll(flood); });
+  // Wait until dispatching stops: no new request for one second after
+  // the first.
+  using Clock = std::chrono::steady_clock;
+  const Clock::time_point deadline = Clock::now() + std::chrono::seconds(60);
+  uint64_t dispatched = 0;
+  Clock::time_point changed = Clock::now();
+  while (Clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    uint64_t now = server_->Stats().requests;
+    if (now != dispatched) {
+      dispatched = now;
+      changed = Clock::now();
+    } else if (dispatched > 0 &&
+               Clock::now() - changed >= std::chrono::seconds(1)) {
+      break;
+    }
+  }
+  conn.Shutdown();
+  writer.join();
+  EXPECT_GE(dispatched, 1u);
+  EXPECT_LT(dispatched, static_cast<uint64_t>(kBatches) / 4)
+      << "the server kept dispatching for a client that does not read";
+
+  // Everyone else is still served.
+  BlockingHttpClient client = Connect();
+  auto health = client.Request("GET", "/healthz");
+  ASSERT_TRUE(health.ok()) << health.status();
+  EXPECT_EQ(health->status, 200);
 }
 
 TEST_F(ServingFixture, MalformedHttpGetsTypedRejectAndClose) {
