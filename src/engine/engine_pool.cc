@@ -165,13 +165,14 @@ void EnginePool::EndLoan(WorkerState* ws) {
 
 template <typename Request, typename Response>
 void EnginePool::ServeAndDeliver(
-    WorkerState& ws, const Request& request,
+    WorkerState& ws, bool rebind, const Request& request,
     const std::function<void(Result<Response>)>& on_done) {
   // A throw (rebind allocation, backend fault, bad_alloc on a huge
   // batch) fails this one request instead of escaping the thread body
   // and terminating the process.
   auto serve = [&]() -> Result<Response> {
     try {
+      if (rebind) BindCurrentState(&ws);
       return Serve(ws, request);
     } catch (...) {
       return Status::Internal("serving worker failed: " +
@@ -192,7 +193,7 @@ EnginePool::Job EnginePool::MakeJob(
   assert(on_done && "EnginePool submissions require a callback");
   return [this, request = std::move(request),
           on_done = std::move(on_done)](WorkerState& ws) {
-    ServeAndDeliver(ws, request, on_done);
+    ServeAndDeliver(ws, /*rebind=*/true, request, on_done);
   };
 }
 
@@ -206,13 +207,12 @@ Status EnginePool::SubmitBatch(
 Status EnginePool::ServeBatch(
     BatchRequest request,
     std::function<void(Result<PoolBatchResponse>)> on_done) {
-  assert(on_done && "EnginePool submissions require a callback");
-  std::shared_ptr<const ServingState> state = State();
-  if (request.pairs.size() > kMaxInlinePairs ||
-      !state->snapshot->memory_resident() || !state->delta->empty()) {
+  if (request.pairs.size() > kMaxInlinePairs) {
     return SubmitBatch(std::move(request), std::move(on_done));
   }
+  assert(on_done && "EnginePool submissions require a callback");
   WorkerState* ws = nullptr;
+  bool borrowed = false;
   {
     std::lock_guard<std::mutex> lock(mu_);
     HOPI_RETURN_NOT_OK(AdmitLocked("ServeBatch"));
@@ -222,11 +222,30 @@ Status EnginePool::ServeBatch(
     }
     ws = idle_.back();
     idle_.pop_back();
-    ws->on_loan = true;
+    borrowed = BorrowableLocked(*ws);
+    if (borrowed) {
+      ws->on_loan = true;
+    } else {
+      // The worker's own thread binds it (building an engine, perhaps
+      // releasing the last reference to an old snapshot) and serves.
+      ws->handoff = MakeJob(std::move(request), std::move(on_done));
+    }
   }
-  ServeAndDeliver(*ws, request, on_done);
+  if (!borrowed) {
+    ws->wake.notify_one();
+    return Status::OK();
+  }
+  ServeAndDeliver(*ws, /*rebind=*/false, request, on_done);
   EndLoan(ws);
   return Status::OK();
+}
+
+bool EnginePool::BorrowableLocked(const WorkerState& ws) const {
+  // Compared by address: the borrower takes no reference of its own, so
+  // it can never be the one that releases a state last.
+  std::lock_guard<std::mutex> lock(snapshot_mu_);
+  return ws.state == published_ && ws.state->snapshot->memory_resident() &&
+         ws.state->delta->empty();
 }
 
 Status EnginePool::SubmitQuery(
@@ -518,7 +537,7 @@ Result<RebuildReceipt> EnginePool::RebuildNow(RebuildMode mode) {
   return receipt;
 }
 
-const EnginePool::ServingState& EnginePool::BindCurrentState(WorkerState* ws) {
+void EnginePool::BindCurrentState(WorkerState* ws) {
   std::shared_ptr<const ServingState> current = State();
   if (ws->state != current) {
     QueryEngineOptions engine_options;
@@ -547,12 +566,11 @@ const EnginePool::ServingState& EnginePool::BindCurrentState(WorkerState* ws) {
     ws->state = std::move(current);
     ws->rebinds.fetch_add(1, std::memory_order_relaxed);
   }
-  return *ws->state;
 }
 
 PoolBatchResponse EnginePool::Serve(WorkerState& ws,
                                      const BatchRequest& request) {
-  const ServingState& state = BindCurrentState(&ws);
+  const ServingState& state = *ws.state;
   BatchResponse response = ws.engine->Batch(request);
   const BatchStats& stats = response.stats;
   ws.probes.fetch_add(stats.probes, std::memory_order_relaxed);
@@ -570,7 +588,7 @@ PoolBatchResponse EnginePool::Serve(WorkerState& ws,
 
 PoolPathResponse EnginePool::Serve(WorkerState& ws,
                                    const PathQueryRequest& request) {
-  const ServingState& state = BindCurrentState(&ws);
+  const ServingState& state = *ws.state;
   Result<PathQueryResponse> result = ws.engine->Query(request);
   ws.path_queries.fetch_add(1, std::memory_order_relaxed);
   return {std::move(result), state.snapshot->version(),

@@ -17,23 +17,29 @@
 // Borrowing (ServeBatch): a caller that would otherwise only wait for
 // the answer — the network front end's event loop — serves a small
 // batch itself. ServeBatch takes the most recently idle worker off the
-// idle list, exactly as a hand-off would, and serves the batch on the
-// calling thread with that worker's engine and label cache; the
-// callback runs before ServeBatch returns. While on loan the worker
-// counts as busy for the admission gate, the queue bound and
+// idle list, exactly as a hand-off would. If that worker is already
+// bound to the published state, the caller serves the batch on its own
+// thread with the worker's engine and label cache, on that bound state,
+// and the callback runs before ServeBatch returns. While on loan the
+// worker counts as busy for the admission gate, the queue bound and
 // PoolStats::executing, its own thread stays parked, and Shutdown lets
 // it exit (and drop its engine) only once the loan ends. At the end of
 // the loan it takes the job at the queue's head, or goes back on the
 // idle list, so an idle worker still implies an empty queue.
 // A batch is served inline only when each of its probes is a join of
-// in-memory labels, it is small, and a worker is idle. So three cases
-// take the hand-off instead:
+// in-memory labels, no rebind is due, it is small, and a worker is
+// idle. So four cases take the hand-off instead:
 //   - the published state is not label joins in memory: a snapshot
 //     that is not memory_resident() (a block decode may fault file
 //     pages in, and an event loop must never wait on a disk), or a
 //     non-empty delta (an overlay probe may run a BFS, which costs
 //     microseconds, not the ~250 ns of a join; serialized on one loop,
 //     such batches lose the workers' parallelism);
+//   - the idle worker is not bound to the published state yet (its
+//     first request, or its first since a Swap, rebuild or mutation):
+//     it gets the batch as a hand-off, and its own thread rebinds —
+//     building an engine and perhaps releasing the last reference to
+//     an old snapshot, a cost that grows with the index;
 //   - the batch has more than kMaxInlinePairs pairs;
 //   - no worker is idle.
 // Path queries, the future and blocking forms and ShardedEngine's
@@ -305,22 +311,26 @@ class EnginePool {
   /// full queue shed it — retry later) mean it never will.
   Status SubmitBatch(BatchRequest request,
                      std::function<void(Result<PoolBatchResponse>)> on_done);
-  /// Most pairs ServeBatch serves on the calling thread. It bounds how
-  /// long one inline batch holds its caller's event loop: at ~250 ns
-  /// per probe over borrowed in-memory labels, 256 pairs stall every
-  /// other connection on that loop for ~64 µs, where one batch of
-  /// WireLimits::max_pairs (65,536) would stall them for ≥16 ms.
-  static constexpr size_t kMaxInlinePairs = 256;
+  /// Most pairs ServeBatch serves on the calling thread, set by
+  /// measurement: in closed-loop runs over an in-memory index (2
+  /// workers, 1 IO loop, 3 and 8 clients, 10 alternating runs a size on
+  /// a 4-vCPU host), serving inline raised probes/s at 8 and 32 pairs,
+  /// and lowered it with 8 clients from 64 pairs on (-3%; -21% at 256):
+  /// one loop serializes what two workers would serve side by side. It
+  /// also bounds how long one batch holds the loop: ~8 µs of joins at
+  /// ~250 ns a probe, where one batch of WireLimits::max_pairs (65,536)
+  /// would hold it ≥16 ms.
+  static constexpr size_t kMaxInlinePairs = 32;
 
   /// Serves a batch on the calling thread when it can, and otherwise
-  /// submits it as SubmitBatch does. It runs inline when the published
-  /// snapshot is memory_resident() with an empty delta, the batch has
-  /// at most kMaxInlinePairs pairs and a worker is idle: the caller
-  /// borrows that worker (header comment), serves the batch with its
-  /// engine and runs `on_done` before returning — so the caller must
-  /// not hold a lock `on_done` takes. Contract as SubmitBatch otherwise:
-  /// OK means `on_done` runs exactly once, on this thread or on a
-  /// worker.
+  /// submits it as SubmitBatch does. It runs inline when the batch has
+  /// at most kMaxInlinePairs pairs and a worker is idle that is bound to
+  /// the published state, a memory_resident() snapshot with an empty
+  /// delta: the caller borrows that worker (header comment), serves the
+  /// batch with its engine and runs `on_done` before returning — so the
+  /// caller must not hold a lock `on_done` takes. Contract as
+  /// SubmitBatch otherwise: OK means `on_done` runs exactly once, on
+  /// this thread or on a worker.
   Status ServeBatch(BatchRequest request,
                     std::function<void(Result<PoolBatchResponse>)> on_done);
   /// Submits a path query; contract as SubmitBatch.
@@ -421,10 +431,11 @@ class EnginePool {
   /// and answers through its callback.
   using Job = std::function<void(WorkerState&)>;
 
-  /// Everything one serving thread owns. Only the thread serving
-  /// through this worker — its own, or a ServeBatch caller that
-  /// borrowed it — touches `state`/`engine`, except that Stats readers
-  /// pin the engine under `rebind_mu` while reading its cache counters.
+  /// Everything one serving thread owns. Only the worker's own thread
+  /// rebinds `state`/`engine`; a ServeBatch caller that borrowed it
+  /// serves through them, BorrowableLocked reads `state` while the
+  /// worker is idle, and Stats readers pin the engine under `rebind_mu`
+  /// while reading its cache counters.
   struct WorkerState {
     size_t index = 0;
     std::thread thread;
@@ -461,17 +472,19 @@ class EnginePool {
   };
 
   void WorkerLoop(WorkerState& ws);
-  /// Rebinds worker `ws` to the published serving state if it changed;
-  /// returns the state the next request will be served from.
-  const ServingState& BindCurrentState(WorkerState* ws);
-  /// Serve one request on worker `ws` and count it in its stats.
+  /// Rebinds worker `ws` to the published serving state if it changed.
+  void BindCurrentState(WorkerState* ws);
+  /// Serve one request on worker `ws`, on the state it is bound to, and
+  /// count it in its stats.
   PoolBatchResponse Serve(WorkerState& ws, const BatchRequest& request);
   PoolPathResponse Serve(WorkerState& ws, const PathQueryRequest& request);
-  /// Serves `request` on `ws` and hands the answer to `on_done`. The
-  /// pool's one exception barrier: a throw from serving becomes an
+  /// Serves `request` on `ws` and hands the answer to `on_done`,
+  /// rebinding `ws` first when `rebind` (a worker thread; a borrower
+  /// serves on the state the worker is already bound to). The pool's
+  /// one exception barrier: a throw from binding or serving becomes an
   /// Internal error Result, and one from `on_done` is swallowed.
   template <typename Request, typename Response>
-  void ServeAndDeliver(WorkerState& ws, const Request& request,
+  void ServeAndDeliver(WorkerState& ws, bool rebind, const Request& request,
                        const std::function<void(Result<Response>)>& on_done);
   /// Wraps a request and its callback into a Job.
   template <typename Request, typename Response>
@@ -486,6 +499,11 @@ class EnginePool {
   /// Shared submission tail: admission gate, then hand-off to an idle
   /// worker or a bounded push onto the queue.
   Status Enqueue(Job job, const char* what);
+  /// Caller holds mu_ and has just taken `ws` off idle_. Whether it may
+  /// borrow `ws`: the worker is bound to the published state, and that
+  /// state is label joins in memory (a memory_resident() snapshot, an
+  /// empty delta).
+  bool BorrowableLocked(const WorkerState& ws) const;
   /// Ends a ServeBatch loan: the worker takes the job at the queue's
   /// head, or goes back on the idle list.
   void EndLoan(WorkerState* ws);
@@ -515,6 +533,7 @@ class EnginePool {
   bool closed_ = false;
   uint64_t sheds_ = 0;
 
+  /// Taken alone, or inside mu_ (BorrowableLocked); never the reverse.
   mutable std::mutex snapshot_mu_;
   std::shared_ptr<const ServingState> published_;  // guarded by snapshot_mu_
 

@@ -18,13 +18,15 @@
 // stats, errors, mutation receipts, and the small in-memory batches
 // EnginePool::ServeBatch serves on this thread) completes on the spot:
 // Pump writes it and goes on to the next pipelined request, with no
-// mailbox, eventfd or epoll interest change. A handler that hands its
-// Responder on (a batch for a pool worker, a path query, a sharded
-// fan-out) returns at once, and the connection is parked — EPOLLIN
-// paused, one request in flight per connection, so responses can never
-// be reordered — until the Responder posts back. So the loop runs only
-// the work a handler chooses to run inline, and never waits for a pool
-// worker to pick a request up.
+// mailbox, eventfd or epoll interest change. A connection gets at most
+// 16 such responses per turn; with more requests buffered it yields to
+// the other connections on its loop and resumes from a ready list. A
+// handler that hands its Responder on (a batch for a pool worker, a
+// path query, a sharded fan-out) returns at once, and the connection is
+// parked — EPOLLIN paused, one request in flight per connection, so
+// responses can never be reordered — until the Responder posts back.
+// So the loop runs only the work a handler chooses to run inline, and
+// never waits for a pool worker to pick a request up.
 //
 // Reads, writes, and accepts are all non-blocking. Short writes park
 // the remainder under EPOLLOUT, and until it drains the connection
@@ -135,7 +137,10 @@ class HttpServer {
   /// handler fires inline is written at once and the next request goes.
   /// Stops at a request answered later (reads paused until its
   /// Responder posts back), a parse reject, bytes the socket refused,
-  /// or the end of the buffered bytes.
+  /// or the end of the buffered bytes — or, with bytes still buffered,
+  /// after kInlineResponsesPerTurn inline responses: then reads pause
+  /// and the connection waits on the loop's ready list for its next
+  /// turn, so one deep pipeline cannot hold the loop.
   void Pump(IoLoop* loop, Conn* conn);
   /// A response posted through the mailbox: write it, then Pump.
   void CompleteResponse(IoLoop* loop, Conn* conn, HttpResponse response);

@@ -14,13 +14,14 @@
 //
 // Engine requests use the pool's callback submission, and on_done
 // serializes the result and fires the Responder. A small batch of
-// in-memory label joins that finds a worker idle is served on the IO
-// thread itself (EnginePool::ServeBatch borrows that worker's engine),
-// so its response completes before the handler returns. Everything
-// else — a busy pool, a store-backed snapshot, a buffered delta, a
-// large batch, path queries, sharded fan-out — returns to the epoll
-// loop at once and is answered from a worker; no thread ever blocks
-// waiting on a query.
+// in-memory label joins that finds an idle worker already bound to the
+// published state is served on the IO thread itself
+// (EnginePool::ServeBatch borrows that worker's engine), so its
+// response completes before the handler returns. Everything else — a
+// busy pool, a worker still to rebind, a store-backed snapshot, a
+// buffered delta, a large batch, path queries, sharded fan-out —
+// returns to the epoll loop at once and is answered from a worker; no
+// thread ever blocks waiting on a query.
 // Shedding falls out of the same path: a refused submission
 // (ResourceExhausted from the admission gate or a full queue) is
 // answered 429 right from the handler, which is exactly why an

@@ -543,10 +543,49 @@ std::shared_ptr<const BackendSnapshot> MappedSnapshot(const HopiIndex& index,
                       std::move(mapped).value()));
 }
 
+/// Waits until no worker is busy: a worker lists itself idle only after
+/// the callback of its last job has returned.
+void WaitUntilIdle(EnginePool* pool) {
+  for (int spin = 0; spin < 10000 && pool->Stats().executing != 0; ++spin) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+}
+
+/// Serves one batch on a worker thread, which binds the most recently
+/// idle worker to the published state, and waits until that worker is
+/// idle again: the next ServeBatch borrows it. A borrower serves only
+/// through a worker that is already bound.
+void BindIdleWorker(EnginePool* pool) {
+  ASSERT_TRUE(pool->Batch({.pairs = {{0, 0}}}).ok());
+  WaitUntilIdle(pool);
+}
+
+/// The thread a ServeBatch of `request` delivered its answer on, and
+/// the answer.
+std::pair<std::thread::id, PoolBatchResponse> ServeAndWait(
+    EnginePool* pool, BatchRequest request) {
+  std::promise<std::pair<std::thread::id, PoolBatchResponse>> on;
+  auto future = on.get_future();
+  Status status = pool->ServeBatch(
+      std::move(request), [&on](Result<PoolBatchResponse> result) {
+        EXPECT_TRUE(result.ok()) << result.status();
+        on.set_value({std::this_thread::get_id(),
+                      result.ok() ? std::move(result).value()
+                                  : PoolBatchResponse{}});
+      });
+  EXPECT_TRUE(status.ok()) << status;
+  return future.get();
+}
+
 TEST_F(EnginePoolFixture, ServeBatchRunsInlineOnAnIdleWorker) {
   EnginePool pool(snapshot_, {.num_threads = 2});
-  const BatchRequest request{.pairs = RandomPairs(64, 7),
-                             .want_distances = true};
+  // Workers are listed idle in index order at construction, so the most
+  // recently idle one is the last: worker 1 binds, and is idle last.
+  BindIdleWorker(&pool);
+  const PoolStats before = pool.Stats();
+  const BatchRequest request{
+      .pairs = RandomPairs(EnginePool::kMaxInlinePairs, 7),
+      .want_distances = true};
   const std::thread::id caller = std::this_thread::get_id();
   std::optional<Result<PoolBatchResponse>> delivered;
   std::thread::id ran_on;
@@ -563,8 +602,6 @@ TEST_F(EnginePoolFixture, ServeBatchRunsInlineOnAnIdleWorker) {
   EXPECT_EQ(ran_on, caller);
   ASSERT_TRUE(delivered->ok()) << delivered->status();
   const PoolBatchResponse& response = delivered->value();
-  // Workers are listed idle in index order at construction, so the most
-  // recently idle one is the last.
   EXPECT_EQ(response.worker, 1u);
   EXPECT_EQ(response.snapshot_version, snapshot_->version());
   BatchResponse expect = QueryEngine::ForIndex(*index_).Batch(request);
@@ -574,9 +611,36 @@ TEST_F(EnginePoolFixture, ServeBatchRunsInlineOnAnIdleWorker) {
   EXPECT_EQ(during.executing, 1u);
   EXPECT_EQ(during.queued, 0u);
   PoolStats after = pool.Stats();
-  EXPECT_EQ(after.batches, 1u);
-  EXPECT_EQ(after.probes, 64u);
+  EXPECT_EQ(after.batches - before.batches, 1u);
+  EXPECT_EQ(after.probes - before.probes, EnginePool::kMaxInlinePairs);
   EXPECT_EQ(after.executing, 0u);
+  EXPECT_EQ(after.rebinds, before.rebinds) << "the borrower rebound";
+}
+
+TEST_F(EnginePoolFixture, ServeBatchHandsOffUntilTheWorkerIsBound) {
+  // Binding a worker builds an engine and may release the last
+  // reference to an old snapshot, so it stays on worker threads: a
+  // worker's first batch, and its first after a Swap, are handed off,
+  // and the next ones are borrowed.
+  EnginePool pool(snapshot_, {.num_threads = 1});
+  const std::thread::id caller = std::this_thread::get_id();
+  auto [first_on, first] = ServeAndWait(&pool, {.pairs = RandomPairs(8, 1)});
+  EXPECT_NE(first_on, caller) << "a worker's first batch ran inline";
+  EXPECT_EQ(first.snapshot_version, snapshot_->version());
+  WaitUntilIdle(&pool);
+  EXPECT_EQ(ServeAndWait(&pool, {.pairs = RandomPairs(8, 2)}).first, caller);
+
+  auto snapshot_b = BackendSnapshot::Freeze(*index_);
+  pool.Swap(snapshot_b);
+  auto [swapped_on, swapped] =
+      ServeAndWait(&pool, {.pairs = RandomPairs(8, 3)});
+  EXPECT_NE(swapped_on, caller) << "the first batch after a Swap ran inline";
+  EXPECT_EQ(swapped.snapshot_version, snapshot_b->version());
+  WaitUntilIdle(&pool);
+  auto [next_on, next] = ServeAndWait(&pool, {.pairs = RandomPairs(8, 4)});
+  EXPECT_EQ(next_on, caller);
+  EXPECT_EQ(next.snapshot_version, snapshot_b->version());
+  EXPECT_EQ(pool.Stats().rebinds, 2u);
 }
 
 TEST_F(EnginePoolFixture, ServeBatchQueuesBehindAStalledWorkerAndSheds) {
@@ -639,13 +703,17 @@ TEST_F(EnginePoolFixture, JobQueuedDuringALoanGoesToTheBorrowedWorker) {
   // batch submitted meanwhile queues, and the end of the loan hands it
   // to that worker rather than listing the worker idle beside it.
   EnginePool pool(snapshot_, {.num_threads = 1});
+  BindIdleWorker(&pool);
   std::promise<void> release;
   std::shared_future<void> gate(release.get_future());
   std::promise<void> entered;
   std::thread borrower([&] {
+    const std::thread::id self = std::this_thread::get_id();
     Status status = pool.ServeBatch({.pairs = RandomPairs(4, 1)},
                                     [&](Result<PoolBatchResponse> result) {
                                       EXPECT_TRUE(result.ok());
+                                      EXPECT_EQ(std::this_thread::get_id(),
+                                                self);
                                       entered.set_value();
                                       gate.wait();
                                     });
@@ -667,9 +735,7 @@ TEST_F(EnginePoolFixture, JobQueuedDuringALoanGoesToTheBorrowedWorker) {
       << "the job queued during the loan was stranded";
   EXPECT_EQ(future.get().worker, 0u);
   // Then the worker goes idle, and the next small batch runs inline.
-  for (int spin = 0; spin < 10000 && pool.Stats().executing != 0; ++spin) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
+  WaitUntilIdle(&pool);
   bool inline_ran = false;
   ASSERT_TRUE(pool.ServeBatch({.pairs = RandomPairs(4, 3)},
                               [&](Result<PoolBatchResponse>) {
@@ -677,7 +743,7 @@ TEST_F(EnginePoolFixture, JobQueuedDuringALoanGoesToTheBorrowedWorker) {
                               })
                   .ok());
   EXPECT_TRUE(inline_ran);
-  EXPECT_EQ(pool.Stats().batches, 3u);
+  EXPECT_EQ(pool.Stats().batches, 4u);
 }
 
 TEST_F(EnginePoolFixture, ShutdownWaitsForALoanAndKeepsItsCallback) {
@@ -686,18 +752,22 @@ TEST_F(EnginePoolFixture, ShutdownWaitsForALoanAndKeepsItsCallback) {
   // loan ends, and the borrower's callback runs exactly once.
   {
     EnginePool pool(snapshot_, {.num_threads = 1});
+    BindIdleWorker(&pool);
     std::promise<void> release;
     std::shared_future<void> gate(release.get_future());
     std::promise<void> entered;
     std::atomic<int> delivered{0};
     std::thread borrower([&] {
-      Status status = pool.ServeBatch({.pairs = RandomPairs(32, 1)},
-                                      [&](Result<PoolBatchResponse> result) {
-                                        EXPECT_TRUE(result.ok());
-                                        delivered.fetch_add(1);
-                                        entered.set_value();
-                                        gate.wait();
-                                      });
+      const std::thread::id self = std::this_thread::get_id();
+      Status status = pool.ServeBatch(
+          {.pairs = RandomPairs(EnginePool::kMaxInlinePairs, 1)},
+          [&](Result<PoolBatchResponse> result) {
+            EXPECT_TRUE(result.ok());
+            EXPECT_EQ(std::this_thread::get_id(), self);
+            delivered.fetch_add(1);
+            entered.set_value();
+            gate.wait();
+          });
       EXPECT_TRUE(status.ok()) << status;
     });
     entered.get_future().wait();
@@ -713,7 +783,7 @@ TEST_F(EnginePoolFixture, ShutdownWaitsForALoanAndKeepsItsCallback) {
     closer.join();
     EXPECT_TRUE(shut.load());
     EXPECT_EQ(delivered.load(), 1);
-    EXPECT_EQ(pool.Stats().batches, 1u);
+    EXPECT_EQ(pool.Stats().batches, 2u);
     EXPECT_TRUE(pool.ServeBatch({.pairs = RandomPairs(2, 2)},
                                 [](Result<PoolBatchResponse>) {})
                     .IsFailedPrecondition());
@@ -725,7 +795,8 @@ TEST_F(EnginePoolFixture, ShutdownWaitsForALoanAndKeepsItsCallback) {
   std::atomic<uint64_t> accepted{0};
   std::atomic<uint64_t> delivered{0};
   std::atomic<uint64_t> failed{0};
-  const BatchRequest request{.pairs = RandomPairs(64, 5)};
+  const BatchRequest request{
+      .pairs = RandomPairs(EnginePool::kMaxInlinePairs, 5)};
   std::vector<std::thread> borrowers;
   for (int t = 0; t < 2; ++t) {
     borrowers.emplace_back([&] {
@@ -754,23 +825,16 @@ TEST_F(EnginePoolFixture, ShutdownWaitsForALoanAndKeepsItsCallback) {
 TEST_F(EnginePoolFixture, StoreBackedDeltaAndLargeBatchesTakeTheHandOff) {
   const std::thread::id caller = std::this_thread::get_id();
   auto served_on = [](EnginePool* pool, BatchRequest request) {
-    std::promise<std::thread::id> on;
-    std::future<std::thread::id> future = on.get_future();
-    Status status = pool->ServeBatch(
-        std::move(request), [&on](Result<PoolBatchResponse> result) {
-          EXPECT_TRUE(result.ok());
-          on.set_value(std::this_thread::get_id());
-        });
-    EXPECT_TRUE(status.ok()) << status;
-    return future.get();
+    return ServeAndWait(pool, std::move(request)).first;
   };
   // A store-backed snapshot: block decodes may fault file pages in.
   std::string path = ::testing::TempDir() + "hopi_pool_serve_mapped.bin";
   {
     EnginePool mapped_pool(MappedSnapshot(*index_, c_, path),
                            {.num_threads = 1});
+    BindIdleWorker(&mapped_pool);
     EXPECT_NE(served_on(&mapped_pool, {.pairs = RandomPairs(8, 1)}), caller);
-    EXPECT_EQ(mapped_pool.Stats().batches, 1u);
+    EXPECT_EQ(mapped_pool.Stats().batches, 2u);
   }
   std::remove(path.c_str());
 
@@ -782,20 +846,22 @@ TEST_F(EnginePoolFixture, StoreBackedDeltaAndLargeBatchesTakeTheHandOff) {
     ASSERT_TRUE(
         delta_pool.ApplyMutation(Mutation::InsertLink(link.first, link.second))
             .ok());
+    BindIdleWorker(&delta_pool);
     EXPECT_NE(served_on(&delta_pool, {.pairs = RandomPairs(8, 4)}), caller);
-    EXPECT_EQ(delta_pool.Stats().batches, 1u);
+    EXPECT_EQ(delta_pool.Stats().batches, 2u);
   }
 
   // In memory: exactly kMaxInlinePairs pairs run inline, one more does
   // not.
   EnginePool pool(snapshot_, {.num_threads = 1});
+  BindIdleWorker(&pool);
   EXPECT_EQ(served_on(&pool, {.pairs = RandomPairs(
                                   EnginePool::kMaxInlinePairs, 2)}),
             caller);
   EXPECT_NE(served_on(&pool, {.pairs = RandomPairs(
                                   EnginePool::kMaxInlinePairs + 1, 3)}),
             caller);
-  EXPECT_EQ(pool.Stats().batches, 2u);
+  EXPECT_EQ(pool.Stats().batches, 3u);
 }
 
 TEST_F(EnginePoolFixture, InlineAndHandedOffBatchesRaceSwapsConsistently) {
@@ -822,7 +888,8 @@ TEST_F(EnginePoolFixture, InlineAndHandedOffBatchesRaceSwapsConsistently) {
   constexpr size_t kRequests = 16;
   std::vector<BatchRequest> requests;
   for (size_t i = 0; i < kRequests; ++i) {
-    BatchRequest request{.pairs = RandomPairs(48, 100 + i)};
+    BatchRequest request{
+        .pairs = RandomPairs(EnginePool::kMaxInlinePairs - 1, 100 + i)};
     request.pairs.push_back(flipped);
     requests.push_back(std::move(request));
   }

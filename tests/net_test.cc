@@ -11,9 +11,11 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
+#include <fstream>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -682,6 +684,14 @@ class RawConnection {
 
   bool connected() const { return fd_ >= 0; }
 
+  /// The receive buffer the kernel granted (SO_RCVBUF as read back).
+  size_t ReceiveBuffer() const {
+    int size = 0;
+    socklen_t len = sizeof(size);
+    ::getsockopt(fd_, SOL_SOCKET, SO_RCVBUF, &size, &len);
+    return static_cast<size_t>(size);
+  }
+
   /// Writes all of `bytes`; returns how many went out before the
   /// connection failed or was shut down.
   size_t SendAll(std::string_view bytes) const {
@@ -748,14 +758,74 @@ TEST_F(ServingFixture, DeepPipelineIsServedInOrderWithoutRecursion) {
   EXPECT_EQ(statuses.back(), "404");
 }
 
+TEST(HttpServerTest, DeepPipelineYieldsTheLoopToOtherConnections) {
+  // One IO loop, two connections. A pipelines kSlow requests that the
+  // handler answers inline after 5 ms each; B asks once while A's
+  // pipeline is being served. B must get its turn after a bounded
+  // number of A's requests, not after all of them.
+  constexpr int kSlow = 64;
+  std::atomic<int> slow_served{0};
+  HttpServer server([&](HttpRequest request, HttpServer::Responder responder) {
+    if (request.target == "/slow") {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+      slow_served.fetch_add(1);
+    }
+    responder.Send(HttpResponse{});
+  });
+  ASSERT_TRUE(server.Start().ok());
+  BlockingHttpClient b;
+  ASSERT_TRUE(b.Connect("127.0.0.1", server.port()).ok());
+  // A first round trip puts B's connection on the loop.
+  auto warm = b.Request("GET", "/fast");
+  ASSERT_TRUE(warm.ok()) << warm.status();
+
+  RawConnection a(server.port());
+  ASSERT_TRUE(a.connected());
+  std::string pipeline;
+  for (int i = 0; i < kSlow; ++i) pipeline += "GET /slow HTTP/1.1\r\n\r\n";
+  pipeline += "GET /fast HTTP/1.1\r\nconnection: close\r\n\r\n";
+  ASSERT_EQ(a.SendAll(pipeline), pipeline.size());
+  while (slow_served.load() == 0) std::this_thread::yield();
+  auto answer = b.Request("GET", "/fast");
+  const int served_before_b = slow_served.load();
+  ASSERT_TRUE(answer.ok()) << answer.status();
+  EXPECT_EQ(answer->status, 200);
+  EXPECT_LT(served_before_b, kSlow * 3 / 4)
+      << "B waited for most of A's pipeline";
+
+  // A still gets every answer, in order, the closing one last.
+  std::string bytes = a.ReadUntilClose();
+  size_t answers = 0;
+  for (size_t at = bytes.find("HTTP/1.1 200"); at != std::string::npos;
+       at = bytes.find("HTTP/1.1 200", at + 1)) {
+    ++answers;
+  }
+  EXPECT_EQ(answers, static_cast<size_t>(kSlow) + 1);
+  EXPECT_EQ(slow_served.load(), kSlow);
+  server.Stop();
+}
+
+/// The most the kernel lets a TCP socket's send buffer grow to (the
+/// third field of net.ipv4.tcp_wmem), or Linux's default of 4 MiB when
+/// it cannot be read.
+size_t MaxTcpSendBuffer() {
+  std::ifstream in("/proc/sys/net/ipv4/tcp_wmem");
+  size_t min = 0;
+  size_t initial = 0;
+  size_t max = 0;
+  if (in >> min >> initial >> max) return max;
+  return size_t{4} << 20;
+}
+
 TEST_F(ServingFixture, PipelinedFloodWithoutReadingIsNotBuffered) {
-  // One client pipelines 64 want_distances batches at the wire limit
-  // (65,536 pairs each, ~40 MB) and never reads. The server may dispatch
-  // only as many as the socket buffers hold answers for, plus the one
-  // it is writing: reads and dispatch pause while a response waits to
-  // be written. Left unpaused, it reads on and buffers every answer.
+  // One client pipelines want_distances batches at the wire limit
+  // (65,536 pairs each) and never reads. The server may dispatch only
+  // as many as the socket buffers hold answers for, plus the one it is
+  // writing: reads and dispatch pause while a response waits to be
+  // written. Left unpaused, it reads on and buffers every answer. The
+  // bound follows from the host's largest TCP send buffer and the size
+  // of one answer, and the client sends four times as many batches.
   StartServer();
-  constexpr int kBatches = 64;
   constexpr size_t kPairs = size_t{1} << 16;
   Rng rng(29);
   std::string body = "{\"pairs\":[";
@@ -768,15 +838,26 @@ TEST_F(ServingFixture, PipelinedFloodWithoutReadingIsNotBuffered) {
   const std::string request = "POST /v1/batch HTTP/1.1\r\ncontent-length: " +
                               std::to_string(body.size()) + "\r\n\r\n" +
                               body;
-  std::string flood;
-  flood.reserve(request.size() * kBatches);
-  for (int i = 0; i < kBatches; ++i) flood += request;
+  // One answer's size, from an ordinary round trip.
+  BlockingHttpClient probe = Connect();
+  auto answer = probe.Request("POST", "/v1/batch", body);
+  ASSERT_TRUE(answer.ok()) << answer.status();
+  ASSERT_EQ(answer->status, 200);
+  ASSERT_GT(answer->body.size(), 0u);
 
-  // A small receive window keeps what the kernel buffers for this client
-  // independent of the host's autotuning limits.
+  // A small receive window keeps what the kernel buffers on the client's
+  // side small too.
   RawConnection conn(server_->port(), /*receive_buffer=*/64 * 1024);
   ASSERT_TRUE(conn.connected());
-  std::thread writer([&] { conn.SendAll(flood); });
+  const uint64_t bound =
+      (MaxTcpSendBuffer() + conn.ReceiveBuffer()) / answer->body.size() + 3;
+  const uint64_t batches = std::max<uint64_t>(64, 4 * bound);
+  const uint64_t before = server_->Stats().requests;
+  std::thread writer([&] {
+    for (uint64_t i = 0; i < batches; ++i) {
+      if (conn.SendAll(request) != request.size()) return;
+    }
+  });
   // Wait until dispatching stops: no new request for one second after
   // the first.
   using Clock = std::chrono::steady_clock;
@@ -785,7 +866,7 @@ TEST_F(ServingFixture, PipelinedFloodWithoutReadingIsNotBuffered) {
   Clock::time_point changed = Clock::now();
   while (Clock::now() < deadline) {
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    uint64_t now = server_->Stats().requests;
+    uint64_t now = server_->Stats().requests - before;
     if (now != dispatched) {
       dispatched = now;
       changed = Clock::now();
@@ -797,8 +878,9 @@ TEST_F(ServingFixture, PipelinedFloodWithoutReadingIsNotBuffered) {
   conn.Shutdown();
   writer.join();
   EXPECT_GE(dispatched, 1u);
-  EXPECT_LT(dispatched, static_cast<uint64_t>(kBatches) / 4)
-      << "the server kept dispatching for a client that does not read";
+  EXPECT_LT(dispatched, bound)
+      << "the server kept dispatching for a client that does not read ("
+      << batches << " sent)";
 
   // Everyone else is still served.
   BlockingHttpClient client = Connect();
