@@ -162,7 +162,7 @@ int main(int argc, char** argv) {
         pool_options.num_threads = threads;
         pool_options.label_cache_bytes = cache_bytes;
         engine::EnginePool pool(named.snapshot, pool_options);
-        // Warm the per-worker engines (bind + first cache fills).
+        // Warm the worker engines (bind + first cache fills).
         RunWorkload(&pool, clients, 2 * threads, batch_size,
                     c.NumElements(), seed + 1);
         RunResult r = RunWorkload(&pool, clients, batches, batch_size,

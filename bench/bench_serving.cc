@@ -19,8 +19,8 @@
 //                  admission controller earning its keep.
 //
 // Probes are Zipfian (--zipf_s) over the element space: a skewed hot
-// set is what makes the per-worker label caches (and their hit-rate
-// numbers in /stats) meaningful under load.
+// set is what makes the pool's label cache (and its hit-rate numbers
+// in /stats) meaningful under load.
 //
 // Writes BENCH_serving.json (throughput, latency percentiles, status
 // mix) via BenchReport.

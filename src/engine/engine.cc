@@ -28,7 +28,9 @@ QueryEngine::QueryEngine(const collection::Collection& collection,
                 ? std::move(options.shared_tags)
                 : std::make_shared<query::TagIndex>(collection)),
       similarity_(std::move(options.similarity)),
-      cache_(options.label_cache_bytes) {}
+      cache_(options.shared_cache
+                 ? std::move(options.shared_cache)
+                 : std::make_shared<LabelCache>(options.label_cache_bytes)) {}
 
 QueryEngine QueryEngine::ForIndex(const HopiIndex& index,
                                   QueryEngineOptions options) {
@@ -74,7 +76,7 @@ PinnedJoin QueryEngine::FetchJoinLabel(bool out, NodeId node,
   // borrow?" first would pay that search twice per fetch.
   if (std::optional<uint64_t> handle =
           out ? backend_->OutLabelBlock(node) : backend_->InLabelBlock(node)) {
-    LabelBlock block = cache_.Get(*handle);
+    LabelBlock block = cache_->Get(*handle);
     if (block) {
       ++stats->cache_hits;
     } else {
@@ -85,12 +87,12 @@ PinnedJoin QueryEngine::FetchJoinLabel(bool out, NodeId node,
         if (error->ok()) *error = decoded.status();
         return {twohop::JoinView{}, nullptr};
       }
-      cache_.RecordDecode(static_cast<uint64_t>(
+      cache_->RecordDecode(static_cast<uint64_t>(
           std::chrono::duration_cast<std::chrono::nanoseconds>(
               std::chrono::steady_clock::now() - start)
               .count()));
       ++stats->blocks_decoded;
-      block = cache_.Put(*handle, std::move(*decoded));
+      block = cache_->Put(*handle, std::move(*decoded));
     }
     int64_t row = block->RowIndexFor(node);
     if (row < 0) return {twohop::JoinView{}, std::move(block)};

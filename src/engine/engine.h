@@ -2,7 +2,7 @@
 //
 // Owns the glue a search engine needs around one ReachabilityBackend —
 // the collection, the tag inverted index, an optional tag-similarity
-// ontology, and a byte-budgeted LRU cache of decoded label blocks — and
+// ontology, and a byte-budgeted cache of decoded label blocks — and
 // exposes typed request/response structs so raw reachability, batched
 // reachability joins, and wildcard path queries all flow through one
 // entry point (paper Sec 5.1; ROADMAP items "batch reachability joins"
@@ -12,15 +12,16 @@
 // joins label views lent by the backend or served from the block
 // cache; per-call route counters are surfaced in the response stats.
 //
-// Threading model: a QueryEngine is single-threaded — the label cache
-// mutates on reads, so exactly one thread may call Batch/Query/
-// Reachability on an engine (the cache's *stats* accessors are the one
-// exception: reading them from another thread is safe, see
-// label_cache.h). Run one engine per serving thread; they can share
-// the backend (immutable) and a pre-built tag index
-// (QueryEngineOptions::shared_tags). engine/engine_pool.h packages
-// exactly that arrangement: N per-thread engines over one shared
-// BackendSnapshot, swappable at runtime.
+// Threading model: a QueryEngine serves one thread at a time, because a
+// backend may keep per-call scratch (the delta overlay's BFS marks).
+// Run one engine per serving thread over shared immutable state: the
+// backend's storage, a pre-built tag index (QueryEngineOptions::
+// shared_tags) and one decoded-block cache (QueryEngineOptions::
+// shared_cache; LabelCache is safe for concurrent use, see
+// label_cache.h). A standalone engine builds its own cache.
+// engine/engine_pool.h packages exactly that arrangement: N per-thread
+// engines over one shared BackendSnapshot and its cache, swappable at
+// runtime.
 #pragma once
 
 #include <cstddef>
@@ -44,9 +45,9 @@
 namespace hopi::engine {
 
 struct QueryEngineOptions {
-  /// Byte budget of the decoded-block cache (v4 stores; see
-  /// engine/label_cache.h for the accounting and the pinning rule). 0
-  /// disables caching — correct, just cold.
+  /// Byte budget of the engine's own decoded-block cache (v4 stores;
+  /// see engine/label_cache.h for the accounting and the pinning rule).
+  /// 0 disables caching — correct, just cold. Unused with shared_cache.
   size_t label_cache_bytes = 4 * 1024 * 1024;
   /// Ontology for ~tag path steps; approximate steps behave like exact
   /// ones when unset.
@@ -58,6 +59,13 @@ struct QueryEngineOptions {
   /// threads — can share one. EnginePool workers rebinding to a fresh
   /// BackendSnapshot use this to make engine construction O(1).
   std::shared_ptr<const query::TagIndex> shared_tags = nullptr;
+  /// Decoded-block cache to share instead of building one per engine.
+  /// Its blocks must come from the same storage the engine's backend
+  /// reads, since block handles are the cache keys. LabelCache is safe
+  /// for concurrent use, so any number of engines — and threads — can
+  /// share one: EnginePool workers get the cache of the snapshot they
+  /// serve, so a block one worker decoded is a hit for every other.
+  std::shared_ptr<LabelCache> shared_cache = nullptr;
 };
 
 // ---- typed requests / responses ----
@@ -92,7 +100,7 @@ struct BatchStats {
   /// Distinct (u, v) pairs actually evaluated after in-batch dedup.
   size_t unique_probes = 0;
   /// Label sets served from the engine's cache (block route, warm: a
-  /// resident block).
+  /// resident block, whichever engine sharing the cache decoded it).
   size_t cache_hits = 0;
   /// Label sets whose block the cache did not hold (block route, cold:
   /// the engine decoded the block, or failed to).
@@ -202,16 +210,14 @@ class QueryEngine {
   const ReachabilityBackend& backend() const { return *backend_; }
   const collection::Collection& collection() const { return *collection_; }
   const query::TagIndex& tags() const { return *tags_; }
-  /// Lifetime counters of the decoded-block cache (across all batches).
-  /// Backends on the borrow route never touch it — expect zeros there.
-  /// The cache's stats accessors are safe from any thread; everything
-  /// else on it belongs to the engine's serving thread (label_cache.h
-  /// documents the rule).
-  const LabelCache& label_cache() const { return cache_; }
-  /// One relaxed snapshot of those counters — byte accounting
+  /// The decoded-block cache: the engine's own, or the shared one, whose
+  /// counters then include every engine that uses it. Backends on the
+  /// borrow route never touch it — expect zeros there.
+  const LabelCache& label_cache() const { return *cache_; }
+  /// One relaxed snapshot of its counters — byte accounting
   /// (bytes_resident, byte_budget) and decode accounting
   /// (blocks_decoded, decode_nanos) included. Safe from any thread.
-  LabelCache::Stats CacheStats() const { return cache_.StatsSnapshot(); }
+  LabelCache::Stats CacheStats() const { return cache_->StatsSnapshot(); }
 
  private:
   /// One label fetch — LOUT(node) when `out`, else LIN(node) — as the
@@ -230,7 +236,7 @@ class QueryEngine {
   std::unique_ptr<ReachabilityBackend> backend_;
   std::shared_ptr<const query::TagIndex> tags_;
   std::optional<query::TagSimilarity> similarity_;
-  mutable LabelCache cache_;
+  std::shared_ptr<LabelCache> cache_;
 };
 
 }  // namespace hopi::engine

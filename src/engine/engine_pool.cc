@@ -67,12 +67,6 @@ EnginePool::EnginePool(std::shared_ptr<const BackendSnapshot> snapshot,
     : options_(std::move(options)),
       admission_(options_.shed_high_watermark, options_.shed_low_watermark) {
   assert(snapshot && "EnginePool requires a non-null initial snapshot");
-  auto state = std::make_shared<ServingState>();
-  state->delta = DeltaState::MakeEmpty(snapshot->collection().NumElements(),
-                                       snapshot->collection().NumDocuments(),
-                                       /*generation=*/0);
-  state->snapshot = std::move(snapshot);
-  published_ = std::move(state);
   size_t n = options_.num_threads != 0
                  ? options_.num_threads
                  : std::max<size_t>(1, std::thread::hardware_concurrency());
@@ -85,6 +79,13 @@ EnginePool::EnginePool(std::shared_ptr<const BackendSnapshot> snapshot,
     // before the threads reach their wait.
     idle_.push_back(workers_[i].get());
   }
+  auto state = std::make_shared<ServingState>();
+  state->delta = DeltaState::MakeEmpty(snapshot->collection().NumElements(),
+                                       snapshot->collection().NumDocuments(),
+                                       /*generation=*/0);
+  state->snapshot = std::move(snapshot);
+  state->cache = MakeCache();
+  published_ = std::move(state);
   // Spawn after every WorkerState exists so a fast worker never races
   // the vector growing.
   for (auto& ws : workers_) {
@@ -288,12 +289,25 @@ std::shared_ptr<const EnginePool::ServingState> EnginePool::State() const {
   return published_;
 }
 
+std::shared_ptr<LabelCache> EnginePool::MakeCache() const {
+  // Saturating: a per-worker budget of SIZE_MAX means "unbounded".
+  const size_t n = workers_.size();
+  const size_t per_worker = options_.label_cache_bytes;
+  return std::make_shared<LabelCache>(
+      per_worker > SIZE_MAX / n ? SIZE_MAX : per_worker * n);
+}
+
 void EnginePool::Publish(std::shared_ptr<const BackendSnapshot> snapshot,
                          std::shared_ptr<const DeltaState> delta,
                          bool count_swap) {
   auto state = std::make_shared<ServingState>();
   state->snapshot = std::move(snapshot);
   state->delta = std::move(delta);
+  // Block handles name blocks of one store, so the cache lives exactly
+  // as long as the snapshot object is published.
+  std::shared_ptr<const ServingState> current = State();
+  state->cache = current->snapshot == state->snapshot ? current->cache
+                                                      : MakeCache();
   {
     std::lock_guard<std::mutex> lock(snapshot_mu_);
     published_ = std::move(state);
@@ -541,9 +555,9 @@ void EnginePool::BindCurrentState(WorkerState* ws) {
   std::shared_ptr<const ServingState> current = State();
   if (ws->state != current) {
     QueryEngineOptions engine_options;
-    engine_options.label_cache_bytes = options_.label_cache_bytes;
     engine_options.similarity = options_.similarity;
     engine_options.shared_tags = current->snapshot->tags();
+    engine_options.shared_cache = current->cache;
     std::unique_ptr<ReachabilityBackend> backend =
         current->snapshot->MakeBackend();
     if (!current->delta->empty()) {
@@ -557,10 +571,6 @@ void EnginePool::BindCurrentState(WorkerState* ws) {
           std::move(backend), &current->snapshot->collection(),
           current->delta, overlay_options, &overlay_counters_);
     }
-    // Pin the rebind so a concurrent WorkerCacheStats() never reads a
-    // half-destroyed engine. The lock is uncontended on the hot path
-    // (taken here only when the serving state actually changed).
-    std::lock_guard<std::mutex> lock(ws->rebind_mu);
     ws->engine.emplace(current->snapshot->collection(), std::move(backend),
                        std::move(engine_options));
     ws->state = std::move(current);
@@ -621,7 +631,6 @@ void EnginePool::WorkerLoop(WorkerState& ws) {
   lock.unlock();
   // Drop the worker's snapshot reference promptly on exit so Shutdown
   // is also a release of the served index.
-  std::lock_guard<std::mutex> rebind_lock(ws.rebind_mu);
   ws.engine.reset();
   ws.state.reset();
 }
@@ -673,14 +682,7 @@ PoolStats EnginePool::Stats() const {
 }
 
 std::vector<LabelCache::Stats> EnginePool::WorkerCacheStats() const {
-  std::vector<LabelCache::Stats> per_worker;
-  per_worker.reserve(workers_.size());
-  for (const auto& ws : workers_) {
-    std::lock_guard<std::mutex> lock(ws->rebind_mu);
-    per_worker.push_back(ws->engine ? ws->engine->label_cache().StatsSnapshot()
-                                    : LabelCache::Stats{});
-  }
-  return per_worker;
+  return {State()->cache->StatsSnapshot()};
 }
 
 // ---------------------------------------------------------------------------

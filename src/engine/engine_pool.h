@@ -1,10 +1,13 @@
 // EnginePool: thread-per-core serving over snapshot-swappable backends.
 //
 // The ROADMAP's async-serving item, concretely: N long-lived serving
-// workers, each owning one QueryEngine (and therefore one private
-// LabelCache — caches stay lock-free because one thread at a time
-// serves through a worker), all bound to one shared immutable
-// BackendSnapshot. Work (batched reachability, path queries) enters one
+// workers, each owning one QueryEngine, all bound to one shared
+// immutable BackendSnapshot and to the one LabelCache of decoded blocks
+// the pool keeps for that snapshot (label_cache.h: sharded, CLOCK
+// replacement, hits under reader locks). A block one worker decoded is
+// a hit for every other, and the cache's budget is the per-worker
+// label_cache_bytes times the worker count. Work (batched
+// reachability, path queries) enters one
 // FIFO under one mutex: a request that arrives while a worker is idle
 // is handed straight to that worker, through the worker's own slot and
 // condition variable, and otherwise waits in the queue, which every
@@ -19,7 +22,7 @@
 // batch itself. ServeBatch takes the most recently idle worker off the
 // idle list, exactly as a hand-off would. If that worker is already
 // bound to the published state, the caller serves the batch on its own
-// thread with the worker's engine and label cache, on that bound state,
+// thread with the worker's engine, on that bound state,
 // and the callback runs before ServeBatch returns. While on loan the
 // worker counts as busy for the admission gate, the queue bound and
 // PoolStats::executing, its own thread stays parked, and Shutdown lets
@@ -47,11 +50,14 @@
 //
 // Snapshot swap is RCU-style: Swap() publishes a new serving state and
 // returns immediately. Workers notice on their *next* work item, rebind
-// (a fresh backend adapter + a fresh cold label cache; the tag index is
-// snapshot-shared, so rebinding is O(1)), and the old snapshot is
-// reclaimed by its last in-flight reference — queries already executing
+// (a fresh backend adapter over the snapshot-shared tag index and label
+// cache, so rebinding is O(1)), and the old snapshot is reclaimed, with
+// its cache, by its last in-flight reference — queries already executing
 // finish on the state they started with, never a torn mix. Every
-// response carries the version of the snapshot that served it.
+// response carries the version of the snapshot that served it. The
+// cache belongs to the snapshot object: a publication that keeps the
+// object (a mutation's delta-only publish, a Swap to the same snapshot)
+// keeps the warm cache; a new snapshot starts with an empty one.
 //
 // Consistency contract under Swap: each *response* is entirely computed
 // against one serving state (the snapshot version + delta generation it
@@ -119,7 +125,9 @@ struct EnginePoolOptions {
   /// thread-per-core default), clamped to at least 1.
   size_t num_threads = 0;
 
-  /// Per-worker hot-label cache byte budget (QueryEngineOptions).
+  /// Decoded-block cache bytes per worker. The workers share one cache
+  /// per snapshot, whose budget is this value times the worker count:
+  /// the same total that one cache per worker would add up to.
   size_t label_cache_bytes = 4 * 1024 * 1024;
 
   /// Ontology for ~tag path steps, copied into every worker engine.
@@ -407,9 +415,9 @@ class EnginePool {
 
   PoolStats Stats() const;
 
-  /// Per-worker label-cache counters (index = worker). Safe while the
-  /// pool serves: cache stats are atomic and the engine object itself
-  /// is pinned under the worker's rebind lock for the read.
+  /// Counters of the label cache the workers share, as a one-entry
+  /// vector: the cache of the published snapshot. Safe while the pool
+  /// serves (cache stats are atomic).
   std::vector<LabelCache::Stats> WorkerCacheStats() const;
 
   /// Stops intake, serves everything already queued, joins the
@@ -424,6 +432,10 @@ class EnginePool {
   struct ServingState {
     std::shared_ptr<const BackendSnapshot> snapshot;
     std::shared_ptr<const DeltaState> delta;
+    /// Decoded blocks of `snapshot`, shared by every worker serving it
+    /// (never null; the pointer is fixed, the cache itself is safe for
+    /// concurrent use). Carried over while the snapshot stays the same.
+    std::shared_ptr<LabelCache> cache;
   };
 
   struct WorkerState;
@@ -433,9 +445,8 @@ class EnginePool {
 
   /// Everything one serving thread owns. Only the worker's own thread
   /// rebinds `state`/`engine`; a ServeBatch caller that borrowed it
-  /// serves through them, BorrowableLocked reads `state` while the
-  /// worker is idle, and Stats readers pin the engine under `rebind_mu`
-  /// while reading its cache counters.
+  /// serves through them, and BorrowableLocked reads `state` while the
+  /// worker is idle. No other thread touches them.
   struct WorkerState {
     size_t index = 0;
     std::thread thread;
@@ -447,7 +458,6 @@ class EnginePool {
     /// worker, whose thread must not exit until the loan ends.
     bool on_loan = false;
     std::condition_variable wake;
-    std::mutex rebind_mu;
     std::shared_ptr<const ServingState> state;
     std::optional<QueryEngine> engine;
     // Served-work counters (relaxed atomics; see PoolStats).
@@ -510,7 +520,12 @@ class EnginePool {
 
   /// The published serving state (never null).
   std::shared_ptr<const ServingState> State() const;
-  /// Publishes {snapshot, delta}; bumps swaps_ when `count_swap`.
+  /// An empty cache of label_cache_bytes × workers (saturating).
+  std::shared_ptr<LabelCache> MakeCache() const;
+  /// Publishes {snapshot, delta} with the published cache when the
+  /// snapshot object is the published one, else with a fresh cache;
+  /// bumps swaps_ when `count_swap`. Caller holds mutation_mu_, so no
+  /// other publication comes between the read and the write.
   void Publish(std::shared_ptr<const BackendSnapshot> snapshot,
                std::shared_ptr<const DeltaState> delta, bool count_swap);
   /// Replays one validated op onto the maintenance mirror (Sec 6).

@@ -1,78 +1,106 @@
 #include "engine/label_cache.h"
 
+#include <algorithm>
+#include <bit>
+#include <mutex>
 #include <utility>
 
 namespace hopi::engine {
 
-LabelCache::LabelCache(size_t byte_budget) : byte_budget_(byte_budget) {}
+namespace {
 
-LabelCache::LabelCache(LabelCache&& other) noexcept
-    : lru_(std::move(other.lru_)),
-      map_(std::move(other.map_)),
-      byte_budget_(other.byte_budget_),
-      resident_(other.resident_),
-      size_(other.size_.load(std::memory_order_relaxed)),
-      bytes_(other.bytes_.load(std::memory_order_relaxed)),
-      hits_(other.hits_.load(std::memory_order_relaxed)),
-      misses_(other.misses_.load(std::memory_order_relaxed)),
-      evictions_(other.evictions_.load(std::memory_order_relaxed)),
-      blocks_decoded_(other.blocks_decoded_.load(std::memory_order_relaxed)),
-      decode_nanos_(other.decode_nanos_.load(std::memory_order_relaxed)) {
-  // The counters moved with the entries; a moved-from cache is empty
-  // and must report like one (no phantom hits from its past life).
-  other.lru_.clear();
-  other.map_.clear();
-  other.resident_ = 0;
-  other.size_.store(0, std::memory_order_relaxed);
-  other.bytes_.store(0, std::memory_order_relaxed);
-  other.hits_.store(0, std::memory_order_relaxed);
-  other.misses_.store(0, std::memory_order_relaxed);
-  other.evictions_.store(0, std::memory_order_relaxed);
-  other.blocks_decoded_.store(0, std::memory_order_relaxed);
-  other.decode_nanos_.store(0, std::memory_order_relaxed);
+/// kMaxShards, or the largest power of two that gives every shard at
+/// least kMinShardBytes of `byte_budget`; at least 1.
+size_t ShardCount(size_t byte_budget) {
+  size_t fit = std::clamp<size_t>(byte_budget / LabelCache::kMinShardBytes, 1,
+                                  LabelCache::kMaxShards);
+  return std::bit_floor(fit);
+}
+
+}  // namespace
+
+LabelCache::LabelCache(size_t byte_budget)
+    : byte_budget_(byte_budget),
+      num_shards_(ShardCount(byte_budget)),
+      shards_(new Shard[num_shards_]) {
+  for (size_t i = 0; i < num_shards_; ++i) {
+    shards_[i].budget = byte_budget / num_shards_;
+  }
+}
+
+LabelCache::Shard& LabelCache::ShardFor(uint64_t handle) const {
+  // Fibonacci hashing: the top bits of handle × 2^64/φ spread the dense
+  // handles of a section evenly over the shards.
+  const uint64_t mixed = handle * 0x9E3779B97F4A7C15ull;
+  return shards_[static_cast<size_t>(mixed >> 60) & (num_shards_ - 1)];
 }
 
 LabelBlock LabelCache::Get(uint64_t handle) {
-  auto it = map_.find(handle);
-  if (it == map_.end()) {
-    misses_.fetch_add(1, std::memory_order_relaxed);
-    return nullptr;
+  Shard& shard = ShardFor(handle);
+  LabelBlock block;
+  {
+    std::shared_lock<std::shared_mutex> lock(shard.mu);
+    auto it = shard.index.find(handle);
+    if (it != shard.index.end()) {
+      Entry& entry = *it->second;
+      // Written only when clear: a hot entry's line is then read, not
+      // bounced, by the threads that hit it.
+      if (!entry.referenced.load(std::memory_order_relaxed)) {
+        entry.referenced.store(true, std::memory_order_relaxed);
+      }
+      block = entry.block;
+    }
   }
-  hits_.fetch_add(1, std::memory_order_relaxed);
-  lru_.splice(lru_.begin(), lru_, it->second);
-  return it->second->block;
-}
-
-void LabelCache::EvictUntilWithinBudget() {
-  while (resident_ > byte_budget_ && !lru_.empty()) {
-    Entry& victim = lru_.back();
-    resident_ -= victim.bytes;
-    map_.erase(victim.handle);
-    lru_.pop_back();  // may free the block, unless a caller pins it
-    evictions_.fetch_add(1, std::memory_order_relaxed);
-  }
+  (block ? shard.hits : shard.misses).fetch_add(1, std::memory_order_relaxed);
+  return block;
 }
 
 LabelBlock LabelCache::Put(uint64_t handle, LabelBlock block) {
   const size_t bytes =
       block ? block->ApproxBytes() : sizeof(storage::DecodedBlock);
-  auto [it, inserted] = map_.try_emplace(handle);
-  if (inserted) {
-    lru_.push_front(Entry{handle, block, bytes});
-    it->second = lru_.begin();
+  Shard& shard = ShardFor(handle);
+  Ring evicted;  // declared first: freed after the lock is released
+  std::unique_lock<std::shared_mutex> lock(shard.mu);
+  size_t resident = shard.bytes.load(std::memory_order_relaxed);
+  auto found = shard.index.find(handle);
+  if (found == shard.index.end()) {
+    // Just behind the hand: the sweep reaches the new entry last. The
+    // ring and the index change together or not at all, so a bad_alloc
+    // leaves the cache whole for the other threads.
+    Ring::iterator at = shard.ring.emplace(shard.hand, handle, block, bytes);
+    try {
+      shard.index.emplace(handle, at);
+    } catch (...) {
+      shard.ring.erase(at);
+      throw;
+    }
+    if (shard.hand == shard.ring.end()) shard.hand = at;
   } else {
-    resident_ -= it->second->bytes;
-    it->second->block = block;
-    it->second->bytes = bytes;
-    lru_.splice(lru_.begin(), lru_, it->second);
+    Entry& entry = *found->second;
+    resident -= entry.bytes;
+    entry.block = block;
+    entry.bytes = bytes;
+    entry.referenced.store(true, std::memory_order_relaxed);
+    shard.duplicate_puts.fetch_add(1, std::memory_order_relaxed);
   }
-  resident_ += bytes;
-  // Shed least-recently-used entries until the budget holds. The entry
-  // just inserted is fair game too (budget smaller than one block):
-  // the caller's pin keeps the returned block alive regardless.
-  EvictUntilWithinBudget();
-  size_.store(map_.size(), std::memory_order_relaxed);
-  bytes_.store(resident_, std::memory_order_relaxed);
+  resident += bytes;
+  // The sweep. Each step clears a bit or evicts, and no reader can set
+  // a bit meanwhile, so it ends within two turns of the ring.
+  while (resident > shard.budget) {
+    Entry& entry = *shard.hand;
+    Ring::iterator at = shard.hand++;
+    if (entry.referenced.load(std::memory_order_relaxed)) {
+      entry.referenced.store(false, std::memory_order_relaxed);
+    } else {
+      resident -= entry.bytes;
+      shard.index.erase(entry.handle);
+      evicted.splice(evicted.end(), shard.ring, at);
+      shard.evictions.fetch_add(1, std::memory_order_relaxed);
+    }
+    if (shard.hand == shard.ring.end()) shard.hand = shard.ring.begin();
+  }
+  shard.bytes.store(resident, std::memory_order_relaxed);
+  shard.entries.store(shard.index.size(), std::memory_order_relaxed);
   return block;
 }
 
@@ -82,11 +110,48 @@ void LabelCache::RecordDecode(uint64_t nanos) {
 }
 
 void LabelCache::Clear() {
-  lru_.clear();
-  map_.clear();
-  resident_ = 0;
-  size_.store(0, std::memory_order_relaxed);
-  bytes_.store(0, std::memory_order_relaxed);
+  for (size_t i = 0; i < num_shards_; ++i) {
+    Shard& shard = shards_[i];
+    Ring dropped;  // freed after the lock is released
+    std::unique_lock<std::shared_mutex> lock(shard.mu);
+    dropped.swap(shard.ring);
+    shard.index.clear();
+    shard.hand = shard.ring.end();
+    shard.bytes.store(0, std::memory_order_relaxed);
+    shard.entries.store(0, std::memory_order_relaxed);
+  }
+}
+
+template <typename T>
+T LabelCache::Sum(std::atomic<T> Shard::*counter) const {
+  T total = 0;
+  for (size_t i = 0; i < num_shards_; ++i) {
+    total += (shards_[i].*counter).load(std::memory_order_relaxed);
+  }
+  return total;
+}
+
+size_t LabelCache::size() const { return Sum(&Shard::entries); }
+size_t LabelCache::bytes_resident() const { return Sum(&Shard::bytes); }
+uint64_t LabelCache::hits() const { return Sum(&Shard::hits); }
+uint64_t LabelCache::misses() const { return Sum(&Shard::misses); }
+uint64_t LabelCache::evictions() const { return Sum(&Shard::evictions); }
+uint64_t LabelCache::duplicate_puts() const {
+  return Sum(&Shard::duplicate_puts);
+}
+
+LabelCache::Stats LabelCache::StatsSnapshot() const {
+  Stats stats;
+  stats.hits = hits();
+  stats.misses = misses();
+  stats.evictions = evictions();
+  stats.entries = size();
+  stats.bytes_resident = bytes_resident();
+  stats.byte_budget = byte_budget();
+  stats.blocks_decoded = blocks_decoded();
+  stats.decode_nanos = decode_nanos();
+  stats.duplicate_puts = duplicate_puts();
+  return stats;
 }
 
 }  // namespace hopi::engine

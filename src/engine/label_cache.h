@@ -1,11 +1,15 @@
-// Byte-budgeted LRU cache of decoded label blocks (ROADMAP: "cache hot
-// LIN/LOUT sets behind the storage layer", for block-compressed v4
-// stores).
+// Byte-budgeted cache of decoded label blocks, one per served snapshot
+// (ROADMAP: "cache hot LIN/LOUT sets behind the storage layer", for
+// block-compressed v4 stores). Like the one buffer pool through which
+// every session of the paper's database reads the LIN and LOUT tables
+// (Sec 5.1), one cache serves every thread that probes one store:
+// EnginePool hands the cache of the published snapshot to each of its
+// workers.
 //
 // The cache's unit is a shared_ptr<const DecodedBlock>: a whole decoded
 // v4 block (many rows), keyed by the backend's block handle. One cold
 // probe pays one block decode; every other row in the block is then a
-// hit.
+// hit, for every thread.
 //
 // Ownership/pinning rule: Get/Put hand out shared_ptr pins. Eviction
 // removes the CACHE's reference only — any batch still joining rows of
@@ -14,30 +18,40 @@
 // Callers must hold the pin (engine::PinnedJoin) for as long as they
 // read the view; a bare view must never outlive its pin.
 //
-// Budgeting is by DecodedBlock::ApproxBytes(), charged at insert.
-// After an insert pushes bytes_resident over the budget, least-
-// recently-used entries are dropped until it fits again (possibly
-// including the entry just inserted — a zero budget is a legal
-// "cache nothing" configuration; correctness never depends on
-// residency, only speed does).
+// Budgeting is by DecodedBlock::ApproxBytes(), charged at insert. The
+// cache is striped by handle into num_shards() shards, and each shard
+// keeps its bytes within an equal slice of the budget, so
+// bytes_resident() never exceeds byte_budget(). A zero budget is a
+// legal "cache nothing" configuration; correctness never depends on
+// residency, only speed does.
 //
-// Recency is exact: entries sit in a list ordered most- to least-
-// recently used, a Get or Put splices its entry to the front, and
-// eviction pops the back — O(1) per lookup, insert and eviction.
+// Replacement is CLOCK (second chance), per shard: entries sit on a
+// ring that a hand sweeps, each with a reference bit. A hit sets the
+// bit. A new entry goes just behind the hand, with its bit clear, so the
+// sweep reaches it last. While the shard is over its slice, the entry
+// at the hand is examined: a set bit is cleared and the hand moves on, a
+// clear one's entry is evicted (possibly the entry just inserted, when
+// the slice is smaller than one block — the caller's pin keeps it
+// alive). O(1) per lookup and insert, amortized O(1) per eviction.
 //
-// Threading (one writer, many stats readers): exactly one thread — the
-// engine that owns the cache — may call the structural operations
-// Get/Put/Clear/RecordDecode, never concurrently with each other or a
-// move. The statistics accessors (and StatsSnapshot) are relaxed
-// atomics, safe from any thread at any time; individual counters are
-// monotonic but a multi-field snapshot is not guaranteed mutually
-// consistent.
+// Threading: every operation is safe from any thread. A Get takes only
+// its shard's reader lock, and writes the entry's reference bit only
+// when it is clear, so hits on one shard proceed side by side. A Put
+// takes the shard's writer lock; evicted blocks are freed after it is
+// released. The cache never decodes: callers decode a missed block
+// outside every lock, so two threads that miss on the same block at
+// once both decode it. That duplicate is allowed, not prevented: the
+// later Put overwrites the earlier one and counts a duplicate_put.
+// Statistics are relaxed atomics; each counter is monotonic, but a
+// multi-field snapshot is not guaranteed to be mutually consistent.
 #pragma once
 
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <list>
+#include <memory>
+#include <shared_mutex>
 #include <unordered_map>
 
 #include "engine/backend.h"
@@ -46,6 +60,13 @@ namespace hopi::engine {
 
 class LabelCache {
  public:
+  /// Most shards a cache is striped into.
+  static constexpr size_t kMaxShards = 16;
+  /// Least budget slice a shard gets: smaller budgets get fewer shards
+  /// (a budget under 2 × kMinShardBytes is one shard), so that a budget
+  /// of a block or two still holds its blocks.
+  static constexpr size_t kMinShardBytes = 64 * 1024;
+
   /// One relaxed read of every counter (see StatsSnapshot).
   struct Stats {
     uint64_t hits = 0;
@@ -56,57 +77,51 @@ class LabelCache {
     size_t bytes_resident = 0;
     /// The configured budget bytes_resident is kept under.
     size_t byte_budget = 0;
-    /// Lifetime count of block decodes recorded by the owning engine
-    /// (block-route cache misses).
+    /// Lifetime count of block decodes recorded by the engines that
+    /// use the cache (block-route cache misses).
     uint64_t blocks_decoded = 0;
     /// Lifetime nanoseconds spent in those decodes.
     uint64_t decode_nanos = 0;
+    /// Puts of a handle that was already resident: a block decoded
+    /// again by a thread that missed on it while another thread's
+    /// decode of it was in flight.
+    uint64_t duplicate_puts = 0;
   };
 
   /// `byte_budget` caps the resident ApproxBytes total. 0 disables
   /// residency entirely (every lookup misses; pins still work).
   explicit LabelCache(size_t byte_budget);
 
-  /// Moving is a structural operation: it must be serialized with every
-  /// other access, stats reads included (the counters move too).
-  LabelCache(LabelCache&& other) noexcept;
-  LabelCache& operator=(LabelCache&&) = delete;
   LabelCache(const LabelCache&) = delete;
   LabelCache& operator=(const LabelCache&) = delete;
 
   /// Returns a pin on the block cached under `handle` and marks it
-  /// most-recently-used; null on a miss. Owner-thread only.
+  /// referenced; null on a miss.
   LabelBlock Get(uint64_t handle);
 
   /// Inserts (or overwrites) the block cached under `handle`, then
-  /// evicts least-recently-used blocks until the byte budget holds.
+  /// evicts in CLOCK order until the shard's slice of the budget holds.
   /// Returns a pin on `block` (valid even if it was immediately
-  /// evicted). Owner-thread only.
+  /// evicted).
   LabelBlock Put(uint64_t handle, LabelBlock block);
 
-  /// Accounts one block decode of `nanos` performed by the owning
-  /// engine (the cache itself never decodes). Owner-thread only.
+  /// Accounts one block decode of `nanos` performed by a caller (the
+  /// cache itself never decodes).
   void RecordDecode(uint64_t nanos);
 
-  /// Owner-thread only.
+  /// Drops every entry; the lifetime counters stay.
   void Clear();
 
-  /// Current entry count / resident bytes. Safe from any thread
-  /// (atomic mirrors maintained by the structural operations).
-  size_t size() const { return size_.load(std::memory_order_relaxed); }
-  size_t bytes_resident() const {
-    return bytes_.load(std::memory_order_relaxed);
-  }
+  size_t size() const;
+  size_t bytes_resident() const;
   size_t byte_budget() const { return byte_budget_; }
+  size_t num_shards() const { return num_shards_; }
 
   // ---- lifetime counters (across all batches served) ----
-  //
-  // Safe from any thread; see the ownership rule above.
-  uint64_t hits() const { return hits_.load(std::memory_order_relaxed); }
-  uint64_t misses() const { return misses_.load(std::memory_order_relaxed); }
-  uint64_t evictions() const {
-    return evictions_.load(std::memory_order_relaxed);
-  }
+  uint64_t hits() const;
+  uint64_t misses() const;
+  uint64_t evictions() const;
+  uint64_t duplicate_puts() const;
   uint64_t blocks_decoded() const {
     return blocks_decoded_.load(std::memory_order_relaxed);
   }
@@ -115,32 +130,47 @@ class LabelCache {
   }
 
   /// All counters in one struct (each read individually relaxed).
-  Stats StatsSnapshot() const {
-    return Stats{hits(),           misses(),       evictions(),
-                 size(),           bytes_resident(), byte_budget(),
-                 blocks_decoded(), decode_nanos()};
-  }
+  Stats StatsSnapshot() const;
 
  private:
   struct Entry {
+    Entry(uint64_t h, LabelBlock b, size_t n)
+        : handle(h), block(std::move(b)), bytes(n) {}
     uint64_t handle;
     LabelBlock block;
     size_t bytes;  // ApproxBytes at insert, charged until eviction
+    std::atomic<bool> referenced{false};
   };
-  using Lru = std::list<Entry>;
+  using Ring = std::list<Entry>;
 
-  /// Drops entries from the back of lru_ until the budget holds.
-  void EvictUntilWithinBudget();
+  /// One stripe: its own lock, CLOCK ring and slice of the budget.
+  /// Aligned so that readers of different shards never share a line.
+  struct alignas(64) Shard {
+    std::shared_mutex mu;
+    Ring ring;
+    /// The next entry the sweep examines; ring.end() iff the ring is
+    /// empty.
+    Ring::iterator hand = ring.end();
+    std::unordered_map<uint64_t, Ring::iterator> index;
+    size_t budget = 0;
+    // Written under `mu` (bytes, entries, evictions, duplicate_puts)
+    // or by readers (hits, misses); read relaxed by the stats.
+    std::atomic<size_t> bytes{0};
+    std::atomic<size_t> entries{0};
+    std::atomic<uint64_t> hits{0};
+    std::atomic<uint64_t> misses{0};
+    std::atomic<uint64_t> evictions{0};
+    std::atomic<uint64_t> duplicate_puts{0};
+  };
 
-  Lru lru_;  // most-recently used first
-  std::unordered_map<uint64_t, Lru::iterator> map_;
+  Shard& ShardFor(uint64_t handle) const;
+  /// Sums one counter over the shards.
+  template <typename T>
+  T Sum(std::atomic<T> Shard::*counter) const;
+
   size_t byte_budget_;
-  size_t resident_ = 0;  // authoritative; bytes_ mirrors it
-  std::atomic<size_t> size_{0};
-  std::atomic<size_t> bytes_{0};
-  std::atomic<uint64_t> hits_{0};
-  std::atomic<uint64_t> misses_{0};
-  std::atomic<uint64_t> evictions_{0};
+  size_t num_shards_;
+  std::unique_ptr<Shard[]> shards_;
   std::atomic<uint64_t> blocks_decoded_{0};
   std::atomic<uint64_t> decode_nanos_{0};
 };

@@ -188,7 +188,9 @@ struct ShardedBatchResponse {
 struct ShardedEngineOptions {
   /// Serving workers per shard pool (PoolShardClient shards only).
   size_t threads_per_shard = 1;
-  /// Per-worker label cache bytes (EnginePoolOptions).
+  /// Decoded-block cache bytes per shard worker. Each shard's workers
+  /// share one cache of this value times threads_per_shard
+  /// (EnginePoolOptions::label_cache_bytes).
   size_t label_cache_bytes = 4 * 1024 * 1024;
   /// Queued sub-batches allowed per shard worker
   /// (EnginePoolOptions::queue_capacity). 0 = unbounded.

@@ -87,21 +87,21 @@ Summary Summarize(std::vector<double> values) {
 }
 
 size_t LatencyHistogram::BucketIndex(uint64_t value) {
-  // Values 0..3 are exact; from octave 2 on, the top two bits below the
-  // leading one select one of 4 sub-buckets.
-  if (value < 4) return static_cast<size_t>(value);
-  int octave = 63 - std::countl_zero(value);  // floor(log2), >= 2
-  size_t sub = static_cast<size_t>((value >> (octave - 2)) & 3);
-  size_t index = static_cast<size_t>(octave - 1) * 4 + sub;
-  return std::min(index, kNumBuckets - 1);
+  // Values below kSubBuckets are exact; from octave 4 on, the four bits
+  // below the leading one select one of 16 sub-buckets.
+  if (value < kSubBuckets) return static_cast<size_t>(value);
+  int octave = 63 - std::countl_zero(value);  // floor(log2), >= 4
+  size_t sub = static_cast<size_t>((value >> (octave - 4)) & (kSubBuckets - 1));
+  return static_cast<size_t>(octave - 3) * kSubBuckets + sub;
 }
 
 uint64_t LatencyHistogram::BucketUpperBound(size_t index) {
-  if (index < 4) return index;
-  int octave = static_cast<int>(index / 4) + 1;
-  uint64_t sub = index % 4;
-  // Lower bound of the *next* bucket, minus one.
-  return ((4 + sub + 1) << (octave - 2)) - 1;
+  if (index < kSubBuckets) return index;
+  int octave = static_cast<int>(index / kSubBuckets) + 3;
+  uint64_t sub = index % kSubBuckets;
+  // Lower bound of the *next* bucket, minus one (the top bucket wraps
+  // to UINT64_MAX).
+  return ((kSubBuckets + sub + 1) << (octave - 4)) - 1;
 }
 
 LatencyHistogram::Snapshot LatencyHistogram::TakeSnapshot() const {

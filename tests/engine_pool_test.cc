@@ -72,6 +72,37 @@ class EnginePoolFixture : public ::testing::Test {
   std::shared_ptr<const BackendSnapshot> snapshot_;
 };
 
+// First live (u, v) pair with no current edge: an always-valid
+// insert_link against `c`. Callers mutating repeatedly keep a mirror
+// collection and query against that.
+NodePair FindInsertableLink(const Collection& c) {
+  std::vector<NodeId> live = hopi::testing::LiveElements(c);
+  for (NodeId u : live) {
+    for (NodeId v : live) {
+      if (u != v && !c.ElementGraph().HasEdge(u, v)) return {u, v};
+    }
+  }
+  ADD_FAILURE() << "no insertable link exists";
+  return {0, 0};
+}
+
+/// A v4 file of `index`'s cover, opened as a store-backed snapshot over
+/// `c`. The caller removes `path`.
+std::shared_ptr<const BackendSnapshot> MappedSnapshot(const HopiIndex& index,
+                                                      const Collection& c,
+                                                      const std::string& path) {
+  storage::StoreWriteOptions v4_options;
+  v4_options.compress.target_block_bytes = 256;
+  EXPECT_TRUE(storage::LinLoutStore::FromCover(index.cover(), true)
+                  .WriteToFile(path, v4_options)
+                  .ok());
+  auto mapped = storage::MappedLinLoutStore::Open(path);
+  EXPECT_TRUE(mapped.ok()) << mapped.status();
+  return BackendSnapshot::OfMappedStore(
+      Unowned(c), std::make_shared<const storage::MappedLinLoutStore>(
+                      std::move(mapped).value()));
+}
+
 // ---- unit tests ----
 
 TEST_F(EnginePoolFixture, BatchMatchesSingleEngineAcrossWorkers) {
@@ -296,26 +327,17 @@ TEST_F(EnginePoolFixture, SwapRebindsWorkersAndReportsNewVersion) {
 }
 
 TEST_F(EnginePoolFixture, WorkerCacheStatsReadableWhileServing) {
-  // A v4 (block-route) store exercises the per-worker caches.
+  // A v4 (block-route) store exercises the workers' shared cache.
   std::string path = ::testing::TempDir() + "hopi_pool_cache_stats.bin";
-  storage::StoreWriteOptions v4_options;
-  v4_options.compress.target_block_bytes = 256;
-  ASSERT_TRUE(storage::LinLoutStore::FromCover(index_->cover(), true)
-                  .WriteToFile(path, v4_options)
-                  .ok());
-  auto mapped = storage::MappedLinLoutStore::Open(path);
-  ASSERT_TRUE(mapped.ok()) << mapped.status();
-  auto snapshot = BackendSnapshot::OfMappedStore(
-      Unowned(c_), std::make_shared<const storage::MappedLinLoutStore>(
-                       std::move(mapped).value()));
-  EnginePool pool(snapshot, {.num_threads = 2});
+  auto snapshot = MappedSnapshot(*index_, c_, path);
+  constexpr size_t kPerWorker = 256 * 1024;
+  EnginePool pool(snapshot, {.num_threads = 2, .label_cache_bytes = kPerWorker});
   std::atomic<bool> done{false};
   std::thread reader([&] {
     while (!done.load(std::memory_order_acquire)) {
-      for (const LabelCache::Stats& s : pool.WorkerCacheStats()) {
-        EXPECT_GE(s.hits + s.misses, 0u);
-        EXPECT_LE(s.bytes_resident, s.byte_budget);
-      }
+      std::vector<LabelCache::Stats> caches = pool.WorkerCacheStats();
+      ASSERT_EQ(caches.size(), 1u);
+      EXPECT_LE(caches[0].bytes_resident, caches[0].byte_budget);
     }
   });
   for (uint64_t seed = 0; seed < 50; ++seed) {
@@ -326,13 +348,95 @@ TEST_F(EnginePoolFixture, WorkerCacheStatsReadableWhileServing) {
   reader.join();
   PoolStats stats = pool.Stats();
   EXPECT_GT(stats.cache_hits + stats.cache_misses, 0u);
-  uint64_t cache_total = 0;
-  for (const LabelCache::Stats& s : pool.WorkerCacheStats()) {
-    cache_total += s.hits + s.misses;
-  }
-  EXPECT_EQ(cache_total, stats.cache_hits + stats.cache_misses);
+  std::vector<LabelCache::Stats> caches = pool.WorkerCacheStats();
+  ASSERT_EQ(caches.size(), 1u);
+  // One cache for both workers, with both workers' budgets.
+  EXPECT_EQ(caches[0].byte_budget, 2 * kPerWorker);
+  EXPECT_EQ(caches[0].hits, stats.cache_hits);
+  EXPECT_EQ(caches[0].misses, stats.cache_misses);
+  EXPECT_EQ(caches[0].blocks_decoded, stats.blocks_decoded);
   pool.Shutdown();
   std::remove(path.c_str());
+}
+
+TEST_F(EnginePoolFixture, BlocksOneWorkerDecodedAreHitsForTheOther) {
+  // Two workers over a v4 store: the worker that serves a batch first
+  // decodes its blocks, and the same batch then decodes nothing, on the
+  // other worker (while the first stalls in its callback) and on
+  // whichever worker serves it afterwards.
+  std::string path = ::testing::TempDir() + "hopi_pool_shared_cache.bin";
+  EnginePool pool(MappedSnapshot(*index_, c_, path), {.num_threads = 2});
+  const std::vector<NodePair> pairs = RandomPairs(200, 7);
+  std::promise<void> release;
+  std::shared_future<void> gate(release.get_future());
+  std::promise<PoolBatchResponse> first;
+  ASSERT_TRUE(pool.SubmitBatch({.pairs = pairs},
+                               [gate, &first](Result<PoolBatchResponse> r) {
+                                 first.set_value(r.ok() ? std::move(r).value()
+                                                        : PoolBatchResponse{});
+                                 gate.wait();
+                               })
+                  .ok());
+  PoolBatchResponse cold = first.get_future().get();
+  auto other = pool.Batch({.pairs = pairs});
+  release.set_value();
+  ASSERT_TRUE(other.ok()) << other.status();
+  EXPECT_GT(cold.batch.stats.blocks_decoded, 0u);
+  EXPECT_NE(other->worker, cold.worker);
+  EXPECT_EQ(other->batch.stats.blocks_decoded, 0u);
+  EXPECT_EQ(other->batch.stats.cache_misses, 0u);
+  EXPECT_EQ(other->batch.reachable, cold.batch.reachable);
+  for (int again = 0; again < 4; ++again) {
+    auto warm = pool.Batch({.pairs = pairs});
+    ASSERT_TRUE(warm.ok()) << warm.status();
+    EXPECT_EQ(warm->batch.stats.blocks_decoded, 0u);
+  }
+  EXPECT_EQ(pool.Stats().blocks_decoded, cold.batch.stats.blocks_decoded);
+  pool.Shutdown();
+  std::remove(path.c_str());
+}
+
+TEST_F(EnginePoolFixture, CacheLivesAsLongAsItsSnapshotObjectIsPublished) {
+  std::string path = ::testing::TempDir() + "hopi_pool_cache_swap.bin";
+  std::string other_path = ::testing::TempDir() + "hopi_pool_cache_swap2.bin";
+  auto snapshot = MappedSnapshot(*index_, c_, path);
+  EnginePool pool(snapshot, {.num_threads = 2});
+  const std::vector<NodePair> pairs = RandomPairs(200, 9);
+  auto decoded_by = [&](EnginePool* p) -> size_t {
+    auto r = p->Batch({.pairs = pairs});
+    EXPECT_TRUE(r.ok()) << r.status();
+    return r.ok() ? r->batch.stats.blocks_decoded : SIZE_MAX;
+  };
+  const size_t cold = decoded_by(&pool);
+  ASSERT_GT(cold, 0u);
+  const LabelCache::Stats warm = pool.WorkerCacheStats()[0];
+  EXPECT_GT(warm.entries, 0u);
+
+  // A Swap to the same snapshot object keeps the warm cache.
+  pool.Swap(snapshot);
+  EXPECT_EQ(pool.WorkerCacheStats()[0].entries, warm.entries);
+  EXPECT_EQ(decoded_by(&pool), 0u);
+
+  // So does a mutation's delta-only publish (overlay probes are
+  // label-less and leave the cache alone).
+  ASSERT_TRUE(pool.EnableMutations(*index_).ok());
+  NodePair link = FindInsertableLink(c_);
+  ASSERT_TRUE(
+      pool.ApplyMutation(Mutation::InsertLink(link.first, link.second)).ok());
+  EXPECT_EQ(pool.WorkerCacheStats()[0].entries, warm.entries);
+  EXPECT_EQ(pool.WorkerCacheStats()[0].blocks_decoded, warm.blocks_decoded);
+
+  // A different snapshot, even of the same cover, starts cold.
+  pool.Swap(MappedSnapshot(*index_, c_, other_path));
+  const LabelCache::Stats fresh = pool.WorkerCacheStats()[0];
+  EXPECT_EQ(fresh.entries, 0u);
+  EXPECT_EQ(fresh.hits + fresh.misses, 0u);
+  EXPECT_EQ(fresh.blocks_decoded, 0u);
+  EXPECT_EQ(decoded_by(&pool), cold);
+  EXPECT_EQ(pool.Stats().swaps, 2u);
+  pool.Shutdown();
+  std::remove(path.c_str());
+  std::remove(other_path.c_str());
 }
 
 // ---- admission control + callback submission (overload path) ----
@@ -511,37 +615,6 @@ TEST_F(EnginePoolFixture, ShutdownStillDrainsCallbackJobs) {
 }
 
 // ---- ServeBatch: a borrowed worker serves on the caller's thread ----
-
-// First live (u, v) pair with no current edge: an always-valid
-// insert_link against `c`. Callers mutating repeatedly keep a mirror
-// collection and query against that.
-NodePair FindInsertableLink(const Collection& c) {
-  std::vector<NodeId> live = hopi::testing::LiveElements(c);
-  for (NodeId u : live) {
-    for (NodeId v : live) {
-      if (u != v && !c.ElementGraph().HasEdge(u, v)) return {u, v};
-    }
-  }
-  ADD_FAILURE() << "no insertable link exists";
-  return {0, 0};
-}
-
-/// A v4 file of `index`'s cover, opened as a store-backed snapshot over
-/// `c`. The caller removes `path`.
-std::shared_ptr<const BackendSnapshot> MappedSnapshot(const HopiIndex& index,
-                                                      const Collection& c,
-                                                      const std::string& path) {
-  storage::StoreWriteOptions v4_options;
-  v4_options.compress.target_block_bytes = 256;
-  EXPECT_TRUE(storage::LinLoutStore::FromCover(index.cover(), true)
-                  .WriteToFile(path, v4_options)
-                  .ok());
-  auto mapped = storage::MappedLinLoutStore::Open(path);
-  EXPECT_TRUE(mapped.ok()) << mapped.status();
-  return BackendSnapshot::OfMappedStore(
-      Unowned(c), std::make_shared<const storage::MappedLinLoutStore>(
-                      std::move(mapped).value()));
-}
 
 /// Waits until no worker is busy: a worker lists itself idle only after
 /// the callback of its last job has returned.

@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdio>
+#include <deque>
 #include <memory>
 #include <optional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "engine/backends.h"
@@ -467,22 +470,136 @@ TEST(LabelCacheTest, HitsAndMisses) {
   EXPECT_EQ(cache.bytes_resident(), OneBlockBytes());
 }
 
-TEST(LabelCacheTest, EvictsLeastRecentlyUsedWhenOverBudget) {
-  LabelCache cache(3 * OneBlockBytes());
-  cache.Put(1, MakeBlock(1, 1));
-  cache.Put(2, MakeBlock(2, 2));
-  cache.Put(3, MakeBlock(3, 3));
-  EXPECT_EQ(cache.bytes_resident(), 3 * OneBlockBytes());
-  // Touch 1 so 2 becomes the LRU entry.
-  ASSERT_NE(cache.Get(1), nullptr);
-  cache.Put(4, MakeBlock(4, 4));
-  EXPECT_EQ(cache.evictions(), 1u);
-  EXPECT_EQ(cache.Get(2), nullptr);  // evicted
-  EXPECT_NE(cache.Get(1), nullptr);
-  EXPECT_NE(cache.Get(3), nullptr);
-  EXPECT_NE(cache.Get(4), nullptr);
-  EXPECT_EQ(cache.size(), 3u);
-  EXPECT_LE(cache.bytes_resident(), cache.byte_budget());
+/// The reference CLOCK for a one-shard cache: the ring in the order
+/// the hand reaches it (front = under the hand), each entry with its
+/// bytes and reference bit.
+class ClockModel {
+ public:
+  explicit ClockModel(size_t budget) : budget_(budget) {}
+
+  /// A Get: true on a hit, which sets the entry's reference bit.
+  bool Get(uint64_t handle) {
+    Slot* slot = Find(handle);
+    if (slot != nullptr) slot->referenced = true;
+    return slot != nullptr;
+  }
+
+  /// A Put: an overwrite keeps its place and sets the bit; a new entry
+  /// goes just behind the hand with the bit clear. Then the hand
+  /// sweeps: a set bit is cleared and passed, a clear one is evicted,
+  /// until the bytes fit the budget.
+  void Put(uint64_t handle, size_t bytes) {
+    if (Slot* slot = Find(handle)) {
+      bytes_ -= slot->bytes;
+      slot->bytes = bytes;
+      slot->referenced = true;
+    } else {
+      ring_.push_back({handle, bytes, false});
+    }
+    bytes_ += bytes;
+    while (bytes_ > budget_) {
+      Slot slot = ring_.front();
+      ring_.pop_front();
+      if (slot.referenced) {
+        slot.referenced = false;
+        ring_.push_back(slot);
+      } else {
+        bytes_ -= slot.bytes;
+        ++evictions_;
+      }
+    }
+  }
+
+  bool Resident(uint64_t handle) { return Find(handle) != nullptr; }
+  size_t bytes() const { return bytes_; }
+  size_t size() const { return ring_.size(); }
+  uint64_t evictions() const { return evictions_; }
+
+ private:
+  struct Slot {
+    uint64_t handle;
+    size_t bytes;
+    bool referenced;
+  };
+  Slot* Find(uint64_t handle) {
+    auto it = std::find_if(ring_.begin(), ring_.end(),
+                           [&](const Slot& s) { return s.handle == handle; });
+    return it == ring_.end() ? nullptr : &*it;
+  }
+
+  std::deque<Slot> ring_;
+  size_t budget_;
+  size_t bytes_ = 0;
+  uint64_t evictions_ = 0;
+};
+
+/// Runs Gets and Puts on a one-shard LabelCache and on ClockModel side
+/// by side. It keeps only weak references to the blocks it puts, so a
+/// block is alive exactly while the cache holds it; Check() compares
+/// the resident set, the bytes, the evictions and that liveness.
+class ClockHarness {
+ public:
+  ClockHarness(size_t budget, uint64_t handles)
+      : cache_(budget), model_(budget), alive_(handles) {
+    EXPECT_EQ(cache_.num_shards(), 1u);
+  }
+
+  /// Returns whether the cache hit; it must agree with the model.
+  bool Get(uint64_t handle) {
+    bool hit = cache_.Get(handle) != nullptr;
+    EXPECT_EQ(hit, model_.Get(handle)) << "handle " << handle;
+    return hit;
+  }
+
+  void Put(uint64_t handle, uint32_t width = 1) {
+    LabelBlock block = MakeBlock(static_cast<NodeId>(handle), 0, width);
+    alive_[handle] = block;
+    model_.Put(handle, block->ApproxBytes());
+    cache_.Put(handle, std::move(block));
+  }
+
+  void Check(int step) {
+    ASSERT_EQ(cache_.bytes_resident(), model_.bytes()) << "step " << step;
+    ASSERT_EQ(cache_.size(), model_.size()) << "step " << step;
+    ASSERT_EQ(cache_.evictions(), model_.evictions()) << "step " << step;
+    for (uint64_t h = 0; h < alive_.size(); ++h) {
+      ASSERT_EQ(!alive_[h].expired(), model_.Resident(h))
+          << "step " << step << " handle " << h;
+    }
+  }
+
+  const LabelCache& cache() const { return cache_; }
+  const ClockModel& model() const { return model_; }
+
+ private:
+  LabelCache cache_;
+  ClockModel model_;
+  std::vector<std::weak_ptr<const storage::DecodedBlock>> alive_;
+};
+
+TEST(LabelCacheTest, EvictsUnreferencedBlocksFirstWhenOverBudget) {
+  // Three blocks fill the budget. A hit gives block 1 a second chance,
+  // so the fourth insert evicts block 2: the hand clears 1's bit and
+  // passes it, then finds 2 unreferenced.
+  ClockHarness clock(3 * OneBlockBytes(), 5);
+  int step = 0;
+  for (uint64_t h : {1, 2, 3}) {
+    clock.Put(h);
+    clock.Check(step++);
+  }
+  EXPECT_EQ(clock.cache().bytes_resident(), 3 * OneBlockBytes());
+  EXPECT_TRUE(clock.Get(1));
+  clock.Check(step++);
+  clock.Put(4);
+  clock.Check(step++);
+  EXPECT_EQ(clock.cache().evictions(), 1u);
+  EXPECT_FALSE(clock.Get(2));  // evicted
+  for (uint64_t h : {1, 3, 4}) {
+    EXPECT_TRUE(clock.Get(h)) << "handle " << h;
+    clock.Check(step++);
+  }
+  EXPECT_EQ(clock.cache().size(), 3u);
+  EXPECT_LE(clock.cache().bytes_resident(), clock.cache().byte_budget());
 }
 
 TEST(LabelCacheTest, PutOverwritesInPlace) {
@@ -520,63 +637,113 @@ TEST(LabelCacheTest, EvictionDoesNotInvalidatePinnedBlocks) {
   EXPECT_EQ(pinned.use_count(), 1);  // cache reference is gone
 }
 
-TEST(LabelCacheTest, EvictsInExactRecencyOrderWithExactBytes) {
+TEST(LabelCacheTest, EvictsInClockOrderWithExactBytes) {
   // A seeded run of Gets and (often overwriting) Puts of blocks of
-  // different sizes, against a reference LRU: a list of (handle,
-  // bytes), most recent first. The test keeps only weak references,
-  // so a block is alive exactly while the cache holds it, and after
-  // every step the resident set, the byte count and the eviction count
-  // must equal the model's.
+  // different sizes, against the reference CLOCK: after every step the
+  // resident set, the byte count, the eviction count and which blocks
+  // are alive must equal the model's.
   constexpr uint64_t kHandles = 8;
-  const size_t budget = 4 * OneBlockBytes();
-  LabelCache cache(budget);
-  std::vector<std::pair<uint64_t, size_t>> model;
-  size_t model_bytes = 0;
-  uint64_t model_evictions = 0;
-  std::vector<std::weak_ptr<const storage::DecodedBlock>> alive(kHandles);
-  auto touch = [&](uint64_t handle) -> size_t {
-    auto it = std::find_if(model.begin(), model.end(),
-                           [&](const auto& e) { return e.first == handle; });
-    if (it == model.end()) return 0;
-    size_t bytes = it->second;
-    model.erase(it);
-    model.insert(model.begin(), {handle, bytes});
-    return bytes;
-  };
+  ClockHarness clock(4 * OneBlockBytes(), kHandles);
   Rng rng(17);
   for (int step = 0; step < 600; ++step) {
     uint64_t handle = rng.NextBounded(kHandles);
     if (rng.NextBounded(2) == 0) {
-      bool expect_hit = touch(handle) > 0;
-      EXPECT_EQ(cache.Get(handle) != nullptr, expect_hit) << "step " << step;
+      clock.Get(handle);
     } else {
-      uint32_t width = 1 + static_cast<uint32_t>(rng.NextBounded(6));
-      LabelBlock block = MakeBlock(static_cast<NodeId>(handle), 0, width);
-      alive[handle] = block;
-      model_bytes -= touch(handle);  // an overwrite re-charges the entry
-      if (model.empty() || model.front().first != handle) {
-        model.insert(model.begin(), {handle, 0});
-      }
-      model.front().second = block->ApproxBytes();
-      model_bytes += block->ApproxBytes();
-      while (model_bytes > budget && !model.empty()) {
-        model_bytes -= model.back().second;
-        model.pop_back();
-        ++model_evictions;
-      }
-      cache.Put(handle, std::move(block));
+      clock.Put(handle, 1 + static_cast<uint32_t>(rng.NextBounded(6)));
     }
-    ASSERT_EQ(cache.bytes_resident(), model_bytes) << "step " << step;
-    ASSERT_EQ(cache.size(), model.size()) << "step " << step;
-    ASSERT_EQ(cache.evictions(), model_evictions) << "step " << step;
-    for (uint64_t h = 0; h < kHandles; ++h) {
-      bool resident = std::any_of(model.begin(), model.end(),
-                                  [&](const auto& e) { return e.first == h; });
-      ASSERT_EQ(!alive[h].expired(), resident)
-          << "step " << step << " handle " << h;
+    clock.Check(step);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+  EXPECT_GT(clock.model().evictions(), 0u);
+}
+
+TEST(LabelCacheTest, ShardCountFollowsTheBudget) {
+  // At most 16 shards, each with at least 64 KiB of the budget; a
+  // budget under 128 KiB is one shard, so a block or two stays
+  // resident.
+  EXPECT_EQ(LabelCache(0).num_shards(), 1u);
+  EXPECT_EQ(LabelCache(2 * OneBlockBytes()).num_shards(), 1u);
+  EXPECT_EQ(LabelCache(128 * 1024 - 1).num_shards(), 1u);
+  EXPECT_EQ(LabelCache(128 * 1024).num_shards(), 2u);
+  EXPECT_EQ(LabelCache(512 * 1024).num_shards(), 8u);
+  EXPECT_EQ(LabelCache(1024 * 1024).num_shards(), 16u);
+  EXPECT_EQ(LabelCache(64 * 1024 * 1024).num_shards(), 16u);
+  LabelCache two(2 * OneBlockBytes());
+  two.Put(1, MakeBlock(1, 1));
+  two.Put(2, MakeBlock(2, 2));
+  EXPECT_EQ(two.size(), 2u);
+  EXPECT_EQ(two.evictions(), 0u);
+}
+
+/// Four threads run a seeded Get/Put mix over 32 handles on one cache,
+/// each holding its last few pins. A miss puts a fresh block, as an
+/// engine does after a decode, and a quarter of the operations put
+/// regardless (a duplicate decode). Every pin must read its own
+/// block's center after any number of evictions, and once the threads
+/// join, the cache must be within its budget and have counted every
+/// lookup as a hit or a miss.
+void StressSharedCache(size_t budget, size_t expect_shards,
+                       uint32_t max_width) {
+  constexpr int kThreads = 4;
+  constexpr uint64_t kHandles = 32;
+  constexpr int kOpsPerThread = 4000;
+  constexpr size_t kHeldPins = 8;
+  LabelCache cache(budget);
+  ASSERT_EQ(cache.num_shards(), expect_shards);
+  auto center_of = [](uint64_t h) { return static_cast<NodeId>(1000 + 7 * h); };
+  std::atomic<uint64_t> lookups{0};
+  std::atomic<uint64_t> bad_pins{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      Rng rng(100 + static_cast<uint64_t>(t));
+      std::deque<std::pair<uint64_t, LabelBlock>> held;
+      uint64_t gets = 0;
+      for (int op = 0; op < kOpsPerThread; ++op) {
+        uint64_t h = rng.NextBounded(kHandles);
+        LabelBlock pin;
+        if (rng.NextBounded(4) != 0) {
+          ++gets;
+          pin = cache.Get(h);
+        }
+        if (!pin) {
+          uint32_t width = 1 + static_cast<uint32_t>(rng.NextBounded(max_width));
+          pin = cache.Put(h, MakeBlock(static_cast<NodeId>(h), center_of(h),
+                                       width));
+        }
+        held.emplace_back(h, std::move(pin));
+        if (held.size() > kHeldPins) held.pop_front();
+        for (const auto& [handle, block] : held) {
+          if (block == nullptr || block->row_keys[0] != handle ||
+              CenterOf(block) != center_of(handle)) {
+            bad_pins.fetch_add(1, std::memory_order_relaxed);
+          }
+        }
+      }
+      lookups.fetch_add(gets, std::memory_order_relaxed);
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(bad_pins.load(), 0u);
+  EXPECT_LE(cache.bytes_resident(), cache.byte_budget());
+  EXPECT_EQ(cache.hits() + cache.misses(), lookups.load());
+  EXPECT_GT(cache.evictions(), 0u);
+  EXPECT_GT(cache.duplicate_puts(), 0u);
+  for (uint64_t h = 0; h < kHandles; ++h) {
+    if (LabelBlock block = cache.Get(h)) {
+      EXPECT_EQ(CenterOf(block), center_of(h)) << "handle " << h;
     }
   }
-  EXPECT_GT(model_evictions, 0u);
+}
+
+TEST(LabelCacheTest, ConcurrentGetsAndPutsOnOneShard) {
+  StressSharedCache(8 * OneBlockBytes(), 1, 1);
+}
+
+TEST(LabelCacheTest, ConcurrentGetsAndPutsOnSixteenShards) {
+  // Blocks of up to 64 KiB, so the 64 KiB shard slices keep evicting.
+  StressSharedCache(1024 * 1024, 16, 8 * 1024);
 }
 
 TEST(LabelCacheTest, DecodeAccountingFlowsIntoStats) {
@@ -621,6 +788,26 @@ TEST_F(QueryEngineFixture, SmallCacheEvictsUnderPressure) {
     EXPECT_EQ(r.reachable[i],
               engine.backend().IsReachable(pairs[i].first, pairs[i].second));
   }
+}
+
+TEST_F(QueryEngineFixture, EnginesSharingACacheHitOnEachOthersBlocks) {
+  // Two engines over one store and one cache: the second decodes
+  // nothing the first already decoded, and both report the one cache.
+  QueryEngineOptions options;
+  options.shared_cache = std::make_shared<LabelCache>(1 << 20);
+  QueryEngine first =
+      QueryEngine::ForMappedStore(c_, *mapped_v4_store_, options);
+  QueryEngine second =
+      QueryEngine::ForMappedStore(c_, *mapped_v4_store_, options);
+  std::vector<NodePair> pairs = RandomPairs(100, 43);
+  BatchResponse cold = first.Batch({.pairs = pairs});
+  EXPECT_GT(cold.stats.blocks_decoded, 0u);
+  BatchResponse warm = second.Batch({.pairs = pairs});
+  EXPECT_EQ(warm.stats.blocks_decoded, 0u);
+  EXPECT_EQ(warm.stats.cache_misses, 0u);
+  EXPECT_EQ(warm.reachable, cold.reachable);
+  EXPECT_EQ(&first.label_cache(), &second.label_cache());
+  EXPECT_EQ(second.CacheStats().blocks_decoded, cold.stats.blocks_decoded);
 }
 
 TEST_F(QueryEngineFixture, TinyCacheStillAnswersCompressedStoreCorrectly) {

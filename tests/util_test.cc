@@ -598,12 +598,31 @@ TEST(LatencyHistogramTest, BucketIndexIsMonotoneAndTotal) {
 }
 
 TEST(LatencyHistogramTest, SmallValuesAreExact) {
-  // Values 0..3 get dedicated buckets: sub-microsecond noise should
+  // Values 0..15 get dedicated buckets: sub-microsecond noise should
   // not blur into each other.
-  for (uint64_t v = 0; v < 4; ++v) {
+  for (uint64_t v = 0; v < LatencyHistogram::kSubBuckets; ++v) {
     EXPECT_EQ(LatencyHistogram::BucketIndex(v), v);
     EXPECT_EQ(LatencyHistogram::BucketUpperBound(v), v);
   }
+}
+
+TEST(LatencyHistogramTest, NeighbouringBoundsDifferByAtMostOneSixteenth) {
+  // A reported quantile moves by one bucket at a time, so the step
+  // between neighbouring upper bounds is the histogram's resolution:
+  // at most 1/16 of the value above the exact range.
+  for (size_t i = LatencyHistogram::kSubBuckets;
+       i < LatencyHistogram::kNumBuckets; ++i) {
+    uint64_t bound = LatencyHistogram::BucketUpperBound(i);
+    uint64_t previous = LatencyHistogram::BucketUpperBound(i - 1);
+    ASSERT_GT(bound, previous) << "bucket " << i;
+    EXPECT_LE(bound - previous, bound / 16) << "bucket " << i;
+    // Each bucket's bounds round-trip through BucketIndex.
+    EXPECT_EQ(LatencyHistogram::BucketIndex(bound), i);
+    EXPECT_EQ(LatencyHistogram::BucketIndex(previous + 1), i);
+  }
+  EXPECT_EQ(LatencyHistogram::BucketUpperBound(
+                LatencyHistogram::kNumBuckets - 1),
+            UINT64_MAX);
 }
 
 TEST(LatencyHistogramTest, QuantilesOfUniformRampAreRoughlyRight) {
@@ -611,8 +630,8 @@ TEST(LatencyHistogramTest, QuantilesOfUniformRampAreRoughlyRight) {
   for (uint64_t v = 1; v <= 10000; ++v) h.Record(v);
   auto snapshot = h.TakeSnapshot();
   EXPECT_EQ(snapshot.count, 10000u);
-  // Log-bucketed: 4 sub-buckets per octave bounds relative error by
-  // ~25% of the value; allow a loose band around each true quantile.
+  // Log-bucketed: 16 sub-buckets per octave bound the relative error
+  // by 1/16 of the value; allow a loose band around each true quantile.
   uint64_t p50 = snapshot.ValueAtQuantile(0.50);
   uint64_t p99 = snapshot.ValueAtQuantile(0.99);
   EXPECT_GE(p50, 4000u);
