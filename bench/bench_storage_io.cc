@@ -20,8 +20,8 @@
 //              which holds the whole file; cold rows give each thread a
 //              fifth of the decoded forward blocks, the ratio of
 //              layerbench's scan_cold (512 KiB of ~2.4 MiB at 1000
-//              docs). Each row reports aggregate probes/s over
-//              --loop_ms and the block-route hit fraction.
+//              docs). Each row reports aggregate probes/s over half
+//              a second and the block-route hit fraction.
 //
 // Writes BENCH_storage_io.json (bytes/entry, open cost, cold/warm
 // probes/s, private/shared concurrent probes/s) for runs to be diffed.
@@ -154,7 +154,7 @@ int main(int argc, char** argv) {
   using namespace hopi::bench;
   CommandLine cli = ParseFlagsOrDie(argc, argv,
                                     {"docs", "seed", "probes", "reps",
-                                     "cache_kb", "loop_ms"});
+                                     "cache_kb"});
   // 1000 docs is layerbench's scan_cold collection: its decoded forward
   // blocks (~2.4 MiB) outgrow a core's L2, as a served store's do.
   size_t docs = static_cast<size_t>(cli.GetInt("docs", 1000));
@@ -165,7 +165,8 @@ int main(int argc, char** argv) {
   // thrash. Shrink it (e.g. --cache_kb=1024) to watch eviction churn.
   size_t cache_bytes = static_cast<size_t>(cli.GetInt("cache_kb", 65536)) *
                        1024;
-  double loop_s = static_cast<double>(cli.GetInt("loop_ms", 500)) / 1e3;
+  // Length of each concurrent row's timed loops.
+  constexpr double kLoopSeconds = 0.5;
 
   PrintHeader("Storage I/O: block-compressed (v4) LIN/LOUT");
   collection::Collection c = MakeDblp(docs, seed);
@@ -307,10 +308,10 @@ int main(int argc, char** argv) {
     for (size_t threads : {1, 2, 4}) {
       LoopResult priv = RunClosedLoops(c, *mapped, threads,
                                        regime.per_thread_bytes, false,
-                                       loop_s, seed);
+                                       kLoopSeconds, seed);
       LoopResult shared = RunClosedLoops(c, *mapped, threads,
                                          regime.per_thread_bytes, true,
-                                         loop_s, seed);
+                                         kLoopSeconds, seed);
       const double ratio = shared.probes_per_s / priv.probes_per_s;
       loops_table.AddRow(
           {regime.name, std::to_string(threads),

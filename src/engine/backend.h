@@ -35,12 +35,6 @@ namespace hopi::engine {
 /// view into it. Immutable once decoded.
 using LabelBlock = std::shared_ptr<const storage::DecodedBlock>;
 
-/// A kernel view plus whatever keeps its arrays alive
-/// (storage::PinnedJoin): null for borrowed backend storage, the
-/// DecodedBlock for cached rows. Hold the PinnedJoin, not just the
-/// view.
-using storage::PinnedJoin;
-
 /// A single (source, target) reachability probe.
 using NodePair = std::pair<NodeId, NodeId>;
 

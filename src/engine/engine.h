@@ -10,7 +10,11 @@
 //
 // The batch path dedupes repeated (u, v) probes across a request and
 // joins label views lent by the backend or served from the block
-// cache; per-call route counters are surfaced in the response stats.
+// cache: it resolves every label to its block first, looks the
+// batch's blocks up in the cache in one call (one reader lock per cache
+// shard), decodes the misses, and keeps the blocks pinned until it
+// returns. Per-call route counters are surfaced in the response stats
+// and added to the cache's totals once per batch.
 //
 // Threading model: a QueryEngine serves one thread at a time, because a
 // backend may keep per-call scratch (the delta overlay's BFS marks).
@@ -100,10 +104,12 @@ struct BatchStats {
   /// Distinct (u, v) pairs actually evaluated after in-batch dedup.
   size_t unique_probes = 0;
   /// Label sets served from the engine's cache (block route, warm: a
-  /// resident block, whichever engine sharing the cache decoded it).
+  /// resident block, whichever engine sharing the cache decoded it, or
+  /// one this batch decoded for an earlier read).
   size_t cache_hits = 0;
-  /// Label sets whose block the cache did not hold (block route, cold:
-  /// the engine decoded the block, or failed to).
+  /// Label sets whose block the cache did not hold (block route, cold):
+  /// the first read of each block the batch decoded, and every read of
+  /// a block that failed to decode.
   size_t cache_misses = 0;
   /// Label sets lent by the backend as views over its own storage —
   /// in-memory covers, raw mmapped file images (borrow route; the
@@ -220,17 +226,18 @@ class QueryEngine {
   LabelCache::Stats CacheStats() const { return cache_->StatsSnapshot(); }
 
  private:
-  /// One label fetch — LOUT(node) when `out`, else LIN(node) — as the
-  /// join kernels want it, by one of two routes: the block route (a
-  /// pinned block through the byte-budgeted cache, decoded on a miss)
-  /// or the borrow route (the backend lends its own storage — a
-  /// cover's packed columns, or a file's empty row). Counts the route
-  /// taken into `stats`; the first decode failure lands in `*error`
-  /// and yields an empty view. The returned PinnedJoin keeps the view
-  /// valid regardless of later fetches or evictions — exactly as long
-  /// as the batch join needs it.
-  PinnedJoin FetchJoinLabel(bool out, NodeId node, BatchStats* stats,
-                            Status* error) const;
+  /// The blocks one Batch call joins rows of, pinned until it returns.
+  class BatchBlocks;
+
+  /// One label to join — LOUT(node) when `out`, else LIN(node) — by
+  /// one of two routes: the block route (its row in pinned block
+  /// `block` of `blocks`; empty when that block failed to decode) or,
+  /// when `block` is BatchBlocks::kBorrowed, the borrow route (the
+  /// backend lends its own storage — a cover's packed columns, or a
+  /// file's empty row), counted into `stats`. The view stays valid
+  /// while `blocks` lives, whatever evictions do meanwhile.
+  twohop::JoinView JoinLabel(bool out, NodeId node, const BatchBlocks& blocks,
+                             uint32_t block, BatchStats* stats) const;
 
   const collection::Collection* collection_;
   std::unique_ptr<ReachabilityBackend> backend_;

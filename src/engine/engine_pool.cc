@@ -83,8 +83,8 @@ EnginePool::EnginePool(std::shared_ptr<const BackendSnapshot> snapshot,
   state->delta = DeltaState::MakeEmpty(snapshot->collection().NumElements(),
                                        snapshot->collection().NumDocuments(),
                                        /*generation=*/0);
+  state->cache = MakeCache(*snapshot);
   state->snapshot = std::move(snapshot);
-  state->cache = MakeCache();
   published_ = std::move(state);
   // Spawn after every WorkerState exists so a fast worker never races
   // the vector growing.
@@ -289,7 +289,9 @@ std::shared_ptr<const EnginePool::ServingState> EnginePool::State() const {
   return published_;
 }
 
-std::shared_ptr<LabelCache> EnginePool::MakeCache() const {
+std::shared_ptr<LabelCache> EnginePool::MakeCache(
+    const BackendSnapshot& snapshot) const {
+  if (snapshot.memory_resident()) return std::make_shared<LabelCache>(0);
   // Saturating: a per-worker budget of SIZE_MAX means "unbounded".
   const size_t n = workers_.size();
   const size_t per_worker = options_.label_cache_bytes;
@@ -306,12 +308,17 @@ void EnginePool::Publish(std::shared_ptr<const BackendSnapshot> snapshot,
   // Block handles name blocks of one store, so the cache lives exactly
   // as long as the snapshot object is published.
   std::shared_ptr<const ServingState> current = State();
-  state->cache = current->snapshot == state->snapshot ? current->cache
-                                                      : MakeCache();
+  const bool same_snapshot = current->snapshot == state->snapshot;
+  state->cache =
+      same_snapshot ? current->cache : MakeCache(*state->snapshot);
   {
     std::lock_guard<std::mutex> lock(snapshot_mu_);
     published_ = std::move(state);
   }
+  // Idle workers stay bound to the outgoing state until their next job;
+  // emptied, its cache holds only what their batches put there since.
+  // Batches in flight keep the blocks they pinned.
+  if (!same_snapshot) current->cache->Clear();
   if (count_swap) swaps_.fetch_add(1, std::memory_order_relaxed);
 }
 
@@ -331,6 +338,10 @@ void EnginePool::Swap(std::shared_ptr<const BackendSnapshot> snapshot) {
 
 std::shared_ptr<const BackendSnapshot> EnginePool::snapshot() const {
   return State()->snapshot;
+}
+
+std::shared_ptr<const LabelCache> EnginePool::label_cache() const {
+  return State()->cache;
 }
 
 std::shared_ptr<const DeltaState> EnginePool::delta() const {
@@ -682,7 +693,7 @@ PoolStats EnginePool::Stats() const {
 }
 
 std::vector<LabelCache::Stats> EnginePool::WorkerCacheStats() const {
-  return {State()->cache->StatsSnapshot()};
+  return {label_cache()->StatsSnapshot()};
 }
 
 // ---------------------------------------------------------------------------

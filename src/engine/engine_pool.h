@@ -57,7 +57,12 @@
 // response carries the version of the snapshot that served it. The
 // cache belongs to the snapshot object: a publication that keeps the
 // object (a mutation's delta-only publish, a Swap to the same snapshot)
-// keeps the warm cache; a new snapshot starts with an empty one.
+// keeps the warm cache; a new snapshot starts with an empty one, and
+// the outgoing cache is emptied then, so a worker still bound to the
+// old snapshot (idle workers rebind only on their next job) keeps at
+// most the blocks its batches put there since. A memory-resident
+// snapshot lends its labels and never reaches the cache, so it gets a
+// cache of zero bytes.
 //
 // Consistency contract under Swap: each *response* is entirely computed
 // against one serving state (the snapshot version + delta generation it
@@ -371,6 +376,9 @@ class EnginePool {
 
   /// The currently published snapshot.
   std::shared_ptr<const BackendSnapshot> snapshot() const;
+  /// The published snapshot's decoded-block cache, which every worker
+  /// serving that snapshot shares.
+  std::shared_ptr<const LabelCache> label_cache() const;
 
   // ---- mutation (any thread; writers are serialized) ----
 
@@ -434,7 +442,8 @@ class EnginePool {
     std::shared_ptr<const DeltaState> delta;
     /// Decoded blocks of `snapshot`, shared by every worker serving it
     /// (never null; the pointer is fixed, the cache itself is safe for
-    /// concurrent use). Carried over while the snapshot stays the same.
+    /// concurrent use). Carried over while the snapshot stays the same,
+    /// emptied when another snapshot is published.
     std::shared_ptr<LabelCache> cache;
   };
 
@@ -520,12 +529,14 @@ class EnginePool {
 
   /// The published serving state (never null).
   std::shared_ptr<const ServingState> State() const;
-  /// An empty cache of label_cache_bytes × workers (saturating).
-  std::shared_ptr<LabelCache> MakeCache() const;
+  /// An empty cache for `snapshot`: label_cache_bytes × workers
+  /// (saturating), or zero bytes when the snapshot is memory-resident.
+  std::shared_ptr<LabelCache> MakeCache(const BackendSnapshot& snapshot) const;
   /// Publishes {snapshot, delta} with the published cache when the
-  /// snapshot object is the published one, else with a fresh cache;
-  /// bumps swaps_ when `count_swap`. Caller holds mutation_mu_, so no
-  /// other publication comes between the read and the write.
+  /// snapshot object is the published one, else with a fresh cache,
+  /// then empties the outgoing one; bumps swaps_ when `count_swap`.
+  /// Caller holds mutation_mu_, so no other publication comes between
+  /// the read and the write.
   void Publish(std::shared_ptr<const BackendSnapshot> snapshot,
                std::shared_ptr<const DeltaState> delta, bool count_swap);
   /// Replays one validated op onto the maintenance mirror (Sec 6).

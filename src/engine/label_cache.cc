@@ -1,9 +1,12 @@
 #include "engine/label_cache.h"
 
 #include <algorithm>
+#include <array>
 #include <bit>
+#include <cassert>
 #include <mutex>
 #include <utility>
+#include <vector>
 
 namespace hopi::engine {
 
@@ -28,37 +31,51 @@ LabelCache::LabelCache(size_t byte_budget)
   }
 }
 
-LabelCache::Shard& LabelCache::ShardFor(uint64_t handle) const {
+size_t LabelCache::ShardIndex(uint64_t handle) const {
   // Fibonacci hashing: the top bits of handle × 2^64/φ spread the dense
   // handles of a section evenly over the shards.
   const uint64_t mixed = handle * 0x9E3779B97F4A7C15ull;
-  return shards_[static_cast<size_t>(mixed >> 60) & (num_shards_ - 1)];
+  return static_cast<size_t>(mixed >> 60) & (num_shards_ - 1);
 }
 
-LabelBlock LabelCache::Get(uint64_t handle) {
-  Shard& shard = ShardFor(handle);
-  LabelBlock block;
-  {
+void LabelCache::GetMany(std::span<const uint64_t> handles,
+                         std::span<LabelBlock> blocks) {
+  assert(blocks.size() == handles.size());
+  // Counting sort of the lookups by shard, then one pass per shard.
+  std::array<size_t, kMaxShards + 1> begin{};
+  for (uint64_t handle : handles) ++begin[ShardIndex(handle) + 1];
+  for (size_t s = 0; s < num_shards_; ++s) begin[s + 1] += begin[s];
+  std::vector<size_t> order(handles.size());
+  std::array<size_t, kMaxShards> next{};
+  std::copy_n(begin.begin(), kMaxShards, next.begin());
+  for (size_t i = 0; i < handles.size(); ++i) {
+    order[next[ShardIndex(handles[i])]++] = i;
+  }
+  for (size_t s = 0; s < num_shards_; ++s) {
+    if (begin[s] == begin[s + 1]) continue;
+    Shard& shard = shards_[s];
     std::shared_lock<std::shared_mutex> lock(shard.mu);
-    auto it = shard.index.find(handle);
-    if (it != shard.index.end()) {
+    for (size_t j = begin[s]; j < begin[s + 1]; ++j) {
+      auto it = shard.index.find(handles[order[j]]);
+      if (it == shard.index.end()) {
+        blocks[order[j]] = nullptr;
+        continue;
+      }
       Entry& entry = *it->second;
       // Written only when clear: a hot entry's line is then read, not
       // bounced, by the threads that hit it.
       if (!entry.referenced.load(std::memory_order_relaxed)) {
         entry.referenced.store(true, std::memory_order_relaxed);
       }
-      block = entry.block;
+      blocks[order[j]] = entry.block;
     }
   }
-  (block ? shard.hits : shard.misses).fetch_add(1, std::memory_order_relaxed);
-  return block;
 }
 
 LabelBlock LabelCache::Put(uint64_t handle, LabelBlock block) {
   const size_t bytes =
       block ? block->ApproxBytes() : sizeof(storage::DecodedBlock);
-  Shard& shard = ShardFor(handle);
+  Shard& shard = shards_[ShardIndex(handle)];
   Ring evicted;  // declared first: freed after the lock is released
   std::unique_lock<std::shared_mutex> lock(shard.mu);
   size_t resident = shard.bytes.load(std::memory_order_relaxed);
@@ -104,9 +121,13 @@ LabelBlock LabelCache::Put(uint64_t handle, LabelBlock block) {
   return block;
 }
 
-void LabelCache::RecordDecode(uint64_t nanos) {
-  blocks_decoded_.fetch_add(1, std::memory_order_relaxed);
-  decode_nanos_.fetch_add(nanos, std::memory_order_relaxed);
+void LabelCache::Record(const Tally& tally) {
+  recorded_.hits.fetch_add(tally.hits, std::memory_order_relaxed);
+  recorded_.misses.fetch_add(tally.misses, std::memory_order_relaxed);
+  recorded_.blocks_decoded.fetch_add(tally.blocks_decoded,
+                                     std::memory_order_relaxed);
+  recorded_.decode_nanos.fetch_add(tally.decode_nanos,
+                                   std::memory_order_relaxed);
 }
 
 void LabelCache::Clear() {
@@ -133,8 +154,6 @@ T LabelCache::Sum(std::atomic<T> Shard::*counter) const {
 
 size_t LabelCache::size() const { return Sum(&Shard::entries); }
 size_t LabelCache::bytes_resident() const { return Sum(&Shard::bytes); }
-uint64_t LabelCache::hits() const { return Sum(&Shard::hits); }
-uint64_t LabelCache::misses() const { return Sum(&Shard::misses); }
 uint64_t LabelCache::evictions() const { return Sum(&Shard::evictions); }
 uint64_t LabelCache::duplicate_puts() const {
   return Sum(&Shard::duplicate_puts);

@@ -11,12 +11,15 @@
 // probe pays one block decode; every other row in the block is then a
 // hit, for every thread.
 //
-// Ownership/pinning rule: Get/Put hand out shared_ptr pins. Eviction
+// Ownership/pinning rule: GetMany/Put hand out shared_ptr pins. Eviction
 // removes the CACHE's reference only — any batch still joining rows of
 // an evicted block keeps it alive through its pin, so there is no
 // "view invalidated by eviction" hazard and no minimum-capacity clamp.
-// Callers must hold the pin (engine::PinnedJoin) for as long as they
-// read the view; a bare view must never outlive its pin.
+// Callers must hold the pin for as long as they read a view into the
+// block; a bare view must never outlive its pin. QueryEngine::Batch
+// looks its distinct blocks up in one GetMany and holds their pins
+// until it returns, so the blocks it pins past the budget are bounded
+// by one batch's.
 //
 // Budgeting is by DecodedBlock::ApproxBytes(), charged at insert. The
 // cache is striped by handle into num_shards() shards, and each shard
@@ -34,14 +37,17 @@
 // the slice is smaller than one block — the caller's pin keeps it
 // alive). O(1) per lookup and insert, amortized O(1) per eviction.
 //
-// Threading: every operation is safe from any thread. A Get takes only
-// its shard's reader lock, and writes the entry's reference bit only
-// when it is clear, so hits on one shard proceed side by side. A Put
+// Threading: every operation is safe from any thread. A GetMany takes
+// each shard's reader lock once, for all of its handles there, writes
+// an entry's reference bit only when it is clear, and counts nothing,
+// so hits on one shard proceed side by side. A Put
 // takes the shard's writer lock; evicted blocks are freed after it is
 // released. The cache never decodes: callers decode a missed block
 // outside every lock, so two threads that miss on the same block at
 // once both decode it. That duplicate is allowed, not prevented: the
 // later Put overwrites the earlier one and counts a duplicate_put.
+// Hits, misses and decodes are counted by the callers and recorded
+// once per batch (Record), on a line of their own.
 // Statistics are relaxed atomics; each counter is monotonic, but a
 // multi-field snapshot is not guaranteed to be mutually consistent.
 #pragma once
@@ -52,6 +58,7 @@
 #include <list>
 #include <memory>
 #include <shared_mutex>
+#include <span>
 #include <unordered_map>
 
 #include "engine/backend.h"
@@ -67,8 +74,21 @@ class LabelCache {
   /// of a block or two still holds its blocks.
   static constexpr size_t kMinShardBytes = 64 * 1024;
 
+  /// What a caller did through the cache, recorded in one Record call
+  /// (an engine records one per batch).
+  struct Tally {
+    /// Lookups that found their block resident.
+    uint64_t hits = 0;
+    /// Lookups that did not.
+    uint64_t misses = 0;
+    /// Blocks decoded after a miss, and the nanoseconds they took.
+    uint64_t blocks_decoded = 0;
+    uint64_t decode_nanos = 0;
+  };
+
   /// One relaxed read of every counter (see StatsSnapshot).
   struct Stats {
+    /// Lifetime sums of the recorded Tally fields.
     uint64_t hits = 0;
     uint64_t misses = 0;
     uint64_t evictions = 0;
@@ -77,10 +97,7 @@ class LabelCache {
     size_t bytes_resident = 0;
     /// The configured budget bytes_resident is kept under.
     size_t byte_budget = 0;
-    /// Lifetime count of block decodes recorded by the engines that
-    /// use the cache (block-route cache misses).
     uint64_t blocks_decoded = 0;
-    /// Lifetime nanoseconds spent in those decodes.
     uint64_t decode_nanos = 0;
     /// Puts of a handle that was already resident: a block decoded
     /// again by a thread that missed on it while another thread's
@@ -95,9 +112,12 @@ class LabelCache {
   LabelCache(const LabelCache&) = delete;
   LabelCache& operator=(const LabelCache&) = delete;
 
-  /// Returns a pin on the block cached under `handle` and marks it
-  /// referenced; null on a miss.
-  LabelBlock Get(uint64_t handle);
+  /// Sets each of `blocks` (as many as `handles`) to a pin on the
+  /// block cached under the parallel handle, marked referenced, or to
+  /// null on a miss. Takes each shard's reader lock once, for all of
+  /// its handles. Counts nothing (see Record).
+  void GetMany(std::span<const uint64_t> handles,
+               std::span<LabelBlock> blocks);
 
   /// Inserts (or overwrites) the block cached under `handle`, then
   /// evicts in CLOCK order until the shard's slice of the budget holds.
@@ -105,9 +125,9 @@ class LabelCache {
   /// evicted).
   LabelBlock Put(uint64_t handle, LabelBlock block);
 
-  /// Accounts one block decode of `nanos` performed by a caller (the
-  /// cache itself never decodes).
-  void RecordDecode(uint64_t nanos);
+  /// Adds a caller's lookups and decodes to the lifetime counters (the
+  /// cache itself neither counts lookups nor decodes).
+  void Record(const Tally& tally);
 
   /// Drops every entry; the lifetime counters stay.
   void Clear();
@@ -118,16 +138,12 @@ class LabelCache {
   size_t num_shards() const { return num_shards_; }
 
   // ---- lifetime counters (across all batches served) ----
-  uint64_t hits() const;
-  uint64_t misses() const;
+  uint64_t hits() const { return Load(recorded_.hits); }
+  uint64_t misses() const { return Load(recorded_.misses); }
   uint64_t evictions() const;
   uint64_t duplicate_puts() const;
-  uint64_t blocks_decoded() const {
-    return blocks_decoded_.load(std::memory_order_relaxed);
-  }
-  uint64_t decode_nanos() const {
-    return decode_nanos_.load(std::memory_order_relaxed);
-  }
+  uint64_t blocks_decoded() const { return Load(recorded_.blocks_decoded); }
+  uint64_t decode_nanos() const { return Load(recorded_.decode_nanos); }
 
   /// All counters in one struct (each read individually relaxed).
   Stats StatsSnapshot() const;
@@ -153,17 +169,27 @@ class LabelCache {
     Ring::iterator hand = ring.end();
     std::unordered_map<uint64_t, Ring::iterator> index;
     size_t budget = 0;
-    // Written under `mu` (bytes, entries, evictions, duplicate_puts)
-    // or by readers (hits, misses); read relaxed by the stats.
+    // Written under the writer lock; read relaxed by the stats.
     std::atomic<size_t> bytes{0};
     std::atomic<size_t> entries{0};
-    std::atomic<uint64_t> hits{0};
-    std::atomic<uint64_t> misses{0};
     std::atomic<uint64_t> evictions{0};
     std::atomic<uint64_t> duplicate_puts{0};
   };
 
-  Shard& ShardFor(uint64_t handle) const;
+  /// The recorded Tally sums, on a line of their own: every lookup reads
+  /// the fields before them.
+  struct alignas(64) Recorded {
+    std::atomic<uint64_t> hits{0};
+    std::atomic<uint64_t> misses{0};
+    std::atomic<uint64_t> blocks_decoded{0};
+    std::atomic<uint64_t> decode_nanos{0};
+  };
+
+  static uint64_t Load(const std::atomic<uint64_t>& counter) {
+    return counter.load(std::memory_order_relaxed);
+  }
+
+  size_t ShardIndex(uint64_t handle) const;
   /// Sums one counter over the shards.
   template <typename T>
   T Sum(std::atomic<T> Shard::*counter) const;
@@ -171,8 +197,7 @@ class LabelCache {
   size_t byte_budget_;
   size_t num_shards_;
   std::unique_ptr<Shard[]> shards_;
-  std::atomic<uint64_t> blocks_decoded_{0};
-  std::atomic<uint64_t> decode_nanos_{0};
+  Recorded recorded_;
 };
 
 }  // namespace hopi::engine

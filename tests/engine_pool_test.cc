@@ -331,7 +331,8 @@ TEST_F(EnginePoolFixture, WorkerCacheStatsReadableWhileServing) {
   std::string path = ::testing::TempDir() + "hopi_pool_cache_stats.bin";
   auto snapshot = MappedSnapshot(*index_, c_, path);
   constexpr size_t kPerWorker = 256 * 1024;
-  EnginePool pool(snapshot, {.num_threads = 2, .label_cache_bytes = kPerWorker});
+  EnginePool pool(snapshot,
+                  {.num_threads = 2, .label_cache_bytes = kPerWorker});
   std::atomic<bool> done{false};
   std::thread reader([&] {
     while (!done.load(std::memory_order_acquire)) {
@@ -394,6 +395,36 @@ TEST_F(EnginePoolFixture, BlocksOneWorkerDecodedAreHitsForTheOther) {
   EXPECT_EQ(pool.Stats().blocks_decoded, cold.batch.stats.blocks_decoded);
   pool.Shutdown();
   std::remove(path.c_str());
+}
+
+TEST_F(EnginePoolFixture, SwapToAnotherSnapshotEmptiesTheOutgoingCache) {
+  // Idle workers stay bound to the outgoing snapshot until their next
+  // job, so the outgoing cache must not keep its blocks for them.
+  std::string path = ::testing::TempDir() + "hopi_pool_cache_clear.bin";
+  std::string other_path = ::testing::TempDir() + "hopi_pool_cache_clear2.bin";
+  EnginePool pool(MappedSnapshot(*index_, c_, path), {.num_threads = 2});
+  auto warm = pool.Batch({.pairs = RandomPairs(200, 11)});
+  ASSERT_TRUE(warm.ok()) << warm.status();
+  std::shared_ptr<const LabelCache> outgoing = pool.label_cache();
+  ASSERT_GT(outgoing->size(), 0u);
+  ASSERT_GT(outgoing->bytes_resident(), 0u);
+
+  pool.Swap(MappedSnapshot(*index_, c_, other_path));
+  EXPECT_NE(pool.label_cache(), outgoing);
+  EXPECT_EQ(outgoing->size(), 0u);
+  EXPECT_EQ(outgoing->bytes_resident(), 0u);
+  EXPECT_EQ(outgoing->blocks_decoded(), warm->batch.stats.blocks_decoded);
+
+  // A memory-resident snapshot lends its labels: its cache has no bytes.
+  pool.Swap(snapshot_);
+  EXPECT_EQ(pool.label_cache()->byte_budget(), 0u);
+  auto lent = pool.Batch({.pairs = RandomPairs(200, 11)});
+  ASSERT_TRUE(lent.ok()) << lent.status();
+  EXPECT_EQ(lent->batch.reachable, warm->batch.reachable);
+  EXPECT_EQ(lent->batch.stats.cache_hits + lent->batch.stats.cache_misses, 0u);
+  pool.Shutdown();
+  std::remove(path.c_str());
+  std::remove(other_path.c_str());
 }
 
 TEST_F(EnginePoolFixture, CacheLivesAsLongAsItsSnapshotObjectIsPublished) {

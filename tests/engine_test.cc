@@ -6,6 +6,7 @@
 #include <deque>
 #include <memory>
 #include <optional>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -458,16 +459,26 @@ uint32_t CenterOf(const LabelBlock& block) {
   return block->JoinRow(0).center(0);
 }
 
+/// One lookup: a GetMany of one handle.
+LabelBlock GetOne(LabelCache& cache, uint64_t handle) {
+  LabelBlock block;
+  cache.GetMany({&handle, 1}, {&block, 1});
+  return block;
+}
+
 TEST(LabelCacheTest, HitsAndMisses) {
   LabelCache cache(1 << 20);
-  EXPECT_EQ(cache.Get(1), nullptr);
-  EXPECT_EQ(cache.misses(), 1u);
+  EXPECT_EQ(GetOne(cache, 1), nullptr);
   cache.Put(1, MakeBlock(1, 42));
-  LabelBlock hit = cache.Get(1);
+  LabelBlock hit = GetOne(cache, 1);
   ASSERT_NE(hit, nullptr);
   EXPECT_EQ(CenterOf(hit), 42u);
-  EXPECT_EQ(cache.hits(), 1u);
   EXPECT_EQ(cache.bytes_resident(), OneBlockBytes());
+  // Lookups are counted by the caller and recorded in one call.
+  EXPECT_EQ(cache.hits() + cache.misses(), 0u);
+  cache.Record({.hits = 1, .misses = 1});
+  EXPECT_EQ(cache.hits(), 1u);
+  EXPECT_EQ(cache.misses(), 1u);
 }
 
 /// The reference CLOCK for a one-shard cache: the ring in the order
@@ -546,9 +557,22 @@ class ClockHarness {
 
   /// Returns whether the cache hit; it must agree with the model.
   bool Get(uint64_t handle) {
-    bool hit = cache_.Get(handle) != nullptr;
+    bool hit = GetOne(cache_, handle) != nullptr;
     EXPECT_EQ(hit, model_.Get(handle)) << "handle " << handle;
     return hit;
+  }
+
+  /// One GetMany: each lookup must agree with a model Get.
+  void GetMany(const std::vector<uint64_t>& handles) {
+    std::vector<LabelBlock> blocks(handles.size());
+    cache_.GetMany(handles, blocks);
+    for (size_t i = 0; i < handles.size(); ++i) {
+      EXPECT_EQ(blocks[i] != nullptr, model_.Get(handles[i]))
+          << "handle " << handles[i];
+      if (blocks[i]) {
+        EXPECT_EQ(blocks[i]->row_keys[0], handles[i]);
+      }
+    }
   }
 
   void Put(uint64_t handle, uint32_t width = 1) {
@@ -608,7 +632,7 @@ TEST(LabelCacheTest, PutOverwritesInPlace) {
   cache.Put(1, MakeBlock(1, 9));
   EXPECT_EQ(cache.size(), 1u);
   EXPECT_EQ(cache.bytes_resident(), OneBlockBytes());
-  EXPECT_EQ(CenterOf(cache.Get(1)), 9u);
+  EXPECT_EQ(CenterOf(GetOne(cache, 1)), 9u);
 }
 
 TEST(LabelCacheTest, ZeroBudgetCachesNothingButPinsStillWork) {
@@ -622,33 +646,41 @@ TEST(LabelCacheTest, ZeroBudgetCachesNothingButPinsStillWork) {
   EXPECT_EQ(cache.size(), 0u);
   EXPECT_EQ(cache.bytes_resident(), 0u);
   EXPECT_EQ(cache.evictions(), 1u);
-  EXPECT_EQ(cache.Get(1), nullptr);
+  EXPECT_EQ(GetOne(cache, 1), nullptr);
 }
 
 TEST(LabelCacheTest, EvictionDoesNotInvalidatePinnedBlocks) {
   LabelCache cache(OneBlockBytes());  // room for exactly one block
   LabelBlock pinned = cache.Put(1, MakeBlock(1, 11));
   cache.Put(2, MakeBlock(2, 22));  // evicts block 1
-  EXPECT_EQ(cache.Get(1), nullptr);
+  EXPECT_EQ(GetOne(cache, 1), nullptr);
   // The evicted block is alive for as long as the pin is held: this is
-  // the ownership rule PinnedJoin relies on mid-join.
+  // the ownership rule a batch relies on mid-join.
   ASSERT_NE(pinned, nullptr);
   EXPECT_EQ(CenterOf(pinned), 11u);
   EXPECT_EQ(pinned.use_count(), 1);  // cache reference is gone
 }
 
 TEST(LabelCacheTest, EvictsInClockOrderWithExactBytes) {
-  // A seeded run of Gets and (often overwriting) Puts of blocks of
-  // different sizes, against the reference CLOCK: after every step the
-  // resident set, the byte count, the eviction count and which blocks
-  // are alive must equal the model's.
+  // A seeded run of lookups (of one handle, or of up to three at once,
+  // repeats allowed) and (often overwriting) Puts of blocks of different
+  // sizes, against the reference CLOCK: after every step the resident
+  // set, the byte count, the eviction count and which blocks are alive
+  // must equal the model's.
   constexpr uint64_t kHandles = 8;
   ClockHarness clock(4 * OneBlockBytes(), kHandles);
   Rng rng(17);
-  for (int step = 0; step < 600; ++step) {
+  for (int step = 0; step < 900; ++step) {
     uint64_t handle = rng.NextBounded(kHandles);
-    if (rng.NextBounded(2) == 0) {
+    const uint64_t op = rng.NextBounded(3);
+    if (op == 0) {
       clock.Get(handle);
+    } else if (op == 1) {
+      std::vector<uint64_t> handles = {handle};
+      while (handles.size() < 3 && rng.NextBounded(2) == 0) {
+        handles.push_back(rng.NextBounded(kHandles));
+      }
+      clock.GetMany(handles);
     } else {
       clock.Put(handle, 1 + static_cast<uint32_t>(rng.NextBounded(6)));
     }
@@ -676,13 +708,15 @@ TEST(LabelCacheTest, ShardCountFollowsTheBudget) {
   EXPECT_EQ(two.evictions(), 0u);
 }
 
-/// Four threads run a seeded Get/Put mix over 32 handles on one cache,
-/// each holding its last few pins. A miss puts a fresh block, as an
-/// engine does after a decode, and a quarter of the operations put
+/// Four threads run a seeded mix of lookups (of one handle, or of two at
+/// once) and Puts over 32 handles on one cache, each holding its last
+/// few pins. A miss puts a fresh block, as
+/// an engine does after a decode, and a quarter of the operations put
 /// regardless (a duplicate decode). Every pin must read its own
-/// block's center after any number of evictions, and once the threads
-/// join, the cache must be within its budget and have counted every
-/// lookup as a hit or a miss.
+/// block's center after any number of evictions. Each thread records
+/// its hits and misses every 64 operations, as an engine does once per
+/// batch. Once the threads join, the cache must be within its budget
+/// and hold every recorded lookup as a hit or a miss.
 void StressSharedCache(size_t budget, size_t expect_shards,
                        uint32_t max_width) {
   constexpr int kThreads = 4;
@@ -700,15 +734,33 @@ void StressSharedCache(size_t budget, size_t expect_shards,
       Rng rng(100 + static_cast<uint64_t>(t));
       std::deque<std::pair<uint64_t, LabelBlock>> held;
       uint64_t gets = 0;
+      LabelCache::Tally tally;
       for (int op = 0; op < kOpsPerThread; ++op) {
         uint64_t h = rng.NextBounded(kHandles);
         LabelBlock pin;
-        if (rng.NextBounded(4) != 0) {
+        const uint64_t kind = rng.NextBounded(4);
+        if (kind == 1) {
+          // Two lookups at once, the second of a neighbouring handle.
+          const uint64_t handles[2] = {h, (h + 1) % kHandles};
+          LabelBlock blocks[2];
+          cache.GetMany(handles, blocks);
+          gets += 2;
+          ++(blocks[1] ? tally.hits : tally.misses);
+          if (blocks[1]) held.emplace_back(handles[1], blocks[1]);
+          pin = std::move(blocks[0]);
+          ++(pin ? tally.hits : tally.misses);
+        } else if (kind != 0) {
           ++gets;
-          pin = cache.Get(h);
+          pin = GetOne(cache, h);
+          ++(pin ? tally.hits : tally.misses);
+        }
+        if (op % 64 == 63) {
+          cache.Record(tally);
+          tally = {};
         }
         if (!pin) {
-          uint32_t width = 1 + static_cast<uint32_t>(rng.NextBounded(max_width));
+          uint32_t width =
+              1 + static_cast<uint32_t>(rng.NextBounded(max_width));
           pin = cache.Put(h, MakeBlock(static_cast<NodeId>(h), center_of(h),
                                        width));
         }
@@ -721,6 +773,7 @@ void StressSharedCache(size_t budget, size_t expect_shards,
           }
         }
       }
+      cache.Record(tally);
       lookups.fetch_add(gets, std::memory_order_relaxed);
     });
   }
@@ -728,10 +781,12 @@ void StressSharedCache(size_t budget, size_t expect_shards,
   EXPECT_EQ(bad_pins.load(), 0u);
   EXPECT_LE(cache.bytes_resident(), cache.byte_budget());
   EXPECT_EQ(cache.hits() + cache.misses(), lookups.load());
+  EXPECT_GT(cache.hits(), 0u);
+  EXPECT_GT(cache.misses(), 0u);
   EXPECT_GT(cache.evictions(), 0u);
   EXPECT_GT(cache.duplicate_puts(), 0u);
   for (uint64_t h = 0; h < kHandles; ++h) {
-    if (LabelBlock block = cache.Get(h)) {
+    if (LabelBlock block = GetOne(cache, h)) {
       EXPECT_EQ(CenterOf(block), center_of(h)) << "handle " << h;
     }
   }
@@ -748,9 +803,12 @@ TEST(LabelCacheTest, ConcurrentGetsAndPutsOnSixteenShards) {
 
 TEST(LabelCacheTest, DecodeAccountingFlowsIntoStats) {
   LabelCache cache(1 << 20);
-  cache.RecordDecode(1500);
-  cache.RecordDecode(500);
+  cache.Record({.hits = 3, .misses = 1, .blocks_decoded = 1,
+                .decode_nanos = 1500});
+  cache.Record({.misses = 1, .blocks_decoded = 1, .decode_nanos = 500});
   LabelCache::Stats stats = cache.StatsSnapshot();
+  EXPECT_EQ(stats.hits, 3u);
+  EXPECT_EQ(stats.misses, 2u);
   EXPECT_EQ(stats.blocks_decoded, 2u);
   EXPECT_EQ(stats.decode_nanos, 2000u);
   EXPECT_EQ(stats.byte_budget, size_t{1} << 20);
@@ -759,11 +817,12 @@ TEST(LabelCacheTest, DecodeAccountingFlowsIntoStats) {
 TEST(LabelCacheTest, ClearResetsEntriesButKeepsCounters) {
   LabelCache cache(1 << 20);
   cache.Put(1, MakeBlock(1, 1));
-  ASSERT_NE(cache.Get(1), nullptr);
+  ASSERT_NE(GetOne(cache, 1), nullptr);
+  cache.Record({.hits = 1});
   cache.Clear();
   EXPECT_EQ(cache.size(), 0u);
   EXPECT_EQ(cache.bytes_resident(), 0u);
-  EXPECT_EQ(cache.Get(1), nullptr);
+  EXPECT_EQ(GetOne(cache, 1), nullptr);
   EXPECT_EQ(cache.hits(), 1u);
 }
 
@@ -822,6 +881,26 @@ TEST_F(QueryEngineFixture, TinyCacheStillAnswersCompressedStoreCorrectly) {
   BatchResponse r = engine.Batch({.pairs = pairs});
   ASSERT_TRUE(r.error.ok()) << r.error;
   EXPECT_EQ(engine.label_cache().size(), 0u);
+  // The batch pins each block it fetched until it returns, so it
+  // decodes each distinct block once, however many of its rows the
+  // batch reads and however little the cache keeps.
+  std::set<uint64_t> handles;
+  size_t block_fetches = 0;
+  for (auto [u, v] : std::set<NodePair>(pairs.begin(), pairs.end())) {
+    if (u == v) continue;
+    for (std::optional<uint64_t> handle :
+         {mapped_v4_store_->LoutBlockHandle(u),
+          mapped_v4_store_->LinBlockHandle(v)}) {
+      if (handle) {
+        handles.insert(*handle);
+        ++block_fetches;
+      }
+    }
+  }
+  ASSERT_LT(handles.size(), block_fetches);
+  EXPECT_EQ(r.stats.blocks_decoded, handles.size());
+  EXPECT_EQ(r.stats.cache_misses, handles.size());
+  EXPECT_EQ(r.stats.cache_hits, block_fetches - handles.size());
   for (size_t i = 0; i < pairs.size(); ++i) {
     EXPECT_EQ(r.reachable[i],
               engine.backend().IsReachable(pairs[i].first, pairs[i].second));
