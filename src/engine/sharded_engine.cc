@@ -3,29 +3,67 @@
 #include <algorithm>
 #include <cassert>
 #include <future>
-#include <unordered_set>
+#include <unordered_map>
 #include <utility>
 
 #include "engine/backend.h"
 #include "query/tag_index.h"
+#include "twohop/join_kernel.h"
 
 namespace hopi::engine {
 
 namespace {
 
-/// Dedup key of one (a, b) probe inside a sub-batch.
-uint64_t ProbeKey(NodeId a, NodeId b) {
-  return (static_cast<uint64_t>(a) << 32) | b;
+/// Copies each node's row of one side (Lout when `out`) out of `cover`.
+std::vector<std::vector<twohop::LabelEntry>> CopyRows(
+    const twohop::TwoHopCover& cover, const std::vector<NodeId>& nodes,
+    bool out) {
+  std::vector<std::vector<twohop::LabelEntry>> rows;
+  rows.reserve(nodes.size());
+  for (NodeId u : nodes) {
+    twohop::JoinView row = out ? cover.Out(u) : cover.In(u);
+    rows.emplace_back(row.begin(), row.end());
+  }
+  return rows;
 }
 
-size_t FanoutBucket(size_t fanout) {
-  size_t bucket = 0;
-  while (fanout > 1 && bucket < 15) {
-    fanout >>= 1;
-    ++bucket;
+/// Fetched rows of one side of one sub-request, unpacked once into the
+/// packed columns and summaries the join kernels read.
+class PackedRows {
+ public:
+  PackedRows() = default;
+  explicit PackedRows(const std::vector<std::vector<twohop::LabelEntry>>& rows) {
+    begin_.reserve(rows.size() + 1);
+    begin_.push_back(0);
+    for (const auto& row : rows) {
+      for (twohop::LabelEntry e : row) {
+        centers_.push_back(e.center);
+        dists_.push_back(e.dist);
+      }
+      begin_.push_back(centers_.size());
+    }
+    summaries_.resize(rows.size(), twohop::LabelSummary::Empty());
+    for (size_t r = 0; r < rows.size(); ++r) {
+      summaries_[r].AddAscending(centers_.data() + begin_[r],
+                                 begin_[r + 1] - begin_[r]);
+    }
   }
-  return bucket;
-}
+
+  twohop::JoinView Row(size_t r) const {
+    twohop::JoinView view;
+    view.centers = centers_.data() + begin_[r];
+    view.dists = dists_.data() + begin_[r];
+    view.n = begin_[r + 1] - begin_[r];
+    view.summary = summaries_[r];
+    return view;
+  }
+
+ private:
+  std::vector<uint32_t> centers_;
+  std::vector<uint32_t> dists_;
+  std::vector<size_t> begin_;
+  std::vector<twohop::LabelSummary> summaries_;
+};
 
 }  // namespace
 
@@ -38,64 +76,105 @@ PoolShardClient::PoolShardClient(std::string name,
                                  EnginePoolOptions options)
     : name_(std::move(name)),
       with_distance_(snapshot->MakeBackend()->with_distance()),
-      pool_(std::move(snapshot), std::move(options)) {}
+      published_{snapshot},
+      pool_(std::move(snapshot), std::move(options)) {
+  assert(published_.front().lock()->index() != nullptr &&
+         "a shard serves an in-memory index");
+}
 
 uint64_t PoolShardClient::snapshot_version() const {
   return pool_.snapshot()->version();
 }
 
 Status PoolShardClient::SubmitBatch(
-    BatchRequest request,
+    ShardRequest request,
     std::function<void(Result<ShardBatchResult>)> on_done) {
   return pool_.SubmitBatch(
-      std::move(request),
-      [cb = std::move(on_done)](Result<PoolBatchResponse> r) {
+      std::move(request.batch),
+      [this, out_rows = std::move(request.out_rows),
+       in_rows = std::move(request.in_rows),
+       cb = std::move(on_done)](Result<PoolBatchResponse> r) {
         if (!r.ok()) {
           cb(r.status());
           return;
         }
-        cb(ShardBatchResult{std::move(r->batch), r->snapshot_version});
+        ShardBatchResult result{std::move(r->batch), {}, {},
+                                r->snapshot_version};
+        if (!out_rows.empty() || !in_rows.empty()) {
+          // This callback runs on the worker that answered the probes,
+          // which still holds that snapshot: the rows come from it too.
+          std::shared_ptr<const BackendSnapshot> snapshot =
+              Published(r->snapshot_version);
+          if (snapshot == nullptr) {
+            cb(Status::Internal("shard '" + name_ +
+                                "' lost the snapshot that served it"));
+            return;
+          }
+          const twohop::TwoHopCover& cover = snapshot->index()->cover();
+          result.out_rows = CopyRows(cover, out_rows, /*out=*/true);
+          result.in_rows = CopyRows(cover, in_rows, /*out=*/false);
+        }
+        cb(std::move(result));
       });
 }
 
-std::vector<NodeId> PoolShardClient::Descendants(NodeId u) const {
-  // Pin the snapshot for the duration of the adapter call; a concurrent
-  // Swap retires the old snapshot only after this reference drops.
+std::vector<NodeId> PoolShardClient::Descendants(
+    std::span<const NodeId> centers) const {
+  // The local pins the snapshot for the duration of the call; a
+  // concurrent Swap retires the old one only after it drops.
   std::shared_ptr<const BackendSnapshot> snapshot = pool_.snapshot();
-  return snapshot->MakeBackend()->Descendants(u);
+  return snapshot->index()->indexed_cover().InHolders(centers);
 }
 
-std::vector<NodeId> PoolShardClient::Ancestors(NodeId u) const {
+std::vector<NodeId> PoolShardClient::Ancestors(
+    std::span<const NodeId> centers) const {
   std::shared_ptr<const BackendSnapshot> snapshot = pool_.snapshot();
-  return snapshot->MakeBackend()->Ancestors(u);
+  return snapshot->index()->indexed_cover().OutHolders(centers);
 }
 
 Status PoolShardClient::Swap(std::shared_ptr<const BackendSnapshot> snapshot) {
-  if (snapshot == nullptr) {
-    return Status::InvalidArgument("PoolShardClient::Swap: null snapshot");
+  if (snapshot == nullptr || snapshot->index() == nullptr) {
+    return Status::InvalidArgument(
+        "PoolShardClient::Swap: a shard serves an in-memory index");
+  }
+  {
+    // Recorded before the pool can serve from it.
+    std::lock_guard<std::mutex> lock(published_mu_);
+    std::erase_if(published_, [](const auto& weak) { return weak.expired(); });
+    published_.push_back(snapshot);
   }
   pool_.Swap(std::move(snapshot));
   return Status::OK();
+}
+
+std::shared_ptr<const BackendSnapshot> PoolShardClient::Published(
+    uint64_t version) const {
+  std::lock_guard<std::mutex> lock(published_mu_);
+  for (const auto& weak : published_) {
+    std::shared_ptr<const BackendSnapshot> snapshot = weak.lock();
+    if (snapshot != nullptr && snapshot->version() == version) return snapshot;
+  }
+  return nullptr;
 }
 
 // ---------------------------------------------------------------------------
 // Merge state
 // ---------------------------------------------------------------------------
 
-/// One per-shard sub-batch of a sharded batch: the deduplicated probe
-/// list plus the (a, b) -> position map the merge uses to look leg
-/// answers back up.
+/// One per-shard sub-request of a sharded batch, plus the maps that
+/// deduplicate its row fetches.
 struct ShardedEngine::SubBatch {
   size_t shard = 0;
-  BatchRequest request;
-  std::unordered_map<uint64_t, size_t> index_of;
+  ShardRequest request;
+  std::unordered_map<NodeId, size_t> out_row_of;
+  std::unordered_map<NodeId, size_t> in_row_of;
   /// Engaged once the shard answered (or its submit was rejected).
   std::optional<Result<ShardBatchResult>> result;
 };
 
 /// One in-flight sharded batch: the routing plan plus the completion
 /// rendezvous. `finalized` flips exactly once, under `mu`, won by the
-/// last sub-batch completion, the watchdog's deadline, or Shutdown —
+/// last sub-request completion, the watchdog's deadline, or Shutdown —
 /// whoever flips it runs Finalize.
 struct ShardedEngine::MergeState {
   /// Per-request-pair routing decision.
@@ -103,22 +182,21 @@ struct ShardedEngine::MergeState {
     enum class Kind { kResolved, kDirect, kCross };
     Kind kind = Kind::kResolved;
     // kResolved: the answer was fixed at routing time (reflexive pair,
-    // dead endpoint, empty route table).
+    // dead endpoint).
     bool reachable = false;
     std::optional<uint32_t> dist;
-    // kDirect: position `index` of sub-batch `sub`.
-    // kCross: `sub` = source-leg sub-batch, `target_sub` = target-leg
-    // sub-batch, `routes` = the skeleton routes to compose over
-    // (borrowed from the ShardPlan, which outlives the engine).
+    // kDirect: pair `index` of sub-request `sub`.
+    // kCross: Lout(u) is out row `index` of sub-request `sub`, Lin(v) is
+    // in row `target_index` of sub-request `target_sub`.
     size_t sub = 0;
     size_t index = 0;
     size_t target_sub = 0;
-    const std::vector<ShardRoute>* routes = nullptr;
+    size_t target_index = 0;
   };
 
   std::mutex mu;
   std::atomic<bool> finalized{false};  // written under mu; read lock-free
-  size_t pending = 0;                  // sub-batches not yet completed
+  size_t pending = 0;                  // sub-requests not yet completed
   BatchRequest request;
   std::vector<Plan> pairs;
   std::vector<SubBatch> subs;
@@ -133,9 +211,9 @@ struct ShardedEngine::MergeState {
 // ---------------------------------------------------------------------------
 
 /// ReachabilityBackend over the whole sharded engine: scalar probes run
-/// one-pair sharded batches, Descendants/Ancestors expand shard-locally
-/// and hop the route tables once (routes are PSG-closed — see the
-/// derivation in shard_router.h — so a single hop reaches every shard).
+/// one-pair sharded batches; Descendants(u) joins Lout(u) ∪ {u} against
+/// every shard's Lin rows through the shards' backward indexes, and
+/// Ancestors joins Lin(u) ∪ {u} against their Lout rows.
 /// Degradation note: the path evaluator has no partial-result channel,
 /// so probes that come back unresolved (deadline, failed shard) are
 /// reported unreachable — path answers during a shard outage may
@@ -194,35 +272,23 @@ class ShardedBackend : public ReachabilityBackend {
   }
 
   std::vector<NodeId> Expand(NodeId u, bool down) const {
-    const ShardRouter& router = engine_->router();
-    uint32_t su = router.ShardOf(u);
-    std::vector<NodeId> out;
-    if (su == kUnassignedShard) return out;
-    ShardClient& home = engine_->client(su);
-    out = down ? home.Descendants(u) : home.Ancestors(u);
-    // Hop the skeleton once: every cross-link endpoint reachable from u
-    // (descendants direction: route sources in u's shard; ancestors:
-    // route targets) carries us into its peer shard, where the local
-    // expansion finishes the job — the peer covers already contain the
-    // leave-and-return closure.
-    std::vector<NodeId> frontier = out;
-    frontier.push_back(u);
-    std::unordered_set<NodeId> entered;
-    for (NodeId e : frontier) {
-      const auto& hops = down ? router.RoutesFrom(e) : router.RoutesInto(e);
-      for (const auto& [peer, dist] : hops) {
-        (void)dist;
-        if (!entered.insert(peer).second) continue;
-        out.push_back(peer);
-        ShardClient& shard = engine_->client(router.ShardOf(peer));
-        std::vector<NodeId> local =
-            down ? shard.Descendants(peer) : shard.Ancestors(peer);
-        out.insert(out.end(), local.begin(), local.end());
-      }
+    if (engine_->plan().ShardOfElement(u) == kUnassignedShard) return {};
+    // A descendant d of u is a center of Lout(u), or holds u or one of
+    // those centers in Lin(d) (Sec 3.4); ancestors the other way round.
+    std::vector<NodeId> centers{u};
+    for (twohop::LabelEntry e : engine_->FetchRow(u, /*out=*/down)) {
+      centers.push_back(e.center);
+    }
+    std::vector<NodeId> out(centers.begin() + 1, centers.end());
+    for (size_t s = 0; s < engine_->num_shards(); ++s) {
+      const ShardClient& shard = engine_->client(s);
+      std::vector<NodeId> local =
+          down ? shard.Descendants(centers) : shard.Ancestors(centers);
+      out.insert(out.end(), local.begin(), local.end());
     }
     std::sort(out.begin(), out.end());
     out.erase(std::unique(out.begin(), out.end()), out.end());
-    // Strict axis: a cycle through the skeleton may re-reach u itself.
+    // Strict axis: a cycle may lead back to u itself.
     out.erase(std::remove(out.begin(), out.end(), u), out.end());
     return out;
   }
@@ -244,7 +310,6 @@ std::vector<std::unique_ptr<ShardClient>> MakePoolClients(
   auto tags = std::make_shared<const query::TagIndex>(collection);
   EnginePoolOptions pool_options;
   pool_options.num_threads = options.threads_per_shard;
-  pool_options.label_cache_bytes = options.label_cache_bytes;
   pool_options.queue_capacity = options.queue_capacity;
   std::vector<std::unique_ptr<ShardClient>> clients;
   clients.reserve(plan.num_shards);
@@ -270,7 +335,6 @@ ShardedEngine::ShardedEngine(const collection::Collection* collection,
                              ShardedEngineOptions options)
     : collection_(collection),
       plan_(plan),
-      router_(plan),
       options_(options),
       clients_(std::move(clients)),
       per_shard_probes_(plan->num_shards) {
@@ -280,10 +344,8 @@ ShardedEngine::ShardedEngine(const collection::Collection* collection,
   for (const auto& client : clients_) {
     with_distance_ = with_distance_ && client->with_distance();
   }
-  QueryEngineOptions engine_options;
-  engine_options.label_cache_bytes = options_.label_cache_bytes;
   path_engine_ = std::make_unique<QueryEngine>(
-      *collection_, std::make_unique<ShardedBackend>(this), engine_options);
+      *collection_, std::make_unique<ShardedBackend>(this));
   watchdog_ = std::thread(&ShardedEngine::WatchdogLoop, this);
   path_worker_ = std::thread(&ShardedEngine::PathWorkerLoop, this);
 }
@@ -294,8 +356,8 @@ Status ShardedEngine::PlanBatch(const BatchRequest& request,
                                 MergeState* state) {
   using Plan = MergeState::Plan;
   const size_t n = clients_.size();
-  // One sub-batch per consulted shard: its direct probes and its legs
-  // of every cross pair, deduplicated together.
+  // One sub-request per consulted shard: its direct pairs and the rows
+  // its cross pairs need, each row fetched once.
   constexpr size_t kNoSub = SIZE_MAX;
   std::vector<size_t> sub_of(n, kNoSub);
   auto sub_for = [&](size_t shard) {
@@ -303,25 +365,21 @@ Status ShardedEngine::PlanBatch(const BatchRequest& request,
       sub_of[shard] = state->subs.size();
       SubBatch sub;
       sub.shard = shard;
-      sub.request.want_distances = request.want_distances;
+      sub.request.batch.want_distances = request.want_distances;
       state->subs.push_back(std::move(sub));
     }
     return sub_of[shard];
   };
-  std::vector<uint64_t> shard_probes(n, 0);
-  auto add_probe = [&](size_t sub_index, NodeId a, NodeId b) {
-    SubBatch& sub = state->subs[sub_index];
-    auto [it, inserted] =
-        sub.index_of.try_emplace(ProbeKey(a, b), sub.request.pairs.size());
-    if (inserted) {
-      sub.request.pairs.emplace_back(a, b);
-      ++shard_probes[sub.shard];
-    }
+  auto add_row = [](SubBatch* sub, NodeId u, bool out) {
+    auto& row_of = out ? sub->out_row_of : sub->in_row_of;
+    auto& rows = out ? sub->request.out_rows : sub->request.in_rows;
+    auto [it, inserted] = row_of.try_emplace(u, rows.size());
+    if (inserted) rows.push_back(u);
     return it->second;
   };
 
-  uint64_t direct = 0, cross = 0, routeless = 0, legs = 0;
-  std::array<uint64_t, 16> fanout{};
+  std::vector<uint64_t> shard_probes(n, 0);
+  uint64_t direct = 0, cross = 0;
   state->pairs.reserve(request.pairs.size());
   for (const auto& [u, v] : request.pairs) {
     Plan plan;
@@ -333,8 +391,8 @@ Status ShardedEngine::PlanBatch(const BatchRequest& request,
       state->pairs.push_back(plan);
       continue;
     }
-    uint32_t su = router_.ShardOf(u);
-    uint32_t sv = router_.ShardOf(v);
+    uint32_t su = plan_->ShardOfElement(u);
+    uint32_t sv = plan_->ShardOfElement(v);
     if (su == kUnassignedShard || sv == kUnassignedShard) {
       // Dead-document elements have no edges and empty labels.
       plan.kind = Plan::Kind::kResolved;
@@ -342,36 +400,22 @@ Status ShardedEngine::PlanBatch(const BatchRequest& request,
       continue;
     }
     if (su == sv) {
-      size_t sub = sub_for(su);
       plan.kind = Plan::Kind::kDirect;
-      plan.sub = sub;
-      plan.index = add_probe(sub, u, v);
+      plan.sub = sub_for(su);
+      BatchRequest& batch = state->subs[plan.sub].request.batch;
+      plan.index = batch.pairs.size();
+      batch.pairs.emplace_back(u, v);
+      ++shard_probes[su];
       ++direct;
-      state->pairs.push_back(plan);
-      continue;
+    } else {
+      plan.kind = Plan::Kind::kCross;
+      plan.sub = sub_for(su);
+      plan.target_sub = sub_for(sv);
+      plan.index = add_row(&state->subs[plan.sub], u, /*out=*/true);
+      plan.target_index =
+          add_row(&state->subs[plan.target_sub], v, /*out=*/false);
+      ++cross;
     }
-    ++cross;
-    const std::vector<ShardRoute>& routes = router_.RoutesBetween(su, sv);
-    if (routes.empty()) {
-      // No skeleton route between the shards: unreachable, no probing.
-      plan.kind = Plan::Kind::kResolved;
-      ++routeless;
-      ++fanout[0];
-      state->pairs.push_back(plan);
-      continue;
-    }
-    const ShardProbeSet& probes = router_.ProbesBetween(su, sv);
-    size_t source_sub = sub_for(su);
-    size_t target_sub = sub_for(sv);
-    for (NodeId s : probes.sources) add_probe(source_sub, u, s);
-    for (NodeId t : probes.targets) add_probe(target_sub, t, v);
-    plan.kind = Plan::Kind::kCross;
-    plan.sub = source_sub;
-    plan.target_sub = target_sub;
-    plan.routes = &routes;
-    size_t pair_fanout = probes.sources.size() + probes.targets.size();
-    legs += pair_fanout;
-    ++fanout[FanoutBucket(pair_fanout)];
     state->pairs.push_back(plan);
   }
 
@@ -387,10 +431,13 @@ Status ShardedEngine::PlanBatch(const BatchRequest& request,
   }
 
   // The plan is final — commit its stats.
+  uint64_t rows = 0;
+  for (const SubBatch& sub : state->subs) {
+    rows += sub.request.out_rows.size() + sub.request.in_rows.size();
+  }
   direct_pairs_.fetch_add(direct, std::memory_order_relaxed);
   cross_pairs_.fetch_add(cross, std::memory_order_relaxed);
-  routeless_pairs_.fetch_add(routeless, std::memory_order_relaxed);
-  leg_probes_.fetch_add(legs, std::memory_order_relaxed);
+  rows_fetched_.fetch_add(rows, std::memory_order_relaxed);
   subbatches_.fetch_add(state->subs.size(), std::memory_order_relaxed);
   for (size_t s = 0; s < n; ++s) {
     if (shard_probes[s] != 0) {
@@ -398,12 +445,28 @@ Status ShardedEngine::PlanBatch(const BatchRequest& request,
                                      std::memory_order_relaxed);
     }
   }
-  for (size_t b = 0; b < fanout.size(); ++b) {
-    if (fanout[b] != 0) {
-      fanout_histogram_[b].fetch_add(fanout[b], std::memory_order_relaxed);
-    }
-  }
   return Status::OK();
+}
+
+std::vector<twohop::LabelEntry> ShardedEngine::FetchRow(NodeId u, bool out) {
+  const uint32_t shard = plan_->ShardOfElement(u);
+  if (shard == kUnassignedShard) return {};
+  ShardRequest request;
+  (out ? request.out_rows : request.in_rows).push_back(u);
+  auto promise = std::make_shared<std::promise<Result<ShardBatchResult>>>();
+  std::future<Result<ShardBatchResult>> answer = promise->get_future();
+  Status submitted = clients_[shard]->SubmitBatch(
+      std::move(request), [promise](Result<ShardBatchResult> r) {
+        promise->set_value(std::move(r));
+      });
+  if (!submitted.ok()) return {};
+  if (options_.merge_deadline.count() > 0 &&
+      answer.wait_for(options_.merge_deadline) != std::future_status::ready) {
+    return {};
+  }
+  Result<ShardBatchResult> result = answer.get();
+  if (!result.ok()) return {};
+  return std::move(out ? result->out_rows.front() : result->in_rows.front());
 }
 
 Status ShardedEngine::SubmitBatch(
@@ -438,7 +501,7 @@ Status ShardedEngine::SubmitBatch(
   watch_cv_.notify_one();
 
   for (size_t k = 0; k < state->subs.size(); ++k) {
-    BatchRequest sub_request = std::move(state->subs[k].request);
+    ShardRequest sub_request = std::move(state->subs[k].request);
     size_t shard = state->subs[k].shard;
     Status submitted = clients_[shard]->SubmitBatch(
         std::move(sub_request), [this, state, k](Result<ShardBatchResult> r) {
@@ -446,7 +509,7 @@ Status ShardedEngine::SubmitBatch(
         });
     if (!submitted.ok()) {
       // The shard refused (shed / shut down): fold the rejection into
-      // the merge as a failed sub-batch.
+      // the merge as a failed sub-request.
       OnSubBatchDone(state, k, std::move(submitted));
     }
   }
@@ -477,7 +540,7 @@ void ShardedEngine::OnSubBatchDone(const std::shared_ptr<MergeState>& state,
     if (s.result.has_value() && !s.result->ok()) {
       status = Status::Unavailable(
           "shard '" + std::string(clients_[s.shard]->name()) +
-          "' failed its sub-batch: " + s.result->status().message());
+          "' failed its sub-request: " + s.result->status().message());
       break;
     }
   }
@@ -502,6 +565,9 @@ void ShardedEngine::Finalize(const std::shared_ptr<MergeState>& state,
     const SubBatch& s = state->subs[k];
     return s.result.has_value() && s.result->ok();
   };
+  // Each answered sub-request's rows, unpacked once for the joins.
+  std::vector<PackedRows> out_rows(state->subs.size());
+  std::vector<PackedRows> in_rows(state->subs.size());
   for (size_t k = 0; k < state->subs.size(); ++k) {
     if (!sub_ok(k)) continue;
     const SubBatch& s = state->subs[k];
@@ -516,6 +582,8 @@ void ShardedEngine::Finalize(const std::shared_ptr<MergeState>& state,
     response.batch.stats.labels_borrowed += bs.labels_borrowed;
     response.batch.stats.blocks_decoded += bs.blocks_decoded;
     response.batch.stats.backend_probes += bs.backend_probes;
+    if (!r.out_rows.empty()) out_rows[k] = PackedRows(r.out_rows);
+    if (!r.in_rows.empty()) in_rows[k] = PackedRows(r.in_rows);
   }
 
   for (size_t i = 0; i < n; ++i) {
@@ -538,25 +606,12 @@ void ShardedEngine::Finalize(const std::shared_ptr<MergeState>& state,
       case Plan::Kind::kCross: {
         if (!sub_ok(plan.sub) || !sub_ok(plan.target_sub)) break;
         const auto& [u, v] = state->request.pairs[i];
-        const SubBatch& source_sub = state->subs[plan.sub];
-        const SubBatch& target_sub = state->subs[plan.target_sub];
-        const BatchResponse& sb = source_sub.result->value().batch;
-        const BatchResponse& tb = target_sub.result->value().batch;
-        auto leg = [&](const SubBatch& sub, const BatchResponse& b, NodeId a,
-                       NodeId c) -> std::optional<uint32_t> {
-          auto it = sub.index_of.find(ProbeKey(a, c));
-          if (it == sub.index_of.end()) return std::nullopt;
-          if (!b.reachable[it->second]) return std::nullopt;
-          if (!want) return 0;
-          return b.distances[it->second].value_or(0);
-        };
-        auto [reachable, dist] = ComposeThreeLegs(
-            *plan.routes,
-            [&](NodeId s) { return leg(source_sub, sb, u, s); },
-            [&](NodeId t) { return leg(target_sub, tb, t, v); }, want);
+        twohop::LabelJoinResult joined = twohop::JoinViews(
+            u, v, out_rows[plan.sub].Row(plan.index),
+            in_rows[plan.target_sub].Row(plan.target_index), want);
         response.resolved[i] = true;
-        response.batch.reachable[i] = reachable;
-        if (want) response.batch.distances[i] = dist;
+        response.batch.reachable[i] = joined.connected;
+        if (want) response.batch.distances[i] = joined.distance;
         break;
       }
     }
@@ -694,18 +749,13 @@ ShardStats ShardedEngine::Stats() const {
   stats.batches = batches_.load(std::memory_order_relaxed);
   stats.direct_pairs = direct_pairs_.load(std::memory_order_relaxed);
   stats.cross_pairs = cross_pairs_.load(std::memory_order_relaxed);
-  stats.routeless_pairs = routeless_pairs_.load(std::memory_order_relaxed);
   stats.subbatches = subbatches_.load(std::memory_order_relaxed);
-  stats.leg_probes = leg_probes_.load(std::memory_order_relaxed);
+  stats.rows_fetched = rows_fetched_.load(std::memory_order_relaxed);
   stats.partial_batches = partial_batches_.load(std::memory_order_relaxed);
   stats.failed_subbatches = failed_subbatches_.load(std::memory_order_relaxed);
   stats.per_shard_probes.reserve(per_shard_probes_.size());
   for (const auto& count : per_shard_probes_) {
     stats.per_shard_probes.push_back(count.load(std::memory_order_relaxed));
-  }
-  for (size_t b = 0; b < fanout_histogram_.size(); ++b) {
-    stats.fanout_histogram[b] =
-        fanout_histogram_[b].load(std::memory_order_relaxed);
   }
   stats.merges = merges_.load(std::memory_order_relaxed);
   stats.merge_latency_us_total =
@@ -730,7 +780,7 @@ void ShardedEngine::Shutdown() {
     if (path_worker_.joinable()) path_worker_.join();
 
     // Fail whatever merges are still outstanding (stalled shards,
-    // dropped callbacks) so sync callers unblock. Sub-batch callbacks
+    // dropped callbacks) so sync callers unblock. Sub-request callbacks
     // that straggle in later see `finalized` and drop their result.
     std::vector<std::shared_ptr<MergeState>> leftovers;
     {

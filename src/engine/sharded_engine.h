@@ -1,54 +1,55 @@
 // ShardedEngine: scatter-gather serving over a ShardPlan.
 //
 // N shard units — each an EnginePool over a BackendSnapshot holding one
-// shard's cover (shard_router.h) — behind one batch front door with the
-// same answer semantics as a single QueryEngine over the whole
-// collection:
+// shard's rows of the global cover (shard_router.h) — behind one batch
+// front door with the same answers as a single QueryEngine over the
+// whole collection:
 //
-//   routing   same-shard pairs go straight to their shard (the plan
-//             folded same-shard skeleton routes into each cover, so
-//             direct routing is exact even for leave-and-return paths);
-//             cross-shard pairs SCATTER — the source shard answers
-//             u -> every route source, the target shard answers every
-//             route target -> v — and the merge layer composes the
-//             three legs by min-plus over the router's skeleton routes
-//             (ComposeThreeLegs), exactly how hopi/join.cc composes
-//             partition covers.
-//   merge     one MergeState per submitted batch collects the per-shard
-//             sub-batch results; the LAST completion finalizes. A
+//   routing   a same-shard pair goes to its shard, which holds both of
+//             its rows and probes it. For a cross-shard pair the router
+//             fetches Lout(u) from u's shard and Lin(v) from v's shard
+//             and joins the two rows itself (twohop::JoinViews, the one
+//             2-hop join). The rows are those of one cover over the
+//             whole collection, so both routes are exact, distances
+//             included.
+//   fan-out   a batch sends one sub-request to each shard it consults:
+//             that shard's direct pairs and the rows its cross pairs
+//             need, deduplicated (Lout of sources, Lin of targets). The
+//             shard answers probes and rows from one snapshot and
+//             reports that snapshot's version.
+//   merge     one MergeState per submitted batch collects the
+//             sub-request results; the LAST completion finalizes. A
 //             deadline (merge_deadline) arms a watchdog that finalizes
-//             early with whatever arrived: pairs whose legs all landed are
-//             answered exactly, the rest are marked unresolved — the
-//             degradation contract is "typed partial result, never a
-//             wrong bool". status taxonomy:
-//               OK                 every sub-batch completed cleanly
-//               DeadlineExceeded   >=1 sub-batch still pending at the
+//             early with whatever arrived: pairs whose probe or both
+//             rows landed are answered exactly, the rest are marked
+//             unresolved — the degradation contract is "typed partial
+//             result, never a wrong bool". status taxonomy:
+//               OK                 every sub-request completed cleanly
+//               DeadlineExceeded   >=1 sub-request still pending at the
 //                                  deadline (slow/stalled shard)
-//               Unavailable        every sub-batch done but >=1 failed
+//               Unavailable        every sub-request done but >=1 failed
 //               Unsupported        want_distances over a consulted
 //                                  shard whose cover is plain
 //                                  (detected synchronously, no scatter)
-//   fan-out   a batch sends one sub-batch to each shard it consults,
-//             holding that shard's direct probes and its legs of every
-//             cross pair, deduplicated together.
 //
 // The engine talks to shards ONLY through ShardClient — a narrow,
 // callback-based, socket-liftable interface (name / with_distance /
-// SubmitBatch / Descendants / Ancestors / Swap). PoolShardClient is the
-// in-process binding over an EnginePool; tests inject
+// SubmitBatch / Descendants / Ancestors / Swap) whose answers are
+// values: probe answers and rows as LabelEntry vectors. PoolShardClient
+// is the in-process binding over an EnginePool; tests inject
 // fault-wrapping clients through the same seam, and a TCP client would
 // slot in without touching the router or merge layer.
 //
 // Path queries (/v1/path) reuse the whole single-engine evaluator: a
 // private QueryEngine runs over a ShardedBackend adapter whose
-// reachability probes are sharded batches and whose
-// Descendants/Ancestors expand shard-locally then hop the router's
-// route tables once (routes are PSG-closed, so one hop reaches every
-// shard). Path work runs on a dedicated worker thread to keep the
-// shard pools free for the legs those probes fan into.
+// reachability probes are sharded batches. Its Descendants(u) fetches
+// Lout(u) from u's shard, then asks every shard for its nodes whose Lin
+// holds u or one of those centers — the Sec 3.4 backward index, read
+// from each shard's own rows; Ancestors runs the other way. Path work
+// runs on a dedicated worker thread to keep the shard pools free for
+// the sub-requests its probes fan into.
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -59,6 +60,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -73,11 +75,26 @@
 
 namespace hopi::engine {
 
-/// One shard's answer to a scatter sub-batch, with the provenance the
-/// stress test validates answers against.
+/// One shard's part of a sharded batch.
+struct ShardRequest {
+  /// Same-shard pairs, probed by the shard.
+  BatchRequest batch;
+  /// Nodes of this shard whose Lout / Lin rows the router joins for
+  /// cross-shard pairs.
+  std::vector<NodeId> out_rows;
+  std::vector<NodeId> in_rows;
+};
+
+/// One shard's answer to a ShardRequest: probes and rows alike come from
+/// one snapshot, whose version the stress test validates answers
+/// against.
 struct ShardBatchResult {
   BatchResponse batch;
-  /// Version of the snapshot that served the sub-batch.
+  /// Parallel to ShardRequest::out_rows / in_rows; each row sorted by
+  /// center.
+  std::vector<std::vector<twohop::LabelEntry>> out_rows;
+  std::vector<std::vector<twohop::LabelEntry>> in_rows;
+  /// Version of the snapshot that served the sub-request.
   uint64_t snapshot_version = 0;
 };
 
@@ -99,12 +116,16 @@ class ShardClient {
   virtual uint64_t snapshot_version() const = 0;
 
   virtual Status SubmitBatch(
-      BatchRequest request,
+      ShardRequest request,
       std::function<void(Result<ShardBatchResult>)> on_done) = 0;
 
-  /// Shard-local expansions (the path adapter's building blocks).
-  virtual std::vector<NodeId> Descendants(NodeId u) const = 0;
-  virtual std::vector<NodeId> Ancestors(NodeId u) const = 0;
+  /// The Sec 3.4 backward index over this shard's rows (the path
+  /// adapter's building block): every node of the shard whose Lin
+  /// (Descendants) or Lout (Ancestors) holds one of `centers`.
+  virtual std::vector<NodeId> Descendants(
+      std::span<const NodeId> centers) const = 0;
+  virtual std::vector<NodeId> Ancestors(
+      std::span<const NodeId> centers) const = 0;
 
   /// Publishes a new serving snapshot (the stress test's churn lever).
   /// Unsupported by default — remote shards manage their own state.
@@ -114,7 +135,11 @@ class ShardClient {
   }
 };
 
-/// In-process ShardClient over an EnginePool.
+/// In-process ShardClient over an EnginePool whose snapshots hold an
+/// in-memory index (BackendSnapshot::index()). A sub-request's probes
+/// run on a pool worker; its rows are copied, in that worker's
+/// completion callback, from the cover of the snapshot that answered
+/// the probes. The backward index is that cover's reverse maps.
 class PoolShardClient : public ShardClient {
  public:
   PoolShardClient(std::string name,
@@ -126,19 +151,27 @@ class PoolShardClient : public ShardClient {
   uint64_t snapshot_version() const override;
 
   Status SubmitBatch(
-      BatchRequest request,
+      ShardRequest request,
       std::function<void(Result<ShardBatchResult>)> on_done) override;
 
-  std::vector<NodeId> Descendants(NodeId u) const override;
-  std::vector<NodeId> Ancestors(NodeId u) const override;
+  std::vector<NodeId> Descendants(
+      std::span<const NodeId> centers) const override;
+  std::vector<NodeId> Ancestors(
+      std::span<const NodeId> centers) const override;
 
   Status Swap(std::shared_ptr<const BackendSnapshot> snapshot) override;
 
-  EnginePool& pool() { return pool_; }
-
  private:
+  /// The snapshot this client published under `version`, if it is
+  /// still alive (a worker serving it keeps it so).
+  std::shared_ptr<const BackendSnapshot> Published(uint64_t version) const;
+
   std::string name_;
   bool with_distance_;
+  // Every snapshot published to the pool, by weak reference; declared
+  // before pool_ so the pool's shutdown drain can still read it.
+  mutable std::mutex published_mu_;
+  std::vector<std::weak_ptr<const BackendSnapshot>> published_;
   EnginePool pool_;
 };
 
@@ -148,20 +181,13 @@ class PoolShardClient : public ShardClient {
 struct ShardStats {
   uint64_t batches = 0;           ///< Sharded batches finalized.
   uint64_t direct_pairs = 0;      ///< Same-shard pairs routed directly.
-  uint64_t cross_pairs = 0;       ///< Pairs scattered across shards.
-  /// Cross pairs answered "unreachable" straight from an empty route
-  /// table (no probing at all).
-  uint64_t routeless_pairs = 0;
-  uint64_t subbatches = 0;        ///< Per-shard sub-batches issued.
-  uint64_t leg_probes = 0;        ///< Deduplicated leg pairs probed.
+  uint64_t cross_pairs = 0;       ///< Pairs joined from fetched rows.
+  uint64_t subbatches = 0;        ///< Per-shard sub-requests issued.
+  uint64_t rows_fetched = 0;      ///< Deduplicated label rows requested.
   uint64_t partial_batches = 0;   ///< Batches finalized non-OK.
-  uint64_t failed_subbatches = 0; ///< Sub-batches that returned errors.
-  /// Probes (direct + legs) routed to each shard.
+  uint64_t failed_subbatches = 0; ///< Sub-requests that returned errors.
+  /// Direct pairs routed to each shard.
   std::vector<uint64_t> per_shard_probes;
-  /// Scatter fan-out per cross pair (leg probes it contributed before
-  /// dedup): bucket 0 counts fan-out <= 1 (including routeless pairs),
-  /// bucket b >= 1 counts fan-out in [2^b, 2^(b+1)).
-  std::array<uint64_t, 16> fanout_histogram{};
   uint64_t merges = 0;                 ///< Finalizations timed.
   uint64_t merge_latency_us_total = 0; ///< Submit -> finalize, summed.
   uint64_t merge_latency_us_max = 0;
@@ -188,11 +214,7 @@ struct ShardedBatchResponse {
 struct ShardedEngineOptions {
   /// Serving workers per shard pool (PoolShardClient shards only).
   size_t threads_per_shard = 1;
-  /// Decoded-block cache bytes per shard worker. Each shard's workers
-  /// share one cache of this value times threads_per_shard
-  /// (EnginePoolOptions::label_cache_bytes).
-  size_t label_cache_bytes = 4 * 1024 * 1024;
-  /// Queued sub-batches allowed per shard worker
+  /// Queued sub-requests allowed per shard worker
   /// (EnginePoolOptions::queue_capacity). 0 = unbounded.
   size_t queue_capacity = 256;
   /// Merge deadline: how long a batch waits for its slowest shard
@@ -230,8 +252,8 @@ class ShardedEngine {
   /// watchdog at the deadline. A non-OK return — Unsupported (distance
   /// batch over a plain consulted shard) or FailedPrecondition (after
   /// Shutdown) — means `on_done` never runs; a shard REJECTING its
-  /// sub-batch (shed, shut down) is instead delivered through `on_done`
-  /// as a failed sub-batch, i.e. an Unavailable partial result.
+  /// sub-request (shed, shut down) is instead delivered through `on_done`
+  /// as a failed sub-request, i.e. an Unavailable partial result.
   Status SubmitBatch(BatchRequest request,
                      std::function<void(ShardedBatchResponse)> on_done);
 
@@ -250,7 +272,6 @@ class ShardedEngine {
 
   size_t num_shards() const { return clients_.size(); }
   const ShardPlan& plan() const { return *plan_; }
-  const ShardRouter& router() const { return router_; }
   ShardClient& client(size_t shard) { return *clients_[shard]; }
   /// True when every shard's cover carries distances.
   bool with_distance() const { return with_distance_; }
@@ -269,9 +290,13 @@ class ShardedEngine {
   struct SubBatch;
 
   /// Shared routing pass: fills the merge state's pair plans and
-  /// sub-batches. Returns Unsupported for a distance batch touching a
+  /// sub-requests. Returns Unsupported for a distance batch touching a
   /// plain shard.
   Status PlanBatch(const BatchRequest& request, MergeState* state);
+  /// Lout(u) (`out`) or Lin(u) from u's shard, through its client like
+  /// any sub-request; empty when u is dead or its shard does not answer
+  /// within the merge deadline.
+  std::vector<twohop::LabelEntry> FetchRow(NodeId u, bool out);
   void OnSubBatchDone(const std::shared_ptr<MergeState>& state, size_t sub,
                       Result<ShardBatchResult> result);
   /// Builds and delivers the response. Caller must have won the
@@ -282,7 +307,6 @@ class ShardedEngine {
 
   const collection::Collection* collection_;
   const ShardPlan* plan_;
-  ShardRouter router_;
   ShardedEngineOptions options_;
   std::vector<std::unique_ptr<ShardClient>> clients_;
   bool with_distance_;
@@ -313,13 +337,11 @@ class ShardedEngine {
   std::atomic<uint64_t> batches_{0};
   std::atomic<uint64_t> direct_pairs_{0};
   std::atomic<uint64_t> cross_pairs_{0};
-  std::atomic<uint64_t> routeless_pairs_{0};
   std::atomic<uint64_t> subbatches_{0};
-  std::atomic<uint64_t> leg_probes_{0};
+  std::atomic<uint64_t> rows_fetched_{0};
   std::atomic<uint64_t> partial_batches_{0};
   std::atomic<uint64_t> failed_subbatches_{0};
   std::vector<std::atomic<uint64_t>> per_shard_probes_;
-  std::array<std::atomic<uint64_t>, 16> fanout_histogram_{};
   std::atomic<uint64_t> merges_{0};
   std::atomic<uint64_t> merge_latency_us_total_{0};
   std::atomic<uint64_t> merge_latency_us_max_{0};

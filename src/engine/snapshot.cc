@@ -34,9 +34,9 @@ BackendSnapshot::BackendSnapshot(
     std::shared_ptr<const collection::Collection> collection,
     std::function<std::unique_ptr<ReachabilityBackend>()> make_backend,
     std::shared_ptr<const void> keepalive,
-    std::shared_ptr<const query::TagIndex> tags, bool memory_resident)
+    std::shared_ptr<const query::TagIndex> tags, const HopiIndex* index)
     : version_(NextVersion()),
-      memory_resident_(memory_resident),
+      index_(index),
       collection_(std::move(collection)),
       tags_(tags ? std::move(tags)
                  : std::make_shared<query::TagIndex>(*collection_)),
@@ -52,7 +52,7 @@ std::shared_ptr<const BackendSnapshot> BackendSnapshot::OfIndex(
   return std::shared_ptr<const BackendSnapshot>(new BackendSnapshot(
       std::move(collection),
       [raw] { return std::make_unique<HopiIndexBackend>(*raw); },
-      std::move(index), std::move(tags), /*memory_resident=*/true));
+      std::move(index), std::move(tags), raw));
 }
 
 std::shared_ptr<const BackendSnapshot> BackendSnapshot::OfMappedStore(
@@ -63,7 +63,7 @@ std::shared_ptr<const BackendSnapshot> BackendSnapshot::OfMappedStore(
   return std::shared_ptr<const BackendSnapshot>(new BackendSnapshot(
       std::move(collection),
       [raw] { return std::make_unique<MappedStoreBackend>(*raw); },
-      std::move(store), std::move(tags), /*memory_resident=*/false));
+      std::move(store), std::move(tags), /*index=*/nullptr));
 }
 
 std::shared_ptr<const BackendSnapshot> BackendSnapshot::Freeze(
@@ -76,7 +76,7 @@ std::shared_ptr<const BackendSnapshot> BackendSnapshot::Freeze(
   return std::shared_ptr<const BackendSnapshot>(new BackendSnapshot(
       std::move(collection),
       [raw] { return std::make_unique<HopiIndexBackend>(*raw); },
-      std::move(holder), nullptr, /*memory_resident=*/true));
+      std::move(holder), nullptr, raw));
 }
 
 }  // namespace hopi::engine

@@ -105,11 +105,15 @@ class BackendSnapshot {
     return make_backend_();
   }
 
+  /// The in-memory index this snapshot serves (OfIndex, Freeze);
+  /// nullptr for a LIN/LOUT file.
+  const HopiIndex* index() const { return index_; }
+
   /// True when every label read is a read of process memory (OfIndex,
   /// Freeze); false for OfMappedStore, whose block decodes can fault
   /// file pages in. EnginePool::ServeBatch serves only memory-resident
   /// snapshots on the caller's thread.
-  bool memory_resident() const { return memory_resident_; }
+  bool memory_resident() const { return index_ != nullptr; }
 
  private:
   BackendSnapshot(std::shared_ptr<const collection::Collection> collection,
@@ -117,10 +121,10 @@ class BackendSnapshot {
                       make_backend,
                   std::shared_ptr<const void> keepalive,
                   std::shared_ptr<const query::TagIndex> tags,
-                  bool memory_resident);
+                  const HopiIndex* index);
 
   uint64_t version_;
-  bool memory_resident_;
+  const HopiIndex* index_;
   std::shared_ptr<const collection::Collection> collection_;
   std::shared_ptr<const query::TagIndex> tags_;
   std::function<std::unique_ptr<ReachabilityBackend>()> make_backend_;

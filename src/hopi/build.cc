@@ -60,16 +60,14 @@ Result<HopiIndex> BuildIndex(collection::Collection* collection,
   if (stats == nullptr) stats = &local_stats;
   Stopwatch total_watch;
 
-  const size_t threads = std::max<size_t>(options.num_threads, 1);
-  twohop::CoverBuildOptions cover_options;
-  cover_options.with_distance = options.with_distance;
-
   if (options.global) {
     Stopwatch watch;
     twohop::CoverBuildStats cb;
     // One global cover is the extreme single-fat-partition case: the
     // whole thread budget goes inside the cover build.
-    cover_options.num_threads = threads;
+    twohop::CoverBuildOptions cover_options;
+    cover_options.with_distance = options.with_distance;
+    cover_options.num_threads = std::max<size_t>(options.num_threads, 1);
     auto cover = twohop::BuildCover(collection->ElementGraph(), cover_options,
                                     &cb);
     if (!cover.ok()) return cover.status();
@@ -90,16 +88,38 @@ Result<HopiIndex> BuildIndex(collection::Collection* collection,
       partition::PartitionCollection(*collection, options.partition);
   if (!partitioning.ok()) return partitioning.status();
   stats->partition_seconds = watch.ElapsedSeconds();
-  stats->num_partitions = partitioning->NumPartitions();
-  stats->cross_links = partitioning->cross_links.size();
+
+  // --- Steps 2 and 3: partition covers, joined ---
+  auto cover = BuildPartitionedCover(*collection, *partitioning, options, stats);
+  if (!cover.ok()) return cover.status();
+  stats->total_seconds = total_watch.ElapsedSeconds();
+
+  // Hand the finished cover to the index. HopiIndex re-wraps it in an
+  // IndexedCover; moving the TwoHopCover out is cheap, rebuilding the
+  // reverse maps is O(|L|).
+  return HopiIndex(collection, std::move(cover).value(),
+                   options.with_distance);
+}
+
+Result<twohop::TwoHopCover> BuildPartitionedCover(
+    const collection::Collection& collection,
+    const partition::Partitioning& partitioning,
+    const IndexBuildOptions& options, IndexBuildStats* stats) {
+  IndexBuildStats local_stats;
+  if (stats == nullptr) stats = &local_stats;
+  const size_t threads = std::max<size_t>(options.num_threads, 1);
+  twohop::CoverBuildOptions cover_options;
+  cover_options.with_distance = options.with_distance;
+  stats->num_partitions = partitioning.NumPartitions();
+  stats->cross_links = partitioning.cross_links.size();
 
   // Sec 4.2: cross-partition link targets, grouped by partition, used as
   // preselected centers for the partition-cover builds.
   std::vector<std::vector<NodeId>> preselect_by_part(
-      partitioning->NumPartitions());
+      partitioning.NumPartitions());
   if (options.preselect_link_targets) {
-    for (const collection::Link& l : partitioning->cross_links) {
-      uint32_t part = partitioning->part_of[collection->DocOf(l.target)];
+    for (const collection::Link& l : partitioning.cross_links) {
+      uint32_t part = partitioning.part_of[collection.DocOf(l.target)];
       preselect_by_part[part].push_back(l.target);
     }
     for (auto& targets : preselect_by_part) {
@@ -118,8 +138,8 @@ Result<HopiIndex> BuildIndex(collection::Collection* collection,
   // (see SplitThreadBudget). A remainder exists only when there are
   // fewer partitions than threads; otherwise every cover runs on one
   // thread and the fattest partition sets the phase's time.
-  watch.Restart();
-  const size_t num_partitions = partitioning->NumPartitions();
+  Stopwatch watch;
+  const size_t num_partitions = partitioning.NumPartitions();
   std::vector<Result<twohop::TwoHopCover>> covers(
       num_partitions, Status::Internal("partition cover not built"));
   std::vector<InducedSubgraph> subgraphs(num_partitions);
@@ -127,8 +147,8 @@ Result<HopiIndex> BuildIndex(collection::Collection* collection,
 
   std::vector<size_t> part_sizes(num_partitions, 0);
   for (size_t p = 0; p < num_partitions; ++p) {
-    for (collection::DocId d : partitioning->partitions[p]) {
-      part_sizes[p] += collection->ElementsOf(d).size();
+    for (collection::DocId d : partitioning.partitions[p]) {
+      part_sizes[p] += collection.ElementsOf(d).size();
     }
   }
   const size_t outer = std::min(threads, std::max<size_t>(num_partitions, 1));
@@ -137,12 +157,12 @@ Result<HopiIndex> BuildIndex(collection::Collection* collection,
 
   auto build_one = [&](size_t p) -> Status {
     std::vector<NodeId> elements;
-    for (collection::DocId d : partitioning->partitions[p]) {
-      const auto& els = collection->ElementsOf(d);
+    for (collection::DocId d : partitioning.partitions[p]) {
+      const auto& els = collection.ElementsOf(d);
       elements.insert(elements.end(), els.begin(), els.end());
     }
     subgraphs[p] =
-        BuildInducedSubgraph(collection->ElementGraph(), elements);
+        BuildInducedSubgraph(collection.ElementGraph(), elements);
     twohop::CoverBuildOptions part_options = cover_options;
     part_options.num_threads = inner_threads[p];
     for (NodeId global_target : preselect_by_part[p]) {
@@ -161,7 +181,7 @@ Result<HopiIndex> BuildIndex(collection::Collection* collection,
   ThreadPool partition_pool(outer);
   HOPI_RETURN_NOT_OK(partition_pool.ParallelFor(0, num_partitions, build_one));
 
-  twohop::TwoHopCover unified(collection->NumElements());
+  twohop::TwoHopCover unified(collection.NumElements());
   for (size_t p = 0; p < num_partitions; ++p) {
     if (!covers[p].ok()) return covers[p].status();
     AggregateStats(part_stats[p], &stats->cover_build);
@@ -191,24 +211,17 @@ Result<HopiIndex> BuildIndex(collection::Collection* collection,
   join_options.psg_partition_cap = options.psg_partition_cap;
   Status join_status =
       options.join == JoinAlgorithm::kRecursive
-          ? JoinCoversRecursive(*collection, *partitioning,
+          ? JoinCoversRecursive(collection, partitioning,
                                 options.with_distance, &indexed,
                                 &stats->join_stats, join_options)
-          : JoinCoversIncremental(*collection, *partitioning,
+          : JoinCoversIncremental(collection, partitioning,
                                   options.with_distance, &indexed,
                                   &stats->join_stats);
   HOPI_RETURN_NOT_OK(join_status);
   stats->join_seconds = watch.ElapsedSeconds();
 
   stats->cover_entries = indexed.cover().Size();
-  stats->total_seconds = total_watch.ElapsedSeconds();
-
-  // Hand the finished cover to the index. HopiIndex re-wraps it in an
-  // IndexedCover; moving the TwoHopCover out is cheap, rebuilding the
-  // reverse maps is O(|L|).
-  twohop::TwoHopCover final_cover = std::move(*indexed.mutable_cover());
-  return HopiIndex(collection, std::move(final_cover),
-                   options.with_distance);
+  return std::move(*indexed.mutable_cover());
 }
 
 }  // namespace hopi

@@ -71,4 +71,16 @@ Result<HopiIndex> BuildIndex(collection::Collection* collection,
                              const IndexBuildOptions& options = {},
                              IndexBuildStats* stats = nullptr);
 
+/// BuildIndex's covers and join phases over a partitioning the caller
+/// made: one 2-hop cover per partition, joined across every link in
+/// `partitioning.cross_links`, in global element ids. BuildIndex runs
+/// it over its own partitioning; BuildShardPlan (engine/shard_router.h)
+/// over the one it cuts into shards. `options.partition` and
+/// `options.global` are not read, and neither are the stats' partition
+/// and total times.
+Result<twohop::TwoHopCover> BuildPartitionedCover(
+    const collection::Collection& collection,
+    const partition::Partitioning& partitioning,
+    const IndexBuildOptions& options, IndexBuildStats* stats = nullptr);
+
 }  // namespace hopi

@@ -212,8 +212,27 @@ std::vector<HBarRow> ComputeHBarPartitioned(
   return hbar;
 }
 
-}  // namespace
+/// One H-bar entry, already translated to element ids: the PSG
+/// shortest distance from a cross-link source to a cross-link target
+/// (exactly the values Sec 4.1's H-bar cover stores; reported in plain
+/// builds too, where the labels keep 0).
+struct SkeletonTarget {
+  NodeId target;  // element id of a cross-link target
+  uint32_t dist;  // shortest PSG distance source -> target (>= 1)
+};
 
+/// H-bar_out of one cross-link source, sorted by target element id.
+struct SkeletonRow {
+  NodeId source;  // element id of a cross-link source
+  std::vector<SkeletonTarget> targets;
+};
+
+/// Step 2 of JoinCoversRecursive: the H-bar skeleton cover over an
+/// already-built PSG — for every cross-link source s, the cross-link
+/// targets it reaches and the PSG shortest distance to each. Honors
+/// JoinOptions::psg_partition_cap (the Sec 4.1 recursive PSG split);
+/// `psg_partitions` reports how many PSG partitions were used
+/// (1 = traversed whole).
 std::vector<SkeletonRow> ComputeSkeletonCover(
     const partition::PartitionSkeletonGraph& psg, const JoinOptions& options,
     uint64_t* psg_partitions) {
@@ -227,7 +246,7 @@ std::vector<SkeletonRow> ComputeSkeletonCover(
   } else {
     hbar_rows = ComputeHBarWhole(psg);
   }
-  if (psg_partitions != nullptr) *psg_partitions = partitions_used;
+  *psg_partitions = partitions_used;
 
   std::vector<SkeletonRow> rows;
   rows.reserve(hbar_rows.size());
@@ -237,8 +256,7 @@ std::vector<SkeletonRow> ComputeSkeletonCover(
     for (const auto& [t, d] : row.targets) {
       out.targets.push_back({psg.to_element[t], d});
     }
-    // HBarRow targets are sorted by PSG node id; re-sort by element id
-    // so consumers can merge-intersect rows.
+    // HBarRow targets are sorted by PSG node id; re-sort by element id.
     std::sort(out.targets.begin(), out.targets.end(),
               [](const SkeletonTarget& a, const SkeletonTarget& b) {
                 return a.target < b.target;
@@ -247,6 +265,8 @@ std::vector<SkeletonRow> ComputeSkeletonCover(
   }
   return rows;
 }
+
+}  // namespace
 
 uint64_t MergeLink(NodeId u, NodeId v, bool with_distance,
                    twohop::IndexedCover* cover) {
@@ -278,6 +298,17 @@ uint64_t MergeLink(NodeId u, NodeId v, bool with_distance,
   return added;
 }
 
+namespace {
+
+/// Step 3 of JoinCoversRecursive, the H-bar/H-hat merge (Sec 4.1):
+/// every row source s gains its row in Lout (H-bar); every ancestor a
+/// of s inherits the row at dist(a, s) + dist(s, t), and every
+/// descendant d of a row target t gains t in Lin at dist(t, d) (H-hat).
+/// Ancestor and descendant sets and their distances are read from the
+/// cover before anything is applied. Precondition: the cover knows only
+/// paths inside one partition, so every ancestor and descendant it
+/// returns lies in the endpoint's partition. Adds the new entries to
+/// stats->hbar_entries and stats->hhat_entries.
 void MergeSkeletonCover(const std::vector<SkeletonRow>& rows,
                         bool with_distance, twohop::IndexedCover* cover,
                         JoinStats* stats) {
@@ -350,6 +381,8 @@ void MergeSkeletonCover(const std::vector<SkeletonRow>& rows,
     }
   }
 }
+
+}  // namespace
 
 Status JoinCoversIncremental(const collection::Collection& collection,
                              const partition::Partitioning& partitioning,

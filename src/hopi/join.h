@@ -19,7 +19,6 @@
 
 #include "collection/collection.h"
 #include "partition/partitioner.h"
-#include "partition/psg.h"
 #include "twohop/reverse_index.h"
 #include "util/result.h"
 
@@ -67,47 +66,5 @@ Status JoinCoversRecursive(const collection::Collection& collection,
                            twohop::IndexedCover* cover,
                            JoinStats* stats = nullptr,
                            const JoinOptions& options = {});
-
-/// One H-bar entry, already translated to element ids: the PSG shortest
-/// distance from a cross-link source to a cross-link target (exactly the
-/// values Sec 4.1's H-bar cover stores; 0 in plain builds' labels, but
-/// the PSG distance is reported here either way so callers can do
-/// min-plus composition).
-struct SkeletonTarget {
-  NodeId target;  // element id of a cross-link target
-  uint32_t dist;  // shortest PSG distance source -> target (>= 1)
-};
-
-/// H-bar_out of one cross-link source, sorted by target element id.
-struct SkeletonRow {
-  NodeId source;  // element id of a cross-link source
-  std::vector<SkeletonTarget> targets;
-};
-
-/// Computes the H-bar skeleton cover over an already-built PSG: for every
-/// cross-link source s, the set of cross-link targets it reaches and the
-/// PSG shortest distance to each. This is the reusable core of
-/// JoinCoversRecursive's step 2 — the sharded serving router keeps its
-/// cross-shard rows as route tables and merges the rest. Honors
-/// JoinOptions::psg_partition_cap (the Sec 4.1 recursive PSG split);
-/// `psg_partitions` (optional) reports how many PSG partitions were used
-/// (1 = traversed whole).
-std::vector<SkeletonRow> ComputeSkeletonCover(
-    const partition::PartitionSkeletonGraph& psg,
-    const JoinOptions& options = {}, uint64_t* psg_partitions = nullptr);
-
-/// Step 3 of JoinCoversRecursive, the H-bar/H-hat merge (Sec 4.1): every
-/// row source s gains its row in Lout (H-bar); every ancestor a of s
-/// inherits the row at dist(a, s) + dist(s, t), and every descendant d of
-/// a row target t gains t in Lin at dist(t, d) (H-hat). Ancestor and
-/// descendant sets and their distances are read from the cover before
-/// anything is applied. Precondition: the cover knows only paths inside
-/// one partition (the join) or one shard (BuildShardPlan's same-shard
-/// routes), so every ancestor and descendant it returns lies in the
-/// endpoint's partition or shard. Adds the new entries to
-/// stats->hbar_entries and stats->hhat_entries.
-void MergeSkeletonCover(const std::vector<SkeletonRow>& rows,
-                        bool with_distance, twohop::IndexedCover* cover,
-                        JoinStats* stats);
 
 }  // namespace hopi

@@ -320,9 +320,8 @@ std::string ReachabilityService::ShardedStatsJson() const {
   out += ",\"batches\":" + std::to_string(stats.batches);
   out += ",\"direct_pairs\":" + std::to_string(stats.direct_pairs);
   out += ",\"cross_pairs\":" + std::to_string(stats.cross_pairs);
-  out += ",\"routeless_pairs\":" + std::to_string(stats.routeless_pairs);
   out += ",\"subbatches\":" + std::to_string(stats.subbatches);
-  out += ",\"leg_probes\":" + std::to_string(stats.leg_probes);
+  out += ",\"rows_fetched\":" + std::to_string(stats.rows_fetched);
   out += ",\"partial_batches\":" + std::to_string(stats.partial_batches);
   out += ",\"failed_subbatches\":" + std::to_string(stats.failed_subbatches);
   out += ",\"merges\":" + std::to_string(stats.merges);
@@ -334,11 +333,6 @@ std::string ReachabilityService::ShardedStatsJson() const {
   for (size_t s = 0; s < stats.per_shard_probes.size(); ++s) {
     if (s > 0) out += ',';
     out += std::to_string(stats.per_shard_probes[s]);
-  }
-  out += "],\"fanout_histogram\":[";
-  for (size_t b = 0; b < stats.fanout_histogram.size(); ++b) {
-    if (b > 0) out += ',';
-    out += std::to_string(stats.fanout_histogram[b]);
   }
   out += "]}";
   AppendServerAndEndpoints(&out);

@@ -75,4 +75,31 @@ std::vector<NodeId> IndexedCover::Descendants(NodeId u) const {
   return result;
 }
 
+namespace {
+
+std::vector<NodeId> Holders(const std::vector<std::vector<NodeId>>& reverse,
+                            std::span<const NodeId> centers) {
+  std::vector<NodeId> result;
+  for (NodeId c : centers) {
+    if (c < reverse.size()) {
+      result.insert(result.end(), reverse[c].begin(), reverse[c].end());
+    }
+  }
+  std::sort(result.begin(), result.end());
+  result.erase(std::unique(result.begin(), result.end()), result.end());
+  return result;
+}
+
+}  // namespace
+
+std::vector<NodeId> IndexedCover::InHolders(
+    std::span<const NodeId> centers) const {
+  return Holders(rin_, centers);
+}
+
+std::vector<NodeId> IndexedCover::OutHolders(
+    std::span<const NodeId> centers) const {
+  return Holders(rout_, centers);
+}
+
 }  // namespace hopi::twohop

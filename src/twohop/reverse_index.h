@@ -11,6 +11,7 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "twohop/cover.h"
@@ -44,6 +45,11 @@ class IndexedCover {
 
   /// All strict descendants of u. Sorted ascending.
   std::vector<NodeId> Descendants(NodeId u) const;
+
+  /// Rows of the backward index itself: every node whose Lin (InHolders)
+  /// or Lout (OutHolders) holds one of `centers`. Sorted ascending.
+  std::vector<NodeId> InHolders(std::span<const NodeId> centers) const;
+  std::vector<NodeId> OutHolders(std::span<const NodeId> centers) const;
 
  private:
   TwoHopCover cover_;

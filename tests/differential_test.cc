@@ -839,9 +839,9 @@ TEST(DeltaOverlayOutcomeTest, CountersTallyTheTypedOutcomes) {
 // (independent: rebuilt from the element graph) and the single-engine
 // build (the un-sharded access path the shard decomposition must be
 // bit-identical to). Every scenario chains the document roots so any
-// 2+ shard grouping is forced to cut cross-shard links — the scatter
-// path, the skeleton routes, and the min-plus merge always face the
-// full n×n matrix, never just the direct-routing fast path.
+// 2+ shard grouping is forced to cut cross-shard links — the row
+// fetches and the router's joins always face the full n×n matrix,
+// never just the direct-routing fast path.
 
 // Runs the full matrix through a freshly planned ShardedEngine at one
 // shard count and asserts bit-identity with both oracles. The merge
@@ -864,7 +864,6 @@ void ExpectShardedMatchesOracles(Collection* c, const HopiIndex& single,
   if (plan->num_shards >= 2) {
     // The root chain guarantees scatter coverage at any multi-shard cut.
     EXPECT_GT(plan->stats.cross_shard_links, 0u) << context;
-    EXPECT_GT(plan->stats.cross_shard_routes, 0u) << context;
   }
 
   engine::ShardedEngineOptions options;
@@ -967,9 +966,8 @@ TEST_P(ShardedDifferentialScenario, ShardedEngineMatchesClosureAndSingle) {
       TransitiveClosureIndex::Build(c.ElementGraph(), with_distance);
   SCOPED_TRACE("seed " + std::to_string(seed));
   for (size_t shards : {2u, 3u, 5u}) {
-    // A third of the seeds split the shard-level skeleton PSG
-    // recursively (Sec 4.1 at the shard tier) instead of traversing it
-    // whole; answers must not change.
+    // A third of the seeds split the join's PSG recursively (Sec 4.1)
+    // instead of traversing it whole; answers must not change.
     uint64_t psg_cap = seed % 3 == 1 ? 4 : 0;
     ExpectShardedMatchesOracles(
         &c, index, closure, shards, with_distance, psg_cap,
@@ -990,9 +988,8 @@ INSTANTIATE_TEST_SUITE_P(
 
 // The adversarial topology for the scatter path: a long root chain
 // with skip links, so reachability between distant documents crosses
-// MANY shard boundaries and the exact distance threads through
-// multi-hop skeleton routes (the PSG-closure property the router's
-// single-hop route expansion rests on).
+// MANY shard boundaries, and the exact distance of a cross-shard pair
+// rests on the joined rows of two different shards.
 TEST(ShardedDifferentialBaseline, HeavyCrossLinkChainAcrossShards) {
   for (bool with_distance : {false, true}) {
     Collection c;

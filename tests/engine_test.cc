@@ -32,7 +32,10 @@ using collection::Collection;
 /// the on-disk format preserves every query shape in both open modes).
 class BackendParityFixture : public ::testing::Test {
  protected:
-  void SetUp() override {
+  // Built once per suite: every test only reads this state, and the
+  // index, the closure and the two files are most of the suite's time
+  // under the sanitizers.
+  static void SetUpTestSuite() {
     c_ = hopi::testing::SmallDblp(40, 5);
     IndexBuildOptions options;
     options.with_distance = true;
@@ -70,19 +73,24 @@ class BackendParityFixture : public ::testing::Test {
         std::make_unique<MappedStoreBackend>(*mapped_v4_store_));
   }
 
-  void TearDown() override {
+  static void TearDownTestSuite() {
+    backends_.clear();
+    mapped_v4_store_.reset();
+    mapped_store_.reset();
+    closure_.reset();
+    index_.reset();
     std::remove(store_path_.c_str());
     std::remove(v4_path_.c_str());
   }
 
-  Collection c_;
-  std::unique_ptr<HopiIndex> index_;
-  std::unique_ptr<TransitiveClosureIndex> closure_;
-  std::unique_ptr<storage::MappedLinLoutStore> mapped_store_;
-  std::unique_ptr<storage::MappedLinLoutStore> mapped_v4_store_;
-  std::string store_path_;
-  std::string v4_path_;
-  std::vector<std::unique_ptr<ReachabilityBackend>> backends_;
+  static inline Collection c_;
+  static inline std::unique_ptr<HopiIndex> index_;
+  static inline std::unique_ptr<TransitiveClosureIndex> closure_;
+  static inline std::unique_ptr<storage::MappedLinLoutStore> mapped_store_;
+  static inline std::unique_ptr<storage::MappedLinLoutStore> mapped_v4_store_;
+  static inline std::string store_path_;
+  static inline std::string v4_path_;
+  static inline std::vector<std::unique_ptr<ReachabilityBackend>> backends_;
 };
 
 TEST_F(BackendParityFixture, ReachabilityAndDistanceAgree) {
@@ -165,7 +173,6 @@ TEST_F(BackendParityFixture, PathQueryParityAcrossBackends) {
 class QueryEngineFixture : public BackendParityFixture {
  protected:
   void SetUp() override {
-    BackendParityFixture::SetUp();
     engines_.push_back(
         std::make_unique<QueryEngine>(QueryEngine::ForIndex(*index_)));
     engines_.push_back(std::make_unique<QueryEngine>(

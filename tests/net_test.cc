@@ -17,6 +17,7 @@
 #include <chrono>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -24,7 +25,10 @@
 
 #include "engine/engine.h"
 #include "engine/engine_pool.h"
+#include "engine/shard_router.h"
+#include "engine/sharded_engine.h"
 #include "engine/snapshot.h"
+#include "hopi/baseline.h"
 #include "hopi/build.h"
 #include "net/client.h"
 #include "net/http.h"
@@ -756,6 +760,163 @@ TEST_F(ServingFixture, DeepPipelineIsServedInOrderWithoutRecursion) {
   for (int i = 0; i < kRequests; ++i) ok += statuses[i] == "200" ? 1 : 0;
   EXPECT_EQ(ok, static_cast<size_t>(kRequests));
   EXPECT_EQ(statuses.back(), "404");
+}
+
+// ---- sharded serving over real sockets ----
+
+/// hopi_serve --shards: a 2-shard ShardedEngine behind the same service
+/// and server, checked against the closure and a single engine.
+class ShardedServingFixture : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    c_ = hopi::testing::SmallDblp(40, 17);
+    engine::ShardPlanOptions plan_options;
+    plan_options.num_shards = 2;
+    plan_options.with_distance = true;
+    auto plan = engine::BuildShardPlan(&c_, plan_options);
+    ASSERT_TRUE(plan.ok()) << plan.status();
+    ASSERT_EQ(plan->num_shards, 2u);
+    plan_ = std::make_unique<engine::ShardPlan>(std::move(plan).value());
+    engine::ShardedEngineOptions options;
+    options.merge_deadline = std::chrono::milliseconds(0);
+    sharded_ = std::make_unique<engine::ShardedEngine>(&c_, plan_.get(),
+                                                       options);
+    service_ = std::make_unique<ReachabilityService>(sharded_.get());
+    server_ = std::make_unique<HttpServer>(service_->AsHandler(),
+                                           HttpServerOptions{});
+    service_->BindServerStats([this] { return server_->Stats(); });
+    ASSERT_TRUE(server_->Start().ok());
+  }
+
+  void TearDown() override {
+    if (server_ != nullptr) server_->Stop();
+    if (sharded_ != nullptr) sharded_->Shutdown();
+  }
+
+  BlockingHttpClient Connect() {
+    BlockingHttpClient client;
+    EXPECT_TRUE(client.Connect("127.0.0.1", server_->port()).ok());
+    return client;
+  }
+
+  collection::Collection c_;
+  std::unique_ptr<engine::ShardPlan> plan_;
+  std::unique_ptr<engine::ShardedEngine> sharded_;
+  std::unique_ptr<ReachabilityService> service_;
+  std::unique_ptr<HttpServer> server_;
+};
+
+TEST_F(ShardedServingFixture, DistanceBatchMatchesTheClosure) {
+  BlockingHttpClient client = Connect();
+  hopi::TransitiveClosureIndex closure =
+      hopi::TransitiveClosureIndex::Build(c_.ElementGraph(), true);
+  // Half same-shard pairs, half cross-shard pairs.
+  std::vector<engine::NodePair> pairs;
+  Rng rng(5);
+  size_t same = 0, cross = 0;
+  while (same + cross < 128) {
+    auto u = static_cast<NodeId>(rng.NextBounded(c_.NumElements()));
+    auto v = static_cast<NodeId>(rng.NextBounded(c_.NumElements()));
+    bool is_cross = plan_->ShardOfElement(u) != plan_->ShardOfElement(v);
+    size_t& bucket = is_cross ? cross : same;
+    if (bucket == 64) continue;
+    ++bucket;
+    pairs.push_back({u, v});
+  }
+  std::string body = "{\"pairs\":[";
+  for (size_t i = 0; i < pairs.size(); ++i) {
+    if (i > 0) body += ',';
+    body += '[' + std::to_string(pairs[i].first) + ',' +
+            std::to_string(pairs[i].second) + ']';
+  }
+  body += "],\"want_distances\":true}";
+
+  auto response = client.Request("POST", "/v1/batch", body);
+  ASSERT_TRUE(response.ok()) << response.status();
+  EXPECT_EQ(response->status, 200);
+  auto json = ParseJson(response->body);
+  ASSERT_TRUE(json.ok()) << json.status();
+  EXPECT_EQ(json->Find("partial_error"), nullptr) << response->body;
+  const auto& reachable = json->Find("reachable")->AsArray();
+  const auto& distances = json->Find("distances")->AsArray();
+  const auto& resolved = json->Find("resolved")->AsArray();
+  ASSERT_EQ(reachable.size(), pairs.size());
+  ASSERT_EQ(distances.size(), pairs.size());
+  ASSERT_EQ(resolved.size(), pairs.size());
+  for (size_t i = 0; i < pairs.size(); ++i) {
+    const auto [u, v] = pairs[i];
+    EXPECT_TRUE(resolved[i].AsBool()) << u << "->" << v;
+    EXPECT_EQ(reachable[i].AsBool(), closure.IsReachable(u, v))
+        << u << "->" << v;
+    std::optional<uint32_t> expected = closure.Distance(u, v);
+    if (expected.has_value()) {
+      EXPECT_EQ(distances[i].AsNumber(), static_cast<double>(*expected))
+          << u << "->" << v;
+    } else {
+      EXPECT_TRUE(distances[i].is_null()) << u << "->" << v;
+    }
+  }
+  const auto& versions = json->Find("shard_versions")->AsArray();
+  ASSERT_EQ(versions.size(), 2u);
+  for (size_t s = 0; s < versions.size(); ++s) {
+    EXPECT_EQ(versions[s].AsNumber(),
+              static_cast<double>(sharded_->client(s).snapshot_version()));
+  }
+}
+
+TEST_F(ShardedServingFixture, CountOnlyPathQueryMatchesTheSingleEngine) {
+  BlockingHttpClient client = Connect();
+  hopi::IndexBuildOptions build_options;
+  build_options.with_distance = true;
+  auto index = hopi::BuildIndex(&c_, build_options);
+  ASSERT_TRUE(index.ok()) << index.status();
+  engine::QueryEngine reference = engine::QueryEngine::ForIndex(*index);
+  for (const char* expression : {"//inproceedings//author", "//cite//title"}) {
+    auto expected =
+        reference.Query({.expression = expression, .count_only = true});
+    ASSERT_TRUE(expected.ok()) << expected.status();
+    auto response = client.Request(
+        "POST", "/v1/path",
+        std::string(R"({"expression":")") + expression +
+            R"(","count_only":true})");
+    ASSERT_TRUE(response.ok()) << response.status();
+    EXPECT_EQ(response->status, 200) << response->body;
+    auto json = ParseJson(response->body);
+    ASSERT_TRUE(json.ok()) << json.status();
+    EXPECT_EQ(json->Find("count")->AsNumber(),
+              static_cast<double>(expected->count))
+        << expression;
+  }
+}
+
+TEST_F(ShardedServingFixture, StatsShowRowFetches) {
+  BlockingHttpClient client = Connect();
+  NodeId u = kInvalidNode, v = kInvalidNode;
+  for (NodeId e = 0; e < c_.NumElements(); ++e) {
+    if (plan_->ShardOfElement(e) == 0 && u == kInvalidNode) u = e;
+    if (plan_->ShardOfElement(e) == 1 && v == kInvalidNode) v = e;
+  }
+  ASSERT_NE(u, kInvalidNode);
+  ASSERT_NE(v, kInvalidNode);
+  ASSERT_TRUE(client
+                  .Request("POST", "/v1/batch",
+                           "{\"pairs\":[[" + std::to_string(u) + "," +
+                               std::to_string(v) + "]]}")
+                  .ok());
+  auto stats = client.Request("GET", "/stats");
+  ASSERT_TRUE(stats.ok()) << stats.status();
+  EXPECT_EQ(stats->status, 200);
+  auto json = ParseJson(stats->body);
+  ASSERT_TRUE(json.ok()) << json.status() << ": " << stats->body;
+  const JsonValue* sharded = json->Find("sharded");
+  ASSERT_NE(sharded, nullptr) << stats->body;
+  EXPECT_EQ(sharded->Find("shards")->AsNumber(), 2.0);
+  EXPECT_EQ(sharded->Find("cross_pairs")->AsNumber(), 1.0);
+  EXPECT_EQ(sharded->Find("rows_fetched")->AsNumber(), 2.0);
+  EXPECT_EQ(sharded->Find("leg_probes"), nullptr);
+  EXPECT_EQ(sharded->Find("fanout_histogram"), nullptr);
+  EXPECT_EQ(sharded->Find("per_shard_probes")->AsArray().size(), 2u);
+  ASSERT_NE(json->Find("server"), nullptr);
 }
 
 TEST(HttpServerTest, DeepPipelineYieldsTheLoopToOtherConnections) {

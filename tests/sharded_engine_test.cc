@@ -1,21 +1,21 @@
 // Sharded scatter-gather serving, proven layer by layer:
 //
-//   - ShardPlan/ShardRouter unit tests: dead documents route to
-//     kUnassignedShard, a single-partition collection short-circuits to
-//     one shard (everything direct), and the router's precomputed probe
-//     sets are exactly the route tables' endpoint sets.
-//   - Digest pins of whole shard plans (every shard cover, the route
-//     tables, the plan stats), identical at 1 and 2 build threads.
-//   - ComposeThreeLegs against hand-computed min-plus fixtures — the
-//     merge layer's math with no engine, no threads, no randomness.
+//   - ShardPlan unit tests: dead documents route to kUnassignedShard, a
+//     single-partition collection short-circuits to one shard
+//     (everything direct), and the plan's shards split the rows of
+//     exactly the cover BuildIndex builds under the same options — each
+//     shard holds its own live nodes' rows and nothing else — at 1 and
+//     2 build threads.
 //   - Distance batches over a plain shard are a typed Unsupported
 //     (detected synchronously), never a silent distance-0 answer.
 //   - The fault-injection harness: FaultInjectingShardClient wraps the
 //     real PoolShardClient through the ShardedEngine test seam and
-//     stalls / drops / fails one shard per scenario. The core contract
-//     under every fault: degradation is TYPED — DeadlineExceeded or
-//     Unavailable plus a resolved mask — and every pair reported
-//     resolved matches the closure oracle exactly. Never a wrong bool.
+//     stalls / drops / fails one shard's sub-requests — its direct
+//     probes and its row fetches alike — per scenario. The core
+//     contract under every fault: degradation is TYPED —
+//     DeadlineExceeded or Unavailable plus a resolved mask — and every
+//     pair reported resolved matches the closure oracle exactly. Never
+//     a wrong bool.
 //   - A swap-churn stress: client threads hammer Batch() while another
 //     thread Swap()s fresh snapshots into every shard; every answer is
 //     validated against the matrix served by its reported versions
@@ -33,6 +33,7 @@
 #include <mutex>
 #include <optional>
 #include <set>
+#include <span>
 #include <string>
 #include <thread>
 #include <utility>
@@ -59,8 +60,8 @@ using collection::DocId;
 /// `docs` documents (root "article" + `extra` children), roots chained
 /// root(d) -> root(d+1), plus skip links root(d) -> root(d+skip). With
 /// one document per partition, ANY grouping into 2+ shards must cut the
-/// chain, so cross-shard links — and multi-hop skeleton routes through
-/// intermediate shards — are guaranteed, not seed-dependent.
+/// chain, so cross-shard links — and paths through intermediate shards —
+/// are guaranteed, not seed-dependent.
 Collection ChainCollection(size_t docs, size_t extra, size_t skip) {
   Collection c;
   std::vector<NodeId> roots;
@@ -125,7 +126,7 @@ void ExpectTypedDegradation(const ShardedBatchResponse& response,
   }
 }
 
-// ---- ShardPlan / ShardRouter units ----
+// ---- ShardPlan units ----
 
 TEST(ShardPlanTest, SinglePartitionCollapsesToOneShardAndRoutesDirect) {
   // One document = one partition; asking for 4 shards must clamp to 1
@@ -134,7 +135,6 @@ TEST(ShardPlanTest, SinglePartitionCollapsesToOneShardAndRoutesDirect) {
   ShardPlan plan = MustBuildPlan(&c, 4, false);
   EXPECT_EQ(plan.num_shards, 1u);
   EXPECT_EQ(plan.stats.cross_shard_links, 0u);
-  EXPECT_EQ(plan.stats.cross_shard_routes, 0u);
   for (NodeId u = 0; u < c.NumElements(); ++u) {
     EXPECT_EQ(plan.ShardOfElement(u), 0u);
   }
@@ -174,7 +174,7 @@ TEST(ShardPlanTest, DeadDocumentsAreUnassignedAndAnswerDead) {
     if (d == dead) continue;
     EXPECT_LT(plan.shard_of_doc[d], plan.num_shards) << "doc " << d;
   }
-  // Out-of-range ids are unassigned too (the router's bound check).
+  // Out-of-range ids are unassigned too (ShardOfElement's bound check).
   EXPECT_EQ(plan.ShardOfElement(static_cast<NodeId>(c.NumElements() + 5)),
             kUnassignedShard);
 
@@ -201,170 +201,79 @@ TEST(ShardPlanTest, DeadDocumentsAreUnassignedAndAnswerDead) {
   EXPECT_TRUE(response->batch.reachable[3]);  // reflexive stays reflexive
 }
 
-TEST(ShardRouterTest, ProbeSetsAreExactlyTheRouteEndpointSets) {
-  Collection c = ChainCollection(8, 2, 3);
-  ShardPlan plan = MustBuildPlan(&c, 3, true);
-  ASSERT_GT(plan.stats.cross_shard_links, 0u);
-  ASSERT_GT(plan.stats.cross_shard_routes, 0u);
-  ShardRouter router(&plan);
-  ASSERT_EQ(router.num_shards(), plan.num_shards);
-
-  for (uint32_t a = 0; a < plan.num_shards; ++a) {
-    for (uint32_t b = 0; b < plan.num_shards; ++b) {
-      if (a == b) continue;
-      const std::vector<ShardRoute>& routes = router.RoutesBetween(a, b);
-      std::set<NodeId> sources, targets;
-      for (const ShardRoute& r : routes) {
-        // Route endpoints live in the shards they claim to.
-        EXPECT_EQ(plan.ShardOfElement(r.source), a);
-        EXPECT_EQ(plan.ShardOfElement(r.target), b);
-        sources.insert(r.source);
-        targets.insert(r.target);
-        // Every route is visible through both dense views.
-        const auto& from = router.RoutesFrom(r.source);
-        EXPECT_NE(std::find(from.begin(), from.end(),
-                            std::make_pair(r.target, r.dist)),
-                  from.end());
-        const auto& into = router.RoutesInto(r.target);
-        EXPECT_NE(std::find(into.begin(), into.end(),
-                            std::make_pair(r.source, r.dist)),
-                  into.end());
-      }
-      const ShardProbeSet& probes = router.ProbesBetween(a, b);
-      EXPECT_EQ(probes.sources,
-                std::vector<NodeId>(sources.begin(), sources.end()));
-      EXPECT_EQ(probes.targets,
-                std::vector<NodeId>(targets.begin(), targets.end()));
-      EXPECT_TRUE(std::is_sorted(probes.sources.begin(), probes.sources.end()));
-      EXPECT_TRUE(std::is_sorted(probes.targets.begin(), probes.targets.end()));
-    }
-  }
-}
-
-/// Fingerprint of a whole shard plan: the shard count, every shard's
-/// cover (CoverDigest), every route table in table order, then the
-/// ShardPlanStats fields.
-uint64_t ShardPlanDigest(const ShardPlan& plan) {
-  testing::Fnv1a fnv;
-  fnv.Mix(plan.num_shards);
-  for (const auto& index : plan.indexes) {
-    fnv.Mix(testing::CoverDigest(index->cover()));
-  }
-  for (const std::vector<ShardRoute>& table : plan.routes) {
-    fnv.Mix(table.size());
-    for (const ShardRoute& r : table) {
-      fnv.Mix(r.source);
-      fnv.Mix(r.target);
-      fnv.Mix(r.dist);
-    }
-  }
-  const ShardPlanStats& s = plan.stats;
-  for (uint64_t field :
-       {s.num_partitions, s.cross_shard_links, s.skeleton_entries,
-        s.cross_shard_routes, s.same_shard_routes, s.augmented_labels,
-        s.psg_nodes, s.psg_edges}) {
-    fnv.Mix(field);
-  }
-  return fnv.value();
-}
-
-// Bit identity of the shard plan, per collection, mode and shard count.
-// The DBLP collection is cut into multi-document partitions, so shards
-// join intra-shard links; the chain has one document per partition, so
-// with 2 shards its skip links stay inside a shard. Each plan is built
-// at 1 and 2 threads: the thread budget goes inside each partition's
-// cover build and must not change the plan.
-TEST(ShardPlanTest, PlanDigestsArePinned) {
-  struct Pin {
+// The plan is BuildIndex's cover with its rows split by home shard. The
+// DBLP collection is cut into multi-document partitions; the chain has
+// one document per partition and loses one document first, so dead
+// elements must end up with no rows anywhere. Each plan is built at 1
+// and 2 threads: the thread budget goes into the covers phase and must
+// not change the plan.
+TEST(ShardPlanTest, ShardsSplitTheRowsOfBuildIndexCover) {
+  struct Case {
     bool dblp;
     size_t num_shards;
     bool with_distance;
-    uint64_t digest;
   };
-  const Pin pins[] = {
-      {true, 2, false, 0xfb380fbf43a0f0a8ULL},
-      {true, 3, false, 0xbb03da76ba8c6094ULL},
-      {true, 2, true, 0xdec41996297b4af6ULL},
-      {true, 3, true, 0x9edd98d5c3d754e1ULL},
-      {false, 2, false, 0xdd363e91c788a6e2ULL},
-      {false, 3, false, 0x9af545b06af4188cULL},
-      {false, 2, true, 0x9df75242e4d4d10aULL},
-      {false, 3, true, 0x29322ce03afe975bULL},
-  };
-  for (const Pin& pin : pins) {
+  const Case cases[] = {
+      {true, 2, false}, {true, 3, true}, {false, 2, true}, {false, 3, false}};
+  for (const Case& tc : cases) {
     for (size_t threads : {1, 2}) {
       Collection c =
-          pin.dblp ? testing::SmallDblp(60, 101) : ChainCollection(12, 3, 2);
+          tc.dblp ? testing::SmallDblp(60, 101) : ChainCollection(12, 3, 2);
+      if (!tc.dblp) {
+        ASSERT_TRUE(c.RemoveDocument(5).ok());
+      }
       ShardPlanOptions options;
-      options.num_shards = pin.num_shards;
-      options.with_distance = pin.with_distance;
+      options.num_shards = tc.num_shards;
+      options.with_distance = tc.with_distance;
       options.num_threads = threads;
-      if (pin.dblp) {
+      if (tc.dblp) {
         options.partition.max_connections = 3000;
       } else {
         options.partition.strategy =
             partition::PartitionStrategy::kDocPerPartition;
       }
+      const std::string context =
+          std::string(tc.dblp ? "dblp" : "chain") + " shards " +
+          std::to_string(tc.num_shards) +
+          (tc.with_distance ? " distance" : " plain") + " threads " +
+          std::to_string(threads);
       auto plan = BuildShardPlan(&c, options);
-      ASSERT_TRUE(plan.ok()) << plan.status();
-      EXPECT_EQ(ShardPlanDigest(*plan), pin.digest)
-          << (pin.dblp ? "dblp" : "chain") << " shards " << pin.num_shards
-          << (pin.with_distance ? " distance" : " plain") << " threads "
-          << threads << ": 0x" << std::hex << ShardPlanDigest(*plan);
+      ASSERT_TRUE(plan.ok()) << context << ": " << plan.status();
+      ASSERT_EQ(plan->num_shards, tc.num_shards) << context;
+      ASSERT_GT(plan->stats.cross_shard_links, 0u) << context;
+
+      IndexBuildOptions build_options;
+      build_options.partition = options.partition;
+      build_options.with_distance = tc.with_distance;
+      build_options.num_threads = threads;
+      auto single = BuildIndex(&c, build_options);
+      ASSERT_TRUE(single.ok()) << context << ": " << single.status();
+
+      // Each shard holds its own live nodes' rows and nothing else...
+      twohop::TwoHopCover merged(c.NumElements());
+      for (uint32_t s = 0; s < plan->num_shards; ++s) {
+        const twohop::TwoHopCover& shard = plan->indexes[s]->cover();
+        ASSERT_EQ(shard.NumNodes(), c.NumElements()) << context;
+        for (NodeId v = 0; v < c.NumElements(); ++v) {
+          if (plan->ShardOfElement(v) == s) continue;
+          EXPECT_EQ(shard.In(v).n, 0u) << context << " shard " << s << " " << v;
+          EXPECT_EQ(shard.Out(v).n, 0u) << context << " shard " << s << " " << v;
+        }
+        merged.UnionWith(shard);
+      }
+      // ...and together they are exactly BuildIndex's cover.
+      EXPECT_EQ(testing::CoverDigest(merged),
+                testing::CoverDigest(single->cover()))
+          << context;
+      EXPECT_EQ(merged.Size(), single->CoverSize()) << context;
     }
   }
 }
 
-// ---- ComposeThreeLegs: the merge layer's math, hand-checked ----
-
-TEST(ComposeThreeLegsTest, MinPlusOverRoutesMatchesHandComputation) {
-  // Two routes between the shard pair; legs chosen so the SECOND route
-  // wins the min despite the first being reachable too:
-  //   route A: source leg 4 + psg 5 + target leg 1 = 10
-  //   route B: source leg 1 + psg 2 + target leg 3 = 6   <- min
-  std::vector<ShardRoute> routes = {{10, 20, 5}, {11, 21, 2}};
-  std::map<NodeId, std::optional<uint32_t>> source_legs = {{10, 4u}, {11, 1u}};
-  std::map<NodeId, std::optional<uint32_t>> target_legs = {{20, 1u}, {21, 3u}};
-  LegLookup source_leg = [&](NodeId s) { return source_legs.at(s); };
-  LegLookup target_leg = [&](NodeId t) { return target_legs.at(t); };
-
-  auto [reachable, dist] = ComposeThreeLegs(routes, source_leg, target_leg,
-                                            /*want_distance=*/true);
-  EXPECT_TRUE(reachable);
-  EXPECT_EQ(dist, std::optional<uint32_t>(6));
-
-  // Without distances the same composition reports bare reachability.
-  auto [plain_reachable, plain_dist] =
-      ComposeThreeLegs(routes, source_leg, target_leg, /*want_distance=*/false);
-  EXPECT_TRUE(plain_reachable);
-  EXPECT_EQ(plain_dist, std::nullopt);
-
-  // Knock out route B's source leg: route A must carry the answer.
-  source_legs[11] = std::nullopt;
-  auto [via_a, dist_a] =
-      ComposeThreeLegs(routes, source_leg, target_leg, /*want_distance=*/true);
-  EXPECT_TRUE(via_a);
-  EXPECT_EQ(dist_a, std::optional<uint32_t>(10));
-
-  // Knock out both: unreachable, no distance.
-  target_legs[20] = std::nullopt;
-  auto [none, no_dist] =
-      ComposeThreeLegs(routes, source_leg, target_leg, /*want_distance=*/true);
-  EXPECT_FALSE(none);
-  EXPECT_EQ(no_dist, std::nullopt);
-
-  // No routes at all: unreachable without consulting any leg.
-  auto [routeless, routeless_dist] = ComposeThreeLegs(
-      {}, [](NodeId) -> std::optional<uint32_t> { ADD_FAILURE(); return 0; },
-      [](NodeId) -> std::optional<uint32_t> { ADD_FAILURE(); return 0; },
-      true);
-  EXPECT_FALSE(routeless);
-  EXPECT_EQ(routeless_dist, std::nullopt);
-}
-
 // ---- the ShardClient fault-injection seam ----
 
-/// Wraps a real ShardClient and injects one fault mode at a time:
+/// Wraps a real ShardClient and injects one fault mode at a time into
+/// every sub-request — its direct probes and its row fetches alike:
 ///   kHealthy  pass-through
 ///   kStall    the shard does the work but the answer is held until
 ///             ReleaseStalled() (a slow shard; the deadline fires first)
@@ -401,18 +310,20 @@ class FaultInjectingShardClient : public ShardClient {
   uint64_t snapshot_version() const override {
     return inner_->snapshot_version();
   }
-  std::vector<NodeId> Descendants(NodeId u) const override {
-    return inner_->Descendants(u);
+  std::vector<NodeId> Descendants(
+      std::span<const NodeId> centers) const override {
+    return inner_->Descendants(centers);
   }
-  std::vector<NodeId> Ancestors(NodeId u) const override {
-    return inner_->Ancestors(u);
+  std::vector<NodeId> Ancestors(
+      std::span<const NodeId> centers) const override {
+    return inner_->Ancestors(centers);
   }
   Status Swap(std::shared_ptr<const BackendSnapshot> snapshot) override {
     return inner_->Swap(std::move(snapshot));
   }
 
   Status SubmitBatch(
-      BatchRequest request,
+      ShardRequest request,
       std::function<void(Result<ShardBatchResult>)> on_done) override {
     switch (mode_.load()) {
       case Mode::kHealthy:
@@ -461,14 +372,16 @@ class PlainFacadeShardClient : public ShardClient {
   uint64_t snapshot_version() const override {
     return inner_->snapshot_version();
   }
-  std::vector<NodeId> Descendants(NodeId u) const override {
-    return inner_->Descendants(u);
+  std::vector<NodeId> Descendants(
+      std::span<const NodeId> centers) const override {
+    return inner_->Descendants(centers);
   }
-  std::vector<NodeId> Ancestors(NodeId u) const override {
-    return inner_->Ancestors(u);
+  std::vector<NodeId> Ancestors(
+      std::span<const NodeId> centers) const override {
+    return inner_->Ancestors(centers);
   }
   Status SubmitBatch(
-      BatchRequest request,
+      ShardRequest request,
       std::function<void(Result<ShardBatchResult>)> on_done) override {
     return inner_->SubmitBatch(std::move(request), std::move(on_done));
   }
@@ -610,7 +523,7 @@ TEST_F(ShardedFaultFixture, DroppedShardHitsTheDeadlineTyped) {
 }
 
 TEST_F(ShardedFaultFixture, FailedShardDegradesToTypedUnavailable) {
-  // Deadline 0 = wait forever: every sub-batch completes, one failed —
+  // Deadline 0 = wait forever: every sub-request completes, one failed —
   // the all-done-but-broken arm of the status taxonomy.
   auto engine = MakeEngine(std::chrono::milliseconds(0));
   const size_t failed = 2;
@@ -636,6 +549,38 @@ TEST_F(ShardedFaultFixture, FailedShardDegradesToTypedUnavailable) {
     ExpectTypedDegradation(*recovered, retry_pairs, *closure_, true,
                            "post_failure_round" + std::to_string(round));
   }
+}
+
+TEST_F(ShardedFaultFixture, FailedTargetShardLeavesExactlyItsRowFetchesUnresolved) {
+  // Sources all live in shard 0, targets anywhere; only shard 2 fails.
+  // Shard 0 still answers its direct pairs and every Lout row, so the
+  // pairs left unresolved are exactly those that need a Lin row of
+  // shard 2 — and every resolved pair is exact.
+  auto engine = MakeEngine(std::chrono::milliseconds(0));
+  const uint32_t failed = 2;
+  faults_[failed]->set_mode(FaultInjectingShardClient::Mode::kFail);
+  BatchRequest request;
+  request.want_distances = true;
+  const auto n = static_cast<NodeId>(c_.NumElements());
+  for (NodeId u = 0; u < n; ++u) {
+    if (plan_->ShardOfElement(u) != 0) continue;
+    for (NodeId v = 0; v < n; ++v) request.pairs.push_back({u, v});
+  }
+  std::vector<NodePair> pairs = request.pairs;
+  auto response = engine->Batch(std::move(request));
+  ASSERT_TRUE(response.ok()) << response.status();
+  EXPECT_TRUE(response->status.IsUnavailable()) << response->status;
+  ExpectTypedDegradation(*response, pairs, *closure_, true, "failed_target");
+  size_t unresolved = 0;
+  for (size_t i = 0; i < pairs.size(); ++i) {
+    const auto [u, v] = pairs[i];
+    const bool needs_failed = u != v && plan_->ShardOfElement(v) == failed;
+    EXPECT_EQ(response->resolved[i], !needs_failed) << u << "->" << v;
+    if (needs_failed) ++unresolved;
+  }
+  EXPECT_GT(unresolved, 0u);
+  EXPECT_LT(unresolved, pairs.size());
+  EXPECT_GT(engine->Stats().rows_fetched, 0u);
 }
 
 TEST_F(ShardedFaultFixture, DistanceBatchOverPlainShardIsTypedUnsupported) {
@@ -705,21 +650,21 @@ TEST_F(ShardedFaultFixture, SubmitAfterShutdownIsFailedPrecondition) {
   engine->Shutdown();
 }
 
-TEST_F(ShardedFaultFixture, PathQueriesMatchTheSingleEngine) {
-  // The sharded path adapter (shard-local expansion + one route hop)
-  // against the whole-collection single engine, count semantics.
-  Collection whole = ChainCollection(9, 2, 3);
+/// Runs each expression through the sharded engine and a single engine
+/// over BuildIndex's cover, and expects the same answer: the count, and
+/// when `materialize`, the same matches in the same order.
+void ExpectPathQueriesMatch(ShardedEngine* engine, Collection* whole,
+                            const std::vector<std::string>& expressions,
+                            bool materialize) {
   IndexBuildOptions build_options;
-  auto single = BuildIndex(&whole, build_options);
+  build_options.with_distance = engine->with_distance();
+  auto single = BuildIndex(whole, build_options);
   ASSERT_TRUE(single.ok()) << single.status();
   QueryEngine reference = QueryEngine::ForIndex(*single);
-
-  auto engine = MakeEngine(std::chrono::milliseconds(0));
-  for (const char* expression :
-       {"//article//section", "//article//article", "//article//cite"}) {
+  for (const std::string& expression : expressions) {
     PathQueryRequest request;
     request.expression = expression;
-    request.count_only = true;
+    request.count_only = !materialize;
     auto sharded = engine->Query(request);
     ASSERT_TRUE(sharded.ok()) << expression << ": " << sharded.status();
     ASSERT_TRUE(sharded->result.ok()) << expression << ": "
@@ -727,7 +672,49 @@ TEST_F(ShardedFaultFixture, PathQueriesMatchTheSingleEngine) {
     auto expected = reference.Query(request);
     ASSERT_TRUE(expected.ok()) << expression << ": " << expected.status();
     EXPECT_EQ(sharded->result->count, expected->count) << expression;
+    ASSERT_EQ(sharded->result->matches.size(), expected->matches.size())
+        << expression;
+    for (size_t m = 0; m < expected->matches.size(); ++m) {
+      EXPECT_EQ(sharded->result->matches[m].bindings,
+                expected->matches[m].bindings)
+          << expression << " match " << m;
+      EXPECT_EQ(sharded->result->matches[m].total_distance,
+                expected->matches[m].total_distance)
+          << expression << " match " << m;
+    }
   }
+}
+
+TEST_F(ShardedFaultFixture, PathQueriesMatchTheSingleEngine) {
+  // The sharded path adapter (row fetch + every shard's backward index)
+  // against the whole-collection single engine: count semantics on the
+  // chain, then a materializing query too on a 3-shard DBLP plan.
+  auto engine = MakeEngine(std::chrono::milliseconds(0));
+  Collection chain = ChainCollection(9, 2, 3);
+  ExpectPathQueriesMatch(
+      engine.get(), &chain,
+      {"//article//section", "//article//article", "//article//cite"},
+      /*materialize=*/false);
+
+  Collection dblp = testing::SmallDblp(60, 101);
+  ShardPlanOptions options;
+  options.num_shards = 3;
+  options.with_distance = true;
+  options.partition.max_connections = 3000;
+  auto plan = BuildShardPlan(&dblp, options);
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  ASSERT_EQ(plan->num_shards, 3u);
+  ASSERT_GT(plan->stats.cross_shard_links, 0u);
+  ShardedEngineOptions engine_options;
+  engine_options.merge_deadline = std::chrono::milliseconds(0);
+  ShardedEngine dblp_engine(&dblp, &*plan, engine_options);
+  ExpectPathQueriesMatch(&dblp_engine, &dblp,
+                         {"//inproceedings//author", "//cite//title",
+                          "//article//title"},
+                         /*materialize=*/false);
+  ExpectPathQueriesMatch(&dblp_engine, &dblp,
+                         {"//inproceedings//cite//title"},
+                         /*materialize=*/true);
 }
 
 // ---- swap-churn stress ----

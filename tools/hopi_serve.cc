@@ -8,11 +8,12 @@
 //   curl -s localhost:8080/v1/batch -d '{"pairs":[[0,7]]}'
 //   curl -s localhost:8080/stats
 //
-// --shards=N swaps the single EnginePool for a ShardedEngine: the
-// collection is partitioned into N shard units (each its own pool +
-// cover) behind the scatter-gather router, same routes and wire
-// format (batch answers gain "resolved" and "shard_versions" fields;
-// /v1/mutate answers 501). --threads then means workers PER SHARD.
+// --shards=N swaps the single EnginePool for a ShardedEngine: one
+// cover over the collection, its label rows split into N shard units
+// (each its own pool) behind the scatter-gather router, same routes and
+// wire format (batch answers gain "resolved" and "shard_versions"
+// fields; /v1/mutate answers 501). --threads then means workers PER
+// SHARD.
 //
 // Runs until SIGINT/SIGTERM, printing a stats line every
 // --stats_interval_s seconds; shuts down in order (stop accepting,
@@ -50,8 +51,7 @@ int main(int argc, char** argv) {
   Status parsed = CommandLine::Parse(
       argc, argv,
       {"port", "bind", "docs", "seed", "threads", "io_threads",
-       "queue_capacity", "shed_high", "shed_low", "cache_kb",
-       "max_connections", "stats_interval_s", "with_distance", "mutate",
+       "queue_capacity", "shed_high", "shed_low", "max_connections", "stats_interval_s", "with_distance", "mutate",
        "max_delta_ops", "rebuild_poll_ms", "rebuild_degradation",
        "overlay_hop_budget", "shards", "merge_deadline_ms"},
       &cli);
@@ -109,15 +109,16 @@ int main(int argc, char** argv) {
     shard_plan = std::move(plan).value();
     std::cerr << "plan: " << shard_plan->num_shards << " shards over "
               << shard_plan->stats.num_partitions << " partitions, "
-              << shard_plan->stats.cross_shard_links << " cross-shard links, "
-              << shard_plan->stats.cross_shard_routes
-              << " skeleton routes\n";
+              << shard_plan->stats.cross_shard_links
+              << " cross-shard links, label entries per shard:";
+    for (const auto& index : shard_plan->indexes) {
+      std::cerr << " " << index->CoverSize();
+    }
+    std::cerr << "\n";
     engine::ShardedEngineOptions engine_options;
     // --threads means workers PER SHARD here (0 = one per core).
     engine_options.threads_per_shard =
         static_cast<size_t>(cli.GetInt("threads", 1));
-    engine_options.label_cache_bytes =
-        static_cast<size_t>(cli.GetInt("cache_kb", 4096)) * 1024;
     engine_options.queue_capacity =
         static_cast<size_t>(cli.GetInt("queue_capacity", 128));
     engine_options.merge_deadline =
@@ -141,8 +142,6 @@ int main(int argc, char** argv) {
 
     engine::EnginePoolOptions pool_options;
     pool_options.num_threads = static_cast<size_t>(cli.GetInt("threads", 0));
-    pool_options.label_cache_bytes =
-        static_cast<size_t>(cli.GetInt("cache_kb", 4096)) * 1024;
     pool_options.queue_capacity =
         static_cast<size_t>(cli.GetInt("queue_capacity", 128));
     pool_options.shed_high_watermark =
